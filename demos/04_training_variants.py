@@ -26,10 +26,8 @@ from cyclone_pp import (
     generate_scenario,
     make_island_domain,
     predict_members_baseline,
-    train_model,
 )
-from cyclone_pp.augmentation import build_augmented_set
-from cyclone_pp.models import original_track
+from cyclone_pp.models import fit_fold, original_track
 
 domain = make_island_domain(n_rows=28, n_cols=24)
 scenario = generate_scenario(ScenarioSpec(seed=4), domain)
@@ -47,21 +45,17 @@ base_crps = crps_gaussian(baseline.mu[land], baseline.sigma[land],
                           target.observation[land]).mean()
 print(f"\nmembers baseline: mean land CRPS {base_crps:.2f} mm")
 
+# fit_fold trains on the originals before k; cnn-all augments them first
 for variant in ("cnn", "cnn-all"):
     config = ModelConfig.for_variant(variant, epochs=40, seed=4)
-    training = history
-    if config.use_augmentation:
-        training = build_augmented_set(history, eta=config.noise_scale,
-                                       seed=config.seed).reports
     t0 = time.time()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = train_model(config, training, domain)
+        model = fit_fold(config, scenario.reports, domain, k)
     field = model.predict(target, domain, causal_track)
     score = crps_gaussian(field.mu[land], field.sigma[land],
                           target.observation[land]).mean()
-    print(f"{variant}: {len(training)} training reports, "
-          f"{config.epochs} epochs in {time.time() - t0:.1f}s, "
+    print(f"{variant}: {config.epochs} epochs in {time.time() - t0:.1f}s, "
           f"mean land CRPS {score:.2f} mm "
           f"(skill vs members {1 - score / base_crps:+.2f})")
 

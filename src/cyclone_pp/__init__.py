@@ -21,7 +21,6 @@ from .augmentation import (
     build_augmented_set,
     inject_noise,
     interpolate_reports,
-    training_subset,
 )
 from .domain import (
     GridDomain,
@@ -53,7 +52,6 @@ from .models import (
     VARIANTS,
     ModelConfig,
     TrainedModel,
-    default_configs,
     predict_members_baseline,
     rolling_origin_run,
     train_model,
@@ -105,7 +103,6 @@ __all__ = [
     "crps_gradient",
     "crpss",
     "crpss_by_stratum",
-    "default_configs",
     "exceedance_map",
     "exceedance_probability",
     "fit_standardizer",
@@ -123,6 +120,5 @@ __all__ = [
     "tabulate_categories",
     "tc_distance_field",
     "train_model",
-    "training_subset",
     "weighted_loss",
 ]

@@ -131,13 +131,3 @@ def build_augmented_set(originals, eta: float = DEFAULT_NOISE_SCALE, seed: int =
     noisy = [inject_noise(r, eta, _noise_rng(seed, r.index)) for r in expanded]
     reports = sorted(expanded + noisy, key=report_sort_key)
     return AugmentedSet(reports=reports, noise_scale=eta, seed=seed)
-
-
-def training_subset(aset: AugmentedSet, target_k: int) -> list[Report]:
-    """All reports of any origin with fractional index strictly below k."""
-    if target_k != int(target_k) or target_k < 2:
-        raise ValueError(f"target index must be an integer >= 2, got {target_k}")
-    subset = [r for r in aset.reports if r.index < target_k]
-    if not subset:
-        raise ValueError(f"no reports precede target index {target_k}")
-    return sorted(subset, key=report_sort_key)

@@ -50,8 +50,8 @@ from .models import (
     VARIANTS,
     ModelConfig,
     TrainedModel,
+    fit_fold,
     predict_members_baseline,
-    train_model,
 )
 from .scoring import GaussianField
 from .storage import (
@@ -86,6 +86,12 @@ def thread_cap() -> int:
         return max(1, int(raw))
     except ValueError:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _parse_targets(text: str) -> list[int]:
@@ -149,12 +155,17 @@ def _history_reports(scenario_dir, target: int) -> list:
             if math.ceil(index) < target]
 
 
-def _target_report(scenario_dir, target: int, with_observation: bool):
-    for index, noise, rdir in list_report_dirs(scenario_dir):
-        if index == target and not noise:
-            return load_report(rdir, with_observation=with_observation)
+def _original_dir(scenario_dir, index: int) -> Path:
+    for i, noise, rdir in list_report_dirs(scenario_dir):
+        if i == index and not noise:
+            return rdir
     raise FileNotFoundError(
-        f"scenario has no original report with index {target}")
+        f"scenario has no original report with index {index}")
+
+
+def _target_report(scenario_dir, target: int, with_observation: bool):
+    return load_report(_original_dir(scenario_dir, target),
+                       with_observation=with_observation)
 
 
 def _causal_track(scenario_dir, target: int) -> list[tuple[float, tuple[float, float]]]:
@@ -172,6 +183,9 @@ def cmd_generate(args) -> int:
     else:
         spec = ScenarioSpec(seed=args.seed if args.seed is not None else 0)
     domain = make_island_domain(n_rows=args.rows, n_cols=args.cols)
+    if not domain.land_mask.any():
+        raise ValueError(f"a {args.rows}x{args.cols} grid has no land cell; "
+                         "training needs at least one")
     scenario = generate_scenario(spec, domain)
     with staged_dir(args.out) as tmp:
         save_scenario(scenario, tmp)
@@ -205,18 +219,6 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _train_one(variant: str, args, history, domain) -> tuple[str, TrainedModel]:
-    config = ModelConfig.for_variant(variant, epochs=args.epochs,
-                                     noise_scale=args.eta, seed=args.seed)
-    training = history
-    if config.use_augmentation:
-        already = any(r.origin is not ReportOrigin.ORIGINAL for r in history)
-        if not already and len(history) >= 2:
-            training = build_augmented_set(history, eta=config.noise_scale,
-                                           seed=config.seed).reports
-    return variant, train_model(config, training, domain)
-
-
 def cmd_train(args) -> int:
     t0 = time.time()
     variants = list(TRAINABLE) if args.all_variants else [args.variant.lower()]
@@ -228,21 +230,25 @@ def cmd_train(args) -> int:
             raise ValueError(f"unknown variant {v!r}; expected one of {TRAINABLE}")
     inputs = _verified_input(args.scenario, _causal_file_filter(args.target))
     _spec, domain = load_scenario_header(args.scenario)
+    _original_dir(args.scenario, args.target)  # fail now rather than at predict
     history = _history_reports(args.scenario, args.target)
-    if not history:
-        raise ValueError(f"no reports precede target {args.target}")
+    configs = [ModelConfig.for_variant(v, epochs=args.epochs,
+                                       noise_scale=args.eta, seed=args.seed)
+               for v in variants]
 
-    workers = min(thread_cap(), len(variants))
+    def fit(config):
+        return fit_fold(config, history, domain, args.target)
+
+    workers = min(thread_cap(), len(configs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            fitted = list(pool.map(
-                lambda v: _train_one(v, args, history, domain), variants))
+            fitted = list(pool.map(fit, configs))
     else:
-        fitted = [_train_one(v, args, history, domain) for v in variants]
+        fitted = [fit(c) for c in configs]
 
     with staged_dir(args.out) as tmp:
-        for variant, model in fitted:
-            model.save(tmp / f"model_{variant}.json")
+        for model in fitted:
+            model.save(tmp / f"model_{model.config.variant}.json")
         write_manifest(tmp, "train",
                        config={"variants": variants, "target": args.target,
                                "epochs": args.epochs, "eta": args.eta,
@@ -389,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="fabricate a synthetic scenario")
     p.add_argument("--spec", help="scenario spec JSON (defaults built in)")
     p.add_argument("--seed", type=int, default=None, help="override spec seed")
-    p.add_argument("--rows", type=int, default=84)
-    p.add_argument("--cols", type=int, default=70)
+    p.add_argument("--rows", type=_positive_int, default=84)
+    p.add_argument("--cols", type=_positive_int, default=70)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

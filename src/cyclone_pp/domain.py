@@ -172,10 +172,6 @@ class Report:
         if not (-90.0 <= lat <= 90.0 and np.isfinite(lon)):
             raise ValueError(f"invalid tc_center {self.tc_center}")
 
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.members.shape[1:]
-
 
 def classify_rain(y: float) -> RainCategory:
     """Classify one 24 h rain amount (mm) into its category.

@@ -318,59 +318,57 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
     return model
 
 
-def train_fcn_baseline(history, domain: GridDomain, **overrides) -> TrainedModel:
-    """Per-grid seven-feature baseline on the same weighted CRPS loss."""
-    return train_model(ModelConfig.for_variant("fcn", **overrides), history, domain)
+def fit_fold(config: ModelConfig, reports, domain: GridDomain,
+             target: int) -> TrainedModel:
+    """Train one variant for one target report.
+
+    This is the only place that picks a training set. It keeps the
+    original reports indexed strictly below ``target``; derived reports
+    are dropped, since an interpolation at target - 0.5 blends the
+    target itself. The -aug variants then expand those originals with
+    the config's own noise scale and seed.
+    """
+    history = sorted((r for r in reports
+                      if r.origin is ReportOrigin.ORIGINAL and r.index < target),
+                     key=lambda r: r.index)
+    if not history:
+        raise ValueError(f"no reports precede target {target}")
+    if config.use_augmentation:
+        if len(history) >= 2:
+            history = build_augmented_set(history, eta=config.noise_scale,
+                                          seed=config.seed).reports
+        else:
+            warnings.warn(f"target {target}: single-report history cannot be "
+                          "augmented; training on originals", stacklevel=2)
+    return train_model(config, history, domain)
 
 
 def rolling_origin_run(configs, scenario, targets=range(6, 12),
                        ) -> dict[tuple[str, int], GaussianField]:
     """Train-and-predict every variant at every target, never peeking ahead.
 
-    For each target k the trainable variants learn from reports indexed
-    strictly below k (augmented first when the variant calls for it) and
-    then post-process report k's forecast stack. Returns {(variant, k):
-    prediction}; targets without any preceding report are skipped with a
-    warning.
+    For each target k the trainable variants are fitted by ``fit_fold``
+    and then post-process report k's forecast stack. Returns {(variant,
+    k): prediction}; targets without any preceding report are skipped
+    with a warning.
     """
     domain = scenario.domain
-    originals = sorted((r for r in scenario.reports
-                        if r.origin is ReportOrigin.ORIGINAL),
-                       key=lambda r: r.index)
-    by_index = {r.index: r for r in originals}
-    track_pairs = original_track(originals)
+    by_index = {r.index: r for r in scenario.reports
+                if r.origin is ReportOrigin.ORIGINAL}
+    track_pairs = original_track(scenario.reports)
 
     predictions: dict[tuple[str, int], GaussianField] = {}
     for k in targets:
         target = by_index.get(float(k))
         if target is None:
             raise ValueError(f"scenario has no original report with index {k}")
-        history = [r for r in originals if r.index < k]
-        if not history:
+        if min(by_index) >= k:
             warnings.warn(f"skipping target {k}: no preceding reports", stacklevel=2)
             continue
         for config in configs:
-            if not config.trains:
-                predictions[(config.variant, k)] = predict_members_baseline(target)
-                continue
-            if config.use_augmentation and len(history) >= 2:
-                training = build_augmented_set(history, eta=config.noise_scale,
-                                               seed=config.seed).reports
+            if config.trains:
+                model = fit_fold(config, scenario.reports, domain, k)
+                predictions[(config.variant, k)] = model.predict(target, domain, track_pairs)
             else:
-                if config.use_augmentation:
-                    warnings.warn(f"target {k}: single-report history cannot be "
-                                  "augmented; training on originals", stacklevel=2)
-                training = history
-            model = train_model(config, training, domain)
-            predictions[(config.variant, k)] = model.predict(target, domain, track_pairs)
+                predictions[(config.variant, k)] = predict_members_baseline(target)
     return predictions
-
-
-def default_configs(seed: int = 0, **overrides) -> list[ModelConfig]:
-    """One config per variant, shared seed."""
-    return [ModelConfig.for_variant(v, seed=seed, **overrides) for v in VARIANTS]
-
-
-def config_variants_table() -> dict[str, tuple[bool, bool]]:
-    """variant -> (use_geo_dyn, use_augmentation), the Y/- matrix."""
-    return dict(_VARIANT_FLAGS)

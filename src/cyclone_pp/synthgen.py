@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -364,8 +364,3 @@ def load_scenario(path) -> Scenario:
     if not reports:
         raise FileNotFoundError(f"no report_XXXX directories under {path}")
     return Scenario(spec=spec, domain=domain, reports=reports)
-
-
-def default_acceptance_spec(seed: int) -> ScenarioSpec:
-    """The seeded spec family used by the synthetic verification sweeps."""
-    return replace(ScenarioSpec(), seed=seed)

@@ -6,7 +6,6 @@ from cyclone_pp.augmentation import (
     build_augmented_set,
     inject_noise,
     interpolate_reports,
-    training_subset,
 )
 from cyclone_pp.domain import ReportOrigin
 
@@ -174,36 +173,3 @@ class TestAugmentedSet:
         aset = build_augmented_set(list(reversed(reports)), seed=3)
         assert aset.indices[0] == 1.0
         assert aset.indices[-1] == 4.0
-
-
-class TestTrainingSubset:
-    def test_k3_takes_eight_reports(self, report_factory):
-        aset = build_augmented_set(originals(report_factory, 5))
-        subset = training_subset(aset, 3)
-        assert [r.index for r in subset] == [1.0, 1.0, 1.5, 1.5, 2.0, 2.0, 2.5, 2.5]
-
-    def test_k2_takes_four(self, report_factory):
-        aset = build_augmented_set(originals(report_factory, 5))
-        assert [r.index for r in training_subset(aset, 2)] == [1.0, 1.0, 1.5, 1.5]
-
-    def test_k_past_end_takes_all(self, report_factory):
-        aset = build_augmented_set(originals(report_factory, 4))
-        assert len(training_subset(aset, 5)) == len(aset)
-
-    def test_nesting(self, report_factory):
-        aset = build_augmented_set(originals(report_factory, 6))
-        for k in range(2, 7):
-            small = training_subset(aset, k)
-            large = training_subset(aset, k + 1)
-            assert [r.index for r in small] == [r.index for r in large][: len(small)]
-
-    def test_rejects_k_below_two(self, report_factory):
-        aset = build_augmented_set(originals(report_factory, 3))
-        with pytest.raises(ValueError, match=">= 2"):
-            training_subset(aset, 1)
-
-    def test_excludes_target_and_future(self, report_factory):
-        aset = build_augmented_set(originals(report_factory, 5))
-        subset = training_subset(aset, 4)
-        assert all(r.index < 4 for r in subset)
-        assert max(r.index for r in subset) == 3.5

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cyclone_pp.cli import (
+    TRAINABLE,
     _causal_file_filter,
     _parse_targets,
     load_predictions_csv,
@@ -13,9 +14,9 @@ from cyclone_pp.cli import (
     thread_cap,
 )
 from cyclone_pp.domain import ReportOrigin
-from cyclone_pp.models import predict_members_baseline
+from cyclone_pp.models import ModelConfig, predict_members_baseline, rolling_origin_run
 from cyclone_pp.storage import manifest_fingerprint, read_json, verify_manifest
-from cyclone_pp.synthgen import list_report_dirs, load_report
+from cyclone_pp.synthgen import list_report_dirs, load_report, load_scenario
 
 GRID = ["--rows", "14", "--cols", "12"]
 TARGET = "6"
@@ -113,6 +114,26 @@ class TestGenerate:
         assert fa == fb
         assert fa == manifest_fingerprint(read_json(pipeline["scen"] / "manifest.json"))
 
+    @pytest.mark.parametrize("flag,value", [("--rows", "0"), ("--cols", "-2")])
+    def test_non_positive_grid_size_is_usage_error(self, tmp_path, capsys,
+                                                    flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", flag, value, "--out", str(tmp_path / "s")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "positive integer" in err
+        assert not (tmp_path / "s").exists()
+
+    def test_grid_without_land_rejected(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["generate", "--rows", "2", "--cols", "2",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "no land cell" in err
+        assert not out.exists()
+
     def test_spec_file_round_trips(self, pipeline, tmp_path, capsys):
         out = tmp_path / "scen2"
         spec_path = pipeline["scen"] / "spec.json"
@@ -165,6 +186,14 @@ class TestTrain:
                      "--out", str(tmp_path / "m")]) == 1
         assert "unknown variant" in capsys.readouterr().err
 
+    def test_target_without_report_rejected(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "m"
+        assert main(["train", "--scenario", str(pipeline["scen"]),
+                     "--variant", "cnn", "--target", "99", "--epochs", "1",
+                     "--out", str(out)]) == 1
+        assert "no original report with index 99" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_written(self, pipeline):
         assert (pipeline["model"] / "model_cnn-all.json").is_file()
         manifest = verify_manifest(pipeline["model"])
@@ -180,8 +209,8 @@ class TestTrain:
                 == read_json(pipeline["model"] / "manifest.json")["outputs"])
 
     def test_pre_augmented_scenario_trains_identically(self, pipeline, tmp_path):
-        # noise streams are keyed by report index, so augmenting the whole
-        # scenario up front and augmenting the history inside train agree
+        # train rebuilds the augmentation from the originals before the
+        # target, so an augment output trains exactly like its source
         out = tmp_path / "maug"
         assert main(["train", "--scenario", str(pipeline["aug"]),
                      "--variant", "cnn-all", "--target", TARGET,
@@ -199,6 +228,46 @@ class TestTrain:
         assert names == ["model_cnn-all.json", "model_cnn-aug.json",
                          "model_cnn-dyn.json", "model_cnn.json",
                          "model_fcn.json"]
+
+
+class TestTrainMatchesLibrary:
+    """CLI train + predict and rolling_origin_run pick one training set."""
+
+    @pytest.mark.parametrize("source", ["scen", "aug"])
+    @pytest.mark.parametrize("variant", TRAINABLE)
+    def test_same_bits_as_rolling_origin(self, pipeline, tmp_path, variant,
+                                         source):
+        scen = pipeline[source]
+        model, pred = tmp_path / "model", tmp_path / "pred"
+        assert main(["train", "--scenario", str(scen), "--variant", variant,
+                     "--target", TARGET, "--epochs", "2",
+                     "--out", str(model)]) == 0
+        assert main(["predict", "--checkpoint", str(model),
+                     "--scenario", str(scen), "--target", TARGET,
+                     "--out", str(pred)]) == 0
+        got = load_predictions_csv(pred / "predictions.csv", (14, 12))
+        config = ModelConfig.for_variant(variant, epochs=2)
+        k = int(TARGET)
+        expected = rolling_origin_run([config], load_scenario(scen),
+                                      targets=[k])[(variant, k)]
+        assert got.mu.tobytes() == expected.mu.tobytes()
+        assert got.sigma.tobytes() == expected.sigma.tobytes()
+
+    def test_augment_seed_does_not_reach_train(self, pipeline, tmp_path):
+        # train augments with its own --seed, whatever augment used
+        aug5 = tmp_path / "aug5"
+        assert main(["augment", "--scenario", str(pipeline["scen"]),
+                     "--seed", "5", "--out", str(aug5)]) == 0
+        outs = []
+        for scen in (pipeline["scen"], aug5):
+            out = tmp_path / f"model_{scen.name}"
+            assert main(["train", "--scenario", str(scen), "--all-variants",
+                         "--target", TARGET, "--epochs", "2", "--seed", "0",
+                         "--out", str(out)]) == 0
+            outs.append(out)
+        for variant in TRAINABLE:
+            name = f"model_{variant}.json"
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestPredict:

@@ -7,18 +7,19 @@ import pytest
 from cyclone_pp.domain import ReportOrigin
 from cyclone_pp.features import CHANNEL_NAMES
 from cyclone_pp.models import (
+    VARIANTS,
     ModelConfig,
     TrainedModel,
-    config_variants_table,
-    default_configs,
     fcn_features,
+    fit_fold,
     original_track,
     predict_members_baseline,
     rolling_origin_run,
     track_through,
-    train_fcn_baseline,
     train_model,
 )
+from cyclone_pp import models
+from cyclone_pp.augmentation import build_augmented_set
 from cyclone_pp.synthgen import ScenarioSpec, generate_scenario, make_island_domain
 
 from conftest import make_report
@@ -46,7 +47,9 @@ def track_of(scenario):
 
 class TestModelConfig:
     def test_variant_flag_matrix(self):
-        table = config_variants_table()
+        table = {v: (ModelConfig.for_variant(v).use_geo_dyn,
+                     ModelConfig.for_variant(v).use_augmentation)
+                 for v in VARIANTS}
         assert table == {
             "members": (False, False),
             "fcn": (False, False),
@@ -57,9 +60,10 @@ class TestModelConfig:
         }
 
     def test_for_variant_fills_flags(self):
-        for variant, (geo, aug) in config_variants_table().items():
+        # the filled-in flags are the ones the constructor accepts
+        for variant in VARIANTS:
             cfg = ModelConfig.for_variant(variant)
-            assert (cfg.use_geo_dyn, cfg.use_augmentation) == (geo, aug)
+            assert ModelConfig(variant, cfg.use_geo_dyn, cfg.use_augmentation) == cfg
 
     def test_for_variant_case_insensitive(self):
         assert ModelConfig.for_variant("CNN-All").variant == "cnn-all"
@@ -91,11 +95,6 @@ class TestModelConfig:
     def test_dict_round_trip(self):
         cfg = ModelConfig.for_variant("cnn-all", seed=9, epochs=12)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_default_configs_cover_all_variants(self):
-        cfgs = default_configs(seed=4)
-        assert [c.variant for c in cfgs] == list(config_variants_table())
-        assert all(c.seed == 4 for c in cfgs)
 
 
 class TestMembersBaseline:
@@ -170,8 +169,8 @@ class TestTrainModel:
         assert all(np.isfinite(l) for l in model.loss_history)
 
     def test_fcn_loss_decreases(self, tiny_scenario, tiny_domain):
-        model = train_fcn_baseline(history_until(tiny_scenario, 8),
-                                   tiny_domain, epochs=40, seed=2)
+        model = train_model(ModelConfig.for_variant("fcn", epochs=40, seed=2),
+                            history_until(tiny_scenario, 8), tiny_domain)
         assert model.loss_history[-1] < model.loss_history[0]
 
     def test_zero_epochs_returns_initialized_model(self, tiny_scenario, tiny_domain):
@@ -236,12 +235,75 @@ class TestTrainModel:
         assert np.all(field.sigma > 0)
 
 
+class TestFitFold:
+    """The training set fit_fold hands to train_model, per variant."""
+
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        # train_model returns its history, so fit_fold returns the set
+        monkeypatch.setattr(models, "train_model",
+                            lambda config, history, domain: history)
+
+    @staticmethod
+    def chosen(variant, reports, target, **overrides):
+        return fit_fold(ModelConfig.for_variant(variant, **overrides),
+                        reports, None, target)
+
+    @pytest.fixture()
+    def augmented(self, report_factory):
+        # an augment output: fit_fold must rebuild from its originals
+        originals = [report_factory(index=float(i)) for i in range(1, 6)]
+        return build_augmented_set(originals, seed=5).reports
+
+    def test_k3_takes_six_reports(self, augmented):
+        # the 2.5 interpolation blends report 3, so it stays out
+        got = self.chosen("cnn-aug", augmented, 3)
+        assert [r.index for r in got] == [1.0, 1.0, 1.5, 1.5, 2.0, 2.0]
+
+    def test_non_augmenting_variants_take_originals(self, augmented):
+        for variant in ("fcn", "cnn", "cnn-dyn"):
+            got = self.chosen(variant, augmented, 4)
+            assert [r.index for r in got] == [1.0, 2.0, 3.0]
+            assert all(r.origin is ReportOrigin.ORIGINAL for r in got)
+
+    def test_k2_takes_the_single_original(self, augmented):
+        with pytest.warns(UserWarning, match="cannot be augmented"):
+            got = self.chosen("cnn-all", augmented, 2)
+        assert [(r.index, r.origin) for r in got] == [(1.0, ReportOrigin.ORIGINAL)]
+
+    def test_k_past_end_takes_all(self, report_factory):
+        originals = [report_factory(index=float(i)) for i in range(1, 5)]
+        got = self.chosen("cnn-aug", originals, 5)
+        assert len(got) == len(build_augmented_set(originals))
+
+    def test_nesting(self, augmented):
+        for k in range(3, 6):
+            small = [r.index for r in self.chosen("cnn-all", augmented, k)]
+            large = [r.index for r in self.chosen("cnn-all", augmented, k + 1)]
+            assert small == large[: len(small)]
+
+    def test_rejects_target_without_history(self, augmented):
+        with pytest.raises(ValueError, match="no reports precede target 1"):
+            self.chosen("cnn", augmented, 1)
+
+    def test_excludes_target_and_future(self, augmented):
+        for variant in ("cnn", "cnn-all"):
+            assert max(r.index for r in self.chosen(variant, augmented, 4)) == 3.0
+
+    def test_noise_comes_from_the_config(self, augmented, report_factory):
+        # the augment output used seed 5; the config's seed wins
+        originals = [report_factory(index=float(i)) for i in range(1, 4)]
+        got = self.chosen("cnn-aug", augmented, 4, seed=0, noise_scale=0.1)
+        want = build_augmented_set(originals, eta=0.1, seed=0).reports
+        assert [r.members.tobytes() for r in got] == [r.members.tobytes() for r in want]
+
+
 class TestFcnLocality:
     def test_cell_permutation_equivariance(self, tiny_scenario, tiny_domain):
         # 1x1 convolutions see one cell at a time: shuffling the columns of
         # the input shuffles the output identically
-        model = train_fcn_baseline(history_until(tiny_scenario, 7),
-                                   tiny_domain, epochs=5, seed=0)
+        model = train_model(ModelConfig.for_variant("fcn", epochs=5, seed=0),
+                            history_until(tiny_scenario, 7), tiny_domain)
         rep = tiny_scenario.reports[7]
         from cyclone_pp.models import _stack_for
         from cyclone_pp.features import apply_standardizer
