@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -314,6 +315,15 @@ def cmd_predict(args) -> int:
         ckpt = _resolve_checkpoint(args.checkpoint)
         inputs[ckpt.as_posix()] = sha256_file(ckpt)
         model = TrainedModel.load(ckpt)
+        if model.target is None:
+            raise ValueError(f"{ckpt} records no training target; "
+                             "write it with `cyclone-pp train`")
+        if args.target < model.target:
+            raise ValueError(f"checkpoint trained for target {model.target} saw "
+                             f"reports at or after target {args.target}")
+        if model.grid_shape != domain.shape:
+            raise ValueError("checkpoint trained on a {}x{} grid cannot predict a "
+                             "{}x{} scenario".format(*model.grid_shape, *domain.shape))
         variant = model.config.variant
         track_pairs = _causal_track(args.scenario, args.target)
         field = model.predict(target, domain, track_pairs)
@@ -442,16 +452,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "train" and not args.all_variants and args.variant is None:
         print("error: pass --variant or --all-variants", file=sys.stderr)
         return 2
-    try:
-        return args.func(args)
-    except (ValueError, FileNotFoundError, NotADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ValueError, FileNotFoundError, NotADirectoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ variants differ only in their input channels and training multiset:
 
 All trained variants minimize the same temporally weighted closed-form
 CRPS over land cells, full batch, fixed 100 epochs of Adam at lr 0.001.
+Sea cells carry no loss weight, so training computes land cells only.
 Network outputs live in standardized target space: mu = t_mean +
 t_std * out0 and sigma = t_std * softplus(out1) + floor, where t_mean /
 t_std summarize the training observations over land. Without this
@@ -48,6 +49,7 @@ from .neuralnet import (
     Sequential,
     SoftplusLayer,
     TrainingDiverged,
+    im2col,
     load_network,
     save_network,
     softplus,
@@ -213,6 +215,10 @@ class TrainedModel:
     target_mean: float
     target_std: float
     loss_history: list[float] = field(default_factory=list)
+    #: (rows, cols) of the training grid
+    grid_shape: tuple[int, int] | None = None
+    #: the report this fold was trained for; all training reports precede it
+    target: int | None = None
 
     def _heads_to_field(self, out: np.ndarray) -> GaussianField:
         mu = self.target_mean + self.target_std * out[0].astype(float)
@@ -228,7 +234,7 @@ class TrainedModel:
         stack = _stack_for(self.config, report, domain, track_pairs)
         z = apply_standardizer(stack, self.norm)
         x = z.channels[None].astype(self.config.dtype)
-        out = self.net.forward(x)[0]
+        out = self.net.forward(im2col(x, self.net.layers[0].kernel_size))[0]
         return self._heads_to_field(out)
 
     def save(self, path) -> None:
@@ -238,6 +244,8 @@ class TrainedModel:
             "norm_std": self.norm.std.tolist(),
             "target_mean": self.target_mean,
             "target_std": self.target_std,
+            "grid_shape": self.grid_shape,
+            "target": self.target,
         }
         save_network(path, self.net, meta=meta)
 
@@ -251,6 +259,8 @@ class TrainedModel:
                            std=np.array(meta["norm_std"])),
             target_mean=meta["target_mean"],
             target_std=meta["target_std"],
+            grid_shape=tuple(meta["grid_shape"]),
+            target=meta["target"],
         )
 
 
@@ -260,6 +270,8 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
     ``history`` is the ready-made training list (already augmented for the
     -aug variants); every report needs an observation. Full-batch: each
     epoch is one Adam step on the weighted CRPS loss over land cells.
+    The patch rows are built once, for land cells only: sea cells carry
+    no loss weight, and a land cell's sea neighbours stay in its row.
     """
     if not config.trains:
         raise ValueError("the members baseline has no trainable parameters")
@@ -274,13 +286,12 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
     stacks = [_stack_for(config, r, domain, track_pairs) for r in history]
     norm = fit_standardizer(stacks)
     x = np.stack([apply_standardizer(s, norm).channels for s in stacks]).astype(dtype)
-    x.flags.writeable = False  # lets conv layers reuse the im2col expansion
 
-    y = np.stack([r.observation for r in history])
     land = domain.land_mask
     n_land = int(land.sum())
-    target_mean = float(y[:, land].mean())
-    target_std = max(float(y[:, land].std()), TARGET_STD_FLOOR_MM)
+    y = np.stack([r.observation for r in history])[:, land]  # (B, n_land)
+    target_mean = float(y.mean())
+    target_std = max(float(y.std()), TARGET_STD_FLOOR_MM)
 
     if not track_pairs:
         raise ValueError("history contains no original reports")
@@ -292,12 +303,14 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
     net = _build_network(config, fold_key=fold_key).astype(dtype)
     opt = Adam(net.parameters(), lr=config.lr)
     model = TrainedModel(config=config, net=net, norm=norm,
-                         target_mean=target_mean, target_std=target_std)
+                         target_mean=target_mean, target_std=target_std,
+                         grid_shape=domain.shape)
 
-    # per-cell loss scale: w_r / n_land on land, 0 at sea
-    cell_w = (w[:, None, None] * land[None, :, :] / n_land)
+    patches = im2col(x, net.layers[0].kernel_size, mask=land)
+    # per-cell loss scale: w_r / n_land
+    cell_w = w[:, None] / n_land
     for _epoch in range(config.epochs):
-        out = net.forward(x).astype(float)
+        out = net.forward(patches)[..., 0].astype(float)  # (B, 2, n_land)
         mu = target_mean + target_std * out[:, 0]
         raw = out[:, 1]
         sigma = target_std * softplus(raw) + SIGMA_FLOOR_MM
@@ -313,7 +326,7 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
         grad[:, 0] = cell_w * dmu * target_std
         grad[:, 1] = cell_w * dsigma * target_std * expit(raw)
         net.zero_grad()
-        net.backward(grad.astype(dtype))
+        net.backward(grad.astype(dtype)[..., None])
         opt.step()
     return model
 
@@ -340,7 +353,9 @@ def fit_fold(config: ModelConfig, reports, domain: GridDomain,
         else:
             warnings.warn(f"target {target}: single-report history cannot be "
                           "augmented; training on originals", stacklevel=2)
-    return train_model(config, history, domain)
+    model = train_model(config, history, domain)
+    model.target = target
+    return model
 
 
 def rolling_origin_run(configs, scenario, targets=range(6, 12),

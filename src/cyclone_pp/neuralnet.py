@@ -1,15 +1,21 @@
 """Minimal reverse-mode network core: conv2d, softplus, Adam.
 
 Just enough machinery to train the post-processing networks on a single
-core with numpy: batched 2D cross-correlation (im2col + BLAS matmul),
-softplus activation, Kaiming-initialized parameters, and Adam. Layers
-cache their forward inputs and accumulate parameter gradients in place;
+core with numpy: batched 2D cross-correlation as one BLAS matmul over
+im2col patch rows (Chellapilla, Puri & Simard 2006), softplus
+activation, Kaiming-initialized parameters, and Adam. Layers cache their
+forward inputs and accumulate parameter gradients in place;
 ``Sequential`` chains them. No external ML framework is involved.
 
-Shapes follow the (batch, channels, rows, cols) convention. A 2x2 kernel
-with one-sided (right/bottom) zero padding preserves the spatial shape,
-so every layer maps (B, C, H, W) to (B, C', H, W). Per-cell dense stages
-are expressed as 1x1 convolutions.
+``im2col`` turns a (batch, channels, rows, cols) stack into patch rows:
+one row per batch item and grid cell, holding the C*kh*kw inputs a
+kernel sees there. A 2x2 kernel with one-sided (right/bottom) zero
+padding keeps the spatial shape. Given a cell mask it builds the rows of
+those cells only; their neighbours stay in the columns, so each masked
+row is exact. Layers take and return 4-D (batch, width, rows, cols)
+arrays laid out as one contiguous (batch*rows*cols, width) matrix, so
+passing data between layers never copies. Per-cell dense stages are 1x1
+convolutions, whose patch rows are the channels themselves.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 DEFAULT_LR = 0.001
 
-CHECKPOINT_FORMAT = "cyclone-pp-net/1"
+CHECKPOINT_FORMAT = "cyclone-pp-net/2"
 
 
 class TrainingDiverged(RuntimeError):
@@ -54,6 +60,37 @@ def kaiming_init(fan_in: int, shape, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
+def im2col(x: np.ndarray, kernel, mask: np.ndarray | None = None) -> np.ndarray:
+    """Patch rows of a (B, C, H, W) stack for a (kh, kw) kernel.
+
+    Row (b, i, j) holds x[b, :, i:i+kh, j:j+kw] in the kernels' (C, kh,
+    kw) order, zero past the bottom and right edges. The result is a
+    (B, C*kh*kw, H, W) view of the (B*H*W, C*kh*kw) row matrix. With a
+    boolean (H, W) ``mask`` only the R masked cells get rows, in row-major
+    order, and the view is (B, C*kh*kw, R, 1).
+    """
+    batch, channels, rows, cols = x.shape
+    kh, kw = kernel
+    xp = np.pad(x, ((0, 0), (0, 0), (0, kh - 1), (0, kw - 1)))
+    # (B, H, W, C, kh, kw) windows, copied into rows
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 2, 3, 1, 4, 5)
+    if mask is not None:
+        win = win[:, mask][:, :, None]  # (B, R, 1, C, kh, kw)
+    mat = np.ascontiguousarray(win)
+    return mat.reshape(*mat.shape[:3], -1).transpose(0, 3, 1, 2)
+
+
+def _row_matrix(x: np.ndarray) -> np.ndarray:
+    """The (B*H*W, width) matrix behind a (B, width, H, W) layer array."""
+    return x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1])
+
+
+def _layer_array(mat: np.ndarray, shape) -> np.ndarray:
+    """A (B*H*W, width) matrix seen as (B, width, H, W) for the given B, H, W."""
+    batch, _width, rows, cols = shape
+    return mat.reshape(batch, rows, cols, -1).transpose(0, 3, 1, 2)
+
+
 @dataclass
 class Parameter:
     """A trainable array and its gradient accumulator."""
@@ -77,17 +114,15 @@ class Parameter:
 
 
 class ConvLayer:
-    """2D cross-correlation, shape-preserving.
+    """2D cross-correlation, one matmul over patch rows.
 
-    Kernels of spatial size (kh, kw) slide over an input padded with
-    kh-1 zero rows at the bottom and kw-1 zero columns at the right, so
-    output rows/cols equal input rows/cols. Weights start Kaiming, bias
-    starts zero.
-
-    When the same read-only array object is passed to forward again, the
-    im2col expansion is reused; full-batch training loops exploit this by
-    freezing their input once. ``input_grad=False`` marks a first layer
-    whose input gradient nobody consumes, skipping the col2im fold.
+    ``forward`` takes the ``im2col`` patch rows of its input for this
+    layer's kernel size and returns one output row per patch row, in the
+    same (batch, width, rows, cols) layout. A 1x1 layer's patch rows are
+    its input channels, so it takes the previous layer's output as is.
+    Weights start Kaiming, bias starts zero. ``backward`` returns the
+    gradient with respect to the patch rows; ``input_grad=False`` marks a
+    first layer whose input gradient nobody consumes.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel=(2, 2),
@@ -102,8 +137,7 @@ class ConvLayer:
                                  name="kernels")
         self.bias = Parameter(np.zeros(out_channels), name="bias")
         self.input_grad = input_grad
-        self._cols = None
-        self._cols_src = None
+        self._rows = None
         self._input_shape = None
 
     @property
@@ -121,78 +155,60 @@ class ConvLayer:
     def parameters(self) -> list[Parameter]:
         return [self.kernels, self.bias]
 
-    def _im2col(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, rows, cols = x.shape
-        kh, kw = self.kernel_size
-        xp = np.pad(x, ((0, 0), (0, 0), (0, kh - 1), (0, kw - 1)))
-        # windows: (B, C, H, W, kh, kw) view, flattened to one tall matrix
-        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        patches = win.transpose(0, 2, 3, 1, 4, 5)
-        return np.ascontiguousarray(patches).reshape(batch * rows * cols, channels * kh * kw)
+    def _kernel_matrix(self, dtype) -> np.ndarray:
+        return self.kernels.value.reshape(self.out_channels, -1).astype(dtype, copy=False)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
-            raise ValueError(f"expected (batch, channels, rows, cols), got shape {x.shape}")
-        batch, channels, rows, cols = x.shape
-        if channels != self.in_channels:
-            raise ValueError(f"layer expects {self.in_channels} input channels, got {channels}")
-        if x is self._cols_src and not x.flags.writeable:
-            cols_mat = self._cols
-        else:
-            cols_mat = self._im2col(x)
-            self._cols = cols_mat
-            self._cols_src = x if not x.flags.writeable else None
+            raise ValueError(f"expected (batch, patch width, rows, cols), got shape {x.shape}")
+        width = self.kernels.value[0].size
+        if x.shape[1] != width:
+            kh, kw = self.kernel_size
+            raise ValueError(f"layer expects patch rows of {self.in_channels} channels "
+                             f"x {kh}x{kw} = {width}, got width {x.shape[1]}")
         self._input_shape = x.shape
-        kmat = self.kernels.value.reshape(self.out_channels, -1).astype(x.dtype, copy=False)
-        out = cols_mat @ kmat.T
+        self._rows = _row_matrix(x)
+        out = self._rows @ self._kernel_matrix(x.dtype).T
         out += self.bias.value.astype(x.dtype, copy=False)
-        return out.reshape(batch, rows * cols, self.out_channels).transpose(0, 2, 1) \
-                  .reshape(batch, self.out_channels, rows, cols)
+        return _layer_array(out, x.shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._input_shape is None:
             raise RuntimeError("backward called before forward")
-        batch, channels, rows, cols = self._input_shape
-        kh, kw = self.kernel_size
-        g2 = grad_out.reshape(batch, self.out_channels, rows * cols).transpose(0, 2, 1)
-        g2 = np.ascontiguousarray(g2).reshape(batch * rows * cols, self.out_channels)
-
-        gk = g2.T @ self._cols
-        self.kernels.grad += gk.reshape(self.kernels.value.shape)
-        self.bias.grad += g2.sum(axis=0)
+        g = _row_matrix(grad_out)
+        self.kernels.grad += (g.T @ self._rows).reshape(self.kernels.value.shape)
+        self.bias.grad += g.sum(axis=0)
         if not self.input_grad:
             return None
-
-        kmat = self.kernels.value.reshape(self.out_channels, -1).astype(g2.dtype, copy=False)
-        gcols = (g2 @ kmat).reshape(batch, rows, cols, channels, kh, kw)
-        gx = np.zeros((batch, channels, rows + kh - 1, cols + kw - 1), dtype=grad_out.dtype)
-        for ki in range(kh):
-            for kj in range(kw):
-                gx[:, :, ki:ki + rows, kj:kj + cols] += gcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-        return gx[:, :, :rows, :cols]
+        return _layer_array(g @ self._kernel_matrix(g.dtype), self._input_shape)
 
 
 class SoftplusLayer:
-    """Elementwise softplus; the cached exp also yields the derivative."""
+    """Elementwise softplus; one exp(-|x|) serves it and its derivative."""
 
     def __init__(self):
-        self._exp_x = None
-        self._saturated = None
+        self._x = None
+        self._exp = None
 
     def parameters(self) -> list[Parameter]:
         return []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._saturated = x > 30.0
-        self._exp_x = np.exp(np.where(self._saturated, 0.0, x))
-        return np.where(self._saturated, x, np.log1p(self._exp_x))
+        self._x = x
+        self._exp = np.exp(-np.abs(x))
+        out = np.log1p(self._exp)
+        out += np.maximum(x, 0.0)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._exp_x is None:
+        if self._exp is None:
             raise RuntimeError("backward called before forward")
-        sig = self._exp_x / (1.0 + self._exp_x)
-        np.copyto(sig, 1.0, where=self._saturated)
-        return grad_out * sig
+        # the logistic is 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x)
+        # below; max(exp(-|x|), x >= 0) is that numerator, without a branch
+        sig = np.maximum(self._exp, self._x >= 0)
+        sig /= 1.0 + self._exp
+        sig *= grad_out
+        return sig
 
 
 class Sequential:

@@ -30,7 +30,7 @@ from cyclone_pp.evaluation import (
     reliability_diagram,
 )
 from cyclone_pp.models import ModelConfig, rolling_origin_run
-from cyclone_pp.neuralnet import ConvLayer, Sequential, SoftplusLayer
+from cyclone_pp.neuralnet import ConvLayer, Sequential, SoftplusLayer, im2col
 from cyclone_pp.scoring import (
     crps_gaussian,
     crps_gradient,
@@ -153,7 +153,9 @@ def test_c2_gradients_pass_finite_difference_checks():
     errs["crps_mu"] = max_rel_err(dmu, fd_mu)
     errs["crps_sigma"] = max_rel_err(dsigma, fd_sigma)
 
-    # every layer type on randomized small shapes, params and inputs
+    # every layer type on randomized small shapes, params and inputs; conv
+    # layers take im2col patch rows, so their input gradient is with
+    # respect to those rows
     def layer_errors(layer, x, label):
         g = rng.standard_normal(layer.forward(x).shape)
 
@@ -168,16 +170,16 @@ def test_c2_gradients_pass_finite_difference_checks():
         errs[f"{label}_input"] = max_rel_err(grad_x, finite_difference(loss, x))
 
     layer_errors(ConvLayer(3, 4, kernel=(2, 2), rng=rng),
-                 rng.standard_normal((2, 3, 5, 4)), "conv2x2")
+                 im2col(rng.standard_normal((2, 3, 5, 4)), (2, 2)), "conv2x2")
     layer_errors(ConvLayer(4, 2, kernel=(1, 1), rng=rng),
-                 rng.standard_normal((2, 4, 3, 3)), "conv1x1")
+                 im2col(rng.standard_normal((2, 4, 3, 3)), (1, 1)), "conv1x1")
     layer_errors(SoftplusLayer(), rng.standard_normal((2, 3, 4, 4)), "softplus")
 
     # composed network, input gradient included
     net = Sequential([ConvLayer(3, 6, kernel=(2, 2), rng=rng),
                       SoftplusLayer(),
                       ConvLayer(6, 2, kernel=(1, 1), rng=rng)])
-    x = rng.standard_normal((2, 3, 4, 5))
+    x = im2col(rng.standard_normal((2, 3, 4, 5)), (2, 2))
     g = rng.standard_normal((2, 2, 4, 5))
 
     def net_loss():

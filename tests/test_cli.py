@@ -1,5 +1,6 @@
 """End-to-end and contract tests for the command-line pipeline."""
 
+import json
 import shutil
 
 import numpy as np
@@ -14,7 +15,12 @@ from cyclone_pp.cli import (
     thread_cap,
 )
 from cyclone_pp.domain import ReportOrigin
-from cyclone_pp.models import ModelConfig, predict_members_baseline, rolling_origin_run
+from cyclone_pp.models import (
+    ModelConfig,
+    predict_members_baseline,
+    rolling_origin_run,
+    train_model,
+)
 from cyclone_pp.storage import manifest_fingerprint, read_json, verify_manifest
 from cyclone_pp.synthgen import list_report_dirs, load_report, load_scenario
 
@@ -218,6 +224,15 @@ class TestTrain:
         assert (read_json(out / "manifest.json")["outputs"]
                 == read_json(pipeline["model"] / "manifest.json")["outputs"])
 
+    def test_single_original_warning_is_one_plain_line(self, pipeline, tmp_path,
+                                                       capsys):
+        assert main(["train", "--scenario", str(pipeline["scen"]),
+                     "--variant", "cnn-aug", "--target", "2", "--epochs", "1",
+                     "--out", str(tmp_path / "m")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: target 2: single-report history cannot be augmented; "
+            "training on originals\n")
+
     def test_all_variants_with_thread_cap(self, pipeline, tmp_path, monkeypatch):
         monkeypatch.setenv("CYCLONE_PP_THREADS", "2")
         out = tmp_path / "all"
@@ -304,6 +319,61 @@ class TestPredict:
     def test_manifest_records_variant(self, pipeline):
         manifest = verify_manifest(pipeline["pred"])
         assert manifest["config"] == {"variant": "cnn-all", "target": 6}
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestPredictChecksCheckpointFold:
+    """A checkpoint predicts only targets and grids its fold allows."""
+
+    def predict(self, pipeline, out, target, scenario=None, checkpoint=None):
+        return main(["predict", "--checkpoint", str(checkpoint or pipeline["model"]),
+                     "--scenario", str(scenario or pipeline["scen"]),
+                     "--target", str(target), "--out", str(out)])
+
+    def test_earlier_target_rejected(self, pipeline, tmp_path, capsys):
+        # trained for target 6, so on reports 1..5: target 4 would be
+        # predicted by a model that saw reports 4 and 5
+        out = tmp_path / "p"
+        assert self.predict(pipeline, out, 4) == 1
+        assert "trained for target 6" in one_error_line(capsys)
+        assert not out.exists()
+
+    def test_checkpoint_without_target_rejected(self, pipeline, tmp_path, capsys):
+        # train_model alone does not know the fold, so its checkpoint
+        # cannot show which targets it may predict
+        scenario = load_scenario(pipeline["scen"])
+        history = [r for r in scenario.reports if r.index < 6]
+        ckpt = tmp_path / "model.json"
+        train_model(ModelConfig.for_variant("cnn", epochs=1), history,
+                    scenario.domain).save(ckpt)
+        assert self.predict(pipeline, tmp_path / "p", 6, checkpoint=ckpt) == 1
+        assert "records no training target" in one_error_line(capsys)
+
+    def test_later_target_allowed(self, pipeline, tmp_path):
+        assert self.predict(pipeline, tmp_path / "p", 8) == 0
+
+    def test_other_grid_rejected(self, pipeline, tmp_path, capsys):
+        other = tmp_path / "other"
+        assert main(["generate", "--seed", "3", "--rows", "12", "--cols", "9",
+                     "--out", str(other)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "p"
+        assert self.predict(pipeline, out, 11, scenario=other) == 1
+        assert "14x12 grid" in one_error_line(capsys)
+        assert not out.exists()
+
+    def test_first_format_checkpoint_rejected(self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "model_cnn-all.json"
+        doc = read_json(pipeline["model"] / "model_cnn-all.json")
+        doc["format"] = "cyclone-pp-net/1"
+        ckpt.write_text(json.dumps(doc))
+        assert self.predict(pipeline, tmp_path / "p", 6, checkpoint=ckpt) == 1
+        assert "cyclone-pp-net/1" in one_error_line(capsys)
 
 
 class TestCausality:

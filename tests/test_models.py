@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cyclone_pp.models import (
 )
 from cyclone_pp import models
 from cyclone_pp.augmentation import build_augmented_set
+from cyclone_pp.scoring import make_weights, weighted_loss
 from cyclone_pp.synthgen import ScenarioSpec, generate_scenario, make_island_domain
 
 from conftest import make_report
@@ -173,6 +175,24 @@ class TestTrainModel:
                             history_until(tiny_scenario, 8), tiny_domain)
         assert model.loss_history[-1] < model.loss_history[0]
 
+    @pytest.mark.parametrize("variant", ["fcn", "cnn", "cnn-all"])
+    def test_first_loss_is_the_full_grid_weighted_crps(self, tiny_scenario,
+                                                       tiny_domain, variant):
+        # training scores land rows only; the oracle scores full-grid
+        # predictions of the untrained network over the land mask
+        history = [r for r in tiny_scenario.reports if r.index < 5]
+        if variant == "cnn-all":
+            history = build_augmented_set(history).reports
+        model = train_model(ModelConfig.for_variant(variant, epochs=1),
+                            history, tiny_domain)
+        untrained = train_model(ModelConfig.for_variant(variant, epochs=0),
+                                history, tiny_domain)
+        track = original_track(history)
+        predictions = [untrained.predict(r, tiny_domain, track) for r in history]
+        weights = make_weights([r.index for r in history], len(track))
+        oracle = weighted_loss(predictions, history, weights, tiny_domain.land_mask)
+        assert model.loss_history[0] == pytest.approx(oracle, rel=1e-6)
+
     def test_zero_epochs_returns_initialized_model(self, tiny_scenario, tiny_domain):
         cfg = ModelConfig.for_variant("cnn", epochs=0, seed=1)
         model = train_model(cfg, history_until(tiny_scenario, 6), tiny_domain)
@@ -240,14 +260,18 @@ class TestFitFold:
 
     @pytest.fixture(autouse=True)
     def no_training(self, monkeypatch):
-        # train_model returns its history, so fit_fold returns the set
+        # train_model hands back its history, so fit_fold returns the set
         monkeypatch.setattr(models, "train_model",
-                            lambda config, history, domain: history)
+                            lambda config, history, domain: SimpleNamespace(history=history))
 
     @staticmethod
     def chosen(variant, reports, target, **overrides):
         return fit_fold(ModelConfig.for_variant(variant, **overrides),
-                        reports, None, target)
+                        reports, None, target).history
+
+    def test_records_the_target(self, augmented):
+        model = fit_fold(ModelConfig.for_variant("cnn"), augmented, None, 4)
+        assert model.target == 4
 
     @pytest.fixture()
     def augmented(self, report_factory):
@@ -298,6 +322,16 @@ class TestFitFold:
         assert [r.members.tobytes() for r in got] == [r.members.tobytes() for r in want]
 
 
+class TestFoldInCheckpoint:
+    def test_target_and_grid_round_trip(self, tiny_scenario, tiny_domain, tmp_path):
+        model = fit_fold(ModelConfig.for_variant("cnn", epochs=1),
+                         tiny_scenario.reports, tiny_domain, 7)
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded = TrainedModel.load(path)
+        assert (loaded.target, loaded.grid_shape) == (7, (14, 12))
+
+
 class TestFcnLocality:
     def test_cell_permutation_equivariance(self, tiny_scenario, tiny_domain):
         # 1x1 convolutions see one cell at a time: shuffling the columns of
@@ -324,6 +358,7 @@ class TestSaveLoad:
         model.save(path)
         loaded = TrainedModel.load(path)
         assert loaded.config == cfg
+        assert loaded.grid_shape == (14, 12) and loaded.target is None
         rep = tiny_scenario.reports[9]
         a = model.predict(rep, tiny_domain, track_of(tiny_scenario))
         b = loaded.predict(rep, tiny_domain, track_of(tiny_scenario))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from cyclone_pp.neuralnet import (
     Sequential,
     SoftplusLayer,
     TrainingDiverged,
+    im2col,
     kaiming_init,
     load_network,
     save_network,
@@ -33,6 +36,11 @@ def conv_reference(x, kernels, bias):
                                 acc += kernels[o, c, ki, kj] * xp[b, c, i + ki, j + kj]
                     out[b, o, i, j] = acc
     return out
+
+
+def conv(layer, x):
+    """A conv layer applied to an image stack through its patch rows."""
+    return layer.forward(im2col(x, layer.kernel_size))
 
 
 def finite_difference(f, x, h=1e-4):
@@ -97,6 +105,38 @@ class TestKaimingInit:
             kaiming_init(0, (3,), np.random.default_rng(0))
 
 
+class TestIm2col:
+    def test_row_holds_the_patch_in_kernel_order(self):
+        x = np.arange(2 * 3 * 4 * 5, dtype=float).reshape(2, 3, 4, 5)
+        rows = im2col(x, (2, 2))
+        assert rows.shape == (2, 12, 4, 5)
+        np.testing.assert_array_equal(rows[1, :, 2, 3], x[1, :, 2:4, 3:5].ravel())
+        # the bottom-right cell sees zeros past both edges
+        np.testing.assert_array_equal(rows[0, :, 3, 4].reshape(3, 2, 2)[:, 0, 0],
+                                      x[0, :, 3, 4])
+        assert not rows[0, :, 3, 4].reshape(3, 2, 2)[:, 1:, :].any()
+        assert not rows[0, :, 3, 4].reshape(3, 2, 2)[:, :, 1:].any()
+
+    def test_masked_rows_equal_the_full_rows(self):
+        # a masked cell keeps its unmasked neighbours in its row
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(3, 4, 6, 5))
+        mask = rng.random((6, 5)) < 0.3
+        rows = im2col(x, (2, 2), mask)
+        assert rows.shape == (3, 16, int(mask.sum()), 1)
+        np.testing.assert_array_equal(rows[..., 0], im2col(x, (2, 2))[:, :, mask])
+
+    @pytest.mark.parametrize("mask", [None, np.eye(4, 5, dtype=bool)])
+    def test_rows_are_one_contiguous_matrix(self, mask):
+        rows = im2col(np.ones((2, 3, 4, 5)), (2, 2), mask)
+        matrix = rows.transpose(0, 2, 3, 1).reshape(-1, 12)
+        assert np.shares_memory(matrix, rows) and matrix.flags.c_contiguous
+
+    def test_one_by_one_rows_are_the_channels(self):
+        x = np.random.default_rng(2).normal(size=(2, 3, 4, 5))
+        np.testing.assert_array_equal(im2col(x, (1, 1)), x)
+
+
 class TestConvForward:
     def test_identity_kernel(self):
         layer = ConvLayer(1, 1, kernel=(2, 2))
@@ -104,7 +144,7 @@ class TestConvForward:
         layer.kernels.value[0, 0, 0, 0] = 1.0
         layer.bias.value[:] = 0.0
         x = np.random.default_rng(0).normal(size=(1, 1, 5, 4))
-        np.testing.assert_allclose(layer.forward(x), x)
+        np.testing.assert_allclose(conv(layer, x), x)
 
     def test_all_ones_kernel_on_constant_field(self):
         # 2x2 sum over a constant 3x3 field: 4c inside, halved where the
@@ -113,7 +153,7 @@ class TestConvForward:
         layer = ConvLayer(1, 1, kernel=(2, 2))
         layer.kernels.value[:] = 1.0
         layer.bias.value[:] = 0.0
-        out = layer.forward(np.full((1, 1, 3, 3), c))[0, 0]
+        out = conv(layer, np.full((1, 1, 3, 3), c))[0, 0]
         expected = c * np.array([[4.0, 4.0, 2.0],
                                  [4.0, 4.0, 2.0],
                                  [2.0, 2.0, 1.0]])
@@ -126,17 +166,19 @@ class TestConvForward:
         layer = ConvLayer(3, 4, kernel=kernel, rng=rng)
         layer.bias.value[:] = rng.normal(size=4)
         want = conv_reference(x, layer.kernels.value, layer.bias.value)
-        np.testing.assert_allclose(layer.forward(x), want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(conv(layer, x), want, rtol=1e-12, atol=1e-12)
 
     def test_shape_preserved(self):
         layer = ConvLayer(25, 32, kernel=(2, 2))
-        out = layer.forward(np.zeros((1, 25, 84, 70)))
+        out = conv(layer, np.zeros((1, 25, 84, 70)))
         assert out.shape == (1, 32, 84, 70)
 
     def test_channel_mismatch_rejected(self):
         layer = ConvLayer(3, 4)
         with pytest.raises(ValueError, match="channels"):
-            layer.forward(np.zeros((1, 5, 4, 4)))
+            conv(layer, np.zeros((1, 5, 4, 4)))
+        with pytest.raises(ValueError, match="channels"):
+            layer.forward(np.zeros((1, 3, 4, 4)))  # an image, not patch rows
 
     def test_rank_mismatch_rejected(self):
         layer = ConvLayer(3, 4)
@@ -146,7 +188,7 @@ class TestConvForward:
     def test_float32_stays_float32(self):
         layer = ConvLayer(2, 3, rng=np.random.default_rng(1))
         layer_f32 = Sequential([layer]).astype(np.float32).layers[0]
-        out = layer_f32.forward(np.zeros((1, 2, 4, 4), dtype=np.float32))
+        out = conv(layer_f32, np.zeros((1, 2, 4, 4), dtype=np.float32))
         assert out.dtype == np.float32
 
 
@@ -155,7 +197,7 @@ class TestConvBackward:
         rng = np.random.default_rng(3)
         layer = ConvLayer(2, 3, rng=rng)
         x = rng.normal(size=(2, 2, 4, 4))
-        layer.forward(x)
+        conv(layer, x)
         gx = layer.backward(np.zeros((2, 3, 4, 4)))
         assert not gx.any()
         assert not layer.kernels.grad.any()
@@ -167,7 +209,7 @@ class TestConvBackward:
         rng = np.random.default_rng(4)
         layer = ConvLayer(1, 1, kernel=(2, 2), rng=rng)
         x = rng.normal(size=(1, 1, 3, 3))
-        layer.forward(x)
+        conv(layer, x)
         g = np.zeros((1, 1, 3, 3))
         g[0, 0, 1, 1] = 1.0
         layer.backward(g)
@@ -182,7 +224,7 @@ class TestConvBackward:
     def test_gradients_match_finite_differences(self, kernel):
         rng = np.random.default_rng(11)
         layer = ConvLayer(3, 2, kernel=kernel, rng=rng)
-        x = rng.normal(size=(2, 3, 4, 5))
+        x = im2col(rng.normal(size=(2, 3, 4, 5)), kernel)  # gradient w.r.t. the rows
         proj = rng.normal(size=(2, 2, 4, 5))
 
         def loss():
@@ -201,7 +243,7 @@ class TestConvBackward:
     def test_input_grad_disabled_returns_none(self):
         rng = np.random.default_rng(6)
         layer = ConvLayer(2, 3, rng=rng, input_grad=False)
-        x = rng.normal(size=(1, 2, 4, 4))
+        x = im2col(rng.normal(size=(1, 2, 4, 4)), (2, 2))
         proj = rng.normal(size=(1, 3, 4, 4))
 
         def loss():
@@ -217,7 +259,7 @@ class TestConvBackward:
     def test_grads_accumulate_until_zeroed(self):
         rng = np.random.default_rng(5)
         layer = ConvLayer(1, 1, rng=rng)
-        x = rng.normal(size=(1, 1, 3, 3))
+        x = im2col(rng.normal(size=(1, 1, 3, 3)), (2, 2))
         g = rng.normal(size=(1, 1, 3, 3))
         layer.forward(x)
         layer.backward(g)
@@ -240,7 +282,7 @@ class TestSequential:
     def test_end_to_end_gradient_check(self):
         rng = np.random.default_rng(21)
         net = self._net(rng)
-        x = rng.normal(size=(2, 3, 4, 6))
+        x = im2col(rng.normal(size=(2, 3, 4, 6)), (2, 2))
         proj = rng.normal(size=(2, 2, 4, 6))
 
         def loss():
@@ -257,29 +299,8 @@ class TestSequential:
     def test_forward_deterministic(self):
         rng = np.random.default_rng(2)
         net = self._net(rng)
-        x = rng.normal(size=(1, 3, 5, 5))
+        x = im2col(rng.normal(size=(1, 3, 5, 5)), (2, 2))
         np.testing.assert_array_equal(net.forward(x), net.forward(x))
-
-    def test_frozen_input_reuses_im2col(self):
-        rng = np.random.default_rng(9)
-        net = self._net(rng)
-        x = rng.normal(size=(2, 3, 5, 5))
-        fresh = net.forward(x).copy()
-        x.flags.writeable = False
-        first = net.forward(x)
-        assert net.layers[0]._cols_src is x
-        cached = net.forward(x)
-        np.testing.assert_array_equal(first, cached)
-        np.testing.assert_array_equal(fresh, cached)
-
-    def test_writeable_input_not_cached(self):
-        rng = np.random.default_rng(10)
-        net = self._net(rng)
-        x = rng.normal(size=(1, 3, 4, 4))
-        out1 = net.forward(x).copy()
-        x[...] = rng.normal(size=x.shape)  # mutate in place
-        out2 = net.forward(x)
-        assert not np.array_equal(out1, out2)
 
     def test_backward_stops_at_gradless_first_layer(self):
         rng = np.random.default_rng(12)
@@ -288,15 +309,14 @@ class TestSequential:
             SoftplusLayer(),
             ConvLayer(4, 2, kernel=(1, 1), rng=rng),
         ])
-        x = rng.normal(size=(1, 3, 4, 4))
-        net.forward(x)
+        net.forward(im2col(rng.normal(size=(1, 3, 4, 4)), (2, 2)))
         assert net.backward(np.ones((1, 2, 4, 4))) is None
         assert net.layers[0].kernels.grad.any()
 
     def test_astype_converts_all_parameters(self):
         net = self._net(np.random.default_rng(0)).astype(np.float32)
         assert all(p.value.dtype == np.float32 for p in net.parameters())
-        out = net.forward(np.zeros((1, 3, 4, 4), dtype=np.float32))
+        out = net.forward(im2col(np.zeros((1, 3, 4, 4), dtype=np.float32), (2, 2)))
         assert out.dtype == np.float32
 
 
@@ -377,7 +397,7 @@ class TestCheckpoint:
         path = tmp_path / "net.json"
         save_network(path, net)
         loaded, _ = load_network(path)
-        x = np.random.default_rng(1).normal(size=(1, 5, 6, 7))
+        x = im2col(np.random.default_rng(1).normal(size=(1, 5, 6, 7)), (2, 2))
         np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
 
     def test_float32_round_trip(self, tmp_path):
@@ -398,6 +418,16 @@ class TestCheckpoint:
         path = tmp_path / "junk.json"
         path.write_text('{"format": "other/9", "layers": []}')
         with pytest.raises(ValueError, match="format"):
+            load_network(path)
+
+    def test_first_format_refused(self, tmp_path):
+        # format 1 checkpoints do not record their fold; retrain them
+        path = tmp_path / "net.json"
+        save_network(path, self._net())
+        doc = json.loads(path.read_text())
+        doc["format"] = "cyclone-pp-net/1"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="cyclone-pp-net/1"):
             load_network(path)
 
     def test_save_twice_identical_bytes(self, tmp_path):
