@@ -13,21 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Report, ReportOrigin
+from .domain import Report, ReportOrigin, index_tenths
 
 DEFAULT_NOISE_SCALE = 0.05
 
 
-def _index_tenths(index: float) -> int:
-    tenths = round(float(index) * 10)
-    if abs(tenths - float(index) * 10) > 1e-9:
-        raise ValueError(f"report index {index} is not a multiple of 0.1")
-    return tenths
-
-
 def report_sort_key(report: Report) -> tuple[int, int]:
     """Orders by fractional index, plain origins before noise copies."""
-    return (_index_tenths(report.index), 1 if report.origin is ReportOrigin.NOISE_INJECTED else 0)
+    return (index_tenths(report.index), 1 if report.origin is ReportOrigin.NOISE_INJECTED else 0)
 
 
 def interpolate_reports(a: Report, b: Report) -> Report:
@@ -82,7 +75,7 @@ def inject_noise(report: Report, eta: float, rng: np.random.Generator) -> Report
 
 def _noise_rng(seed: int, index: float) -> np.random.Generator:
     # keyed on the fractional index so per-report streams are order-free
-    return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), _index_tenths(index))))
+    return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), index_tenths(index))))
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,10 @@ class GridDomain:
     """Regular lat/lon lattice with land mask and altitude.
 
     ``lat0``/``lon0`` give the south-west corner of the bounding rectangle;
-    cell centers sit half a cell inside (see :func:`cell_latlon`). Row 0 is
-    the southernmost row. ``altitude`` is in meters and is 0 over sea;
-    :func:`save_domain_file` writes sea cells with the -9999 sentinel.
+    cell centers sit half a cell inside, so cell (0, 0) is centered at
+    (lat0 + cell/2, lon0 + cell/2). Row 0 is the southernmost row.
+    ``altitude`` is in meters and is 0 over sea; :func:`save_domain_file`
+    writes sea cells with the -9999 sentinel.
     """
 
     n_rows: int
@@ -126,15 +127,12 @@ class GridDomain:
         return np.meshgrid(self.cell_lats, self.cell_lons, indexing="ij")
 
 
-def cell_latlon(domain: GridDomain, row: int, col: int) -> tuple[float, float]:
-    """Center coordinates of one cell.
-
-    Cells are registered as centers offset half a cell from the stated
-    south-west corner, so (0, 0) maps to (lat0 + cell/2, lon0 + cell/2).
-    """
-    if not (0 <= row < domain.n_rows and 0 <= col < domain.n_cols):
-        raise IndexError(f"cell ({row}, {col}) outside {domain.shape} grid")
-    return (domain.lat0 + (row + 0.5) * domain.cell, domain.lon0 + (col + 0.5) * domain.cell)
+def index_tenths(index: float) -> int:
+    """A report index in tenths (1.5 -> 15); it must be a multiple of 0.1."""
+    tenths = round(float(index) * 10)
+    if abs(tenths - float(index) * 10) > 1e-9:
+        raise ValueError(f"report index {index} is not a multiple of 0.1")
+    return tenths
 
 
 @dataclass(frozen=True)

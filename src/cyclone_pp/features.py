@@ -157,51 +157,3 @@ def apply_standardizer(stack: FeatureStack, stats: NormStats) -> FeatureStack:
         raise ValueError(f"stats cover {stats.mean.shape[0]} channels, stack has {stack.n_channels}")
     z = (stack.channels - stats.mean[:, None, None]) / stats.std[:, None, None]
     return FeatureStack(channels=z, channel_names=stack.channel_names, norm_stats=stats)
-
-
-def invert_standardizer(stack: FeatureStack, stats: NormStats) -> FeatureStack:
-    """Inverse of :func:`apply_standardizer`."""
-    x = stack.channels * stats.std[:, None, None] + stats.mean[:, None, None]
-    return FeatureStack(channels=x, channel_names=stack.channel_names)
-
-
-def save_feature_stack(stack: FeatureStack, out_dir) -> None:
-    """Write one row-major CSV per channel plus a manifest.json.
-
-    The manifest records the channel order and, when present, the per-channel
-    standardization stats.
-    """
-    import json
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, name in enumerate(stack.channel_names):
-        np.savetxt(out / f"channel_{i:02d}_{name}.csv", stack.channels[i],
-                   delimiter=",", fmt="%.10g")
-    manifest = {"channel_names": list(stack.channel_names)}
-    if stack.norm_stats is not None:
-        manifest["norm_stats"] = {
-            "mean": stack.norm_stats.mean.tolist(),
-            "std": stack.norm_stats.std.tolist(),
-        }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def load_feature_stack(in_dir) -> FeatureStack:
-    """Read a stack written by :func:`save_feature_stack`."""
-    import json
-    from pathlib import Path
-
-    src = Path(in_dir)
-    manifest = json.loads((src / "manifest.json").read_text())
-    names = manifest["channel_names"]
-    channels = np.stack([
-        np.loadtxt(src / f"channel_{i:02d}_{name}.csv", delimiter=",", ndmin=2)
-        for i, name in enumerate(names)
-    ])
-    stats = None
-    if "norm_stats" in manifest:
-        stats = NormStats(mean=np.array(manifest["norm_stats"]["mean"]),
-                          std=np.array(manifest["norm_stats"]["std"]))
-    return FeatureStack(channels=channels, channel_names=names, norm_stats=stats)

@@ -44,10 +44,9 @@ from .features import (
     tc_distance_field,
 )
 from .neuralnet import (
+    DTYPE,
     Adam,
-    ConvLayer,
-    Sequential,
-    SoftplusLayer,
+    Network,
     TrainingDiverged,
     im2col,
     load_network,
@@ -89,7 +88,6 @@ class ModelConfig:
     lr: float = 0.001
     noise_scale: float = DEFAULT_NOISE_SCALE
     seed: int = 0
-    dtype: str = "float32"
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -120,6 +118,13 @@ class ModelConfig:
         if self.variant == "fcn":
             return FCN_CHANNEL_NAMES
         return CHANNEL_NAMES if self.use_geo_dyn else CHANNEL_NAMES[:N_MEMBERS]
+
+    @property
+    def network_shape(self) -> tuple[int, int, tuple[int, int]]:
+        """(input channels, hidden width, first kernel) of the variant's net."""
+        if self.variant == "fcn":
+            return len(FCN_CHANNEL_NAMES), HIDDEN_WIDTH_FCN, (1, 1)
+        return len(self.channel_names), HIDDEN_MAPS_CNN, (2, 2)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -184,33 +189,12 @@ def _stack_for(config: ModelConfig, report: Report, domain: GridDomain,
                         channel_names=CHANNEL_NAMES[:N_MEMBERS])
 
 
-def _build_network(config: ModelConfig, fold_key: int = 0) -> Sequential:
-    # fold_key decorrelates the parameter draw across rolling-origin folds
-    # so a single unlucky initialization cannot taint every target.
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(int(config.seed), 7, int(fold_key))))
-    n_in = len(config.channel_names)
-    if config.variant == "fcn":
-        layers = [
-            ConvLayer(n_in, HIDDEN_WIDTH_FCN, kernel=(1, 1), rng=rng, input_grad=False),
-            SoftplusLayer(),
-            ConvLayer(HIDDEN_WIDTH_FCN, 2, kernel=(1, 1), rng=rng),
-        ]
-    else:
-        layers = [
-            ConvLayer(n_in, HIDDEN_MAPS_CNN, kernel=(2, 2), rng=rng, input_grad=False),
-            SoftplusLayer(),
-            ConvLayer(HIDDEN_MAPS_CNN, 2, kernel=(1, 1), rng=rng),
-        ]
-    return Sequential(layers)
-
-
 @dataclass
 class TrainedModel:
     """A fitted network plus everything needed to replay its predictions."""
 
     config: ModelConfig
-    net: Sequential
+    net: Network
     norm: NormStats
     target_mean: float
     target_std: float
@@ -233,8 +217,8 @@ class TrainedModel:
         """
         stack = _stack_for(self.config, report, domain, track_pairs)
         z = apply_standardizer(stack, self.norm)
-        x = z.channels[None].astype(self.config.dtype)
-        out = self.net.forward(im2col(x, self.net.layers[0].kernel_size))[0]
+        x = z.channels[None].astype(DTYPE)
+        out = self.net.forward(im2col(x, self.net.conv.kernel_size))[0]
         return self._heads_to_field(out)
 
     def save(self, path) -> None:
@@ -251,17 +235,28 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path) -> "TrainedModel":
+        """Inverse of ``save``; a malformed checkpoint is a ValueError."""
         net, meta = load_network(path)
-        return cls(
-            config=ModelConfig.from_dict(meta["config"]),
-            net=net,
-            norm=NormStats(mean=np.array(meta["norm_mean"]),
-                           std=np.array(meta["norm_std"])),
-            target_mean=meta["target_mean"],
-            target_std=meta["target_std"],
-            grid_shape=tuple(meta["grid_shape"]),
-            target=meta["target"],
-        )
+        try:
+            config = ModelConfig.from_dict(meta["config"])
+            rows, cols = meta["grid_shape"]
+            target = meta["target"]
+            model = cls(config=config, net=net,
+                        norm=NormStats(mean=meta["norm_mean"], std=meta["norm_std"]),
+                        target_mean=float(meta["target_mean"]),
+                        target_std=float(meta["target_std"]),
+                        grid_shape=(int(rows), int(cols)),
+                        target=None if target is None else int(target))
+        except KeyError as exc:
+            raise ValueError(f"checkpoint {path} has no meta key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed checkpoint meta in {path}: {exc}") from None
+        n_in = len(config.channel_names)
+        if (not config.trains or net.shape != config.network_shape
+                or model.norm.mean.shape != (n_in,)):
+            raise ValueError(f"checkpoint {path} does not fit a {config.variant} "
+                             f"network on {n_in} channels")
+        return model
 
 
 def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedModel:
@@ -281,11 +276,10 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
     if any(r.observation is None for r in history):
         raise ValueError("every training report needs an observation")
 
-    dtype = np.dtype(config.dtype)
     track_pairs = original_track(history)
     stacks = [_stack_for(config, r, domain, track_pairs) for r in history]
     norm = fit_standardizer(stacks)
-    x = np.stack([apply_standardizer(s, norm).channels for s in stacks]).astype(dtype)
+    x = np.stack([apply_standardizer(s, norm).channels for s in stacks]).astype(DTYPE)
 
     land = domain.land_mask
     n_land = int(land.sum())
@@ -299,14 +293,18 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
     scheme = make_weights(indices, len(track_pairs))
     w = scheme.weights_for(indices)  # (B,), sums to 1
 
+    # fold_key decorrelates the parameter draw across rolling-origin folds
+    # so a single unlucky initialization cannot taint every target.
     fold_key = round(10 * max(r.index for r in history))
-    net = _build_network(config, fold_key=fold_key).astype(dtype)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=(int(config.seed), 7, int(fold_key))))
+    net = Network(*config.network_shape, rng=rng)
     opt = Adam(net.parameters(), lr=config.lr)
     model = TrainedModel(config=config, net=net, norm=norm,
                          target_mean=target_mean, target_std=target_std,
                          grid_shape=domain.shape)
 
-    patches = im2col(x, net.layers[0].kernel_size, mask=land)
+    patches = im2col(x, net.conv.kernel_size, mask=land)
     # per-cell loss scale: w_r / n_land
     cell_w = w[:, None] / n_land
     for _epoch in range(config.epochs):
@@ -326,7 +324,7 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
         grad[:, 0] = cell_w * dmu * target_std
         grad[:, 1] = cell_w * dsigma * target_std * expit(raw)
         net.zero_grad()
-        net.backward(grad.astype(dtype)[..., None])
+        net.backward(grad.astype(DTYPE)[..., None])
         opt.step()
     return model
 

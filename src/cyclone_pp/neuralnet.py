@@ -1,11 +1,11 @@
-"""Minimal reverse-mode network core: conv2d, softplus, Adam.
+"""The post-processing network, its layers and Adam, on numpy alone.
 
-Just enough machinery to train the post-processing networks on a single
-core with numpy: batched 2D cross-correlation as one BLAS matmul over
-im2col patch rows (Chellapilla, Puri & Simard 2006), softplus
-activation, Kaiming-initialized parameters, and Adam. Layers cache their
-forward inputs and accumulate parameter gradients in place;
-``Sequential`` chains them. No external ML framework is involved.
+``Network`` is the one topology the package trains: a kh x kw
+convolution, softplus, and a 1x1 convolution to the two Gaussian heads.
+Convolutions are one BLAS matmul over im2col patch rows (Chellapilla,
+Puri & Simard 2006); parameters are Kaiming-initialized float32 and
+fitted by Adam. Layers cache their forward inputs and accumulate
+parameter gradients in place. No external ML framework is involved.
 
 ``im2col`` turns a (batch, channels, rows, cols) stack into patch rows:
 one row per batch item and grid cell, holding the C*kh*kw inputs a
@@ -27,14 +27,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 DEFAULT_LR = 0.001
 
-CHECKPOINT_FORMAT = "cyclone-pp-net/2"
+#: the one floating-point type of network parameters and activations
+DTYPE = np.float32
+
+CHECKPOINT_FORMAT = "cyclone-pp-net/3"
+#: a checkpoint's four arrays, in ``Network.parameters`` order
+CHECKPOINT_ARRAYS = ("conv_kernels", "conv_bias", "head_kernels", "head_bias")
 
 
 class TrainingDiverged(RuntimeError):
@@ -46,11 +50,6 @@ def softplus(x):
     x = np.asarray(x)
     out = np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
     return out if out.ndim else float(out)
-
-
-def softplus_grad(x):
-    """Derivative of softplus, the logistic function."""
-    return expit(x)
 
 
 def kaiming_init(fan_in: int, shape, rng: np.random.Generator) -> np.ndarray:
@@ -108,10 +107,6 @@ class Parameter:
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
-    def astype(self, dtype) -> None:
-        self.value = self.value.astype(dtype)
-        self.grad = np.zeros_like(self.value)
-
 
 class ConvLayer:
     """2D cross-correlation, one matmul over patch rows.
@@ -155,8 +150,8 @@ class ConvLayer:
     def parameters(self) -> list[Parameter]:
         return [self.kernels, self.bias]
 
-    def _kernel_matrix(self, dtype) -> np.ndarray:
-        return self.kernels.value.reshape(self.out_channels, -1).astype(dtype, copy=False)
+    def _kernel_matrix(self) -> np.ndarray:
+        return self.kernels.value.reshape(self.out_channels, -1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
@@ -168,8 +163,8 @@ class ConvLayer:
                              f"x {kh}x{kw} = {width}, got width {x.shape[1]}")
         self._input_shape = x.shape
         self._rows = _row_matrix(x)
-        out = self._rows @ self._kernel_matrix(x.dtype).T
-        out += self.bias.value.astype(x.dtype, copy=False)
+        out = self._rows @ self._kernel_matrix().T
+        out += self.bias.value
         return _layer_array(out, x.shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
@@ -180,7 +175,7 @@ class ConvLayer:
         self.bias.grad += g.sum(axis=0)
         if not self.input_grad:
             return None
-        return _layer_array(g @ self._kernel_matrix(g.dtype), self._input_shape)
+        return _layer_array(g @ self._kernel_matrix(), self._input_shape)
 
 
 class SoftplusLayer:
@@ -211,35 +206,42 @@ class SoftplusLayer:
         return sig
 
 
-class Sequential:
-    """A straight chain of layers."""
+class Network:
+    """A kh x kw conv, softplus, then a 1x1 conv to the (mu, sigma) heads.
 
-    def __init__(self, layers):
-        self.layers = list(layers)
+    ``forward`` takes the first conv's ``im2col`` patch rows and returns
+    the two raw head values per row. The first conv's input gradient is
+    never needed, so ``backward`` stops there and returns nothing.
+    Kaiming draws come from ``rng``, first conv then head, in float64,
+    and are rounded to ``DTYPE``.
+    """
+
+    def __init__(self, in_channels: int, hidden: int, kernel,
+                 rng: np.random.Generator | None = None):
+        self.conv = ConvLayer(in_channels, hidden, kernel, rng=rng, input_grad=False)
+        self.softplus = SoftplusLayer()
+        self.head = ConvLayer(hidden, 2, (1, 1), rng=rng)
+        for layer in (self.conv, self.head):
+            layer.kernels = Parameter(layer.kernels.value.astype(DTYPE), name="kernels")
+            layer.bias = Parameter(layer.bias.value.astype(DTYPE), name="bias")
+
+    @property
+    def shape(self) -> tuple[int, int, tuple[int, int]]:
+        """(input channels, hidden width, first kernel size)."""
+        return self.conv.in_channels, self.conv.out_channels, tuple(self.conv.kernel_size)
 
     def parameters(self) -> list[Parameter]:
-        return [p for layer in self.layers for p in layer.parameters()]
+        return self.conv.parameters() + self.head.parameters()
 
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
 
-    def astype(self, dtype) -> "Sequential":
-        for p in self.parameters():
-            p.astype(dtype)
-        return self
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
+        return self.head.forward(self.softplus.forward(self.conv.forward(x)))
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
-            if grad_out is None:
-                break
-        return grad_out
+    def backward(self, grad_out: np.ndarray) -> None:
+        self.conv.backward(self.softplus.backward(self.head.backward(grad_out)))
 
 
 class Adam:
@@ -292,44 +294,46 @@ def _decode_array(rec: dict) -> np.ndarray:
     return a.reshape(rec["shape"]).copy()
 
 
-def save_network(path, net: Sequential, meta: dict | None = None) -> None:
+def save_network(path, net: Network, meta: dict | None = None) -> None:
     """Write a bit-exact JSON checkpoint (base64 row-major arrays)."""
-    layers = []
-    for layer in net.layers:
-        if isinstance(layer, ConvLayer):
-            layers.append({
-                "type": "conv",
-                "kernels": _encode_array(layer.kernels.value),
-                "bias": _encode_array(layer.bias.value),
-            })
-        elif isinstance(layer, SoftplusLayer):
-            layers.append({"type": "softplus"})
-        else:
-            raise TypeError(f"cannot serialize layer of type {type(layer).__name__}")
-    doc = {"format": CHECKPOINT_FORMAT, "meta": meta or {}, "layers": layers}
+    doc = {"format": CHECKPOINT_FORMAT, "meta": meta or {}}
+    for key, p in zip(CHECKPOINT_ARRAYS, net.parameters()):
+        doc[key] = _encode_array(p.value)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as fh:
         json.dump(doc, fh, sort_keys=True)
     os.replace(tmp, path)
 
 
-def load_network(path) -> tuple[Sequential, dict]:
-    """Rebuild a network from a checkpoint; inverse of save_network."""
+def load_network(path) -> tuple[Network, dict]:
+    """Rebuild a network from a checkpoint; inverse of save_network.
+
+    Another format, a missing or mistyped key and arrays that do not
+    make up a ``Network`` are ValueErrors.
+    """
     with open(path, encoding="ascii") as fh:
         doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format {doc.get('format')!r}")
-    layers = []
-    for rec in doc["layers"]:
-        if rec["type"] == "conv":
-            kernels = _decode_array(rec["kernels"])
-            out_ch, in_ch, kh, kw = kernels.shape
-            layer = ConvLayer(in_ch, out_ch, kernel=(kh, kw))
-            layer.kernels = Parameter(kernels, name="kernels")
-            layer.bias = Parameter(_decode_array(rec["bias"]), name="bias")
-            layers.append(layer)
-        elif rec["type"] == "softplus":
-            layers.append(SoftplusLayer())
-        else:
-            raise ValueError(f"unrecognized layer type {rec['type']!r}")
-    return Sequential(layers), doc["meta"]
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"unrecognized checkpoint format {fmt!r} in {path}; "
+                         f"retrain it to get {CHECKPOINT_FORMAT}")
+    try:
+        arrays = [_decode_array(doc[key]) for key in CHECKPOINT_ARRAYS]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint {path}: "
+                         f"{type(exc).__name__}: {exc}") from None
+    conv_k, conv_b, head_k, head_b = arrays
+    hidden = conv_k.shape[:1]
+    if (conv_k.ndim != 4 or conv_b.shape != hidden or head_b.shape != (2,)
+            or head_k.shape != (2, *hidden, 1, 1)
+            or any(a.dtype != DTYPE for a in arrays)):
+        shapes = ", ".join(f"{k} {a.dtype}{list(a.shape)}"
+                           for k, a in zip(CHECKPOINT_ARRAYS, arrays))
+        raise ValueError(f"checkpoint {path} holds {shapes}; not a "
+                         f"{np.dtype(DTYPE)} conv -> softplus -> 1x1 network")
+    if not isinstance(doc.get("meta"), dict):
+        raise ValueError(f"checkpoint {path} has no 'meta' object")
+    net = Network(conv_k.shape[1], conv_k.shape[0], conv_k.shape[2:])
+    for p, value in zip(net.parameters(), arrays):
+        p.value[...] = value
+    return net, doc["meta"]

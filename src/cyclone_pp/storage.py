@@ -156,10 +156,14 @@ def verify_manifest(stage_dir, include=None) -> dict:
 
     ``include`` optionally filters the relative paths to verify, for
     consumers that are only entitled to read part of a stage directory
-    and must not open the rest even to hash it.
+    and must not open the rest even to hash it. A manifest without its
+    ``config_hash`` string or ``outputs`` object is a ValueError.
     """
     stage_dir = Path(stage_dir)
     manifest = read_json(stage_dir / MANIFEST_NAME)
+    for key, kind in (("config_hash", str), ("outputs", dict)):
+        if not isinstance(manifest, dict) or not isinstance(manifest.get(key), kind):
+            raise ValueError(f"manifest of {stage_dir} has no {key!r} {kind.__name__}")
     for rel, want in manifest["outputs"].items():
         if include is not None and not include(rel):
             continue

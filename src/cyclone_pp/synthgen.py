@@ -32,9 +32,9 @@ from .domain import (
     GridDomain,
     Report,
     ReportOrigin,
+    index_tenths,
     load_domain_file,
     save_domain_file,
-    tabulate_categories,
 )
 from .features import tc_distance_field
 from .storage import load_grid_csv, read_json, save_grid_csv, write_json
@@ -238,26 +238,14 @@ def generate_scenario(spec: ScenarioSpec, domain: GridDomain) -> Scenario:
     return Scenario(spec=spec, domain=domain, reports=reports)
 
 
-def category_profile(scenario: Scenario) -> np.ndarray:
-    """Land-cell rain-category counts per report, shape (n_reports, 4)."""
-    rows = []
-    for report in scenario.reports:
-        counts = tabulate_categories(report, scenario.domain)
-        rows.append(counts.sum(axis=1))
-    return np.array(rows)
-
-
 def report_dirname(index: float, origin: ReportOrigin) -> str:
     """Directory name for one report: index in zero-padded tenths.
 
     report_0010 is index 1, report_0015 is the 1.5 interpolation, and a
     trailing 'n' marks a noise copy (report_0015n).
     """
-    tenths = round(float(index) * 10)
-    if abs(tenths - float(index) * 10) > 1e-9:
-        raise ValueError(f"report index {index} is not a multiple of 0.1")
     suffix = "n" if origin is ReportOrigin.NOISE_INJECTED else ""
-    return f"report_{tenths:04d}{suffix}"
+    return f"report_{index_tenths(index):04d}{suffix}"
 
 
 def parse_report_dirname(name: str) -> tuple[float, bool] | None:

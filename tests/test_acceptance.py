@@ -30,7 +30,7 @@ from cyclone_pp.evaluation import (
     reliability_diagram,
 )
 from cyclone_pp.models import ModelConfig, rolling_origin_run
-from cyclone_pp.neuralnet import ConvLayer, Sequential, SoftplusLayer, im2col
+from cyclone_pp.neuralnet import ConvLayer, Network, SoftplusLayer, im2col
 from cyclone_pp.scoring import (
     crps_gaussian,
     crps_gradient,
@@ -175,10 +175,12 @@ def test_c2_gradients_pass_finite_difference_checks():
                  im2col(rng.standard_normal((2, 4, 3, 3)), (1, 1)), "conv1x1")
     layer_errors(SoftplusLayer(), rng.standard_normal((2, 3, 4, 4)), "softplus")
 
-    # composed network, input gradient included
-    net = Sequential([ConvLayer(3, 6, kernel=(2, 2), rng=rng),
-                      SoftplusLayer(),
-                      ConvLayer(6, 2, kernel=(1, 1), rng=rng)])
+    # the shipped network, its parameters widened to float64 so finite
+    # differences resolve; its first conv computes no input gradient
+    net = Network(3, 6, (2, 2), rng=rng)
+    for p in net.parameters():
+        p.value = p.value.astype(np.float64)
+        p.grad = np.zeros_like(p.value)
     x = im2col(rng.standard_normal((2, 3, 4, 5)), (2, 2))
     g = rng.standard_normal((2, 2, 4, 5))
 
@@ -186,10 +188,9 @@ def test_c2_gradients_pass_finite_difference_checks():
         return float(np.sum(net.forward(x) * g))
 
     net_loss()
-    grad_x = net.backward(g)
+    net.backward(g)
     for i, p in enumerate(net.parameters()):
         errs[f"net_p{i}"] = max_rel_err(p.grad, finite_difference(net_loss, p.value))
-    errs["net_input"] = max_rel_err(grad_x, finite_difference(net_loss, x))
 
     worst_name, worst = max(errs.items(), key=lambda kv: kv[1])
     elapsed = time.time() - t0

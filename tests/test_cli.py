@@ -375,6 +375,40 @@ class TestPredictChecksCheckpointFold:
         assert self.predict(pipeline, tmp_path / "p", 6, checkpoint=ckpt) == 1
         assert "cyclone-pp-net/1" in one_error_line(capsys)
 
+    def edited_checkpoint(self, pipeline, tmp_path, edit):
+        doc = read_json(pipeline["model"] / "model_cnn-all.json")
+        edit(doc)
+        ckpt = tmp_path / "model_cnn-all.json"
+        ckpt.write_text(json.dumps(doc))
+        return ckpt
+
+    def test_second_format_checkpoint_rejected(self, pipeline, tmp_path, capsys):
+        # format 2 stored a typed layer list; retrain it
+        ckpt = self.edited_checkpoint(
+            pipeline, tmp_path, lambda doc: doc.update(format="cyclone-pp-net/2"))
+        assert self.predict(pipeline, tmp_path / "p", 6, checkpoint=ckpt) == 1
+        assert "cyclone-pp-net/2" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("key", ["norm_std", "config", "grid_shape", "target"])
+    def test_checkpoint_without_meta_key_rejected(self, pipeline, tmp_path, capsys,
+                                                  key):
+        ckpt = self.edited_checkpoint(pipeline, tmp_path,
+                                      lambda doc: doc["meta"].pop(key))
+        out = tmp_path / "p"
+        assert self.predict(pipeline, out, 6, checkpoint=ckpt) == 1
+        assert repr(key) in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("norm_std", "wide"), ("norm_mean", [0.0]),
+                                           ("grid_shape", 14), ("target_std", None),
+                                           ("config", {"variant": "cnn-all"})])
+    def test_checkpoint_with_mistyped_meta_rejected(self, pipeline, tmp_path, capsys,
+                                                    key, value):
+        ckpt = self.edited_checkpoint(pipeline, tmp_path,
+                                      lambda doc: doc["meta"].update({key: value}))
+        assert self.predict(pipeline, tmp_path / "p", 6, checkpoint=ckpt) == 1
+        one_error_line(capsys)
+
 
 class TestCausality:
     """Train and predict must not open report files at or past the target."""
@@ -450,3 +484,33 @@ class TestEvaluate:
                      "--scenario", str(pipeline["scen"]), "--targets", "7",
                      "--out", str(tmp_path / "ev")]) == 1
         assert "no predictions supplied" in capsys.readouterr().err
+
+
+def without_manifest_outputs(src, dst):
+    """A copy of a stage directory whose manifest lacks its outputs."""
+    shutil.copytree(src, dst)
+    manifest = read_json(dst / "manifest.json")
+    del manifest["outputs"]
+    (dst / "manifest.json").write_text(json.dumps(manifest))
+    return dst
+
+
+class TestManifestWithoutOutputs:
+    def test_evaluate_exits_1(self, pipeline, tmp_path, capsys):
+        pred = without_manifest_outputs(pipeline["pred"], tmp_path / "pred")
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--predictions", str(pred),
+                     "--scenario", str(pipeline["scen"]), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(pred) in err and "'outputs'" in err
+        assert not out.exists()
+
+    def test_predict_exits_1(self, pipeline, tmp_path, capsys):
+        scen = without_manifest_outputs(pipeline["scen"], tmp_path / "scen")
+        out = tmp_path / "p"
+        assert main(["predict", "--checkpoint", str(pipeline["model"]),
+                     "--scenario", str(scen), "--target", TARGET,
+                     "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(scen) in err and "'outputs'" in err
+        assert not out.exists()

@@ -8,9 +8,9 @@ from cyclone_pp.domain import (
     Report,
     ReportOrigin,
     TerrainClass,
-    cell_latlon,
     classify_rain,
     classify_rain_field,
+    index_tenths,
     load_domain_file,
     save_domain_file,
     tabulate_categories,
@@ -100,29 +100,34 @@ class TestTabulate:
 
 
 class TestCellLatlon:
+    """Cell centers sit half a cell inside the south-west corner."""
+
     def test_southwest_cell_half_offset(self, small_domain):
-        lat, lon = cell_latlon(small_domain, 0, 0)
-        assert lat == pytest.approx(23.0 + 0.05)
-        assert lon == pytest.approx(121.0 + 0.05)
+        lat_grid, lon_grid = small_domain.latlon_grids()
+        assert lat_grid[0, 0] == pytest.approx(23.0 + 0.05)
+        assert lon_grid[0, 0] == pytest.approx(121.0 + 0.05)
 
     def test_northeast_cell(self, small_domain):
-        lat, lon = cell_latlon(small_domain, 5, 4)
-        assert lat == pytest.approx(23.0 + 5.5 * 0.1)
-        assert lon == pytest.approx(121.0 + 4.5 * 0.1)
+        lat_grid, lon_grid = small_domain.latlon_grids()
+        assert lat_grid[5, 4] == pytest.approx(23.0 + 5.5 * 0.1)
+        assert lon_grid[5, 4] == pytest.approx(121.0 + 4.5 * 0.1)
 
     def test_midpoint_is_mean_of_corners(self, small_domain):
-        sw = cell_latlon(small_domain, 0, 0)
-        ne = cell_latlon(small_domain, 5, 4)
+        lats, lons = small_domain.cell_lats, small_domain.cell_lons
         # 6 rows x 5 cols: the grid has no exact central cell in rows, use
         # linearity instead: cell (r, c) = sw + (r, c) * cell
-        lat, lon = cell_latlon(small_domain, 3, 2)
-        assert lat == pytest.approx(sw[0] + 3 * 0.1)
-        assert lon == pytest.approx((sw[1] + ne[1]) / 2)
+        assert lats[3] == pytest.approx(lats[0] + 3 * 0.1)
+        assert lons[2] == pytest.approx((lons[0] + lons[4]) / 2)
 
-    @pytest.mark.parametrize("row,col", [(-1, 0), (0, -1), (6, 0), (0, 5)])
-    def test_out_of_range(self, small_domain, row, col):
-        with pytest.raises(IndexError):
-            cell_latlon(small_domain, row, col)
+
+class TestIndexTenths:
+    @pytest.mark.parametrize("index,tenths", [(1, 10), (1.5, 15), (12.0, 120)])
+    def test_tenths(self, index, tenths):
+        assert index_tenths(index) == tenths
+
+    def test_finer_index_rejected(self):
+        with pytest.raises(ValueError, match="multiple of 0.1"):
+            index_tenths(1.25)
 
 
 class TestDomainInvariants:

@@ -229,8 +229,8 @@ class TestTrainModel:
                           tiny_domain)
         dyn = train_model(ModelConfig.for_variant("cnn-dyn", epochs=1), history,
                           tiny_domain)
-        assert cnn.net.layers[0].kernels.value.shape == (32, 20, 2, 2)
-        assert dyn.net.layers[0].kernels.value.shape == (32, 25, 2, 2)
+        assert cnn.net.conv.kernels.value.shape == (32, 20, 2, 2)
+        assert dyn.net.conv.kernels.value.shape == (32, 25, 2, 2)
 
     def test_members_config_rejected(self, tiny_scenario, tiny_domain):
         with pytest.raises(ValueError):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from cyclone_pp.neuralnet import (
+    CHECKPOINT_ARRAYS,
+    DTYPE,
     Adam,
     ConvLayer,
+    Network,
     Parameter,
-    Sequential,
     SoftplusLayer,
     TrainingDiverged,
     im2col,
@@ -15,7 +17,6 @@ from cyclone_pp.neuralnet import (
     load_network,
     save_network,
     softplus,
-    softplus_grad,
 )
 
 
@@ -41,6 +42,15 @@ def conv_reference(x, kernels, bias):
 def conv(layer, x):
     """A conv layer applied to an image stack through its patch rows."""
     return layer.forward(im2col(x, layer.kernel_size))
+
+
+def float64_network(rng, in_channels=3, hidden=4, kernel=(2, 2)) -> Network:
+    """A Network with float64 parameters, fine enough for finite differences."""
+    net = Network(in_channels, hidden, kernel, rng=rng)
+    for p in net.parameters():
+        p.value = p.value.astype(np.float64)
+        p.grad = np.zeros_like(p.value)
+    return net
 
 
 def finite_difference(f, x, h=1e-4):
@@ -77,11 +87,14 @@ class TestSoftplus:
         assert np.all(np.diff(y) > 0)
 
     def test_gradient_matches_finite_difference(self):
-        for x0 in (-3.0, 0.0, 0.7, 5.0):
-            h = 1e-6
-            fd = (softplus(x0 + h) - softplus(x0 - h)) / (2 * h)
-            assert softplus_grad(x0) == pytest.approx(fd, rel=1e-6)
-        assert softplus_grad(0.0) == pytest.approx(0.5)
+        x = np.array([-3.0, 0.0, 0.7, 5.0])
+        layer = SoftplusLayer()
+        layer.forward(x)
+        grad = layer.backward(np.ones_like(x))
+        h = 1e-6
+        fd = (softplus(x + h) - softplus(x - h)) / (2 * h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6)
+        assert grad[1] == 0.5
 
 
 class TestKaimingInit:
@@ -186,9 +199,8 @@ class TestConvForward:
             layer.forward(np.zeros((3, 4, 4)))
 
     def test_float32_stays_float32(self):
-        layer = ConvLayer(2, 3, rng=np.random.default_rng(1))
-        layer_f32 = Sequential([layer]).astype(np.float32).layers[0]
-        out = conv(layer_f32, np.zeros((1, 2, 4, 4), dtype=np.float32))
+        layer = Network(2, 3, (2, 2), rng=np.random.default_rng(1)).conv
+        out = conv(layer, np.zeros((1, 2, 4, 4), dtype=np.float32))
         assert out.dtype == np.float32
 
 
@@ -267,21 +279,14 @@ class TestConvBackward:
         layer.forward(x)
         layer.backward(g)
         np.testing.assert_allclose(layer.kernels.grad, 2 * once)
-        Sequential([layer]).zero_grad()
+        layer.kernels.zero_grad()
         assert not layer.kernels.grad.any()
 
 
-class TestSequential:
-    def _net(self, rng):
-        return Sequential([
-            ConvLayer(3, 4, kernel=(2, 2), rng=rng),
-            SoftplusLayer(),
-            ConvLayer(4, 2, kernel=(1, 1), rng=rng),
-        ])
-
+class TestNetwork:
     def test_end_to_end_gradient_check(self):
         rng = np.random.default_rng(21)
-        net = self._net(rng)
+        net = float64_network(rng)
         x = im2col(rng.normal(size=(2, 3, 4, 6)), (2, 2))
         proj = rng.normal(size=(2, 2, 4, 6))
 
@@ -290,34 +295,42 @@ class TestSequential:
 
         loss()
         net.zero_grad()
-        gx = net.backward(proj.copy())
-        np.testing.assert_allclose(gx, finite_difference(loss, x), rtol=1e-4, atol=1e-7)
+        net.backward(proj.copy())
         for p in net.parameters():
             np.testing.assert_allclose(p.grad, finite_difference(loss, p.value),
                                        rtol=1e-4, atol=1e-7)
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(2)
-        net = self._net(rng)
-        x = im2col(rng.normal(size=(1, 3, 5, 5)), (2, 2))
+        net = Network(3, 4, (2, 2), rng=rng)
+        x = im2col(rng.normal(size=(1, 3, 5, 5)).astype(DTYPE), (2, 2))
         np.testing.assert_array_equal(net.forward(x), net.forward(x))
 
     def test_backward_stops_at_gradless_first_layer(self):
         rng = np.random.default_rng(12)
-        net = Sequential([
-            ConvLayer(3, 4, rng=rng, input_grad=False),
-            SoftplusLayer(),
-            ConvLayer(4, 2, kernel=(1, 1), rng=rng),
-        ])
-        net.forward(im2col(rng.normal(size=(1, 3, 4, 4)), (2, 2)))
-        assert net.backward(np.ones((1, 2, 4, 4))) is None
-        assert net.layers[0].kernels.grad.any()
+        net = Network(3, 4, (2, 2), rng=rng)
+        net.forward(im2col(rng.normal(size=(1, 3, 4, 4)).astype(DTYPE), (2, 2)))
+        assert net.backward(np.ones((1, 2, 4, 4), dtype=DTYPE)) is None
+        assert not net.conv.input_grad and net.conv.kernels.grad.any()
 
-    def test_astype_converts_all_parameters(self):
-        net = self._net(np.random.default_rng(0)).astype(np.float32)
-        assert all(p.value.dtype == np.float32 for p in net.parameters())
-        out = net.forward(im2col(np.zeros((1, 3, 4, 4), dtype=np.float32), (2, 2)))
-        assert out.dtype == np.float32
+    def test_parameters_are_float32(self):
+        net = Network(3, 4, (2, 2), rng=np.random.default_rng(0))
+        assert all(p.value.dtype == p.grad.dtype == DTYPE for p in net.parameters())
+        out = net.forward(im2col(np.zeros((1, 3, 4, 4), dtype=DTYPE), (2, 2)))
+        assert out.dtype == DTYPE
+
+    @pytest.mark.parametrize("kernel,hidden", [((2, 2), 32), ((1, 1), 16)])
+    def test_kaiming_draws_conv_then_head(self, kernel, hidden):
+        # float64 draws from one stream, rounded: the weights of every
+        # earlier fit are reproduced exactly
+        net = Network(7, hidden, kernel, rng=np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        conv = kaiming_init(7 * kernel[0] * kernel[1], (hidden, 7, *kernel), rng)
+        head = kaiming_init(hidden, (2, hidden, 1, 1), rng)
+        assert net.conv.kernels.value.tobytes() == conv.astype(DTYPE).tobytes()
+        assert net.head.kernels.value.tobytes() == head.astype(DTYPE).tobytes()
+        assert not net.conv.bias.value.any() and not net.head.bias.value.any()
+        assert net.shape == (7, hidden, kernel)
 
 
 class TestAdam:
@@ -374,13 +387,8 @@ class TestAdam:
 
 
 class TestCheckpoint:
-    def _net(self):
-        rng = np.random.default_rng(33)
-        return Sequential([
-            ConvLayer(5, 8, kernel=(2, 2), rng=rng),
-            SoftplusLayer(),
-            ConvLayer(8, 2, kernel=(1, 1), rng=rng),
-        ])
+    def _net(self, kernel=(2, 2)):
+        return Network(5, 8, kernel, rng=np.random.default_rng(33))
 
     def test_round_trip_bit_exact(self, tmp_path):
         net = self._net()
@@ -397,11 +405,19 @@ class TestCheckpoint:
         path = tmp_path / "net.json"
         save_network(path, net)
         loaded, _ = load_network(path)
-        x = im2col(np.random.default_rng(1).normal(size=(1, 5, 6, 7)), (2, 2))
+        x = im2col(np.random.default_rng(1).normal(size=(1, 5, 6, 7)).astype(DTYPE),
+                   (2, 2))
         np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
 
+    def test_one_by_one_first_kernel_round_trip(self, tmp_path):
+        net = self._net(kernel=(1, 1))
+        path = tmp_path / "fcn.json"
+        save_network(path, net)
+        loaded, _ = load_network(path)
+        assert loaded.shape == (5, 8, (1, 1))
+
     def test_float32_round_trip(self, tmp_path):
-        net = self._net().astype(np.float32)
+        net = self._net()
         path = tmp_path / "net32.json"
         save_network(path, net)
         loaded, _ = load_network(path)
@@ -428,6 +444,52 @@ class TestCheckpoint:
         doc["format"] = "cyclone-pp-net/1"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="cyclone-pp-net/1"):
+            load_network(path)
+
+    def test_second_format_refused(self, tmp_path):
+        # format 2 held a typed layer list
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"format": "cyclone-pp-net/2", "meta": {},
+                                    "layers": [{"type": "softplus"}]}))
+        with pytest.raises(ValueError, match="cyclone-pp-net/2"):
+            load_network(path)
+
+    def edited(self, tmp_path, edit):
+        path = tmp_path / "net.json"
+        save_network(path, self._net())
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("key", [*CHECKPOINT_ARRAYS, "meta"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        path = self.edited(tmp_path, lambda doc: doc.pop(key))
+        with pytest.raises(ValueError, match=key):
+            load_network(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("conv_bias", {"dtype": "<f4", "shape": [7]}),
+        ("conv_bias", {"dtype": "no-such-type", "shape": [8], "data": ""}),
+        ("head_bias", [0.0, 0.0]),
+        ("meta", "none"),
+    ])
+    def test_mistyped_entry_rejected(self, tmp_path, key, value):
+        path = self.edited(tmp_path, lambda doc: doc.update({key: value}))
+        with pytest.raises(ValueError):
+            load_network(path)
+
+    @pytest.mark.parametrize("key,array", [
+        ("conv_bias", np.zeros(7, dtype=DTYPE)),
+        ("head_kernels", np.zeros((2, 8, 2, 2), dtype=DTYPE)),
+        ("head_bias", np.zeros(3, dtype=DTYPE)),
+        ("conv_kernels", np.zeros((8, 5, 2), dtype=DTYPE)),
+        ("conv_kernels", np.zeros((8, 5, 2, 2))),
+    ])
+    def test_wrong_array_rejected(self, tmp_path, key, array):
+        from cyclone_pp.neuralnet import _encode_array
+        path = self.edited(tmp_path, lambda doc: doc.update({key: _encode_array(array)}))
+        with pytest.raises(ValueError, match="not a float32 conv"):
             load_network(path)
 
     def test_save_twice_identical_bytes(self, tmp_path):

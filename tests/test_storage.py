@@ -126,6 +126,14 @@ class TestManifest:
         with pytest.raises(FileNotFoundError):
             verify_manifest(tmp_path / "out")
 
+    @pytest.mark.parametrize("key", ["outputs", "config_hash"])
+    def test_verify_names_a_missing_key(self, tmp_path, key):
+        manifest = self._stage(tmp_path / "out")
+        del manifest[key]
+        write_json(tmp_path / "out" / "manifest.json", manifest)
+        with pytest.raises(ValueError, match=f"{tmp_path / 'out'}.*'{key}'"):
+            verify_manifest(tmp_path / "out")
+
     def test_fingerprint_ignores_wall_time(self, tmp_path):
         m1 = self._stage(tmp_path / "o1")
         m2 = self._stage(tmp_path / "o2")

@@ -3,13 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cyclone_pp.domain import RainCategory, ReportOrigin
+from cyclone_pp.domain import RainCategory, ReportOrigin, tabulate_categories
 from cyclone_pp.features import tc_distance_field
 from cyclone_pp.scoring import crps_gaussian
 from cyclone_pp.synthgen import (
     Scenario,
     ScenarioSpec,
-    category_profile,
     generate_scenario,
     load_scenario,
     make_island_domain,
@@ -242,6 +241,12 @@ class TestEnsemble:
             ideal_scores.append(np.mean(crps_gaussian(
                 mean[land], np.maximum(std[land], 1e-6), obs)))
         assert np.mean(ideal_scores) < np.mean(members_scores)
+
+
+def category_profile(scenario):
+    """Land-cell rain-category counts per report, shape (n_reports, 4)."""
+    return np.array([tabulate_categories(r, scenario.domain).sum(axis=1)
+                     for r in scenario.reports])
 
 
 class TestCategoryProfile:

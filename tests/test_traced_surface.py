@@ -3,20 +3,23 @@
 ``perfbench/tracing.py`` wraps package functions and methods by name at
 run time, and its counters read argument shapes and layer attributes.
 A refactor that renames one of them, or changes what a counter reads,
-leaves that per-layer metric absent from a traced benchmark run. This
-test drives the traced names on a tiny grid with the tracer installed.
+leaves that per-layer metric absent from a traced benchmark run. These
+tests drive the traced names on tiny grids with the tracer installed:
+the library calls, and the five CLI stages end to end.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
-from cyclone_pp import models
+from cyclone_pp import cli, models
 from cyclone_pp.models import ModelConfig, TrainedModel, original_track
 from cyclone_pp.synthgen import ScenarioSpec, generate_scenario, make_island_domain
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -48,3 +51,33 @@ def test_traced_training_and_checkpoints_leave_no_metric_absent(tracing, tmp_pat
     metrics = tracing.layer_metrics(tracing.process_totals(tracer))
     assert [name for name, value in metrics.items() if value is None] == []
     assert metrics["neuralnet.epochs"] == (4, "count")
+
+
+def test_traced_cli_stages_count_every_declared_metric(tracing, tmp_path):
+    scen, aug, model = tmp_path / "scen", tmp_path / "aug", tmp_path / "model"
+    pred, ev = tmp_path / "pred", tmp_path / "eval"
+    stages = [
+        ["generate", "--seed", "1", "--rows", "10", "--cols", "8", "--out", scen],
+        ["augment", "--scenario", scen, "--out", aug],
+        ["train", "--scenario", scen, "--variant", "cnn-all", "--target", "6",
+         "--epochs", "2", "--out", model],
+        ["predict", "--checkpoint", model, "--scenario", scen, "--target", "6",
+         "--out", pred],
+        ["evaluate", "--predictions", pred, "--scenario", scen, "--out", ev],
+    ]
+    tracer = tracing.new_tracer()
+    try:
+        # through the module, so each stage goes to the wrapped cmd_* name
+        codes = [cli.main([str(arg) for arg in argv]) for argv in stages]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(stages)
+    assert tracer.uncounted == set()
+    metrics = tracing.layer_metrics(tracing.process_totals(tracer))
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())
+                ["per_layer"]]
+    assert [name for name in declared if name in metrics and metrics[name] is None] == []
+    for stage in ("generate", "augment", "train", "predict", "evaluate"):
+        assert metrics[f"cli.{stage}_s"][0] > 0
+    assert metrics["storage.verify_manifest_s"][0] > 0
+    assert metrics["storage.mb_hashed"][0] > 0
