@@ -139,7 +139,7 @@ def _causal_file_filter(target: int, include_target_forecast: bool = False):
         if math.ceil(index) < target:  # a k-0.5 interpolation blends report k
             return True
         if include_target_forecast and index == target and not noise:
-            return tail != "obs.csv"
+            return tail != "obs.npy"
         return False
     return allow
 
@@ -162,11 +162,6 @@ def _original_dir(scenario_dir, index: int) -> Path:
             return rdir
     raise FileNotFoundError(
         f"scenario has no original report with index {index}")
-
-
-def _target_report(scenario_dir, target: int, with_observation: bool):
-    return load_report(_original_dir(scenario_dir, target),
-                       with_observation=with_observation)
 
 
 def _causal_track(scenario_dir, target: int) -> list[tuple[float, tuple[float, float]]]:
@@ -303,7 +298,8 @@ def cmd_predict(args) -> int:
         _causal_file_filter(args.target, include_target_forecast=True))
     _spec, domain = load_scenario_header(args.scenario)
     # the target's observation is verification data, never an input here
-    target = _target_report(args.scenario, args.target, with_observation=False)
+    target = load_report(_original_dir(args.scenario, args.target),
+                         with_observation=False)
 
     if args.variant is not None:
         if args.variant.lower() != "members":
@@ -346,12 +342,14 @@ def cmd_evaluate(args) -> int:
     fields = {}
     variants = set()
     for pred_dir in args.predictions:
-        inputs.update(_verified_input(pred_dir))
-        meta = read_json(Path(pred_dir) / "manifest.json")
-        k = int(meta["config"]["target"])
-        variants.add(meta["config"]["variant"])
-        fields[k] = load_predictions_csv(Path(pred_dir) / "predictions.csv",
-                                         domain.shape)
+        manifest = verify_manifest(pred_dir)
+        inputs[Path(pred_dir).as_posix()] = manifest["config_hash"]
+        config = manifest.get("config") if isinstance(manifest.get("config"), dict) else {}
+        if not isinstance(config.get("target"), int) or not isinstance(config.get("variant"), str):
+            raise ValueError(f"manifest of {pred_dir} has no config 'target' and 'variant'")
+        variants.add(config["variant"])
+        fields[config["target"]] = load_predictions_csv(
+            Path(pred_dir) / "predictions.csv", domain.shape)
     targets = (_parse_targets(args.targets) if args.targets
                else sorted(fields))
     missing = [k for k in targets if k not in fields]
@@ -365,7 +363,7 @@ def cmd_evaluate(args) -> int:
     pooled_p, pooled_y = [], []
     maps = {}
     for k in targets:
-        target_rep = _target_report(args.scenario, k, with_observation=True)
+        target_rep = load_report(_original_dir(args.scenario, k))
         obs = target_rep.observation
         reference = predict_members_baseline(target_rep)
         tables.append(skill_table(k, fields[k], reference, obs, domain))

@@ -1,11 +1,11 @@
 """File plumbing shared by the pipeline stages.
 
-Everything on disk is CSV or JSON: grid fields as comma-separated
-row-major text, metadata as JSON. Writes go to a temporary path first
-and rename into place, so a crashed stage never leaves a half-written
-file or directory behind. Each stage directory carries a manifest.json
-recording the stage, config hash, seed, and a sha256 per output file;
-re-running a stage with the same inputs and seed must reproduce the
+Grid fields are .npy files (2-D float64, no pickles), metadata is JSON
+and the tables people read are CSV. Writes go to a temporary path and
+rename into place, so a crashed stage leaves no half-written file or
+directory. Each stage directory carries a manifest.json with the stage,
+config hash, seed, and a sha256 per output file; at a fixed BLAS thread
+count, re-running a stage with the same inputs and seed reproduces the
 manifest fingerprint bit for bit (wall time is excluded from it).
 """
 
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 MANIFEST_NAME = "manifest.json"
-ENGINE_VERSION = "0.1.0"
+ENGINE_VERSION = "0.2.0"
 
 
 def sha256_file(path) -> str:
@@ -33,29 +33,20 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def sha256_text(text: str) -> str:
+def config_hash(obj) -> str:
+    """Stable digest of a JSON-serializable config."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def config_hash(obj) -> str:
-    """Stable digest of a JSON-serializable config."""
-    return sha256_text(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-
-
-def save_grid_csv(path, field: np.ndarray, fmt: str = "%.17g") -> None:
-    """Write a 2D field as comma-separated rows, atomically.
-
-    The default format round-trips float64 exactly, so a saved scenario
-    trains bit-identically to the in-memory one.
-    """
-    field = np.asarray(field)
-    if field.ndim != 2:
-        raise ValueError(f"expected a 2D field, got shape {field.shape}")
+@contextlib.contextmanager
+def _atomic_open(path, mode: str = "w"):
+    """Yield a temporary file beside path, renamed over it on clean exit."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            np.savetxt(fh, field, fmt=fmt, delimiter=",")
+        with os.fdopen(fd, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -63,37 +54,43 @@ def save_grid_csv(path, field: np.ndarray, fmt: str = "%.17g") -> None:
         raise
 
 
+def save_grid_csv(path, field: np.ndarray) -> None:
+    """Write a 2D field as a float64 .npy file, atomically.
+
+    The bytes depend only on the values, so a saved scenario trains
+    bit-identically to one in memory. The name stays for the tracer.
+    """
+    field = np.ascontiguousarray(field, dtype=np.float64)
+    if field.ndim != 2:
+        raise ValueError(f"expected a 2D field, got shape {field.shape}")
+    with _atomic_open(path, "wb") as fh:
+        np.save(fh, field, allow_pickle=False)
+
+
 def load_grid_csv(path) -> np.ndarray:
-    field = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Read a 2D float64 grid written by save_grid_csv (name kept for the tracer).
+
+    A pickled, truncated, non-2D or non-float64 file is a ValueError.
+    """
+    try:
+        field = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path} is not a .npy grid: {exc}") from exc
+    if not isinstance(field, np.ndarray) or field.ndim != 2 or field.dtype != np.float64:
+        raise ValueError(f"{path} does not hold a 2D float64 grid")
     return field
 
 
 def write_json(path, obj) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    with _atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_text(path, text: str) -> None:
     """Write a text file atomically (temp file in place, then rename)."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def read_json(path):
@@ -105,22 +102,26 @@ def read_json(path):
 def staged_dir(final_path):
     """Build a stage output directory atomically.
 
-    Yields a temporary directory; on clean exit it replaces final_path
-    (removing any previous version), on error it is deleted and the old
-    final_path is left untouched.
+    Yields a temporary directory that replaces final_path on clean exit.
+    A previous version is moved aside and deleted only once the new one is
+    in, so no failure loses both; on error the old final_path stays.
     """
     final_path = Path(final_path)
     final_path.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(dir=final_path.parent,
                                 prefix=f".{final_path.name}-staging-"))
+    aside = tmp.with_name(tmp.name + "-previous")
     try:
         yield tmp
+        if final_path.exists():
+            os.replace(final_path, aside)
+        os.replace(tmp, final_path)
     except BaseException:
+        if aside.exists():
+            os.replace(aside, final_path)
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    if final_path.exists():
-        shutil.rmtree(final_path)
-    os.replace(tmp, final_path)
+    shutil.rmtree(aside, ignore_errors=True)
 
 
 def write_manifest(out_dir, stage: str, config, seed, inputs: dict[str, str],

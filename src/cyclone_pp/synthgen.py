@@ -39,7 +39,7 @@ from .domain import (
 from .features import tc_distance_field
 from .storage import load_grid_csv, read_json, save_grid_csv, write_json
 
-SCENARIO_FORMAT = "cyclone-pp-scenario/1"
+SCENARIO_FORMAT = "cyclone-pp-scenario/2"
 # island extent in degrees, kept constant across grid resolutions
 ISLAND_EXTENT_LAT = 2.52
 _STREAM_REPORT = 101
@@ -271,8 +271,8 @@ def save_scenario(scenario: Scenario, out_dir) -> None:
         rdir = out_dir / report_dirname(r.index, r.origin)
         rdir.mkdir(exist_ok=True)
         for m in range(r.members.shape[0]):
-            save_grid_csv(rdir / f"member_{m + 1:02d}.csv", r.members[m])
-        save_grid_csv(rdir / "obs.csv", r.observation)
+            save_grid_csv(rdir / f"member_{m + 1:02d}.npy", r.members[m])
+        save_grid_csv(rdir / "obs.npy", r.observation)
         write_json(rdir / "meta.json", {
             "index": r.index,
             "origin": r.origin.value,
@@ -287,7 +287,8 @@ def load_scenario_header(path) -> tuple[ScenarioSpec, GridDomain]:
     path = Path(path)
     doc = read_json(path / "spec.json")
     if doc.get("format") != SCENARIO_FORMAT:
-        raise ValueError(f"unrecognized scenario format {doc.get('format')!r}")
+        raise ValueError(f"{path} has scenario format {doc.get('format')!r}, "
+                         f"not {SCENARIO_FORMAT!r}; generate it again")
     return ScenarioSpec.from_dict(doc["spec"]), load_domain_file(path / "domain.txt")
 
 
@@ -311,14 +312,14 @@ def list_report_dirs(path) -> list[tuple[float, bool, Path]]:
 def load_report(rdir, with_observation: bool = True) -> Report:
     """Read one report directory.
 
-    ``with_observation=False`` skips obs.csv entirely; forecast-only
+    ``with_observation=False`` skips obs.npy entirely; forecast-only
     consumers (prediction on a target report) must never open it.
     """
     rdir = Path(rdir)
     meta = read_json(rdir / "meta.json")
-    members = np.stack([load_grid_csv(rdir / f"member_{m + 1:02d}.csv")
+    members = np.stack([load_grid_csv(rdir / f"member_{m + 1:02d}.npy")
                         for m in range(20)])
-    observation = load_grid_csv(rdir / "obs.csv") if with_observation else None
+    observation = load_grid_csv(rdir / "obs.npy") if with_observation else None
     valid_time = (datetime.fromisoformat(meta["valid_time"])
                   if meta.get("valid_time") else None)
     return Report(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cyclone_pp.domain import GridDomain, Report, ReportOrigin
+from cyclone_pp.storage import save_grid_csv
 
 
 @pytest.fixture
@@ -41,3 +42,27 @@ def make_report(index, shape=(6, 5), origin=ReportOrigin.ORIGINAL, seed=None,
 @pytest.fixture
 def report_factory():
     return make_report
+
+
+def write_bad_grid(path, kind: str) -> None:
+    """Write a file at path that load_grid_csv must refuse."""
+    good = np.arange(12, dtype=np.float64).reshape(3, 4)
+    if kind == "one_d":
+        np.save(path, good.ravel())
+    elif kind == "float32":
+        np.save(path, good.astype(np.float32))
+    elif kind == "object":
+        np.save(path, np.array([[1.0, "x"]], dtype=object), allow_pickle=True)
+    elif kind == "truncated":  # cut an existing grid short, or a fresh one
+        if not path.exists():
+            save_grid_csv(path, good)
+        path.write_bytes(path.read_bytes()[:-20])
+    elif kind == "empty":
+        path.write_bytes(b"")
+    else:
+        np.savetxt(path, good, fmt="%.17g", delimiter=",")
+
+
+@pytest.fixture
+def bad_grid_writer():
+    return write_bad_grid

@@ -21,7 +21,12 @@ from cyclone_pp.models import (
     rolling_origin_run,
     train_model,
 )
-from cyclone_pp.storage import manifest_fingerprint, read_json, verify_manifest
+from cyclone_pp.storage import (
+    manifest_fingerprint,
+    read_json,
+    sha256_file,
+    verify_manifest,
+)
 from cyclone_pp.synthgen import list_report_dirs, load_report, load_scenario
 
 GRID = ["--rows", "14", "--cols", "12"]
@@ -83,21 +88,21 @@ class TestHelpers:
     def test_causal_filter_blocks_future_reports(self):
         allow = _causal_file_filter(6)
         assert allow("spec.json") and allow("track.csv")
-        assert allow("report_0050/obs.csv")
-        assert allow("report_0045n/member_03.csv")
+        assert allow("report_0050/obs.npy")
+        assert allow("report_0045n/member_03.npy")
         # the 5.5 interpolation blends report 6, so it counts as future
-        assert not allow("report_0055/member_01.csv")
-        assert not allow("report_0055n/obs.csv")
-        assert not allow("report_0060/member_01.csv")
-        assert not allow("report_0070/obs.csv")
+        assert not allow("report_0055/member_01.npy")
+        assert not allow("report_0055n/obs.npy")
+        assert not allow("report_0060/member_01.npy")
+        assert not allow("report_0070/obs.npy")
 
     def test_causal_filter_admits_target_forecast_only(self):
         allow = _causal_file_filter(6, include_target_forecast=True)
-        assert allow("report_0060/member_19.csv")
+        assert allow("report_0060/member_19.npy")
         assert allow("report_0060/meta.json")
-        assert not allow("report_0060/obs.csv")
-        assert not allow("report_0060n/member_00.csv")
-        assert not allow("report_0065/member_00.csv")
+        assert not allow("report_0060/obs.npy")
+        assert not allow("report_0060n/member_00.npy")
+        assert not allow("report_0065/member_00.npy")
 
 
 class TestGenerate:
@@ -160,7 +165,7 @@ class TestAugment:
     def test_corrupt_input_fails_without_output(self, pipeline, tmp_path, capsys):
         broken = tmp_path / "broken"
         shutil.copytree(pipeline["scen"], broken)
-        victim = next(broken.glob("report_0010/member_01.csv"))
+        victim = next(broken.glob("report_0010/member_01.npy"))
         victim.write_bytes(b"garbage\n")
         out = tmp_path / "aug"
         assert main(["augment", "--scenario", str(broken),
@@ -421,10 +426,10 @@ class TestCausality:
         for index, _noise, rdir in list_report_dirs(broken):
             if index < 6:
                 continue
-            (rdir / "obs.csv").write_bytes(b"ruined\n")
+            (rdir / "obs.npy").write_bytes(b"ruined\n")
             if index > 6:
                 (rdir / "meta.json").write_bytes(b"ruined\n")
-                for member in rdir.glob("member_*.csv"):
+                for member in rdir.glob("member_*.npy"):
                     member.write_bytes(b"ruined\n")
         return broken
 
@@ -485,6 +490,20 @@ class TestEvaluate:
                      "--out", str(tmp_path / "ev")]) == 1
         assert "no predictions supplied" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["target", "variant"])
+    def test_manifest_config_without_key_exits_1(self, pipeline, tmp_path, capsys, key):
+        pred = tmp_path / "pred"
+        shutil.copytree(pipeline["pred"], pred)
+        manifest = read_json(pred / "manifest.json")
+        del manifest["config"][key]
+        (pred / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--predictions", str(pred),
+                     "--scenario", str(pipeline["scen"]), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(pred) in err and repr(key) in err
+        assert not out.exists()
+
 
 def without_manifest_outputs(src, dst):
     """A copy of a stage directory whose manifest lacks its outputs."""
@@ -514,3 +533,49 @@ class TestManifestWithoutOutputs:
         err = one_error_line(capsys)
         assert str(scen) in err and "'outputs'" in err
         assert not out.exists()
+
+
+def rehash_outputs(stage_dir) -> None:
+    """Re-record every output's sha256, so only the file check can object."""
+    manifest = read_json(stage_dir / "manifest.json")
+    manifest["outputs"] = {p.relative_to(stage_dir).as_posix(): sha256_file(p)
+                           for p in sorted(stage_dir.rglob("*"))
+                           if p.is_file() and p.name != "manifest.json"}
+    (stage_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestGridFilesRefused:
+    """Scenario grids other than 2D float64 .npy exit 1 with one line."""
+
+    def augment(self, scen, tmp_path):
+        out = tmp_path / "aug"
+        code = main(["augment", "--scenario", str(scen), "--out", str(out)])
+        assert not out.exists()
+        return code
+
+    def test_csv_scenario_of_first_format(self, pipeline, tmp_path, capsys):
+        # the layout the first scenario format wrote: %.17g CSV grids
+        scen = tmp_path / "scen"
+        shutil.copytree(pipeline["scen"], scen)
+        for grid in scen.glob("report_*/*.npy"):
+            np.savetxt(grid.with_suffix(".csv"), np.load(grid), fmt="%.17g",
+                       delimiter=",")
+            grid.unlink()
+        doc = read_json(scen / "spec.json")
+        doc["format"] = "cyclone-pp-scenario/1"
+        (scen / "spec.json").write_text(json.dumps(doc))
+        rehash_outputs(scen)
+        assert self.augment(scen, tmp_path) == 1
+        err = one_error_line(capsys)
+        assert "'cyclone-pp-scenario/1'" in err and str(scen) in err
+
+    @pytest.mark.parametrize("bad", ["one_d", "float32", "object", "truncated"])
+    @pytest.mark.parametrize("victim", ["member_07.npy", "obs.npy"])
+    def test_bad_grid(self, pipeline, tmp_path, capsys, bad_grid_writer, bad, victim):
+        scen = tmp_path / "scen"
+        shutil.copytree(pipeline["scen"], scen)
+        bad_grid_writer(scen / "report_0030" / victim, bad)
+        rehash_outputs(scen)
+        verify_manifest(scen)
+        assert self.augment(scen, tmp_path) == 1
+        assert f"report_0030/{victim}" in one_error_line(capsys)

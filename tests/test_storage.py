@@ -1,8 +1,11 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cyclone_pp import storage
 from cyclone_pp.storage import (
     config_hash,
     load_grid_csv,
@@ -19,28 +22,50 @@ from cyclone_pp.storage import (
 class TestGridCsv:
     def test_round_trip_is_exact(self, tmp_path):
         field = np.random.default_rng(0).gamma(2.0, 50.0, size=(7, 5))
-        path = tmp_path / "field.csv"
+        path = tmp_path / "field.npy"
         save_grid_csv(path, field)
-        np.testing.assert_array_equal(load_grid_csv(path), field)
+        back = load_grid_csv(path)
+        assert back.dtype == np.float64
+        assert back.tobytes() == field.tobytes()
 
     def test_single_row_keeps_2d(self, tmp_path):
-        path = tmp_path / "row.csv"
+        path = tmp_path / "row.npy"
         save_grid_csv(path, np.array([[1.0, 2.0, 3.0]]))
         assert load_grid_csv(path).shape == (1, 3)
 
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ValueError, match="2D"):
-            save_grid_csv(tmp_path / "x.csv", np.zeros(4))
+            save_grid_csv(tmp_path / "x.npy", np.zeros(4))
 
     def test_no_temp_residue(self, tmp_path):
-        save_grid_csv(tmp_path / "a.csv", np.zeros((2, 2)))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+        save_grid_csv(tmp_path / "a.npy", np.zeros((2, 2)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.npy"]
 
     def test_deterministic_bytes(self, tmp_path):
         field = np.random.default_rng(1).normal(size=(4, 4))
-        save_grid_csv(tmp_path / "a.csv", field)
-        save_grid_csv(tmp_path / "b.csv", field)
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        save_grid_csv(tmp_path / "a.npy", field)
+        save_grid_csv(tmp_path / "b.npy", field)
+        assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
+        assert (tmp_path / "a.npy").read_bytes()[:6] == b"\x93NUMPY"
+
+    def test_bytes_ignore_memory_layout_and_dtype(self, tmp_path):
+        # a Fortran-ordered or float32 field must not change the file
+        field = np.random.default_rng(2).normal(size=(5, 3)).astype(np.float32)
+        save_grid_csv(tmp_path / "c.npy", field.astype(np.float64))
+        save_grid_csv(tmp_path / "f.npy", np.asfortranarray(field))
+        save_grid_csv(tmp_path / "s.npy", field)
+        want = (tmp_path / "c.npy").read_bytes()
+        assert (tmp_path / "f.npy").read_bytes() == want
+        assert (tmp_path / "s.npy").read_bytes() == want
+
+    @pytest.mark.parametrize("bad", ["one_d", "float32", "object", "truncated",
+                                     "empty", "csv_text"])
+    def test_load_refuses_other_files(self, tmp_path, bad_grid_writer, bad):
+        path = tmp_path / "grid.npy"
+        bad_grid_writer(path, bad)
+        with pytest.raises(ValueError, match="grid.npy") as exc:
+            load_grid_csv(path)
+        assert "\n" not in str(exc.value)
 
 
 class TestConfigHash:
@@ -77,6 +102,27 @@ class TestStagedDir:
             (work / "new.txt").write_text("new")
         assert not (final / "old.txt").exists()
         assert (final / "new.txt").read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_failed_swap_keeps_previous_version(self, tmp_path, monkeypatch):
+        # the new output cannot be moved in: the old one must survive
+        final = tmp_path / "out"
+        final.mkdir()
+        (final / "old.txt").write_text("old")
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if ".out-staging-" in str(src) and Path(dst) == final:
+                monkeypatch.setattr(storage.os, "replace", real_replace)
+                raise OSError("disk gone")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(storage.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk gone"):
+            with staged_dir(final) as work:
+                (work / "new.txt").write_text("new")
+        assert (final / "old.txt").read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
     def test_failure_keeps_previous_version(self, tmp_path):
         final = tmp_path / "out"

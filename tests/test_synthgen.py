@@ -324,9 +324,9 @@ class TestScenarioIO:
         assert (root / "domain.txt").is_file()
         assert (root / "track.csv").is_file()
         rdir = root / "report_0020"
-        assert (rdir / "obs.csv").is_file()
+        assert (rdir / "obs.npy").is_file()
         assert (rdir / "meta.json").is_file()
-        assert len(list(rdir.glob("member_*.csv"))) == 20
+        assert len(list(rdir.glob("member_*.npy"))) == 20
 
     def test_track_csv_has_header_and_rows(self, tiny_scenario, tmp_path):
         save_scenario(tiny_scenario, tmp_path / "scen")
