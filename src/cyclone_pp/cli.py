@@ -6,23 +6,26 @@ a scenario directory, ``augment`` expands its training reports,
 ``predict`` post-processes the target's forecast stack, and
 ``evaluate`` turns predictions into verification CSVs.
 
-Every stage writes into a temporary directory that is renamed over the
-output path only on success, and leaves behind a manifest recording the
-config hash, seed, input hashes, and a sha256 per output file. Stages
-verify their input manifests before reading, so a corrupted upstream
-directory fails loudly instead of propagating.
+Every stage runs through one ``_Stage``. It records each input by role
+(``spec``, ``scenario``, ``checkpoint``, ``predictions/<k>``) with the
+upstream manifest fingerprint, or a bare file's sha256, and the paths as
+typed in ``input_paths``, which the fingerprint leaves out. It refuses an
+``--out`` at, inside or above an input, and writes into a temporary
+directory renamed over ``--out`` only on success, with a manifest of the
+config hash, seed, inputs and a sha256 per output file.
 
-Training and prediction never open observation or member data from
-reports at or beyond the target index (an interpolated report that
-blends the target counts as beyond); only the target's own forecast
-fields are read. The report selection happens on directory names before
-any file is touched.
+Each stage hashes exactly the files it opens, chosen by directory name
+before any is read: ``augment`` the original reports, ``train`` the
+originals before the target, ``predict`` the target's forecast fields
+(never its observation), ``evaluate`` its targets' reports. So nothing
+at or after the target informs a prediction, and ``evaluate`` scores
+only predictions of its own ``--scenario``, one per target.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import contextlib
 import os
 import sys
 import time
@@ -33,7 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from .augmentation import DEFAULT_NOISE_SCALE, build_augmented_set
-from .domain import ReportOrigin
 from .evaluation import (
     calibration_error,
     concat_skill_tables,
@@ -56,6 +58,7 @@ from .models import (
 )
 from .scoring import GaussianField
 from .storage import (
+    manifest_fingerprint,
     read_json,
     sha256_file,
     staged_dir,
@@ -64,6 +67,7 @@ from .storage import (
     write_text,
 )
 from .synthgen import (
+    MEMBER_FILES,
     ScenarioSpec,
     Scenario,
     generate_scenario,
@@ -71,7 +75,6 @@ from .synthgen import (
     load_report,
     load_scenario_header,
     load_track_csv,
-    parse_report_dirname,
     make_island_domain,
     save_scenario,
 )
@@ -109,59 +112,68 @@ def _parse_targets(text: str) -> list[int]:
 
 def _load_spec(path, seed=None) -> ScenarioSpec:
     doc = read_json(path)
-    payload = doc.get("spec", doc)  # accept both bare and wrapped forms
-    spec = ScenarioSpec.from_dict(payload)
-    if seed is not None:
-        spec = ScenarioSpec.from_dict({**spec.to_dict(), "seed": seed})
-    return spec
+    spec = doc.get("spec", doc)  # accept both bare and wrapped forms
+    return ScenarioSpec.from_dict(spec if seed is None else {**spec, "seed": seed})
 
 
-def _verified_input(path, include=None) -> dict[str, str]:
-    """Hash-check a stage directory and summarize it for a manifest."""
-    manifest = verify_manifest(path, include=include)
-    return {Path(path).as_posix(): manifest["config_hash"]}
+class _Stage:
+    """One run of a stage: its inputs kept by role, then its output.
 
-
-def _causal_file_filter(target: int, include_target_forecast: bool = False):
-    """Restrict manifest verification to files a causal stage may read.
-
-    Report files indexed at or beyond the target stay unopened, so a
-    byte flipped in a future report cannot fail (or influence) the run.
-    With ``include_target_forecast`` the target's own member and meta
-    files are admitted; its observation never is.
+    The paths as typed go to ``input_paths``, outside the fingerprint. An
+    ``--out`` at, inside or above an input is refused, as is a role twice.
     """
-    def allow(rel: str) -> bool:
-        head, _, tail = rel.partition("/")
-        parsed = parse_report_dirname(head)
-        if parsed is None:
-            return True
-        index, noise = parsed
-        if math.ceil(index) < target:  # a k-0.5 interpolation blends report k
-            return True
-        if include_target_forecast and index == target and not noise:
-            return tail != "obs.npy"
-        return False
-    return allow
+
+    def __init__(self, out):
+        self.t0 = time.perf_counter()
+        self.out = Path(out)
+        self.inputs, self.input_paths = {}, {}
+
+    def record(self, role: str, path, digest: str) -> None:
+        """Keep one input: a manifest fingerprint or a bare file's sha256."""
+        out, given = self.out.resolve(), Path(path).resolve()
+        if out == given or out in given.parents or given in out.parents:
+            raise ValueError(f"--out {self.out} overlaps input {path}")
+        if role in self.inputs:
+            raise ValueError(f"{path} and {self.input_paths[role]} are both input {role!r}")
+        self.inputs[role] = digest
+        self.input_paths[role] = Path(path).as_posix()
+
+    @contextlib.contextmanager
+    def output(self, name: str, config, seed=None):
+        """Yield the staging directory; the manifest goes in on clean exit."""
+        with staged_dir(self.out) as tmp:
+            yield tmp
+            write_manifest(tmp, name, config=config, seed=seed, inputs=self.inputs,
+                           wall_time_s=time.perf_counter() - self.t0,
+                           input_paths=self.input_paths)
 
 
-def _history_reports(scenario_dir, target: int) -> list:
-    """Reports built only from originals before the target.
-
-    Selected by directory name. An interpolated report at k - 0.5 blends
-    the target's own fields, so the causal cut is ceil(index) < target
-    rather than index < target.
+def _originals(scenario_dir, needed=()) -> dict[int, Path]:
+    """Original report directories by index, chosen by name before any read;
+    each needed index must be among them. Derived reports are left out:
+    ``fit_fold`` drops them, and an interpolation at k - 0.5 blends report k.
     """
-    return [load_report(rdir)
-            for index, _noise, rdir in list_report_dirs(scenario_dir)
-            if math.ceil(index) < target]
+    found = {int(i): rdir for i, noise, rdir in list_report_dirs(scenario_dir)
+             if not noise and i == int(i)}
+    for k in needed:
+        if k not in found:
+            raise FileNotFoundError(f"scenario has no original report with index {k}")
+    return found
 
 
-def _original_dir(scenario_dir, index: int) -> Path:
-    for i, noise, rdir in list_report_dirs(scenario_dir):
-        if i == index and not noise:
-            return rdir
-    raise FileNotFoundError(
-        f"scenario has no original report with index {index}")
+def _load_header(stage: _Stage, scenario_dir, *extra):
+    """Hash-check, record and read a scenario's spec and domain."""
+    manifest = verify_manifest(scenario_dir, ["spec.json", "domain.txt", *extra])
+    stage.record("scenario", scenario_dir, manifest_fingerprint(manifest))
+    return load_scenario_header(scenario_dir)
+
+
+def _load_reports(scenario_dir, rdirs, with_observation: bool = True) -> list:
+    """Hash-check, then read, the files of each listed report directory."""
+    names = ["meta.json", *MEMBER_FILES] + ["obs.npy"] * with_observation
+    verify_manifest(scenario_dir, [f"{rdir.name}/{name}" for rdir in rdirs
+                                   for name in names])
+    return [load_report(rdir, with_observation) for rdir in rdirs]
 
 
 def _causal_track(scenario_dir, target: int) -> list[tuple[float, tuple[float, float]]]:
@@ -171,11 +183,10 @@ def _causal_track(scenario_dir, target: int) -> list[tuple[float, tuple[float, f
 
 
 def cmd_generate(args) -> int:
-    t0 = time.time()
-    inputs = {}
+    stage = _Stage(args.out)
     if args.spec is not None:
+        stage.record("spec", args.spec, sha256_file(args.spec))
         spec = _load_spec(args.spec, seed=args.seed)
-        inputs[Path(args.spec).as_posix()] = sha256_file(args.spec)
     else:
         spec = ScenarioSpec(seed=args.seed if args.seed is not None else 0)
     domain = make_island_domain(n_rows=args.rows, n_cols=args.cols)
@@ -183,40 +194,29 @@ def cmd_generate(args) -> int:
         raise ValueError(f"a {args.rows}x{args.cols} grid has no land cell; "
                          "training needs at least one")
     scenario = generate_scenario(spec, domain)
-    with staged_dir(args.out) as tmp:
+    config = {"spec": spec.to_dict(), "rows": args.rows, "cols": args.cols}
+    with stage.output("generate", config, spec.seed) as tmp:
         save_scenario(scenario, tmp)
-        write_manifest(tmp, "generate",
-                       config={"spec": spec.to_dict(),
-                               "rows": args.rows, "cols": args.cols},
-                       seed=spec.seed, inputs=inputs,
-                       wall_time_s=time.time() - t0)
     print(f"generated {len(scenario.reports)} reports -> {args.out}")
     return 0
 
 
 def cmd_augment(args) -> int:
-    t0 = time.time()
-    inputs = _verified_input(args.scenario)
-    spec, domain = load_scenario_header(args.scenario)
-    originals = [load_report(rdir)
-                 for _i, _n, rdir in list_report_dirs(args.scenario)]
-    originals = [r for r in originals if r.origin is ReportOrigin.ORIGINAL]
+    stage = _Stage(args.out)
+    spec, domain = _load_header(stage, args.scenario)
+    originals = _load_reports(args.scenario, _originals(args.scenario).values())
     augset = build_augmented_set(originals, eta=args.eta, seed=args.seed)
     augmented = Scenario(spec=spec, domain=domain, reports=list(augset.reports))
-    with staged_dir(args.out) as tmp:
+    config = {"eta": args.eta, "seed": args.seed, "n_original": augset.n_original}
+    with stage.output("augment", config, args.seed) as tmp:
         save_scenario(augmented, tmp)
-        write_manifest(tmp, "augment",
-                       config={"eta": args.eta, "seed": args.seed,
-                               "n_original": augset.n_original},
-                       seed=args.seed, inputs=inputs,
-                       wall_time_s=time.time() - t0)
     print(f"augmented {augset.n_original} originals into "
           f"{len(augset.reports)} reports -> {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    t0 = time.time()
+    stage = _Stage(args.out)
     variants = list(TRAINABLE) if args.all_variants else [args.variant.lower()]
     if "members" in variants:
         raise ValueError("the members baseline has no trainable parameters; "
@@ -224,10 +224,12 @@ def cmd_train(args) -> int:
     for v in variants:
         if v not in TRAINABLE:
             raise ValueError(f"unknown variant {v!r}; expected one of {TRAINABLE}")
-    inputs = _verified_input(args.scenario, _causal_file_filter(args.target))
-    _spec, domain = load_scenario_header(args.scenario)
-    _original_dir(args.scenario, args.target)  # fail now rather than at predict
-    history = _history_reports(args.scenario, args.target)
+    _spec, domain = _load_header(stage, args.scenario)
+    # fit_fold keeps exactly these: the originals before the target, which
+    # must itself exist, or predict would fail later
+    originals = _originals(args.scenario, [args.target])
+    history = _load_reports(args.scenario, [rdir for k, rdir in originals.items()
+                                            if k < args.target])
     configs = [ModelConfig.for_variant(v, epochs=args.epochs,
                                        noise_scale=args.eta, seed=args.seed)
                for v in variants]
@@ -242,36 +244,28 @@ def cmd_train(args) -> int:
     else:
         fitted = [fit(c) for c in configs]
 
-    with staged_dir(args.out) as tmp:
+    config = {"variants": variants, "target": args.target, "epochs": args.epochs,
+              "eta": args.eta, "seed": args.seed}
+    with stage.output("train", config, args.seed) as tmp:
         for model in fitted:
             model.save(tmp / f"model_{model.config.variant}.json")
-        write_manifest(tmp, "train",
-                       config={"variants": variants, "target": args.target,
-                               "epochs": args.epochs, "eta": args.eta,
-                               "seed": args.seed},
-                       seed=args.seed, inputs=inputs,
-                       wall_time_s=time.time() - t0)
     print(f"trained {', '.join(variants)} for target {args.target} -> {args.out}")
     return 0
 
 
 def _resolve_checkpoint(path) -> Path:
     path = Path(path)
-    if path.is_dir():
-        models = sorted(path.glob("model_*.json"))
-        if len(models) != 1:
-            raise ValueError(
-                f"{path} holds {len(models)} checkpoints; pass the file itself")
-        return models[0]
-    return path
+    models = sorted(path.glob("model_*.json")) if path.is_dir() else [path]
+    if len(models) != 1:
+        raise ValueError(f"{path} holds {len(models)} checkpoints; pass the file itself")
+    return models[0]
 
 
 def _write_predictions_csv(path, field: GaussianField) -> None:
     rows, cols = field.mu.shape
-    lines = ["row,col,mu,sigma"]
-    for r in range(rows):
-        for c in range(cols):
-            lines.append(f"{r},{c},{field.mu[r, c]:.17g},{field.sigma[r, c]:.17g}")
+    lines = ["row,col,mu,sigma"] + [
+        f"{r},{c},{field.mu[r, c]:.17g},{field.sigma[r, c]:.17g}"
+        for r in range(rows) for c in range(cols)]
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -280,36 +274,31 @@ def load_predictions_csv(path, shape) -> GaussianField:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape != (shape[0] * shape[1], 4):
         raise ValueError(f"{path} does not cover a {shape} grid")
-    mu = np.full(shape, np.nan)
-    sigma = np.full(shape, np.nan)
-    r = data[:, 0].astype(int)
-    c = data[:, 1].astype(int)
-    mu[r, c] = data[:, 2]
-    sigma[r, c] = data[:, 3]
+    mu, sigma = np.full((2, *shape), np.nan)
+    r, c = data[:, 0].astype(int), data[:, 1].astype(int)
+    mu[r, c], sigma[r, c] = data[:, 2], data[:, 3]
     return GaussianField(mu=mu, sigma=sigma)
 
 
 def cmd_predict(args) -> int:
-    t0 = time.time()
+    stage = _Stage(args.out)
     if (args.checkpoint is None) == (args.variant is None):
         raise ValueError("pass exactly one of --checkpoint or --variant members")
-    inputs = _verified_input(
-        args.scenario,
-        _causal_file_filter(args.target, include_target_forecast=True))
-    _spec, domain = load_scenario_header(args.scenario)
+    if args.variant is not None and args.variant.lower() != "members":
+        raise ValueError("only the members baseline predicts without a "
+                         "checkpoint; train the other variants first")
+    track = [] if args.checkpoint is None else ["track.csv"]
+    _spec, domain = _load_header(stage, args.scenario, *track)
+    target_dir = _originals(args.scenario, [args.target])[args.target]
     # the target's observation is verification data, never an input here
-    target = load_report(_original_dir(args.scenario, args.target),
-                         with_observation=False)
+    [target] = _load_reports(args.scenario, [target_dir], with_observation=False)
 
-    if args.variant is not None:
-        if args.variant.lower() != "members":
-            raise ValueError("only the members baseline predicts without a "
-                             "checkpoint; train the other variants first")
+    if args.checkpoint is None:
         variant = "members"
         field = predict_members_baseline(target)
     else:
         ckpt = _resolve_checkpoint(args.checkpoint)
-        inputs[ckpt.as_posix()] = sha256_file(ckpt)
+        stage.record("checkpoint", args.checkpoint, sha256_file(ckpt))
         model = TrainedModel.load(ckpt)
         if model.target is None:
             raise ValueError(f"{ckpt} records no training target; "
@@ -324,50 +313,51 @@ def cmd_predict(args) -> int:
         track_pairs = _causal_track(args.scenario, args.target)
         field = model.predict(target, domain, track_pairs)
 
-    with staged_dir(args.out) as tmp:
+    with stage.output("predict", {"variant": variant, "target": args.target}) as tmp:
         _write_predictions_csv(tmp / "predictions.csv", field)
-        write_manifest(tmp, "predict",
-                       config={"variant": variant, "target": args.target},
-                       seed=args.seed, inputs=inputs,
-                       wall_time_s=time.time() - t0)
     print(f"predicted target {args.target} with {variant} -> {args.out}")
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    t0 = time.time()
-    inputs = _verified_input(args.scenario)
-    _spec, domain = load_scenario_header(args.scenario)
+def _block(manifest: dict, key: str) -> dict:
+    return manifest.get(key) if isinstance(manifest.get(key), dict) else {}
 
-    fields = {}
-    variants = set()
+
+def cmd_evaluate(args) -> int:
+    stage = _Stage(args.out)
+    _spec, domain = _load_header(stage, args.scenario)
+    pred_dirs, variant = {}, None
     for pred_dir in args.predictions:
         manifest = verify_manifest(pred_dir)
-        inputs[Path(pred_dir).as_posix()] = manifest["config_hash"]
-        config = manifest.get("config") if isinstance(manifest.get("config"), dict) else {}
+        config = _block(manifest, "config")
         if not isinstance(config.get("target"), int) or not isinstance(config.get("variant"), str):
             raise ValueError(f"manifest of {pred_dir} has no config 'target' and 'variant'")
-        variants.add(config["variant"])
-        fields[config["target"]] = load_predictions_csv(
-            Path(pred_dir) / "predictions.csv", domain.shape)
+        if _block(manifest, "inputs").get("scenario") != stage.inputs["scenario"]:
+            raise ValueError(f"{pred_dir} was predicted from another scenario "
+                             f"than {args.scenario}")
+        if variant not in (None, config["variant"]):
+            raise ValueError(f"predictions mix variants {sorted([variant, config['variant']])}; "
+                             "evaluate one variant per run")
+        variant = config["variant"]
+        stage.record(f"predictions/{config['target']}", pred_dir,
+                     manifest_fingerprint(manifest))
+        pred_dirs[config["target"]] = pred_dir
     targets = (_parse_targets(args.targets) if args.targets
-               else sorted(fields))
-    missing = [k for k in targets if k not in fields]
+               else sorted(pred_dirs))
+    missing = [k for k in targets if k not in pred_dirs]
     if missing:
         raise ValueError(f"no predictions supplied for targets {missing}")
-    if len(variants) > 1:
-        raise ValueError(f"predictions mix variants {sorted(variants)}; "
-                         "evaluate one variant per run")
+    originals = _originals(args.scenario, targets)
+    reports = _load_reports(args.scenario, [originals[k] for k in targets])
 
-    tables = []
-    pooled_p, pooled_y = [], []
-    maps = {}
-    for k in targets:
-        target_rep = load_report(_original_dir(args.scenario, k))
+    tables, pooled_p, pooled_y, maps = [], [], [], {}
+    for k, target_rep in zip(targets, reports):
+        field = load_predictions_csv(Path(pred_dirs[k]) / "predictions.csv",
+                                     domain.shape)
         obs = target_rep.observation
         reference = predict_members_baseline(target_rep)
-        tables.append(skill_table(k, fields[k], reference, obs, domain))
-        p = exceedance_probability(fields[k])
+        tables.append(skill_table(k, field, reference, obs, domain))
+        p = exceedance_probability(field)
         maps[k] = exceedance_map(p, domain)
         land = domain.land_mask
         pooled_p.append(p[land])
@@ -377,17 +367,13 @@ def cmd_evaluate(args) -> int:
     summaries = crpss_by_stratum(skill)
     bins = reliability_diagram(np.concatenate(pooled_p), np.concatenate(pooled_y))
 
-    with staged_dir(args.out) as tmp:
+    config = {"variant": variant, "targets": targets}
+    with stage.output("evaluate", config) as tmp:
         write_skill_table(tmp / "skill_table.csv", skill)
         write_crpss_summary(tmp / "crpss_summary.csv", summaries)
         for k in targets:
             write_exceedance_map(tmp / f"exceedance_map_{k}.csv", maps[k])
         write_reliability(tmp / "reliability.csv", bins)
-        write_manifest(tmp, "evaluate",
-                       config={"variant": sorted(variants)[0],
-                               "targets": targets},
-                       seed=args.seed, inputs=inputs,
-                       wall_time_s=time.time() - t0)
     err = calibration_error(bins)
     print(f"evaluated targets {targets} -> {args.out} "
           f"(calibration error {err:.4f})")
@@ -435,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'members' for the untrained baseline")
     p.add_argument("--scenario", required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
@@ -444,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prediction directories, one per target")
     p.add_argument("--scenario", required=True)
     p.add_argument("--targets", default=None, help="e.g. 6..11 or 6,8,10")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
     return parser

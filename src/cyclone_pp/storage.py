@@ -3,10 +3,10 @@
 Grid fields are .npy files (2-D float64, no pickles), metadata is JSON
 and the tables people read are CSV. Writes go to a temporary path and
 rename into place, so a crashed stage leaves no half-written file or
-directory. Each stage directory carries a manifest.json with the stage,
-config hash, seed, and a sha256 per output file; at a fixed BLAS thread
-count, re-running a stage with the same inputs and seed reproduces the
-manifest fingerprint bit for bit (wall time is excluded from it).
+directory, and what is left follows the umask. Each stage directory has
+a manifest.json with the stage, config hash, seed, inputs and a sha256
+per output file; at a fixed BLAS thread count, re-running a stage with
+the same inputs and seed reproduces its fingerprint bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 MANIFEST_NAME = "manifest.json"
-ENGINE_VERSION = "0.2.0"
+ENGINE_VERSION = "0.3.0"
 
 
 def sha256_file(path) -> str:
@@ -39,6 +39,13 @@ def config_hash(obj) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _umask_mode(mode: int) -> int:
+    """mode as open() or mkdir() would leave it under the current umask."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return mode & ~umask
+
+
 @contextlib.contextmanager
 def _atomic_open(path, mode: str = "w"):
     """Yield a temporary file beside path, renamed over it on clean exit."""
@@ -47,6 +54,7 @@ def _atomic_open(path, mode: str = "w"):
     try:
         with os.fdopen(fd, mode) as fh:
             yield fh
+        os.chmod(tmp, _umask_mode(0o666))  # mkstemp makes it 0600
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -113,6 +121,7 @@ def staged_dir(final_path):
     aside = tmp.with_name(tmp.name + "-previous")
     try:
         yield tmp
+        os.chmod(tmp, _umask_mode(0o777))  # mkdtemp makes it 0700
         if final_path.exists():
             os.replace(final_path, aside)
         os.replace(tmp, final_path)
@@ -125,8 +134,8 @@ def staged_dir(final_path):
 
 
 def write_manifest(out_dir, stage: str, config, seed, inputs: dict[str, str],
-                   wall_time_s: float) -> dict:
-    """Record a stage's outputs: sha256 of every file under out_dir."""
+                   wall_time_s: float, input_paths=None) -> dict:
+    """Record a stage's inputs by role and the sha256 of each file in out_dir."""
     out_dir = Path(out_dir)
     outputs = {}
     for p in sorted(out_dir.rglob("*")):
@@ -139,6 +148,7 @@ def write_manifest(out_dir, stage: str, config, seed, inputs: dict[str, str],
         "config_hash": config_hash(config),
         "seed": seed,
         "inputs": inputs,
+        "input_paths": input_paths or {},
         "outputs": outputs,
         "wall_time_s": wall_time_s,
     }
@@ -147,27 +157,28 @@ def write_manifest(out_dir, stage: str, config, seed, inputs: dict[str, str],
 
 
 def manifest_fingerprint(manifest: dict) -> str:
-    """Digest of a manifest with volatile fields (wall time) excluded."""
-    stable = {k: v for k, v in manifest.items() if k != "wall_time_s"}
-    return config_hash(stable)
+    """Digest of a manifest without its volatile wall time and input paths."""
+    return config_hash({k: v for k, v in manifest.items()
+                        if k not in ("wall_time_s", "input_paths")})
 
 
-def verify_manifest(stage_dir, include=None) -> dict:
+def verify_manifest(stage_dir, files=None) -> dict:
     """Check recorded output hashes; returns the manifest.
 
-    ``include`` optionally filters the relative paths to verify, for
-    consumers that are only entitled to read part of a stage directory
-    and must not open the rest even to hash it. A manifest without its
-    ``config_hash`` string or ``outputs`` object is a ValueError.
+    ``files`` lists the relative paths to hash: those a stage opens, so
+    it hashes nothing it may not read; None hashes every output. A listed
+    file the manifest does not record, or a manifest without its
+    ``config_hash`` string or ``outputs`` object, is a ValueError.
     """
     stage_dir = Path(stage_dir)
     manifest = read_json(stage_dir / MANIFEST_NAME)
     for key, kind in (("config_hash", str), ("outputs", dict)):
         if not isinstance(manifest, dict) or not isinstance(manifest.get(key), kind):
             raise ValueError(f"manifest of {stage_dir} has no {key!r} {kind.__name__}")
-    for rel, want in manifest["outputs"].items():
-        if include is not None and not include(rel):
-            continue
+    for rel in manifest["outputs"] if files is None else files:
+        want = manifest["outputs"].get(rel)
+        if want is None:
+            raise ValueError(f"manifest of {stage_dir} does not list {rel!r}")
         path = stage_dir / rel
         if not path.is_file():
             raise FileNotFoundError(f"manifest lists missing file {rel!r} in {stage_dir}")

@@ -45,6 +45,8 @@ ISLAND_EXTENT_LAT = 2.52
 _STREAM_REPORT = 101
 _STREAM_BIAS = 9001
 
+#: the forecast files of a report directory, beside meta.json and obs.npy
+MEMBER_FILES = tuple(f"member_{m:02d}.npy" for m in range(1, 21))
 _REPORT_DIR_RE = re.compile(r"report_(\d{4})(n?)$")
 _EPOCH = datetime(2015, 8, 6, 0, tzinfo=timezone.utc)
 
@@ -270,8 +272,8 @@ def save_scenario(scenario: Scenario, out_dir) -> None:
     for r in scenario.reports:
         rdir = out_dir / report_dirname(r.index, r.origin)
         rdir.mkdir(exist_ok=True)
-        for m in range(r.members.shape[0]):
-            save_grid_csv(rdir / f"member_{m + 1:02d}.npy", r.members[m])
+        for name, member in zip(MEMBER_FILES, r.members, strict=True):
+            save_grid_csv(rdir / name, member)
         save_grid_csv(rdir / "obs.npy", r.observation)
         write_json(rdir / "meta.json", {
             "index": r.index,
@@ -282,6 +284,13 @@ def save_scenario(scenario: Scenario, out_dir) -> None:
         })
 
 
+def _key(doc: dict, path, key: str):
+    """doc[key], or a ValueError naming the file and the key."""
+    if key not in doc:
+        raise ValueError(f"{path} has no key {key!r}")
+    return doc[key]
+
+
 def load_scenario_header(path) -> tuple[ScenarioSpec, GridDomain]:
     """Read just spec.json and domain.txt, leaving report data untouched."""
     path = Path(path)
@@ -289,7 +298,8 @@ def load_scenario_header(path) -> tuple[ScenarioSpec, GridDomain]:
     if doc.get("format") != SCENARIO_FORMAT:
         raise ValueError(f"{path} has scenario format {doc.get('format')!r}, "
                          f"not {SCENARIO_FORMAT!r}; generate it again")
-    return ScenarioSpec.from_dict(doc["spec"]), load_domain_file(path / "domain.txt")
+    spec = ScenarioSpec.from_dict(_key(doc, path / "spec.json", "spec"))
+    return spec, load_domain_file(path / "domain.txt")
 
 
 def list_report_dirs(path) -> list[tuple[float, bool, Path]]:
@@ -317,19 +327,14 @@ def load_report(rdir, with_observation: bool = True) -> Report:
     """
     rdir = Path(rdir)
     meta = read_json(rdir / "meta.json")
-    members = np.stack([load_grid_csv(rdir / f"member_{m + 1:02d}.npy")
-                        for m in range(20)])
+    index, origin, lat, lon = (_key(meta, rdir / "meta.json", key)
+                               for key in ("index", "origin", "tc_lat", "tc_lon"))
+    valid_time = meta.get("valid_time")
+    members = np.stack([load_grid_csv(rdir / name) for name in MEMBER_FILES])
     observation = load_grid_csv(rdir / "obs.npy") if with_observation else None
-    valid_time = (datetime.fromisoformat(meta["valid_time"])
-                  if meta.get("valid_time") else None)
-    return Report(
-        index=float(meta["index"]),
-        origin=ReportOrigin(meta["origin"]),
-        members=members,
-        observation=observation,
-        tc_center=(meta["tc_lat"], meta["tc_lon"]),
-        valid_time=valid_time,
-    )
+    return Report(index=float(index), origin=ReportOrigin(origin), members=members,
+                  observation=observation, tc_center=(lat, lon),
+                  valid_time=datetime.fromisoformat(valid_time) if valid_time else None)
 
 
 def load_track_csv(path) -> list[tuple[float, tuple[float, float]]]:

@@ -1,14 +1,18 @@
 """End-to-end and contract tests for the command-line pipeline."""
 
 import json
+import os
 import shutil
+import stat
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cyclone_pp import cli, storage
 from cyclone_pp.cli import (
     TRAINABLE,
-    _causal_file_filter,
     _parse_targets,
     load_predictions_csv,
     main,
@@ -85,24 +89,6 @@ class TestHelpers:
         with pytest.raises(ValueError, match="CYCLONE_PP_THREADS"):
             thread_cap()
 
-    def test_causal_filter_blocks_future_reports(self):
-        allow = _causal_file_filter(6)
-        assert allow("spec.json") and allow("track.csv")
-        assert allow("report_0050/obs.npy")
-        assert allow("report_0045n/member_03.npy")
-        # the 5.5 interpolation blends report 6, so it counts as future
-        assert not allow("report_0055/member_01.npy")
-        assert not allow("report_0055n/obs.npy")
-        assert not allow("report_0060/member_01.npy")
-        assert not allow("report_0070/obs.npy")
-
-    def test_causal_filter_admits_target_forecast_only(self):
-        allow = _causal_file_filter(6, include_target_forecast=True)
-        assert allow("report_0060/member_19.npy")
-        assert allow("report_0060/meta.json")
-        assert not allow("report_0060/obs.npy")
-        assert not allow("report_0060n/member_00.npy")
-        assert not allow("report_0065/member_00.npy")
 
 
 class TestGenerate:
@@ -454,6 +440,7 @@ class TestCausality:
 
     def test_evaluate_still_checks_everything(self, pipeline, tampered,
                                               tmp_path, capsys):
+        # evaluate hashes its target's report, whose observation is ruined
         assert main(["evaluate", "--predictions", str(pipeline["pred"]),
                      "--scenario", str(tampered), "--targets", TARGET,
                      "--out", str(tmp_path / "ev")]) == 1
@@ -579,3 +566,334 @@ class TestGridFilesRefused:
         verify_manifest(scen)
         assert self.augment(scen, tmp_path) == 1
         assert f"report_0030/{victim}" in one_error_line(capsys)
+
+
+REPORT_FILES = ["meta.json", *(f"member_{m:02d}.npy" for m in range(1, 21))]
+
+
+def report_files(index, with_observation=True):
+    names = REPORT_FILES + ["obs.npy"] * with_observation
+    return {f"report_{10 * index:04d}/{name}" for name in names}
+
+
+#: the recorder the audit hook below feeds while a test watches a stage;
+#: an audit hook cannot be removed, so it stays installed and idle
+_OPENS = []
+
+
+def _audit(event, args):
+    if _OPENS and event == "open" and isinstance(args[0], (str, os.PathLike)):
+        _OPENS[-1](os.path.abspath(os.fspath(args[0])))
+
+
+sys.addaudithook(_audit)
+
+
+def opened_and_hashed(monkeypatch, argv, root):
+    """Run one stage; the files below root it parses and those it hashes.
+
+    Paths are relative to root. A file opened only by the hash check
+    counts as hashed, not parsed; manifests are read, never hashed.
+    """
+    parsed, hashed, hashing = set(), set(), []
+    real = storage.sha256_file
+
+    def spy(path):
+        hashed.add(os.path.abspath(path))
+        hashing.append(path)
+        try:
+            return real(path)
+        finally:
+            hashing.pop()
+
+    def record(path):
+        if not hashing and Path(path).name != "manifest.json":
+            parsed.add(path)
+
+    for home in (storage, cli):
+        monkeypatch.setattr(home, "sha256_file", spy, raising=False)
+    _OPENS.append(record)
+    try:
+        assert main([str(a) for a in argv]) == 0
+    finally:
+        _OPENS.pop()
+
+    def below(paths):
+        return {Path(p).relative_to(root).as_posix() for p in paths
+                if Path(p).is_relative_to(root)}
+    return below(parsed), below(hashed)
+
+
+class TestStageFiles:
+    """Each stage hashes exactly the files it opens, and no others."""
+
+    def test_train_reads_originals_before_target(self, pipeline, tmp_path,
+                                                  monkeypatch):
+        # on an augment output: originals 1..5 only, no derived report
+        # (fit_fold drops them; 5.5 blends report 6) and nothing after
+        aug = pipeline["aug"]
+        parsed, hashed = opened_and_hashed(monkeypatch, [
+            "train", "--scenario", aug, "--variant", "cnn-all", "--target", TARGET,
+            "--epochs", "1", "--out", tmp_path / "m"], aug)
+        want = {"spec.json", "domain.txt"}.union(*(report_files(k) for k in range(1, 6)))
+        assert hashed == parsed == want
+
+    def test_predict_reads_target_forecast_only(self, pipeline, tmp_path,
+                                                monkeypatch):
+        root = pipeline["root"]
+        parsed, hashed = opened_and_hashed(monkeypatch, [
+            "predict", "--checkpoint", pipeline["model"], "--scenario", pipeline["aug"],
+            "--target", TARGET, "--out", tmp_path / "p"], root)
+        want = {"model/model_cnn-all.json", "aug/spec.json", "aug/domain.txt",
+                "aug/track.csv"} | {f"aug/{f}" for f in report_files(6, False)}
+        assert hashed == parsed == want
+
+    def test_members_predict_reads_no_track(self, pipeline, tmp_path, monkeypatch):
+        scen = pipeline["scen"]
+        parsed, hashed = opened_and_hashed(monkeypatch, [
+            "predict", "--variant", "members", "--scenario", scen,
+            "--target", TARGET, "--out", tmp_path / "p"], scen)
+        assert hashed == parsed == {"spec.json", "domain.txt"} | report_files(6, False)
+
+    def test_augment_reads_originals(self, pipeline, tmp_path, monkeypatch):
+        aug = pipeline["aug"]
+        parsed, hashed = opened_and_hashed(monkeypatch, [
+            "augment", "--scenario", aug, "--out", tmp_path / "a"], aug)
+        want = {"spec.json", "domain.txt"}.union(*(report_files(k) for k in range(1, 16)))
+        assert hashed == parsed == want
+
+    def test_evaluate_reads_its_targets(self, pipeline, tmp_path, monkeypatch):
+        root = pipeline["root"]
+        parsed, hashed = opened_and_hashed(monkeypatch, [
+            "evaluate", "--predictions", pipeline["pred"], "--scenario", pipeline["scen"],
+            "--out", tmp_path / "e"], root)
+        want = {"pred/predictions.csv", "scen/spec.json", "scen/domain.txt"} | {
+            f"scen/{f}" for f in report_files(6)}
+        assert hashed == parsed == want
+
+    def test_generate_hashes_its_spec(self, pipeline, tmp_path, monkeypatch):
+        scen = pipeline["scen"]
+        parsed, hashed = opened_and_hashed(monkeypatch, [
+            "generate", "--spec", scen / "spec.json", *GRID, "--out", tmp_path / "g"],
+            scen)
+        assert hashed == parsed == {"spec.json"}
+
+
+def flip_byte(path, offset=-8):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+class TestEarlierReportFlipped:
+    """A byte flipped in report 3 is train's business, not predict's."""
+
+    @pytest.fixture()
+    def flipped(self, pipeline, tmp_path):
+        scen = tmp_path / "flipped"
+        shutil.copytree(pipeline["scen"], scen)
+        flip_byte(scen / "report_0030" / "member_01.npy")
+        return scen
+
+    def test_train_fails(self, flipped, tmp_path, capsys):
+        out = tmp_path / "m"
+        assert main(["train", "--scenario", str(flipped), "--variant", "cnn",
+                     "--target", TARGET, "--epochs", "1", "--out", str(out)]) == 1
+        assert "report_0030/member_01.npy" in one_error_line(capsys)
+        assert not out.exists()
+
+    def test_predict_succeeds_unchanged(self, pipeline, flipped, tmp_path):
+        pred = tmp_path / "p"
+        assert main(["predict", "--checkpoint", str(pipeline["model"]),
+                     "--scenario", str(flipped), "--target", TARGET,
+                     "--out", str(pred)]) == 0
+        assert ((pred / "predictions.csv").read_bytes()
+                == (pipeline["pred"] / "predictions.csv").read_bytes())
+
+
+def fingerprint(stage_dir):
+    return manifest_fingerprint(read_json(Path(stage_dir) / "manifest.json"))
+
+
+def run_stages(p, only=None):
+    """generate .. evaluate on a 10x8 grid; p maps a stage to the path typed."""
+    stages = {
+        "scen": ["generate", "--seed", "7", "--rows", "10", "--cols", "8"],
+        "aug": ["augment", "--scenario", p("scen")],
+        "model": ["train", "--scenario", p("scen"), "--variant", "cnn-all",
+                  "--target", "6", "--epochs", "2"],
+        "pred": ["predict", "--checkpoint", p("model"), "--scenario", p("scen"),
+                 "--target", "6"],
+        "base": ["predict", "--variant", "members", "--scenario", p("scen"),
+                 "--target", "6"],
+        "eval": ["evaluate", "--predictions", p("pred"), "--scenario", p("scen")],
+    }
+    for name, argv in stages.items():
+        if only is None or name in only:
+            assert main(argv + ["--out", p(name)]) == 0, name
+
+
+class TestFingerprints:
+    def test_relative_and_absolute_paths_agree(self, tmp_path, monkeypatch, capsys):
+        rel, absolute = tmp_path / "rel", tmp_path / "abs"
+        rel.mkdir()
+        absolute.mkdir()
+        monkeypatch.chdir(rel)
+        run_stages(lambda name: name)
+        monkeypatch.chdir(tmp_path)
+        run_stages(lambda name: str(absolute / name))
+        for name in ("scen", "aug", "model", "pred", "base", "eval"):
+            assert fingerprint(rel / name) == fingerprint(absolute / name), name
+        manifest = read_json(rel / "pred" / "manifest.json")
+        assert manifest["input_paths"] == {"checkpoint": "model", "scenario": "scen"}
+        assert manifest["inputs"] == {
+            "checkpoint": sha256_file(rel / "model" / "model_cnn-all.json"),
+            "scenario": fingerprint(rel / "scen")}
+        assert set(read_json(rel / "eval" / "manifest.json")["inputs"]) == {
+            "predictions/6", "scenario"}
+
+    @pytest.mark.parametrize("upstream", ["scen", "model"])
+    def test_upstream_change_reaches_every_downstream_fingerprint(
+            self, tmp_path, monkeypatch, capsys, upstream):
+        monkeypatch.chdir(tmp_path)
+        run_stages(lambda name: name)
+        before = {name: fingerprint(name)
+                  for name in ("scen", "aug", "model", "pred", "base", "eval")}
+        if upstream == "scen":
+            flip_byte(tmp_path / "scen" / "report_0030" / "member_01.npy")
+            downstream = ["aug", "model", "pred", "base", "eval"]
+        else:
+            ckpt = tmp_path / "model" / "model_cnn-all.json"
+            doc = read_json(ckpt)
+            doc["meta"]["target_mean"] = np.nextafter(doc["meta"]["target_mean"], 1e9)
+            ckpt.write_text(json.dumps(doc))
+            downstream = ["pred", "eval"]
+        rehash_outputs(tmp_path / upstream)
+        assert fingerprint(upstream) != before[upstream]
+        run_stages(lambda name: f"{name}2" if name in downstream else name,
+                   only=downstream)
+        for name in downstream:
+            assert fingerprint(f"{name}2") != before[name], name
+
+
+class TestRefusals:
+    """Holes that exited 0: one `error:` line and no output now."""
+
+    def evaluate(self, pipeline, out, *preds, scenario=None):
+        return main(["evaluate", "--predictions", *map(str, preds),
+                     "--scenario", str(scenario or pipeline["scen"]),
+                     "--out", str(out)])
+
+    def test_predictions_of_another_scenario(self, pipeline, tmp_path, capsys):
+        other, pred = tmp_path / "other", tmp_path / "pred"
+        assert main(["generate", "--seed", "4", *GRID, "--out", str(other)]) == 0
+        assert main(["predict", "--variant", "members", "--scenario", str(other),
+                     "--target", TARGET, "--out", str(pred)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "ev"
+        assert self.evaluate(pipeline, out, pred) == 1
+        err = one_error_line(capsys)
+        assert str(pred) in err and "another scenario" in err
+        assert not out.exists()
+
+    def test_transfer_from_another_scenario_allowed(self, pipeline, tmp_path):
+        # a checkpoint trained elsewhere only sees reports before its target
+        other, pred = tmp_path / "other", tmp_path / "pred"
+        assert main(["generate", "--seed", "4", *GRID, "--out", str(other)]) == 0
+        assert main(["predict", "--checkpoint", str(pipeline["model"]),
+                     "--scenario", str(other), "--target", TARGET,
+                     "--out", str(pred)]) == 0
+        assert self.evaluate(pipeline, tmp_path / "ev", pred, scenario=other) == 0
+
+    def test_two_predictions_for_one_target(self, pipeline, tmp_path, capsys):
+        again = tmp_path / "pred2"
+        shutil.copytree(pipeline["pred"], again)
+        out = tmp_path / "ev"
+        assert self.evaluate(pipeline, out, pipeline["pred"], again) == 1
+        err = one_error_line(capsys)
+        assert "'predictions/6'" in err and str(again) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["equal", "inside", "above"])
+    def test_out_overlapping_an_input(self, pipeline, tmp_path, capsys, case):
+        scen = tmp_path / "scen"
+        shutil.copytree(pipeline["scen"], scen)
+        out = {"equal": scen, "inside": scen / "aug", "above": tmp_path}[case]
+        before = fingerprint(scen)
+        assert main(["predict", "--variant", "members", "--scenario", str(scen),
+                     "--target", TARGET, "--out", str(out)]) == 1
+        assert "overlaps input" in one_error_line(capsys)
+        verify_manifest(scen)
+        assert fingerprint(scen) == before
+        assert not (scen / "aug").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scen"]
+
+    def test_out_holding_the_checkpoint(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["model"], model)
+        assert main(["predict", "--checkpoint", str(model / "model_cnn-all.json"),
+                     "--scenario", str(pipeline["scen"]), "--target", TARGET,
+                     "--out", str(model)]) == 1
+        assert "overlaps input" in one_error_line(capsys)
+        verify_manifest(model)
+
+    def test_out_typed_another_way(self, pipeline, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(pipeline["scen"], tmp_path / "scen")
+        assert main(["augment", "--scenario", "scen",
+                     "--out", str(tmp_path / "x" / ".." / "scen")]) == 1
+        assert "overlaps input" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("stage", ["predict", "evaluate"])
+    def test_seed_flag_dropped(self, pipeline, tmp_path, capsys, stage):
+        argv = {"predict": ["predict", "--variant", "members", "--target", TARGET],
+                "evaluate": ["evaluate", "--predictions", str(pipeline["pred"])]}[stage]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scenario", str(pipeline["scen"]), "--seed", "1",
+                         "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestMalformedLoaderInput:
+    """A loader input lacking a key: one line naming the file and the key."""
+
+    def edited(self, pipeline, tmp_path, rel, key):
+        scen = tmp_path / "scen"
+        shutil.copytree(pipeline["scen"], scen)
+        doc = read_json(scen / rel)
+        del doc[key]
+        (scen / rel).write_text(json.dumps(doc))
+        rehash_outputs(scen)
+        return scen
+
+    def test_spec_without_spec(self, pipeline, tmp_path, capsys):
+        scen = self.edited(pipeline, tmp_path, "spec.json", "spec")
+        out = tmp_path / "aug"
+        assert main(["augment", "--scenario", str(scen), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(scen / "spec.json") in err and "'spec'" in err
+        assert not out.exists()
+
+    def test_report_meta_without_index(self, pipeline, tmp_path, capsys):
+        scen = self.edited(pipeline, tmp_path, "report_0030/meta.json", "index")
+        out = tmp_path / "m"
+        assert main(["train", "--scenario", str(scen), "--variant", "cnn",
+                     "--target", TARGET, "--epochs", "1", "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(scen / "report_0030" / "meta.json") in err and "'index'" in err
+        assert not out.exists()
+
+
+def test_outputs_follow_the_umask(pipeline, tmp_path):
+    old = os.umask(0o022)
+    try:
+        out = tmp_path / "p"
+        assert main(["predict", "--variant", "members", "--scenario",
+                     str(pipeline["scen"]), "--target", TARGET, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o755
+    for name in ("predictions.csv", "manifest.json"):
+        assert stat.S_IMODE((out / name).stat().st_mode) == 0o644

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,20 @@ class TestStagedDir:
         assert (final / "old.txt").read_text() == "old"
 
 
+def test_outputs_follow_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        with staged_dir(tmp_path / "out") as work:
+            write_json(work / "a.json", {})
+            save_grid_csv(work / "b.npy", np.zeros((2, 2)))
+    finally:
+        os.umask(old)
+    out = tmp_path / "out"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o755
+    for name in ("a.json", "b.npy"):
+        assert stat.S_IMODE((out / name).stat().st_mode) == 0o644
+
+
 class TestManifest:
     def _stage(self, out, payload="data"):
         out.mkdir(exist_ok=True)
@@ -180,10 +195,28 @@ class TestManifest:
         with pytest.raises(ValueError, match=f"{tmp_path / 'out'}.*'{key}'"):
             verify_manifest(tmp_path / "out")
 
+    def test_verify_listed_files_only(self, tmp_path):
+        self._stage(tmp_path / "out")
+        (tmp_path / "out" / "a.csv").write_text("tampered")
+        verify_manifest(tmp_path / "out", files=["sub/b.json"])
+        with pytest.raises(ValueError, match="hash mismatch"):
+            verify_manifest(tmp_path / "out", files=["a.csv"])
+
+    def test_verify_refuses_an_unlisted_file(self, tmp_path):
+        self._stage(tmp_path / "out")
+        (tmp_path / "out" / "c.csv").write_text("not in the manifest")
+        with pytest.raises(ValueError, match="does not list 'c.csv'"):
+            verify_manifest(tmp_path / "out", files=["a.csv", "c.csv"])
+
     def test_fingerprint_ignores_wall_time(self, tmp_path):
         m1 = self._stage(tmp_path / "o1")
         m2 = self._stage(tmp_path / "o2")
         m2 = dict(m2, wall_time_s=99.0)
+        assert manifest_fingerprint(m1) == manifest_fingerprint(m2)
+
+    def test_fingerprint_ignores_input_paths(self, tmp_path):
+        m1 = self._stage(tmp_path / "o1")
+        m2 = dict(m1, input_paths={"scenario": "/elsewhere"})
         assert manifest_fingerprint(m1) == manifest_fingerprint(m2)
 
     def test_fingerprint_sees_output_change(self, tmp_path):
