@@ -56,8 +56,8 @@ def inject_noise(report: Report, eta: float, rng: np.random.Generator) -> Report
     member's own field; results are clamped at zero. The observation, TC
     center, and fractional index are untouched.
     """
-    if eta < 0:
-        raise ValueError(f"noise scale must be >= 0, got {eta}")
+    if not (np.isfinite(eta) and eta >= 0):
+        raise ValueError(f"noise scale must be finite and >= 0, got {eta}")
     members = report.members.copy()
     for m in range(members.shape[0]):
         scale = eta * float(np.std(members[m]))

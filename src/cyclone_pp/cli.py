@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -98,6 +99,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _noise_scale(text: str) -> float:
+    eta = float(text)  # argparse reports a ValueError as an invalid value
+    if not (math.isfinite(eta) and eta >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return eta
+
+
 def _parse_targets(text: str) -> list[int]:
     """Accept '6..11', '6,9,11', or a single integer."""
     text = text.strip()
@@ -111,9 +119,12 @@ def _parse_targets(text: str) -> list[int]:
 
 
 def _load_spec(path, seed=None) -> ScenarioSpec:
-    doc = read_json(path)
-    spec = doc.get("spec", doc)  # accept both bare and wrapped forms
-    return ScenarioSpec.from_dict(spec if seed is None else {**spec, "seed": seed})
+    spec = read_json(path)
+    if isinstance(spec, dict):
+        spec = spec.get("spec", spec)  # accept both bare and wrapped forms
+    if seed is not None and isinstance(spec, dict):
+        spec = {**spec, "seed": seed}
+    return ScenarioSpec.from_dict(spec, source=path)
 
 
 class _Stage:
@@ -396,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", help="interpolate + noise-expand a scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--eta", type=float, default=DEFAULT_NOISE_SCALE)
+    p.add_argument("--eta", type=_noise_scale, default=DEFAULT_NOISE_SCALE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
@@ -409,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train every trainable variant")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--eta", type=float, default=DEFAULT_NOISE_SCALE)
+    p.add_argument("--eta", type=_noise_scale, default=DEFAULT_NOISE_SCALE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -47,11 +47,10 @@ class NormStats:
 
 @dataclass(frozen=True)
 class FeatureStack:
-    """Channel stack for one report, optionally standardized."""
+    """Raw channel stack for one report."""
 
     channels: np.ndarray
     channel_names: tuple[str, ...]
-    norm_stats: NormStats | None = None
 
     def __post_init__(self):
         ch = np.asarray(self.channels, dtype=float)
@@ -132,28 +131,30 @@ def assemble_stack(report: Report, domain: GridDomain, track,
     return FeatureStack(channels=channels, channel_names=CHANNEL_NAMES)
 
 
-def fit_standardizer(stacks) -> NormStats:
-    """Per-channel mean/std over a fitting set of stacks.
+def fit_standardizer(data: np.ndarray) -> NormStats:
+    """Per-channel mean/std over a (B, C, H, W) fitting array.
 
     Constant channels keep their mean but have std clamped to 1 so the
     transform degrades to a pure shift.
     """
-    stacks = list(stacks)
-    if not stacks:
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 4:
+        raise ValueError(f"need a (B, C, H, W) array to fit, got shape {data.shape}")
+    if data.shape[0] == 0:
         raise ValueError("need at least one stack to fit")
-    names = stacks[0].channel_names
-    if any(s.channel_names != names for s in stacks):
-        raise ValueError("stacks have inconsistent channel layouts")
-    data = np.stack([s.channels for s in stacks])  # (R, C, H, W)
     mean = data.mean(axis=(0, 2, 3))
     std = data.std(axis=(0, 2, 3))
     std = np.where(std < _CONST_STD, 1.0, std)
     return NormStats(mean=mean, std=std)
 
 
-def apply_standardizer(stack: FeatureStack, stats: NormStats) -> FeatureStack:
-    """Affine (x - mean) / std per channel; shape and order are preserved."""
-    if stats.mean.shape[0] != stack.n_channels:
-        raise ValueError(f"stats cover {stats.mean.shape[0]} channels, stack has {stack.n_channels}")
-    z = (stack.channels - stats.mean[:, None, None]) / stats.std[:, None, None]
-    return FeatureStack(channels=z, channel_names=stack.channel_names, norm_stats=stats)
+def apply_standardizer(channels: np.ndarray, stats: NormStats, out=None) -> np.ndarray:
+    """Affine (x - mean) / std per channel of a (..., C, H, W) float array.
+
+    ``out=channels`` standardizes in place; the arithmetic is the same.
+    """
+    n = channels.shape[-3]
+    if stats.mean.shape[0] != n:
+        raise ValueError(f"stats cover {stats.mean.shape[0]} channels, stack has {n}")
+    out = np.subtract(channels, stats.mean[:, None, None], out=out)
+    return np.divide(out, stats.std[:, None, None], out=out)

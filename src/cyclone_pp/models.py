@@ -100,6 +100,8 @@ class ModelConfig:
             raise ValueError("epochs must be >= 0")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
+        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError(f"noise scale must be finite and >= 0, got {self.noise_scale}")
 
     @classmethod
     def for_variant(cls, variant: str, **overrides) -> "ModelConfig":
@@ -216,8 +218,7 @@ class TrainedModel:
         only positions at or before the report's index are consulted.
         """
         stack = _stack_for(self.config, report, domain, track_pairs)
-        z = apply_standardizer(stack, self.norm)
-        x = z.channels[None].astype(DTYPE)
+        x = apply_standardizer(stack.channels, self.norm)[None].astype(DTYPE)
         out = self.net.forward(im2col(x, self.net.conv.kernel_size))[0]
         return self._heads_to_field(out)
 
@@ -277,9 +278,12 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
         raise ValueError("every training report needs an observation")
 
     track_pairs = original_track(history)
-    stacks = [_stack_for(config, r, domain, track_pairs) for r in history]
-    norm = fit_standardizer(stacks)
-    x = np.stack([apply_standardizer(s, norm).channels for s in stacks]).astype(DTYPE)
+    # one float64 buffer, standardized in place, then cast once
+    x = np.empty((len(history), len(config.channel_names), *domain.shape))
+    for i, r in enumerate(history):
+        x[i] = _stack_for(config, r, domain, track_pairs).channels
+    norm = fit_standardizer(x)
+    x = apply_standardizer(x, norm, out=x).astype(DTYPE)
 
     land = domain.land_mask
     n_land = int(land.sum())

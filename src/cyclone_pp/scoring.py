@@ -9,7 +9,8 @@ y. For a Gaussian N(mu, sigma^2) it collapses to
 
 which is what the training loop differentiates. The quadrature routine
 evaluates the defining integral directly and exists purely as an independent
-cross-check of the closed form.
+cross-check of the closed form; it alone imports ``scipy.integrate``, at its
+first call, so importing this module (and so every CLI stage) does not.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 SQRT_PI = np.sqrt(np.pi)
@@ -83,8 +83,11 @@ def crps_quadrature_oracle(mu: float, sigma: float, y: float) -> float:
     Integrates [F(q) - 1{q >= y}]^2 over a wide truncated range, split at
     the observation so the integrand is smooth on each piece. Slow and
     scalar by design; it is the independent reference the closed form is
-    verified against.
+    verified against. scipy.integrate is imported here, so that only
+    callers of the oracle pay its import cost.
     """
+    from scipy.integrate import quad
+
     sigma = float(_check_sigma(sigma))
     mu = float(mu)
     y = float(y)

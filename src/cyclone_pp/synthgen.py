@@ -20,9 +20,10 @@ order or in parallel with identical results.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -107,12 +108,48 @@ class ScenarioSpec:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioSpec":
-        d = dict(d)
-        d["track_start"] = tuple(d["track_start"])
-        d["track_end"] = tuple(d["track_end"])
-        d["track_bias_deg"] = tuple(d["track_bias_deg"])
-        return cls(**d)
+    def from_dict(cls, d, source="spec") -> "ScenarioSpec":
+        """Inverse of ``to_dict``: every field, and no other key.
+
+        Anything else is a ValueError naming ``source`` and the key.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"{source}: spec is not a JSON object")
+        names = [f.name for f in fields(cls)]
+        unknown = [key for key in d if key not in names]
+        if unknown:
+            raise ValueError(f"{source}: spec has unknown key {unknown[0]!r}")
+        missing = [name for name in names if name not in d]
+        if missing:
+            raise ValueError(f"{source}: spec has no key {', '.join(map(repr, missing))}")
+        kwargs = {f.name: _spec_value(d[f.name], f.default, f"{source}: spec key {f.name!r}")
+                  for f in fields(cls)}
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+
+
+def _number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _spec_value(value, default, where: str):
+    """value checked against its field's default: int, float or pair."""
+    if isinstance(default, tuple):
+        if (isinstance(value, (list, tuple)) and len(value) == len(default)
+                and all(_number(v) for v in value)):
+            return tuple(value)
+        raise ValueError(f"{where} must be a list of {len(default)} finite "
+                         f"numbers, got {value!r}")
+    if isinstance(default, int):
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    if _number(value):
+        return value
+    raise ValueError(f"{where} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -295,10 +332,13 @@ def load_scenario_header(path) -> tuple[ScenarioSpec, GridDomain]:
     """Read just spec.json and domain.txt, leaving report data untouched."""
     path = Path(path)
     doc = read_json(path / "spec.json")
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path / 'spec.json'} is not a JSON object")
     if doc.get("format") != SCENARIO_FORMAT:
         raise ValueError(f"{path} has scenario format {doc.get('format')!r}, "
                          f"not {SCENARIO_FORMAT!r}; generate it again")
-    spec = ScenarioSpec.from_dict(_key(doc, path / "spec.json", "spec"))
+    spec = ScenarioSpec.from_dict(_key(doc, path / "spec.json", "spec"),
+                                  source=path / "spec.json")
     return spec, load_domain_file(path / "domain.txt")
 
 

@@ -73,6 +73,13 @@ class TestNoiseInjection:
         with pytest.raises(ValueError, match=">= 0"):
             inject_noise(r, -0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, report_factory, eta):
+        # nan < 0 is False, so a sign test alone lets NaN through
+        r = report_factory(index=1.0)
+        with pytest.raises(ValueError, match="noise scale must be finite"):
+            inject_noise(r, eta, np.random.default_rng(0))
+
     def test_perturbation_std_tracks_field_std(self, report_factory):
         # Monte Carlo estimate over repeated draws; on a well-scattered
         # field the clamp at zero rarely binds, so the realized noise std

@@ -876,6 +876,46 @@ class TestMalformedLoaderInput:
         assert str(scen / "spec.json") in err and "'spec'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"seed": 1}, "'track_start'"),
+        ([1, 2], "not a JSON object"),
+        ({"spec": [1]}, "not a JSON object"),
+        ({"spec": {"seed": 1}}, "'track_start'"),
+    ])
+    def test_generate_spec_not_a_full_spec(self, tmp_path, capsys, doc, key):
+        spec, out = tmp_path / "spec.json", tmp_path / "g"
+        spec.write_text(json.dumps(doc))
+        assert main(["generate", "--spec", str(spec), "--seed", "2", *GRID,
+                     "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(spec) in err and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [[1], "spec", None])
+    def test_spec_json_not_an_object(self, pipeline, tmp_path, capsys, doc):
+        scen = tmp_path / "scen"
+        shutil.copytree(pipeline["scen"], scen)
+        (scen / "spec.json").write_text(json.dumps(doc))
+        rehash_outputs(scen)
+        out = tmp_path / "aug"
+        assert main(["augment", "--scenario", str(scen), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(scen / "spec.json") in err and "not a JSON object" in err
+        assert not out.exists()
+
+    def test_spec_json_with_a_partial_spec(self, pipeline, tmp_path, capsys):
+        scen = tmp_path / "scen"
+        shutil.copytree(pipeline["scen"], scen)
+        doc = read_json(scen / "spec.json")
+        del doc["spec"]["decay_km"]
+        (scen / "spec.json").write_text(json.dumps(doc))
+        rehash_outputs(scen)
+        out = tmp_path / "aug"
+        assert main(["augment", "--scenario", str(scen), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(scen / "spec.json") in err and "'decay_km'" in err
+        assert not out.exists()
+
     def test_report_meta_without_index(self, pipeline, tmp_path, capsys):
         scen = self.edited(pipeline, tmp_path, "report_0030/meta.json", "index")
         out = tmp_path / "m"
@@ -884,6 +924,31 @@ class TestMalformedLoaderInput:
         err = one_error_line(capsys)
         assert str(scen / "report_0030" / "meta.json") in err and "'index'" in err
         assert not out.exists()
+
+
+class TestEtaMustBeFinite:
+    """--eta is a finite noise scale >= 0, refused by argparse otherwise."""
+
+    @pytest.mark.parametrize("eta", ["nan", "inf", "-inf", "-0.1", "x"])
+    @pytest.mark.parametrize("stage", [
+        ["augment"],
+        ["train", "--variant", "cnn", "--target", TARGET, "--epochs", "1"],
+        ["train", "--variant", "cnn-all", "--target", TARGET, "--epochs", "1"],
+    ], ids=["augment", "train-cnn", "train-cnn-all"])
+    def test_refused_with_exit_2(self, pipeline, tmp_path, capsys, stage, eta):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(stage + ["--scenario", str(pipeline["scen"]), "--eta", eta,
+                          "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--eta" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_is_allowed(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "aug"
+        assert main(["augment", "--scenario", str(pipeline["scen"]), "--eta", "0",
+                     "--out", str(out)]) == 0
+        assert read_json(out / "manifest.json")["config"]["eta"] == 0.0
 
 
 def test_outputs_follow_the_umask(pipeline, tmp_path):

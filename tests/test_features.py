@@ -5,6 +5,7 @@ from cyclone_pp.domain import GridDomain
 from cyclone_pp.features import (
     CHANNEL_NAMES,
     EARTH_RADIUS_KM,
+    N_CHANNELS,
     FeatureStack,
     apply_standardizer,
     assemble_stack,
@@ -131,17 +132,18 @@ class TestAssembleStack:
 
 class TestStandardizer:
     def _stacks(self, small_domain, n=3):
+        """(n, C, H, W) channels of n reports, stacked as training holds them."""
         out = []
         for s in range(n):
             # track stays > 300 km offshore so passed_flag is constant zero
             rep = make_report(s + 1, seed=s, tc_center=(19.5 + 0.2 * s, 126.0 - 0.3 * s))
-            out.append(assemble_stack(rep, small_domain, [rep.tc_center]))
-        return out
+            out.append(assemble_stack(rep, small_domain, [rep.tc_center]).channels)
+        return np.stack(out)
 
     def test_fitted_set_standardized_to_unit_moments(self, small_domain):
-        stacks = self._stacks(small_domain)
-        stats = fit_standardizer(stacks)
-        z = np.stack([apply_standardizer(s, stats).channels for s in stacks])
+        data = self._stacks(small_domain)
+        stats = fit_standardizer(data)
+        z = apply_standardizer(data, stats)
         mean = z.mean(axis=(0, 2, 3))
         std = z.std(axis=(0, 2, 3))
         # passed_flag is constant (all zero) for this far-away track
@@ -150,37 +152,54 @@ class TestStandardizer:
         assert np.all(np.abs(std[~const] - 1.0) < 1e-6)
 
     def test_constant_channel_passthrough(self, small_domain):
-        stacks = self._stacks(small_domain)
-        stats = fit_standardizer(stacks)
-        z = apply_standardizer(stacks[0], stats)
+        data = self._stacks(small_domain)
+        stats = fit_standardizer(data)
+        z = apply_standardizer(data[0], stats)
         flag_idx = CHANNEL_NAMES.index("passed_flag")
         assert stats.std[flag_idx] == 1.0
-        assert np.allclose(z.channels[flag_idx], stacks[0].channels[flag_idx] - stats.mean[flag_idx])
+        assert np.allclose(z[flag_idx], data[0, flag_idx] - stats.mean[flag_idx])
 
     def test_refit_on_standardized_is_identity_stats(self, small_domain):
-        stacks = self._stacks(small_domain)
-        stats = fit_standardizer(stacks)
-        zs = [apply_standardizer(s, stats) for s in stacks]
-        stats2 = fit_standardizer(zs)
+        data = self._stacks(small_domain)
+        stats = fit_standardizer(data)
+        stats2 = fit_standardizer(apply_standardizer(data, stats))
         const = stats.std == 1.0
         assert np.all(np.abs(stats2.mean[~const]) < 1e-9)
         assert np.all(np.abs(stats2.std[~const] - 1.0) < 1e-9)
 
     def test_round_trip(self, small_domain):
-        stacks = self._stacks(small_domain)
-        stats = fit_standardizer(stacks)
-        z = apply_standardizer(stacks[0], stats)
-        back = z.channels * stats.std[:, None, None] + stats.mean[:, None, None]
-        assert np.allclose(back, stacks[0].channels, atol=1e-10)
+        data = self._stacks(small_domain)
+        stats = fit_standardizer(data)
+        z = apply_standardizer(data[0], stats)
+        back = z * stats.std[:, None, None] + stats.mean[:, None, None]
+        assert np.allclose(back, data[0], atol=1e-10)
 
     def test_shape_preserved(self, small_domain):
-        stacks = self._stacks(small_domain)
-        stats = fit_standardizer(stacks)
-        z = apply_standardizer(stacks[0], stats)
-        assert z.channels.shape == stacks[0].channels.shape
-        assert z.channel_names == stacks[0].channel_names
+        data = self._stacks(small_domain)
+        stats = fit_standardizer(data)
+        assert apply_standardizer(data[0], stats).shape == data[0].shape
+        assert apply_standardizer(data, stats).shape == data.shape
 
-    def test_empty_fit_set_errors(self):
-        with pytest.raises(ValueError):
-            fit_standardizer([])
+    def test_in_place_matches_the_copy_bit_for_bit(self, small_domain):
+        data = self._stacks(small_domain)
+        stats = fit_standardizer(data)
+        want = np.stack([(d - stats.mean[:, None, None]) / stats.std[:, None, None]
+                         for d in data])
+        buf = data.copy()
+        assert apply_standardizer(buf, stats, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        assert apply_standardizer(data, stats).tobytes() == want.tobytes()
 
+    def test_channel_count_mismatch_errors(self, small_domain):
+        data = self._stacks(small_domain)
+        stats = fit_standardizer(data)
+        with pytest.raises(ValueError, match="stats cover 25 channels"):
+            apply_standardizer(data[:, :20], stats)
+
+    def test_empty_fit_set_errors(self, small_domain):
+        with pytest.raises(ValueError, match="at least one stack"):
+            fit_standardizer(np.empty((0, N_CHANNELS, *small_domain.shape)))
+
+    def test_fit_needs_a_4d_array(self, small_domain):
+        with pytest.raises(ValueError, match="B, C, H, W"):
+            fit_standardizer(self._stacks(small_domain)[0])

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -77,6 +78,12 @@ class TestModelConfig:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             ModelConfig.for_variant("resnet")
+
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -0.1])
+    def test_noise_scale_must_be_finite_and_non_negative(self, eta):
+        # a NaN here would reach the checkpoint as a bare NaN, not JSON
+        with pytest.raises(ValueError, match="noise scale must be finite"):
+            ModelConfig.for_variant("cnn", noise_scale=eta)
 
     def test_channel_counts(self):
         assert len(ModelConfig.for_variant("fcn").channel_names) == 7
@@ -254,6 +261,27 @@ class TestTrainModel:
                               track_of(tiny_scenario))
         assert np.all(field.sigma > 0)
 
+    def test_features_held_in_one_buffer(self):
+        # Training standardizes one float64 (B, C, H, W) array in place, so
+        # its traced peak stays near two such arrays (the buffer and the
+        # std reduction's temporary) plus the float32 patch rows. Holding
+        # the stacks, their np.stack copy and a standardized list reached
+        # 3.17x at this shape.
+        domain = make_island_domain(n_rows=28, n_cols=24)
+        originals = history_until(generate_scenario(ScenarioSpec(seed=1), domain), 11)
+        history = build_augmented_set(originals, eta=0.05, seed=0).reports
+        cfg = ModelConfig.for_variant("cnn-all", epochs=1)
+        feature_bytes = len(history) * len(cfg.channel_names) * 28 * 24 * 8
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train_model(cfg, history, domain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / feature_bytes <= 2.7
+
 
 class TestFitFold:
     """The training set fit_fold hands to train_model, per variant."""
@@ -342,7 +370,7 @@ class TestFcnLocality:
         from cyclone_pp.models import _stack_for
         from cyclone_pp.features import apply_standardizer
         stack = _stack_for(model.config, rep, tiny_domain, track_of(tiny_scenario))
-        x = apply_standardizer(stack, model.norm).channels[None].astype("float32")
+        x = apply_standardizer(stack.channels, model.norm)[None].astype("float32")
         out = model.net.forward(x)
         perm = np.random.default_rng(8).permutation(x.shape[-1])
         out_perm = model.net.forward(np.ascontiguousarray(x[..., perm]))

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cyclone_pp
 from cyclone_pp.domain import ReportOrigin
 from cyclone_pp.scoring import (
     GaussianField,
@@ -231,3 +238,22 @@ class TestGaussianField:
     def test_crps_method(self):
         f = GaussianField(mu=np.zeros((2, 2)), sigma=np.ones((2, 2)))
         assert f.crps(np.zeros((2, 2)))[0, 0] == pytest.approx(CRPS_0_1_0, abs=1e-6)
+
+
+def test_only_the_oracle_imports_scipy_integrate():
+    # a fresh interpreter: this test process may hold scipy.integrate already
+    script = textwrap.dedent("""
+        import sys
+        import cyclone_pp.cli
+        assert "scipy.integrate" not in sys.modules, "loaded by import cyclone_pp.cli"
+        from cyclone_pp.scoring import crps_gaussian, crps_quadrature_oracle
+        got, want = crps_quadrature_oracle(0, 1, 0.3), crps_gaussian(0, 1, 0.3)
+        assert "scipy.integrate" in sys.modules
+        assert abs(got - want) < 1e-9, (got, want)
+    """)
+    src = str(Path(cyclone_pp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

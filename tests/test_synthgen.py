@@ -78,6 +78,26 @@ class TestSpec:
         spec = ScenarioSpec(seed=9, amplitude_mm=321.0, track_start=(20.0, 125.0))
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"seed": 1}, "'track_start'"),
+        ({**ScenarioSpec().to_dict(), "colour": 1}, "'colour'"),
+        ({**ScenarioSpec().to_dict(), "n_reports": "15"}, "'n_reports'"),
+        ({**ScenarioSpec().to_dict(), "seed": 1.5}, "'seed'"),
+        ({**ScenarioSpec().to_dict(), "seed": True}, "'seed'"),
+        ({**ScenarioSpec().to_dict(), "amplitude_mm": None}, "'amplitude_mm'"),
+        ({**ScenarioSpec().to_dict(), "track_start": 5}, "'track_start'"),
+        ({**ScenarioSpec().to_dict(), "track_end": [25.5]}, "'track_end'"),
+        ({**ScenarioSpec().to_dict(), "track_bias_deg": ["a", 1]}, "'track_bias_deg'"),
+        ([1, 2], "not a JSON object"),
+    ])
+    def test_malformed_dict_names_source_and_key(self, doc, key):
+        with pytest.raises(ValueError, match=f"^where/spec.json: .*{key}"):
+            ScenarioSpec.from_dict(doc, source="where/spec.json")
+
+    def test_integral_floats_are_kept_as_written(self):
+        spec = ScenarioSpec.from_dict({**ScenarioSpec().to_dict(), "amplitude_mm": 550})
+        assert spec.to_dict()["amplitude_mm"] == 550
+
 
 class TestTrack:
     def test_endpoints_and_midpoint(self):
