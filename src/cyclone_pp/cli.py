@@ -99,6 +99,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _noise_scale(text: str) -> float:
     eta = float(text)  # argparse reports a ValueError as an invalid value
     if not (math.isfinite(eta) and eta >= 0):
@@ -232,18 +238,15 @@ def cmd_train(args) -> int:
     if "members" in variants:
         raise ValueError("the members baseline has no trainable parameters; "
                          "run predict with --variant members instead")
-    for v in variants:
-        if v not in TRAINABLE:
-            raise ValueError(f"unknown variant {v!r}; expected one of {TRAINABLE}")
+    configs = [ModelConfig.for_variant(v, epochs=args.epochs,
+                                       noise_scale=args.eta, seed=args.seed)
+               for v in variants]
     _spec, domain = _load_header(stage, args.scenario)
     # fit_fold keeps exactly these: the originals before the target, which
     # must itself exist, or predict would fail later
     originals = _originals(args.scenario, [args.target])
     history = _load_reports(args.scenario, [rdir for k, rdir in originals.items()
                                             if k < args.target])
-    configs = [ModelConfig.for_variant(v, epochs=args.epochs,
-                                       noise_scale=args.eta, seed=args.seed)
-               for v in variants]
 
     def fit(config):
         return fit_fold(config, history, domain, args.target)
@@ -256,7 +259,9 @@ def cmd_train(args) -> int:
         fitted = [fit(c) for c in configs]
 
     config = {"variants": variants, "target": args.target, "epochs": args.epochs,
-              "eta": args.eta, "seed": args.seed}
+              "seed": args.seed}
+    if any(c.use_augmentation for c in configs):
+        config["eta"] = args.eta
     with stage.output("train", config, args.seed) as tmp:
         for model in fitted:
             model.save(tmp / f"model_{model.config.variant}.json")
@@ -399,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="fabricate a synthetic scenario")
     p.add_argument("--spec", help="scenario spec JSON (defaults built in)")
-    p.add_argument("--seed", type=int, default=None, help="override spec seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override spec seed")
     p.add_argument("--rows", type=_positive_int, default=84)
     p.add_argument("--cols", type=_positive_int, default=70)
     p.add_argument("--out", required=True)
@@ -408,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="interpolate + noise-expand a scenario")
     p.add_argument("--scenario", required=True)
     p.add_argument("--eta", type=_noise_scale, default=DEFAULT_NOISE_SCALE)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 
@@ -421,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--eta", type=_noise_scale, default=DEFAULT_NOISE_SCALE)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

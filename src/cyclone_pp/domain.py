@@ -81,8 +81,9 @@ class GridDomain:
             raise ValueError(f"altitude shape {self.altitude.shape} != {(self.n_rows, self.n_cols)}")
         if not np.all(np.isfinite(self.altitude)):
             raise ValueError("altitude must be finite everywhere (use 0 over sea)")
-        if self.cell <= 0:
-            raise ValueError("cell size must be positive")
+        if not (np.all(np.isfinite([self.lat0, self.lon0, self.cell])) and self.cell > 0):
+            raise ValueError(f"origin ({self.lat0}, {self.lon0}) must be finite and "
+                             f"cell size {self.cell} finite and positive")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -222,24 +223,27 @@ def save_domain_file(domain: GridDomain, path) -> None:
 
 
 def load_domain_file(path) -> GridDomain:
-    """Read a domain written by :func:`save_domain_file`."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 5:
-            raise ValueError(f"malformed domain header in {path}")
-        n_rows, n_cols = int(header[0]), int(header[1])
-        lat0, lon0, cell = float(header[2]), float(header[3]), float(header[4])
-        values = np.array(fh.read().split(), dtype=float)
-    if values.size != n_rows * n_cols:
-        raise ValueError(f"expected {n_rows * n_cols} altitude values, got {values.size}")
-    alt = values.reshape(n_rows, n_cols)
-    land = alt != SEA_SENTINEL
-    return GridDomain(
-        n_rows=n_rows,
-        n_cols=n_cols,
-        lat0=lat0,
-        lon0=lon0,
-        cell=cell,
-        land_mask=land,
-        altitude=np.where(land, alt, 0.0),
-    )
+    """Read a domain written by :func:`save_domain_file`; a malformed one is a ValueError."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if len(header) != 5:
+                raise ValueError("malformed domain header")
+            n_rows, n_cols = int(header[0]), int(header[1])
+            lat0, lon0, cell = float(header[2]), float(header[3]), float(header[4])
+            values = np.array(fh.read().split(), dtype=float)
+        if values.size != n_rows * n_cols:
+            raise ValueError(f"expected {n_rows * n_cols} altitude values, got {values.size}")
+        alt = values.reshape(n_rows, n_cols)
+        land = alt != SEA_SENTINEL
+        return GridDomain(
+            n_rows=n_rows,
+            n_cols=n_cols,
+            lat0=lat0,
+            lon0=lon0,
+            cell=cell,
+            land_mask=land,
+            altitude=np.where(land, alt, 0.0),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -45,30 +45,6 @@ class NormStats:
             raise ValueError("std must be > 0 (constant channels are clamped to 1)")
 
 
-@dataclass(frozen=True)
-class FeatureStack:
-    """Raw channel stack for one report."""
-
-    channels: np.ndarray
-    channel_names: tuple[str, ...]
-
-    def __post_init__(self):
-        ch = np.asarray(self.channels, dtype=float)
-        object.__setattr__(self, "channels", ch)
-        object.__setattr__(self, "channel_names", tuple(self.channel_names))
-        if ch.ndim != 3 or ch.shape[0] != len(self.channel_names):
-            raise ValueError(f"channels shape {ch.shape} does not match {len(self.channel_names)} names")
-        if not np.all(np.isfinite(ch)):
-            raise ValueError("feature channels must be finite")
-
-    @property
-    def n_channels(self) -> int:
-        return self.channels.shape[0]
-
-    def channel(self, name: str) -> np.ndarray:
-        return self.channels[self.channel_names.index(name)]
-
-
 def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
     """Great-circle distance on a 6371 km sphere; arguments in degrees."""
     lat1, lon1, lat2, lon2 = (np.radians(np.asarray(a, dtype=float)) for a in (lat1, lon1, lat2, lon2))
@@ -111,9 +87,8 @@ def passed_flag_field(track, domain: GridDomain, radius_km: float = DEFAULT_PASS
     return (min_dist <= radius_km).astype(float)
 
 
-def assemble_stack(report: Report, domain: GridDomain, track,
-                   radius_km: float = DEFAULT_PASSED_RADIUS_KM) -> FeatureStack:
-    """Build the 25-channel stack for one report.
+def assemble_stack(report: Report, domain: GridDomain, track) -> np.ndarray:
+    """The (25, H, W) channel stack of one report, in ``CHANNEL_NAMES`` order.
 
     Geographic channels depend only on the domain; the two dynamic channels
     are recomputed from the report's TC center and the track up to it.
@@ -127,8 +102,8 @@ def assemble_stack(report: Report, domain: GridDomain, track,
     channels[N_MEMBERS + 1] = lat_grid
     channels[N_MEMBERS + 2] = domain.altitude
     channels[N_MEMBERS + 3] = tc_distance_field(domain, report.tc_center)
-    channels[N_MEMBERS + 4] = passed_flag_field(track, domain, radius_km)
-    return FeatureStack(channels=channels, channel_names=CHANNEL_NAMES)
+    channels[N_MEMBERS + 4] = passed_flag_field(track, domain)
+    return channels
 
 
 def fit_standardizer(data: np.ndarray) -> NormStats:

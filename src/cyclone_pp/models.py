@@ -35,13 +35,10 @@ from .domain import GridDomain, Report, ReportOrigin
 from .features import (
     CHANNEL_NAMES,
     N_MEMBERS,
-    FeatureStack,
     NormStats,
     apply_standardizer,
     assemble_stack,
     fit_standardizer,
-    passed_flag_field,
-    tc_distance_field,
 )
 from .neuralnet import (
     DTYPE,
@@ -54,8 +51,8 @@ from .neuralnet import (
     softplus,
 )
 from .scoring import GaussianField, crps_gaussian, crps_gradient, make_weights
+from .storage import record_from_json
 
-VARIANTS = ("members", "fcn", "cnn", "cnn-dyn", "cnn-aug", "cnn-all")
 #: variant -> (use_geo_dyn, use_augmentation); members/fcn take neither
 _VARIANT_FLAGS = {
     "members": (False, False),
@@ -65,9 +62,9 @@ _VARIANT_FLAGS = {
     "cnn-aug": (False, True),
     "cnn-all": (True, True),
 }
+VARIANTS = tuple(_VARIANT_FLAGS)
 
-FCN_CHANNEL_NAMES = ("member_mean", "member_std", "lon", "lat",
-                     "altitude", "dist_tc", "passed_flag")
+FCN_CHANNEL_NAMES = ("member_mean", "member_std", *CHANNEL_NAMES[N_MEMBERS:])
 HIDDEN_MAPS_CNN = 32
 HIDDEN_WIDTH_FCN = 16
 SIGMA_FLOOR_MM = 1e-3
@@ -79,37 +76,34 @@ TARGET_STD_FLOOR_MM = 1.0
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Training recipe for one variant; flags must match its table row."""
+    """Training recipe for one variant; the variant fixes its inputs and training set."""
 
     variant: str
-    use_geo_dyn: bool
-    use_augmentation: bool
     epochs: int = 100
-    lr: float = 0.001
     noise_scale: float = DEFAULT_NOISE_SCALE
     seed: int = 0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        flags = _VARIANT_FLAGS[self.variant]
-        if (self.use_geo_dyn, self.use_augmentation) != flags:
-            raise ValueError(f"variant {self.variant!r} requires "
-                             f"(use_geo_dyn, use_augmentation) == {flags}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
             raise ValueError(f"noise scale must be finite and >= 0, got {self.noise_scale}")
 
     @classmethod
     def for_variant(cls, variant: str, **overrides) -> "ModelConfig":
-        variant = variant.lower()
-        if variant not in _VARIANT_FLAGS:
-            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        geo, aug = _VARIANT_FLAGS[variant]
-        return cls(variant=variant, use_geo_dyn=geo, use_augmentation=aug, **overrides)
+        return cls(variant.lower(), **overrides)
+
+    @property
+    def use_geo_dyn(self) -> bool:
+        return _VARIANT_FLAGS[self.variant][0]
+
+    @property
+    def use_augmentation(self) -> bool:
+        return _VARIANT_FLAGS[self.variant][1]
 
     @property
     def trains(self) -> bool:
@@ -132,8 +126,9 @@ class ModelConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+    def from_dict(cls, d) -> "ModelConfig":
+        """Inverse of ``to_dict``; a missing, unknown or mistyped key is a ValueError."""
+        return record_from_json(cls, d, "config")
 
 
 def predict_members_baseline(report: Report) -> GaussianField:
@@ -164,31 +159,26 @@ def track_through(track_pairs, report: Report) -> list[tuple[float, float]]:
     return track
 
 
-def fcn_features(report: Report, domain: GridDomain, track) -> FeatureStack:
-    """Seven per-cell predictors for the per-grid baseline."""
-    lat_grid, lon_grid = domain.latlon_grids()
-    channels = np.stack([
-        report.members.mean(axis=0),
-        report.members.std(axis=0, ddof=1),
-        lon_grid,
-        lat_grid,
-        domain.altitude,
-        tc_distance_field(domain, report.tc_center),
-        passed_flag_field(track, domain),
-    ])
-    return FeatureStack(channels=channels, channel_names=FCN_CHANNEL_NAMES)
+def fcn_features(report: Report, domain: GridDomain, track) -> np.ndarray:
+    """The (7, H, W) per-cell predictors of the per-grid baseline.
+
+    Member mean and std, then the stack's geographic and dynamic channels.
+    """
+    geo_dyn = assemble_stack(report, domain, track)[N_MEMBERS:]
+    return np.concatenate([[report.members.mean(axis=0),
+                            report.members.std(axis=0, ddof=1)], geo_dyn])
 
 
 def _stack_for(config: ModelConfig, report: Report, domain: GridDomain,
-               track_pairs) -> FeatureStack:
-    track = track_through(track_pairs, report)
+               track_pairs) -> np.ndarray:
+    """The (C, H, W) input channels the variant sees for one report."""
     if config.variant == "fcn":
-        return fcn_features(report, domain, track)
-    stack = assemble_stack(report, domain, track)
+        return fcn_features(report, domain, track_through(track_pairs, report))
     if config.use_geo_dyn:
-        return stack
-    return FeatureStack(channels=stack.channels[:N_MEMBERS],
-                        channel_names=CHANNEL_NAMES[:N_MEMBERS])
+        return assemble_stack(report, domain, track_through(track_pairs, report))
+    if report.members.shape[1:] != domain.shape:
+        raise ValueError(f"member fields {report.members.shape} do not match domain {domain.shape}")
+    return report.members
 
 
 @dataclass
@@ -218,7 +208,7 @@ class TrainedModel:
         only positions at or before the report's index are consulted.
         """
         stack = _stack_for(self.config, report, domain, track_pairs)
-        x = apply_standardizer(stack.channels, self.norm)[None].astype(DTYPE)
+        x = apply_standardizer(stack, self.norm)[None].astype(DTYPE)
         out = self.net.forward(im2col(x, self.net.conv.kernel_size))[0]
         return self._heads_to_field(out)
 
@@ -281,7 +271,7 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
     # one float64 buffer, standardized in place, then cast once
     x = np.empty((len(history), len(config.channel_names), *domain.shape))
     for i, r in enumerate(history):
-        x[i] = _stack_for(config, r, domain, track_pairs).channels
+        x[i] = _stack_for(config, r, domain, track_pairs)
     norm = fit_standardizer(x)
     x = apply_standardizer(x, norm, out=x).astype(DTYPE)
 
@@ -303,7 +293,7 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(int(config.seed), 7, int(fold_key))))
     net = Network(*config.network_shape, rng=rng)
-    opt = Adam(net.parameters(), lr=config.lr)
+    opt = Adam(net.parameters())
     model = TrainedModel(config=config, net=net, norm=norm,
                          target_mean=target_mean, target_std=target_std,
                          grid_shape=domain.shape)

@@ -28,15 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+ADAM_LR = 0.001
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-DEFAULT_LR = 0.001
 
 #: the one floating-point type of network parameters and activations
 DTYPE = np.float32
 
-CHECKPOINT_FORMAT = "cyclone-pp-net/3"
+CHECKPOINT_FORMAT = "cyclone-pp-net/4"
 #: a checkpoint's four arrays, in ``Network.parameters`` order
 CHECKPOINT_ARRAYS = ("conv_kernels", "conv_bias", "head_kernels", "head_bias")
 
@@ -247,19 +247,13 @@ class Network:
 class Adam:
     """Adam with bias correction; one shared step counter.
 
-    Defaults follow the usual (0.9, 0.999, 1e-8) constants with learning
-    rate 0.001. A non-finite gradient aborts training rather than
+    It uses the usual constants: learning rate 0.001, betas (0.9, 0.999)
+    and eps 1e-8. A non-finite gradient aborts training rather than
     poisoning the moment estimates.
     """
 
-    def __init__(self, params, lr: float = DEFAULT_LR,
-                 beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-                 eps: float = ADAM_EPS):
+    def __init__(self, params):
         self.params = list(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
@@ -269,14 +263,14 @@ class Adam:
             if not np.all(np.isfinite(p.grad)):
                 raise TrainingDiverged(f"non-finite gradient in parameter {p.name!r}")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(p.grad)
-            p.value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * p.grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * np.square(p.grad)
+            p.value -= ADAM_LR * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 def _encode_array(a: np.ndarray) -> dict:

@@ -14,9 +14,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import shutil
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +106,53 @@ def write_text(path, text: str) -> None:
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _typed(value, kind, where: str):
+    """value checked against its field's type: a tuple of floats, int, str or float."""
+    if typing.get_origin(kind) is tuple:
+        n = len(typing.get_args(kind))
+        if (isinstance(value, (list, tuple)) and len(value) == n
+                and all(_finite_number(v) for v in value)):
+            return tuple(value)
+        raise ValueError(f"{where} must be a list of {n} finite numbers, got {value!r}")
+    if kind in (int, str):  # isinstance(True, int) holds, but true is no integer here
+        if isinstance(value, kind) and not isinstance(value, bool):
+            return value
+        raise ValueError(f"{where} must be {'an integer' if kind is int else 'a string'}, "
+                         f"got {value!r}")
+    if _finite_number(value):
+        return value
+    raise ValueError(f"{where} must be a finite number, got {value!r}")
+
+
+def record_from_json(cls, doc, where: str):
+    """A dataclass from a JSON object holding every field and no other key.
+
+    Each value must have its field's type. Anything else, and any
+    ValueError of the constructor, is a ValueError starting with
+    ``where`` (say, a file name and the object's role) and naming the key.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    kinds = typing.get_type_hints(cls)  # field name -> type, in field order
+    unknown = [key for key in doc if key not in kinds]
+    if unknown:
+        raise ValueError(f"{where} has unknown key {unknown[0]!r}")
+    missing = [name for name in kinds if name not in doc]
+    if missing:
+        raise ValueError(f"{where} has no key {', '.join(map(repr, missing))}")
+    kwargs = {name: _typed(doc[name], kind, f"{where} key {name!r}")
+              for name, kind in kinds.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 @contextlib.contextmanager

@@ -20,10 +20,9 @@ order or in parallel with identical results.
 
 from __future__ import annotations
 
-import math
 import re
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -38,7 +37,7 @@ from .domain import (
     save_domain_file,
 )
 from .features import tc_distance_field
-from .storage import load_grid_csv, read_json, save_grid_csv, write_json
+from .storage import load_grid_csv, read_json, record_from_json, save_grid_csv, write_json
 
 SCENARIO_FORMAT = "cyclone-pp-scenario/2"
 # island extent in degrees, kept constant across grid resolutions
@@ -99,13 +98,11 @@ class ScenarioSpec:
             raise ValueError("noise scales must be >= 0")
         if self.member_bias <= 0:
             raise ValueError(f"member bias must be positive, got {self.member_bias}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["track_start"] = list(self.track_start)
-        d["track_end"] = list(self.track_end)
-        d["track_bias_deg"] = list(self.track_bias_deg)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d, source="spec") -> "ScenarioSpec":
@@ -113,43 +110,7 @@ class ScenarioSpec:
 
         Anything else is a ValueError naming ``source`` and the key.
         """
-        if not isinstance(d, dict):
-            raise ValueError(f"{source}: spec is not a JSON object")
-        names = [f.name for f in fields(cls)]
-        unknown = [key for key in d if key not in names]
-        if unknown:
-            raise ValueError(f"{source}: spec has unknown key {unknown[0]!r}")
-        missing = [name for name in names if name not in d]
-        if missing:
-            raise ValueError(f"{source}: spec has no key {', '.join(map(repr, missing))}")
-        kwargs = {f.name: _spec_value(d[f.name], f.default, f"{source}: spec key {f.name!r}")
-                  for f in fields(cls)}
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise ValueError(f"{source}: {exc}") from None
-
-
-def _number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _spec_value(value, default, where: str):
-    """value checked against its field's default: int, float or pair."""
-    if isinstance(default, tuple):
-        if (isinstance(value, (list, tuple)) and len(value) == len(default)
-                and all(_number(v) for v in value)):
-            return tuple(value)
-        raise ValueError(f"{where} must be a list of {len(default)} finite "
-                         f"numbers, got {value!r}")
-    if isinstance(default, int):
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise ValueError(f"{where} must be an integer, got {value!r}")
-    if _number(value):
-        return value
-    raise ValueError(f"{where} must be a finite number, got {value!r}")
+        return record_from_json(cls, d, f"{source}: spec")
 
 
 @dataclass(frozen=True)
@@ -194,17 +155,11 @@ def track_positions(spec: ScenarioSpec) -> list[tuple[float, float]]:
     return out
 
 
-def _base_field(spec: ScenarioSpec, domain: GridDomain,
-                tc_center: tuple[float, float]) -> np.ndarray:
-    dist = tc_distance_field(domain, tc_center)
-    terrain = 1.0 + spec.terrain_factor * domain.altitude / 1000.0
-    return spec.amplitude_mm * np.exp(-dist / spec.decay_km) * terrain
-
-
-def _member_base_field(spec: ScenarioSpec, domain: GridDomain,
-                       center: tuple[float, float]) -> np.ndarray:
+def _base_field(spec: ScenarioSpec, domain: GridDomain, center: tuple[float, float],
+                terrain_factor: float) -> np.ndarray:
+    """Noise-free rain around one storm center, enhanced by terrain_factor per km."""
     dist = tc_distance_field(domain, center)
-    terrain = 1.0 + spec.member_terrain_factor * domain.altitude / 1000.0
+    terrain = 1.0 + terrain_factor * domain.altitude / 1000.0
     return spec.amplitude_mm * np.exp(-dist / spec.decay_km) * terrain
 
 
@@ -217,7 +172,7 @@ def truth_distribution(spec: ScenarioSpec, domain: GridDomain,
     """
     if not 1 <= k <= spec.n_reports:
         raise ValueError(f"report index {k} outside 1..{spec.n_reports}")
-    base = _base_field(spec, domain, track_positions(spec)[k - 1])
+    base = _base_field(spec, domain, track_positions(spec)[k - 1], spec.terrain_factor)
     s2 = spec.noise_sigma ** 2
     return base, base * np.sqrt(np.expm1(s2))
 
@@ -249,7 +204,7 @@ def generate_scenario(spec: ScenarioSpec, domain: GridDomain) -> Scenario:
     reports = []
     for k in range(1, spec.n_reports + 1):
         rng = _report_rng(spec.seed, k)
-        base = _base_field(spec, domain, track[k - 1])
+        base = _base_field(spec, domain, track[k - 1], spec.terrain_factor)
         s = spec.noise_sigma
         eps = np.exp(rng.normal(-s * s / 2, s, size=shape)) if s > 0 else np.ones(shape)
         observation = base * eps
@@ -261,7 +216,7 @@ def generate_scenario(spec: ScenarioSpec, domain: GridDomain) -> Scenario:
             jlat, jlon = spec.track_jitter_deg * rng.standard_normal(2)
             center_m = (track[k - 1][0] + blat + jlat,
                         track[k - 1][1] + blon + jlon)
-            base_m = _member_base_field(spec, domain, center_m)
+            base_m = _base_field(spec, domain, center_m, spec.member_terrain_factor)
             zeta = np.exp(rng.normal(-sm * sm / 2, sm, size=shape)) if sm > 0 else 1.0
             jitter = spec.member_noise_mm * rng.standard_normal(shape)
             members[m] = np.maximum(biases[m] * base_m * zeta + jitter, 0.0)

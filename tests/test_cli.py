@@ -197,6 +197,22 @@ class TestTrain:
         assert manifest["config"] == {"variants": ["cnn-all"], "target": 6,
                                       "epochs": 2, "eta": 0.05, "seed": 0}
 
+    @pytest.mark.parametrize("variant", ["fcn", "cnn", "cnn-dyn"])
+    def test_eta_not_recorded_for_variants_that_do_not_augment(self, pipeline,
+                                                               tmp_path, variant):
+        out = tmp_path / "m"
+        assert main(["train", "--scenario", str(pipeline["scen"]),
+                     "--variant", variant, "--target", TARGET, "--epochs", "1",
+                     "--eta", "0.2", "--out", str(out)]) == 0
+        assert "eta" not in verify_manifest(out)["config"]
+
+    def test_eta_recorded_when_one_variant_augments(self, pipeline, tmp_path):
+        out = tmp_path / "m"
+        assert main(["train", "--scenario", str(pipeline["scen"]),
+                     "--all-variants", "--target", TARGET, "--epochs", "1",
+                     "--eta", "0.2", "--out", str(out)]) == 0
+        assert verify_manifest(out)["config"]["eta"] == 0.2
+
     def test_deterministic_across_runs(self, pipeline, tmp_path):
         out = tmp_path / "again"
         assert main(["train", "--scenario", str(pipeline["scen"]),
@@ -380,6 +396,19 @@ class TestPredictChecksCheckpointFold:
         assert self.predict(pipeline, tmp_path / "p", 6, checkpoint=ckpt) == 1
         assert "cyclone-pp-net/2" in one_error_line(capsys)
 
+    def test_third_format_checkpoint_rejected(self, pipeline, tmp_path, capsys):
+        # format 3 stored the variant's flags and a learning rate in its config
+        def to_third(doc):
+            doc["format"] = "cyclone-pp-net/3"
+            doc["meta"]["config"].update(use_geo_dyn=True, use_augmentation=True,
+                                         lr=0.001)
+        ckpt = self.edited_checkpoint(pipeline, tmp_path, to_third)
+        out = tmp_path / "p"
+        assert self.predict(pipeline, out, 6, checkpoint=ckpt) == 1
+        err = one_error_line(capsys)
+        assert "cyclone-pp-net/3" in err and "retrain it" in err and str(ckpt) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["norm_std", "config", "grid_shape", "target"])
     def test_checkpoint_without_meta_key_rejected(self, pipeline, tmp_path, capsys,
                                                   key):
@@ -399,6 +428,28 @@ class TestPredictChecksCheckpointFold:
                                       lambda doc: doc["meta"].update({key: value}))
         assert self.predict(pipeline, tmp_path / "p", 6, checkpoint=ckpt) == 1
         one_error_line(capsys)
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda c: c.pop("epochs"), "'epochs'"),
+        (lambda c: c.pop("variant"), "'variant'"),
+        (lambda c: c.update(lr=0.001), "'lr'"),
+        (lambda c: c.update(use_geo_dyn=True), "'use_geo_dyn'"),
+        (lambda c: c.update(seed="0"), "'seed'"),
+        (lambda c: c.update(epochs=2.0), "'epochs'"),
+        (lambda c: c.update(variant=7), "'variant'"),
+        (lambda c: c.update(noise_scale=None), "'noise_scale'"),
+        (lambda c: c.update(seed=-1), "seed"),
+    ], ids=["no-epochs", "no-variant", "lr", "flag", "str-seed", "float-epochs",
+            "int-variant", "null-noise", "negative-seed"])
+    def test_checkpoint_config_names_file_and_key(self, pipeline, tmp_path, capsys,
+                                                  edit, key):
+        ckpt = self.edited_checkpoint(pipeline, tmp_path,
+                                      lambda doc: edit(doc["meta"]["config"]))
+        out = tmp_path / "p"
+        assert self.predict(pipeline, out, 6, checkpoint=ckpt) == 1
+        err = one_error_line(capsys)
+        assert str(ckpt) in err and key in err
+        assert not out.exists()
 
 
 class TestCausality:
@@ -923,6 +974,63 @@ class TestMalformedLoaderInput:
                      "--target", TARGET, "--epochs", "1", "--out", str(out)]) == 1
         err = one_error_line(capsys)
         assert str(scen / "report_0030" / "meta.json") in err and "'index'" in err
+        assert not out.exists()
+
+
+class TestSeedMustBeNonNegative:
+    """--seed is an integer >= 0, refused by argparse otherwise."""
+
+    @pytest.mark.parametrize("seed", ["-1", "-3", "1.5", "x"])
+    @pytest.mark.parametrize("stage", [
+        ["generate", *GRID],
+        ["augment", "--scenario", "SCEN"],
+        ["train", "--scenario", "SCEN", "--variant", "cnn", "--target", TARGET,
+         "--epochs", "1"],
+    ], ids=["generate", "augment", "train"])
+    def test_refused_with_exit_2(self, pipeline, tmp_path, capsys, stage, seed):
+        out = tmp_path / "o"
+        argv = [str(pipeline["scen"]) if a == "SCEN" else a for a in stage]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", seed, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "--seed" in err
+        assert not out.exists()
+
+    def test_negative_spec_seed_names_file_and_key(self, pipeline, tmp_path, capsys):
+        spec, out = tmp_path / "spec.json", tmp_path / "g"
+        doc = read_json(pipeline["scen"] / "spec.json")
+        doc["spec"]["seed"] = -4
+        spec.write_text(json.dumps(doc))
+        assert main(["generate", "--spec", str(spec), *GRID, "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(spec) in err and "seed" in err
+        assert not out.exists()
+
+
+class TestDomainMustBeFinite:
+    """A domain.txt whose origin or cell size is not finite exits 1."""
+
+    @pytest.mark.parametrize("field,value", [(2, "nan"), (3, "inf"), (4, "nan")],
+                             ids=["lat0", "lon0", "cell"])
+    @pytest.mark.parametrize("stage", [
+        ["predict", "--variant", "members", "--target", TARGET],
+        ["train", "--variant", "cnn", "--target", TARGET, "--epochs", "1"],
+    ], ids=["predict-members", "train-cnn"])
+    def test_refused_naming_the_file(self, pipeline, tmp_path, capsys, stage,
+                                     field, value):
+        scen = tmp_path / "scen"
+        shutil.copytree(pipeline["scen"], scen)
+        lines = (scen / "domain.txt").read_text().splitlines(keepends=True)
+        header = lines[0].split()
+        header[field] = value
+        lines[0] = " ".join(header) + "\n"
+        (scen / "domain.txt").write_text("".join(lines))
+        rehash_outputs(scen)
+        out = tmp_path / "o"
+        assert main(stage + ["--scenario", str(scen), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(scen / "domain.txt") in err and "finite" in err
         assert not out.exists()
 
 

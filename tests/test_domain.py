@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -155,6 +157,14 @@ class TestDomainInvariants:
             GridDomain(n_rows=3, n_cols=3, lat0=0, lon0=0, cell=0.1,
                        land_mask=np.zeros((2, 3), bool), altitude=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("key", ["lat0", "lon0", "cell"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_origin_and_cell_must_be_finite(self, key, value):
+        kwargs = dict(n_rows=2, n_cols=2, lat0=21.0, lon0=120.0, cell=0.1,
+                      land_mask=np.ones((2, 2), bool), altitude=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            GridDomain(**{**kwargs, key: value})
+
 
 class TestDomainFile:
     def test_round_trip(self, small_domain, tmp_path):
@@ -178,6 +188,18 @@ class TestDomainFile:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]))
         with pytest.raises(ValueError):
+            load_domain_file(path)
+
+    @pytest.mark.parametrize("field", [2, 3, 4])
+    def test_non_finite_header_names_the_file(self, small_domain, tmp_path, field):
+        path = tmp_path / "domain.txt"
+        save_domain_file(small_domain, path)
+        lines = path.read_text().splitlines(keepends=True)
+        header = lines[0].split()
+        header[field] = "nan"
+        lines[0] = " ".join(header) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*finite"):
             load_domain_file(path)
 
 

@@ -6,7 +6,6 @@ from cyclone_pp.features import (
     CHANNEL_NAMES,
     EARTH_RADIUS_KM,
     N_CHANNELS,
-    FeatureStack,
     apply_standardizer,
     assemble_stack,
     fit_standardizer,
@@ -94,10 +93,12 @@ class TestAssembleStack:
     def test_shape_and_order(self, small_domain):
         rep = make_report(1, tc_center=(22.5, 122.0))
         stack = assemble_stack(rep, small_domain, [rep.tc_center])
-        assert stack.channels.shape == (25, 6, 5)
-        assert stack.channel_names == CHANNEL_NAMES
-        assert stack.channel_names[0] == "member_1"
-        assert stack.channel_names[-1] == "passed_flag"
+        assert stack.shape == (25, 6, 5) == (len(CHANNEL_NAMES), *small_domain.shape)
+        assert CHANNEL_NAMES[0] == "member_1"
+        assert CHANNEL_NAMES[-1] == "passed_flag"
+        assert np.array_equal(stack[CHANNEL_NAMES.index("member_1")], rep.members[0])
+        assert np.array_equal(stack[CHANNEL_NAMES.index("passed_flag")],
+                              passed_flag_field([rep.tc_center], small_domain))
 
     def test_geo_channels_identical_across_reports(self, small_domain):
         r1 = make_report(1, seed=1, tc_center=(22.0, 123.0))
@@ -105,24 +106,26 @@ class TestAssembleStack:
         s1 = assemble_stack(r1, small_domain, [r1.tc_center])
         s2 = assemble_stack(r2, small_domain, [r1.tc_center, r2.tc_center])
         for name in ("lon", "lat", "altitude"):
-            assert np.array_equal(s1.channel(name), s2.channel(name))
+            i = CHANNEL_NAMES.index(name)
+            assert np.array_equal(s1[i], s2[i])
 
     def test_dist_channel_matches_tc_distance_field(self, small_domain):
         rep = make_report(1, tc_center=(22.5, 122.0))
         stack = assemble_stack(rep, small_domain, [rep.tc_center])
-        assert np.array_equal(stack.channels[23], tc_distance_field(small_domain, rep.tc_center))
+        assert np.array_equal(stack[CHANNEL_NAMES.index("dist_tc")],
+                              tc_distance_field(small_domain, rep.tc_center))
 
     def test_member_channels_carry_fields(self, small_domain):
         rep = make_report(1, seed=9)
         stack = assemble_stack(rep, small_domain, [rep.tc_center])
-        assert np.array_equal(stack.channels[:20], rep.members)
+        assert np.array_equal(stack[:20], rep.members)
 
     def test_operational_scale_shape(self):
         dom = GridDomain(n_rows=84, n_cols=70, lat0=21.375, lon0=119.55, cell=0.05,
                          land_mask=np.zeros((84, 70), bool), altitude=np.zeros((84, 70)))
         rep = make_report(1, shape=(84, 70))
         stack = assemble_stack(rep, dom, [rep.tc_center])
-        assert stack.channels.shape == (25, 84, 70)
+        assert stack.shape == (25, 84, 70)
 
     def test_wrong_grid_rejected(self, small_domain):
         rep = make_report(1, shape=(4, 4))
@@ -137,7 +140,7 @@ class TestStandardizer:
         for s in range(n):
             # track stays > 300 km offshore so passed_flag is constant zero
             rep = make_report(s + 1, seed=s, tc_center=(19.5 + 0.2 * s, 126.0 - 0.3 * s))
-            out.append(assemble_stack(rep, small_domain, [rep.tc_center]).channels)
+            out.append(assemble_stack(rep, small_domain, [rep.tc_center]))
         return np.stack(out)
 
     def test_fitted_set_standardized_to_unit_moments(self, small_domain):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import pytest
 from cyclone_pp.domain import ReportOrigin
 from cyclone_pp.features import CHANNEL_NAMES
 from cyclone_pp.models import (
+    FCN_CHANNEL_NAMES,
     VARIANTS,
     ModelConfig,
     TrainedModel,
@@ -62,18 +64,13 @@ class TestModelConfig:
             "cnn-all": (True, True),
         }
 
-    def test_for_variant_fills_flags(self):
-        # the filled-in flags are the ones the constructor accepts
-        for variant in VARIANTS:
-            cfg = ModelConfig.for_variant(variant)
-            assert ModelConfig(variant, cfg.use_geo_dyn, cfg.use_augmentation) == cfg
+    def test_the_variant_is_the_only_flag(self):
+        # inputs and training set follow from the variant; nothing restates them
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "variant", "epochs", "noise_scale", "seed"]
 
     def test_for_variant_case_insensitive(self):
         assert ModelConfig.for_variant("CNN-All").variant == "cnn-all"
-
-    def test_inconsistent_flags_rejected(self):
-        with pytest.raises(ValueError):
-            ModelConfig(variant="cnn", use_geo_dyn=True, use_augmentation=False)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -84,6 +81,10 @@ class TestModelConfig:
         # a NaN here would reach the checkpoint as a bare NaN, not JSON
         with pytest.raises(ValueError, match="noise scale must be finite"):
             ModelConfig.for_variant("cnn", noise_scale=eta)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ModelConfig.for_variant("cnn", seed=-2)
 
     def test_channel_counts(self):
         assert len(ModelConfig.for_variant("fcn").channel_names) == 7
@@ -104,6 +105,21 @@ class TestModelConfig:
     def test_dict_round_trip(self):
         cfg = ModelConfig.for_variant("cnn-all", seed=9, epochs=12)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.pop("seed"), "config has no key 'seed'"),
+        (lambda d: d.update(lr=0.001), "config has unknown key 'lr'"),
+        (lambda d: d.update(epochs="12"), "config key 'epochs' must be an integer"),
+        (lambda d: d.update(variant=None), "config key 'variant' must be a string"),
+        (lambda d: d.update(noise_scale=float("nan")),
+         "config key 'noise_scale' must be a finite number"),
+        (lambda d: d.update(variant="resnet"), "config: unknown variant 'resnet'"),
+    ])
+    def test_from_dict_names_the_key(self, edit, message):
+        d = ModelConfig.for_variant("cnn-all", seed=9, epochs=12).to_dict()
+        edit(d)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ModelConfig.from_dict(d)
 
 
 class TestMembersBaseline:
@@ -159,13 +175,13 @@ class TestFcnFeatures:
         rep = tiny_scenario.reports[7]
         stack = fcn_features(rep, tiny_domain,
                              track_through(track_of(tiny_scenario), rep))
-        assert stack.channels.shape == (7, *tiny_domain.shape)
-        assert stack.channel_names == ("member_mean", "member_std", "lon",
-                                       "lat", "altitude", "dist_tc",
-                                       "passed_flag")
-        np.testing.assert_allclose(stack.channel("member_mean"),
+        assert stack.shape == (7, *tiny_domain.shape)
+        assert FCN_CHANNEL_NAMES == ("member_mean", "member_std", "lon",
+                                     "lat", "altitude", "dist_tc",
+                                     "passed_flag")
+        np.testing.assert_allclose(stack[FCN_CHANNEL_NAMES.index("member_mean")],
                                    rep.members.mean(axis=0))
-        np.testing.assert_allclose(stack.channel("altitude"),
+        np.testing.assert_allclose(stack[FCN_CHANNEL_NAMES.index("altitude")],
                                    tiny_domain.altitude)
 
 
@@ -370,7 +386,7 @@ class TestFcnLocality:
         from cyclone_pp.models import _stack_for
         from cyclone_pp.features import apply_standardizer
         stack = _stack_for(model.config, rep, tiny_domain, track_of(tiny_scenario))
-        x = apply_standardizer(stack.channels, model.norm)[None].astype("float32")
+        x = apply_standardizer(stack, model.norm)[None].astype("float32")
         out = model.net.forward(x)
         perm = np.random.default_rng(8).permutation(x.shape[-1])
         out_perm = model.net.forward(np.ascontiguousarray(x[..., perm]))
@@ -392,6 +408,25 @@ class TestSaveLoad:
         b = loaded.predict(rep, tiny_domain, track_of(tiny_scenario))
         assert a.mu.tobytes() == b.mu.tobytes()
         assert a.sigma.tobytes() == b.sigma.tobytes()
+
+
+class TestStackFor:
+    """The channels each variant sees: members alone take no geo/dyn fields."""
+
+    @pytest.mark.parametrize("variant", ["cnn", "cnn-aug"])
+    def test_member_variants_see_the_member_fields(self, tiny_scenario, tiny_domain,
+                                                   variant):
+        rep = tiny_scenario.reports[4]
+        stack = models._stack_for(ModelConfig.for_variant(variant), rep, tiny_domain,
+                                  track_of(tiny_scenario))
+        assert stack is rep.members
+
+    @pytest.mark.parametrize("variant", ["fcn", "cnn", "cnn-aug", "cnn-all"])
+    def test_members_of_another_grid_rejected(self, tiny_domain, variant):
+        rep = make_report(3.0, shape=(4, 4))
+        with pytest.raises(ValueError, match="do not match domain"):
+            models._stack_for(ModelConfig.for_variant(variant), rep, tiny_domain,
+                              [(3.0, rep.tc_center)])
 
 
 @pytest.fixture(scope="module")

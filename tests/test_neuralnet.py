@@ -346,7 +346,7 @@ class TestAdam:
         # is -lr * g / (|g| + eps)
         g = np.array([2.0, -0.5, 1e-3])
         p = Parameter(np.zeros(3), grad=g.copy())
-        opt = Adam([p], lr=0.001)
+        opt = Adam([p])
         opt.step()
         expected = -0.001 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(p.value, expected, rtol=1e-12)
@@ -354,7 +354,7 @@ class TestAdam:
     def test_constant_gradient_step_approaches_lr_sign(self):
         g = np.array([0.37, -4.2])
         p = Parameter(np.zeros(2), grad=g.copy())
-        opt = Adam([p], lr=0.001)
+        opt = Adam([p])
         for _ in range(10_000):
             p.grad[:] = g
             before = p.value.copy()
@@ -376,7 +376,7 @@ class TestAdam:
         def run():
             rng = np.random.default_rng(8)
             p = Parameter(rng.normal(size=4))
-            opt = Adam([p], lr=0.01)
+            opt = Adam([p])
             for k in range(50):
                 p.grad[:] = np.sin(p.value + k)
                 opt.step()

@@ -94,6 +94,13 @@ class TestSpec:
         with pytest.raises(ValueError, match=f"^where/spec.json: .*{key}"):
             ScenarioSpec.from_dict(doc, source="where/spec.json")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            ScenarioSpec(seed=-1)
+        with pytest.raises(ValueError, match="^where/spec.json: .*seed"):
+            ScenarioSpec.from_dict({**ScenarioSpec().to_dict(), "seed": -4},
+                                   source="where/spec.json")
+
     def test_integral_floats_are_kept_as_written(self):
         spec = ScenarioSpec.from_dict({**ScenarioSpec().to_dict(), "amplitude_mm": 550})
         assert spec.to_dict()["amplitude_mm"] == 550
