@@ -43,11 +43,9 @@ delta = abs(noisy.members - plain.members).mean()
 print(f"mean |noise copy - original| over member fields: {delta:.3f} mm")
 
 print("\nweights for three plain originals (oldest first):")
-ws = make_weights([1, 2, 3], 3)
-w = ws.weights_for([1, 2, 3])
+w = make_weights([1, 2, 3], 3)
 print(f"  normalized {w.round(4).tolist()}  ratios {(w / w[0]).tolist()}")
 
 print("weights for the six-slot augmented window below target 3:")
-idx = [1.0, 1.0, 1.5, 1.5, 2.0, 2.0]
-w6 = make_weights(idx, 3).weights_for(idx)
+w6 = make_weights([1.0, 1.0, 1.5, 1.5, 2.0, 2.0], 3)
 print(f"  normalized {w6.round(4).tolist()}  ratios {(w6 / w6[0]).tolist()}")

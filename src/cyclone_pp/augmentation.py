@@ -87,19 +87,10 @@ class AugmentedSet:
     """
 
     reports: list[Report] = field(repr=False)
-    noise_scale: float = DEFAULT_NOISE_SCALE
-    seed: int = 0
 
     @property
     def n_original(self) -> int:
         return sum(1 for r in self.reports if r.origin is ReportOrigin.ORIGINAL)
-
-    @property
-    def indices(self) -> list[float]:
-        return [r.index for r in self.reports]
-
-    def __len__(self) -> int:
-        return len(self.reports)
 
 
 def build_augmented_set(originals, eta: float = DEFAULT_NOISE_SCALE, seed: int = 0) -> AugmentedSet:
@@ -123,4 +114,4 @@ def build_augmented_set(originals, eta: float = DEFAULT_NOISE_SCALE, seed: int =
         expanded.append(interpolate_reports(a, b))
     noisy = [inject_noise(r, eta, _noise_rng(seed, r.index)) for r in expanded]
     reports = sorted(expanded + noisy, key=report_sort_key)
-    return AugmentedSet(reports=reports, noise_scale=eta, seed=seed)
+    return AugmentedSet(reports=reports)

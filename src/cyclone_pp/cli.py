@@ -32,6 +32,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -238,9 +239,11 @@ def cmd_train(args) -> int:
     if "members" in variants:
         raise ValueError("the members baseline has no trainable parameters; "
                          "run predict with --variant members instead")
-    configs = [ModelConfig.for_variant(v, epochs=args.epochs,
-                                       noise_scale=args.eta, seed=args.seed)
+    configs = [ModelConfig.for_variant(v, epochs=args.epochs, seed=args.seed)
                for v in variants]
+    # --eta reaches only the checkpoints of variants that augment
+    configs = [replace(c, noise_scale=args.eta) if c.use_augmentation else c
+               for c in configs]
     _spec, domain = _load_header(stage, args.scenario)
     # fit_fold keeps exactly these: the originals before the target, which
     # must itself exist, or predict would fail later

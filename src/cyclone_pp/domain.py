@@ -14,6 +14,8 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
+from .storage import write_text
+
 N_MEMBERS = 20
 
 #: Upper category boundaries in mm; each interval is half-open (a, b].
@@ -216,10 +218,9 @@ def save_domain_file(domain: GridDomain, path) -> None:
     altitude grid with sea cells encoded as -9999.
     """
     alt = np.where(domain.land_mask, domain.altitude, SEA_SENTINEL)
-    with open(path, "w") as fh:
-        fh.write(f"{domain.n_rows} {domain.n_cols} {domain.lat0:.10g} {domain.lon0:.10g} {domain.cell:.10g}\n")
-        for row in alt:
-            fh.write(" ".join(f"{v:.10g}" for v in row) + "\n")
+    lines = [f"{domain.n_rows} {domain.n_cols} {domain.lat0:.10g} {domain.lon0:.10g} {domain.cell:.10g}"]
+    lines += [" ".join(f"{v:.10g}" for v in row) for row in alt]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_domain_file(path) -> GridDomain:

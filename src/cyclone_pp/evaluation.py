@@ -18,20 +18,22 @@ from .storage import write_text
 EXCEEDANCE_THRESHOLD_MM = 200.0
 EXCEEDANCE_CUTOFF = 0.5
 N_RELIABILITY_BINS = 10
+#: every rain category crossed with plain and mountain terrain
+STRATA = tuple((cat, ter) for cat in RainCategory
+               for ter in (TerrainClass.PLAIN, TerrainClass.MOUNTAIN))
 
 
-def exceedance_probability(field: GaussianField, threshold_mm: float = EXCEEDANCE_THRESHOLD_MM) -> np.ndarray:
-    """Per-cell probability that rainfall exceeds ``threshold_mm``.
+def exceedance_probability(field: GaussianField) -> np.ndarray:
+    """Per-cell probability that rainfall exceeds ``EXCEEDANCE_THRESHOLD_MM``.
 
     For a Gaussian forecast this is 1 - Phi((t - mu) / sigma), evaluated
     as Phi((mu - t) / sigma) to stay accurate in the far tail.
     """
-    return ndtr((field.mu - threshold_mm) / field.sigma)
+    return ndtr((field.mu - EXCEEDANCE_THRESHOLD_MM) / field.sigma)
 
 
-def exceedance_map(probabilities: np.ndarray, domain: GridDomain,
-                   cutoff: float = EXCEEDANCE_CUTOFF) -> list[tuple[int, int, float]]:
-    """Land cells whose exceedance probability is above ``cutoff``.
+def exceedance_map(probabilities: np.ndarray, domain: GridDomain) -> list[tuple[int, int, float]]:
+    """Land cells whose exceedance probability is above ``EXCEEDANCE_CUTOFF``.
 
     Returns (row, col, p) triples sorted by descending probability; ties
     break on (row, col) so the listing is reproducible.
@@ -39,7 +41,7 @@ def exceedance_map(probabilities: np.ndarray, domain: GridDomain,
     p = np.asarray(probabilities, dtype=float)
     if p.shape != domain.shape:
         raise ValueError(f"probability grid {p.shape} does not match domain {domain.shape}")
-    rows, cols = np.nonzero(domain.land_mask & (p > cutoff))
+    rows, cols = np.nonzero(domain.land_mask & (p > EXCEEDANCE_CUTOFF))
     entries = [(int(r), int(c), float(p[r, c])) for r, c in zip(rows, cols)]
     entries.sort(key=lambda e: (-e[2], e[0], e[1]))
     return entries
@@ -79,14 +81,14 @@ class ReliabilityBins:
         return int(self.counts.sum())
 
 
-def reliability_diagram(probabilities, observations,
-                        threshold_mm: float = EXCEEDANCE_THRESHOLD_MM,
-                        n_bins: int = N_RELIABILITY_BINS) -> ReliabilityBins:
+def reliability_diagram(probabilities, observations) -> ReliabilityBins:
     """Bin forecast probabilities and tally how often the event verified.
 
     ``probabilities`` and ``observations`` are flattened together; the
-    event is {observation > threshold_mm}. Bins partition [0, 1] evenly
-    with the final bin closed at 1, so every cell lands in exactly one.
+    event is {observation > EXCEEDANCE_THRESHOLD_MM}, the one that
+    :func:`exceedance_probability` forecasts. ``N_RELIABILITY_BINS`` bins
+    partition [0, 1] evenly with the final bin closed at 1, so every cell
+    lands in exactly one.
     """
     p = np.asarray(probabilities, dtype=float).ravel()
     y = np.asarray(observations, dtype=float).ravel()
@@ -94,7 +96,8 @@ def reliability_diagram(probabilities, observations,
         raise ValueError("probabilities and observations must align")
     if p.size and (p.min() < 0 or p.max() > 1):
         raise ValueError("probabilities must lie in [0, 1]")
-    event = y > threshold_mm
+    n_bins = N_RELIABILITY_BINS
+    event = y > EXCEEDANCE_THRESHOLD_MM
     idx = np.minimum((p * n_bins).astype(int), n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
     sum_p = np.bincount(idx, weights=p, minlength=n_bins)
@@ -217,23 +220,18 @@ def _summarize(values: np.ndarray) -> StratumSummary:
                           whisker_hi=float(inside.max()))
 
 
-def crpss_by_stratum(skill: SkillTable, strata=None,
-                     ) -> dict[tuple[RainCategory, TerrainClass], StratumSummary]:
-    """Box summaries of per-cell CRPSS per (rain category, terrain) stratum.
+def crpss_by_stratum(skill: SkillTable) -> dict[tuple[RainCategory, TerrainClass], StratumSummary]:
+    """Box summaries of per-cell CRPSS per stratum of ``STRATA``.
 
-    ``strata`` defaults to every rain category crossed with plain and
-    mountain terrain. Empty strata come back as zero-count summaries
-    rather than being dropped, so downstream tables keep a fixed layout.
+    Empty strata come back as zero-count summaries rather than being
+    dropped, so downstream tables keep a fixed layout.
     """
     if len(skill) == 0:
         raise ValueError("skill table is empty")
-    if strata is None:
-        strata = [(cat, ter) for cat in RainCategory
-                  for ter in (TerrainClass.PLAIN, TerrainClass.MOUNTAIN)]
     out = {}
-    for cat, ter in strata:
+    for cat, ter in STRATA:
         sel = (skill.category == int(cat)) & (skill.terrain == int(ter))
-        out[(RainCategory(cat), TerrainClass(ter))] = _summarize(skill.crpss[sel])
+        out[(cat, ter)] = _summarize(skill.crpss[sel])
     return out
 
 

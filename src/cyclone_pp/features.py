@@ -16,7 +16,7 @@ from .domain import N_MEMBERS, GridDomain, Report
 
 EARTH_RADIUS_KM = 6371.0
 
-DEFAULT_PASSED_RADIUS_KM = 100.0
+PASSED_RADIUS_KM = 100.0
 
 CHANNEL_NAMES = tuple(
     [f"member_{i + 1}" for i in range(N_MEMBERS)]
@@ -72,8 +72,8 @@ def tc_distance_field(domain: GridDomain, tc_center) -> np.ndarray:
     return haversine_km(lat_grid, lon_grid, lat, lon)
 
 
-def passed_flag_field(track, domain: GridDomain, radius_km: float = DEFAULT_PASSED_RADIUS_KM) -> np.ndarray:
-    """1.0 where any track position so far came within radius_km, else 0.0.
+def passed_flag_field(track, domain: GridDomain) -> np.ndarray:
+    """1.0 where any track position so far came within PASSED_RADIUS_KM, else 0.0.
 
     ``track`` is the sequence of TC centers up to and including the current
     report.
@@ -84,7 +84,7 @@ def passed_flag_field(track, domain: GridDomain, radius_km: float = DEFAULT_PASS
     min_dist = np.full(domain.shape, np.inf)
     for center in track:
         np.minimum(min_dist, tc_distance_field(domain, center), out=min_dist)
-    return (min_dist <= radius_km).astype(float)
+    return (min_dist <= PASSED_RADIUS_KM).astype(float)
 
 
 def assemble_stack(report: Report, domain: GridDomain, track) -> np.ndarray:

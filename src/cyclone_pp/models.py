@@ -283,9 +283,7 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
 
     if not track_pairs:
         raise ValueError("history contains no original reports")
-    indices = [r.index for r in history]
-    scheme = make_weights(indices, len(track_pairs))
-    w = scheme.weights_for(indices)  # (B,), sums to 1
+    w = make_weights([r.index for r in history], len(track_pairs))  # (B,), sums to 1
 
     # fold_key decorrelates the parameter draw across rolling-origin folds
     # so a single unlucky initialization cannot taint every target.

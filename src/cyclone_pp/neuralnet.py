@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .storage import write_text
 
 ADAM_LR = 0.001
 ADAM_BETA1 = 0.9
@@ -41,8 +42,8 @@ CHECKPOINT_FORMAT = "cyclone-pp-net/4"
 CHECKPOINT_ARRAYS = ("conv_kernels", "conv_bias", "head_kernels", "head_bias")
 
 
-class TrainingDiverged(RuntimeError):
-    """Raised when a loss or gradient stops being finite."""
+class TrainingDiverged(ValueError):
+    """A loss or gradient stopped being finite; the CLI reports it in one line."""
 
 
 def softplus(x):
@@ -293,10 +294,7 @@ def save_network(path, net: Network, meta: dict | None = None) -> None:
     doc = {"format": CHECKPOINT_FORMAT, "meta": meta or {}}
     for key, p in zip(CHECKPOINT_ARRAYS, net.parameters()):
         doc[key] = _encode_array(p.value)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, sort_keys=True)
-    os.replace(tmp, path)
+    write_text(path, json.dumps(doc, sort_keys=True))
 
 
 def load_network(path) -> tuple[Network, dict]:

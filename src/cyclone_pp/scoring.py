@@ -134,27 +134,8 @@ class GaussianField:
         return crps_gaussian(self.mu, self.sigma, observation)
 
 
-@dataclass(frozen=True)
-class WeightScheme:
-    """Per-report training weights keyed by fractional report index.
-
-    Raw weight doubles with each successive distinct index (oldest = 1),
-    and every report sharing an index (a noise copy and its source) shares
-    the weight. Stored normalized so the weights of all reports that were
-    used to build the scheme sum to 1.
-    """
-
-    weight_by_index: dict[float, float]
-
-    def weights_for(self, indices) -> np.ndarray:
-        try:
-            return np.array([self.weight_by_index[float(i)] for i in indices])
-        except KeyError as e:
-            raise ValueError(f"no weight for report index {e.args[0]}") from e
-
-
-def make_weights(indices, n_original: int) -> WeightScheme:
-    """Build the temporal weight scheme for a list of training-report indices.
+def make_weights(indices, n_original: int) -> np.ndarray:
+    """Temporal training weights of a list of report indices, in list order.
 
     ``indices`` may contain duplicates (noise copies share their source's
     fractional index). Distinct indices sorted ascending get raw weights
@@ -165,24 +146,24 @@ def make_weights(indices, n_original: int) -> WeightScheme:
     idx = [float(i) for i in indices]
     if any(i < 1 or i > n_original for i in idx):
         raise ValueError(f"report indices must lie within [1, {n_original}]")
-    distinct = sorted(set(idx))
-    raw = {d: 2.0 ** rank for rank, d in enumerate(distinct)}
-    total = sum(raw[i] for i in idx)
-    return WeightScheme({d: raw[d] / total for d in distinct})
+    rank = {d: r for r, d in enumerate(sorted(set(idx)))}
+    raw = [2.0 ** rank[i] for i in idx]
+    total = sum(raw)
+    return np.array([r / total for r in raw])
 
 
-def weighted_loss(predictions, reports, weights: WeightScheme, mask: np.ndarray) -> float:
+def weighted_loss(predictions, reports, n_original: int, mask: np.ndarray) -> float:
     """Temporally weighted mean CRPS over masked cells.
 
     Sum over reports of w_r times the mean closed-form CRPS over ``mask``
-    cells, with w_r looked up by the report's fractional index.
+    cells, with w_r from :func:`make_weights` of the reports' indices.
     """
     if len(predictions) != len(reports):
         raise ValueError(f"{len(predictions)} predictions vs {len(reports)} reports")
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("mask selects no cells")
-    w = weights.weights_for([r.index for r in reports])
+    w = make_weights([r.index for r in reports], n_original)
     total = 0.0
     for wr, pred, rep in zip(w, predictions, reports):
         if rep.observation is None:

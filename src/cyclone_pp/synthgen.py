@@ -37,11 +37,20 @@ from .domain import (
     save_domain_file,
 )
 from .features import tc_distance_field
-from .storage import load_grid_csv, read_json, record_from_json, save_grid_csv, write_json
+from .storage import (
+    load_grid_csv,
+    read_json,
+    record_from_json,
+    save_grid_csv,
+    write_json,
+    write_text,
+)
 
 SCENARIO_FORMAT = "cyclone-pp-scenario/2"
-# island extent in degrees, kept constant across grid resolutions
+# island origin and extent in degrees, kept constant across grid resolutions
+ISLAND_LAT0, ISLAND_LON0 = 21.9, 120.0
 ISLAND_EXTENT_LAT = 2.52
+ISLAND_PEAK_M = 3200.0
 _STREAM_REPORT = 101
 _STREAM_BIAS = 9001
 
@@ -119,30 +128,22 @@ class Scenario:
     domain: GridDomain
     reports: list[Report]
 
-    @property
-    def track(self) -> list[tuple[float, float]]:
-        return [r.tc_center for r in self.reports]
 
-
-def make_island_domain(n_rows: int = 84, n_cols: int = 70, lat0: float = 21.9,
-                       lon0: float = 120.0, cell: float | None = None,
-                       peak_altitude_m: float = 3200.0) -> GridDomain:
+def make_island_domain(n_rows: int = 84, n_cols: int = 70) -> GridDomain:
     """Elliptical island with a ridge rising toward its center.
 
     The island's geographic extent stays fixed as the grid is refined or
-    coarsened: cell size defaults to ISLAND_EXTENT_LAT / n_rows, so a
-    28x24 grid covers the same storm at reduced cost as the full 84x70.
+    coarsened: the cell size is ISLAND_EXTENT_LAT / n_rows, so a 28x24
+    grid covers the same storm at reduced cost as the full 84x70.
     """
-    if cell is None:
-        cell = ISLAND_EXTENT_LAT / n_rows
     rows = np.arange(n_rows)[:, None]
     cols = np.arange(n_cols)[None, :]
     r = np.hypot((rows - (n_rows - 1) / 2) / (0.38 * n_rows),
                  (cols - (n_cols - 1) / 2) / (0.22 * n_cols))
     land = r < 1.0
-    altitude = np.where(land, peak_altitude_m * np.maximum(1.0 - r, 0.0) ** 1.6, 0.0)
-    return GridDomain(n_rows=n_rows, n_cols=n_cols, lat0=lat0, lon0=lon0,
-                      cell=cell, land_mask=land, altitude=altitude)
+    altitude = np.where(land, ISLAND_PEAK_M * np.maximum(1.0 - r, 0.0) ** 1.6, 0.0)
+    return GridDomain(n_rows=n_rows, n_cols=n_cols, lat0=ISLAND_LAT0, lon0=ISLAND_LON0,
+                      cell=ISLAND_EXTENT_LAT / n_rows, land_mask=land, altitude=altitude)
 
 
 def track_positions(spec: ScenarioSpec) -> list[tuple[float, float]]:
@@ -260,7 +261,7 @@ def save_scenario(scenario: Scenario, out_dir) -> None:
     track_lines = ["index,lat,lon"]
     for r in scenario.reports:
         track_lines.append(f"{r.index:g},{r.tc_center[0]:.6f},{r.tc_center[1]:.6f}")
-    (out_dir / "track.csv").write_text("\n".join(track_lines) + "\n")
+    write_text(out_dir / "track.csv", "\n".join(track_lines) + "\n")
     for r in scenario.reports:
         rdir = out_dir / report_dirname(r.index, r.origin)
         rdir.mkdir(exist_ok=True)
@@ -343,13 +344,3 @@ def load_track_csv(path) -> list[tuple[float, tuple[float, float]]]:
         out.append((float(idx), (float(lat), float(lon))))
     return out
 
-
-def load_scenario(path) -> Scenario:
-    """Read a scenario directory back; inverse of save_scenario."""
-    path = Path(path)
-    spec, domain = load_scenario_header(path)
-    entries = list_report_dirs(path)
-    reports = [load_report(rdir) for _index, _is_noise, rdir in entries]
-    if not reports:
-        raise FileNotFoundError(f"no report_XXXX directories under {path}")
-    return Scenario(spec=spec, domain=domain, reports=reports)

@@ -5,6 +5,7 @@ import pytest
 
 from cyclone_pp.domain import GridDomain, Report, ReportOrigin
 from cyclone_pp.storage import save_grid_csv
+from cyclone_pp.synthgen import Scenario, list_report_dirs, load_report, load_scenario_header
 
 
 @pytest.fixture
@@ -42,6 +43,13 @@ def make_report(index, shape=(6, 5), origin=ReportOrigin.ORIGINAL, seed=None,
 @pytest.fixture
 def report_factory():
     return make_report
+
+
+def load_scenario(path) -> Scenario:
+    """A saved scenario read back whole: header and every report."""
+    spec, domain = load_scenario_header(path)
+    reports = [load_report(rdir) for _index, _noise, rdir in list_report_dirs(path)]
+    return Scenario(spec=spec, domain=domain, reports=reports)
 
 
 def write_bad_grid(path, kind: str) -> None:

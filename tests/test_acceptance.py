@@ -220,9 +220,8 @@ def test_c3_augmentation_counts_and_index_multiset():
 
 
 def test_c4_temporal_weight_ratios_exact():
-    w3 = make_weights([1, 2, 3], 3).weights_for([1, 2, 3])
-    six = [3.0, 3.0, 3.5, 3.5, 4.0, 4.0]
-    w6 = make_weights(six, 4).weights_for(six)
+    w3 = make_weights([1, 2, 3], 3)
+    w6 = make_weights([3.0, 3.0, 3.5, 3.5, 4.0, 4.0], 4)
     ok = (np.array_equal(w3 / w3[0], [1.0, 2.0, 4.0])
           and np.array_equal(w6 / w6[0], [1.0, 1.0, 2.0, 2.0, 4.0, 4.0])
           and w3.sum() == pytest.approx(1.0) and w6.sum() == pytest.approx(1.0))

@@ -115,12 +115,13 @@ class TestAugmentedSet:
     @pytest.mark.parametrize("n,total", [(2, 6), (3, 10), (5, 18), (15, 58)])
     def test_count_doubles_interleaved_sequence(self, report_factory, n, total):
         aset = build_augmented_set(originals(report_factory, n))
-        assert len(aset) == total == 2 * (2 * n - 1)
+        assert len(aset.reports) == total == 2 * (2 * n - 1)
         assert aset.n_original == n
 
     def test_index_multiset(self, report_factory):
         aset = build_augmented_set(originals(report_factory, 3))
-        assert aset.indices == [1.0, 1.0, 1.5, 1.5, 2.0, 2.0, 2.5, 2.5, 3.0, 3.0]
+        assert [r.index for r in aset.reports] == [1.0, 1.0, 1.5, 1.5, 2.0, 2.0,
+                                                   2.5, 2.5, 3.0, 3.0]
 
     def test_each_index_has_plain_and_noise_copy(self, report_factory):
         aset = build_augmented_set(originals(report_factory, 4))
@@ -178,5 +179,5 @@ class TestAugmentedSet:
     def test_unsorted_input_accepted(self, report_factory):
         reports = originals(report_factory, 4)
         aset = build_augmented_set(list(reversed(reports)), seed=3)
-        assert aset.indices[0] == 1.0
-        assert aset.indices[-1] == 4.0
+        assert aset.reports[0].index == 1.0
+        assert aset.reports[-1].index == 4.0

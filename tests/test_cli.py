@@ -31,7 +31,8 @@ from cyclone_pp.storage import (
     sha256_file,
     verify_manifest,
 )
-from cyclone_pp.synthgen import list_report_dirs, load_report, load_scenario
+from cyclone_pp.synthgen import ScenarioSpec, list_report_dirs, load_report
+from tests.conftest import load_scenario
 
 GRID = ["--rows", "14", "--cols", "12"]
 TARGET = "6"
@@ -212,6 +213,33 @@ class TestTrain:
                      "--all-variants", "--target", TARGET, "--epochs", "1",
                      "--eta", "0.2", "--out", str(out)]) == 0
         assert verify_manifest(out)["config"]["eta"] == 0.2
+
+    @pytest.mark.parametrize("variant", TRAINABLE)
+    def test_eta_reaches_only_checkpoints_that_augment(self, pipeline, tmp_path,
+                                                       variant):
+        checkpoints = []
+        for eta in ("0.05", "0.2"):
+            out = tmp_path / eta
+            assert main(["train", "--scenario", str(pipeline["scen"]),
+                         "--variant", variant, "--target", TARGET, "--epochs", "1",
+                         "--eta", eta, "--out", str(out)]) == 0
+            checkpoints.append((out / f"model_{variant}.json").read_bytes())
+        augments = ModelConfig.for_variant(variant).use_augmentation
+        assert (checkpoints[0] != checkpoints[1]) == augments
+
+    def test_diverged_training_is_one_error_line(self, tmp_path, capsys):
+        spec, scen, out = tmp_path / "spec.json", tmp_path / "scen", tmp_path / "m"
+        spec.write_text(json.dumps({**ScenarioSpec().to_dict(), "amplitude_mm": 1e100}))
+        assert main(["generate", "--spec", str(spec), "--rows", "10", "--cols", "8",
+                     "--out", str(scen)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--scenario", str(scen), "--variant", "cnn",
+                     "--target", TARGET, "--epochs", "2", "--out", str(out)]) == 1
+        # numpy's overflow warnings come first, one plain line each
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if not line.startswith("warning: ")] == [
+            "error: non-finite gradient in parameter 'kernels'"]
+        assert not out.exists()
 
     def test_deterministic_across_runs(self, pipeline, tmp_path):
         out = tmp_path / "again"

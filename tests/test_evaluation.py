@@ -5,6 +5,7 @@ import pytest
 
 from cyclone_pp.domain import RainCategory, TerrainClass
 from cyclone_pp.evaluation import (
+    EXCEEDANCE_CUTOFF,
     ReliabilityBins,
     SkillTable,
     calibration_error,
@@ -31,27 +32,24 @@ def const_field(shape, mu, sigma):
 class TestExceedanceProbability:
     def test_mu_at_threshold_gives_half(self):
         f = const_field((3, 4), 200.0, 30.0)
-        np.testing.assert_allclose(exceedance_probability(f, 200.0), 0.5)
+        np.testing.assert_allclose(exceedance_probability(f), 0.5)
 
     def test_95th_percentile_quantile(self):
         sigma = 17.0
         f = const_field((2, 2), 200.0 + 1.644854 * sigma, sigma)
-        np.testing.assert_allclose(exceedance_probability(f, 200.0), 0.95,
+        np.testing.assert_allclose(exceedance_probability(f), 0.95,
                                    atol=1e-6)
 
     def test_tiny_sigma_below_threshold(self):
         f = const_field((2, 2), 150.0, 1e-9)
-        assert np.all(exceedance_probability(f, 200.0) == 0.0)
+        assert np.all(exceedance_probability(f) == 0.0)
 
-    def test_monotone_in_threshold_and_mu(self):
+    def test_monotone_in_mu(self):
         rng = np.random.default_rng(11)
         f = GaussianField(mu=rng.uniform(0, 400, (5, 5)),
                           sigma=rng.uniform(1, 80, (5, 5)))
-        p_low = exceedance_probability(f, 100.0)
-        p_high = exceedance_probability(f, 250.0)
-        assert np.all(p_high <= p_low)
         bigger = GaussianField(mu=f.mu + 25.0, sigma=f.sigma)
-        assert np.all(exceedance_probability(bigger, 100.0) >= p_low)
+        assert np.all(exceedance_probability(bigger) >= exceedance_probability(f))
 
 
 class TestExceedanceMap:
@@ -68,10 +66,10 @@ class TestExceedanceMap:
     def test_matches_bruteforce_filter(self, small_domain):
         rng = np.random.default_rng(4)
         p = rng.uniform(0, 1, small_domain.shape)
-        entries = exceedance_map(p, small_domain, cutoff=0.6)
+        entries = exceedance_map(p, small_domain)
         expected = {(r, c): p[r, c]
                     for r in range(6) for c in range(5)
-                    if small_domain.land_mask[r, c] and p[r, c] > 0.6}
+                    if small_domain.land_mask[r, c] and p[r, c] > EXCEEDANCE_CUTOFF}
         assert {(r, c) for r, c, _ in entries} == set(expected)
         for r, c, val in entries:
             assert val == expected[(r, c)]
@@ -79,7 +77,7 @@ class TestExceedanceMap:
     def test_sorted_descending(self, small_domain):
         rng = np.random.default_rng(5)
         p = rng.uniform(0, 1, small_domain.shape)
-        entries = exceedance_map(p, small_domain, cutoff=0.0)
+        entries = exceedance_map(p, small_domain)
         probs = [e[2] for e in entries]
         assert probs == sorted(probs, reverse=True)
 
@@ -109,7 +107,7 @@ class TestReliabilityDiagram:
         n = 20000
         p = rng.uniform(0, 1, n)
         y = np.where(rng.uniform(size=n) < p, 300.0, 0.0)
-        bins = reliability_diagram(p, y, threshold_mm=200.0)
+        bins = reliability_diagram(p, y)
         for i in range(len(bins.counts)):
             if bins.counts[i] == 0:
                 continue

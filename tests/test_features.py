@@ -6,6 +6,7 @@ from cyclone_pp.features import (
     CHANNEL_NAMES,
     EARTH_RADIUS_KM,
     N_CHANNELS,
+    PASSED_RADIUS_KM,
     apply_standardizer,
     assemble_stack,
     fit_standardizer,
@@ -67,22 +68,19 @@ class TestTcDistance:
 
 class TestPassedFlag:
     def test_far_track_small_radius_all_zero(self, small_domain):
-        flags = passed_flag_field([(5.0, 150.0)], small_domain, radius_km=50.0)
+        flags = passed_flag_field([(5.0, 150.0)], small_domain)
         assert np.all(flags == 0.0)
 
-    def test_infinite_radius_all_one(self, small_domain):
-        flags = passed_flag_field([(5.0, 150.0)], small_domain, radius_km=np.inf)
-        assert np.all(flags == 1.0)
-
     def test_matches_brute_force_min_distance(self, small_domain):
-        track = [(20.0 + 0.7 * t, 124.0 - 0.5 * t) for t in range(6)]
-        radius = 180.0
-        flags = passed_flag_field(track, small_domain, radius_km=radius)
+        # stops short of the domain, so the radius splits its cells
+        track = [(20.0 + 0.7 * t, 124.0 - 0.5 * t) for t in range(5)]
+        flags = passed_flag_field(track, small_domain)
+        assert 0.0 < flags.mean() < 1.0
         for i in range(small_domain.n_rows):
             for j in range(small_domain.n_cols):
                 cell = cell_center(small_domain, i, j)
                 dmin = min(haversine_km(*cell, *c) for c in track)
-                assert flags[i, j] == (1.0 if dmin <= radius else 0.0)
+                assert flags[i, j] == (1.0 if dmin <= PASSED_RADIUS_KM else 0.0)
 
     def test_empty_track_errors(self, small_domain):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from cyclone_pp.models import (
 )
 from cyclone_pp import models
 from cyclone_pp.augmentation import build_augmented_set
-from cyclone_pp.scoring import make_weights, weighted_loss
+from cyclone_pp.scoring import weighted_loss
 from cyclone_pp.synthgen import ScenarioSpec, generate_scenario, make_island_domain
 
 from conftest import make_report
@@ -212,8 +212,7 @@ class TestTrainModel:
                                 history, tiny_domain)
         track = original_track(history)
         predictions = [untrained.predict(r, tiny_domain, track) for r in history]
-        weights = make_weights([r.index for r in history], len(track))
-        oracle = weighted_loss(predictions, history, weights, tiny_domain.land_mask)
+        oracle = weighted_loss(predictions, history, len(track), tiny_domain.land_mask)
         assert model.loss_history[0] == pytest.approx(oracle, rel=1e-6)
 
     def test_zero_epochs_returns_initialized_model(self, tiny_scenario, tiny_domain):
@@ -342,7 +341,7 @@ class TestFitFold:
     def test_k_past_end_takes_all(self, report_factory):
         originals = [report_factory(index=float(i)) for i in range(1, 5)]
         got = self.chosen("cnn-aug", originals, 5)
-        assert len(got) == len(build_augmented_set(originals))
+        assert len(got) == len(build_augmented_set(originals).reports)
 
     def test_nesting(self, augmented):
         for k in range(3, 6):

@@ -430,6 +430,11 @@ class TestCheckpoint:
         save_network(path, self._net())
         assert [p.name for p in tmp_path.iterdir()] == ["net.json"]
 
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            save_network(tmp_path / "net.json", self._net(), meta={"bad": object()})
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"format": "other/9", "layers": []}')

@@ -117,39 +117,29 @@ class TestCrpsGradient:
 
 class TestWeights:
     def test_three_originals(self):
-        ws = make_weights([1, 2, 3], 3)
-        w = ws.weights_for([1, 2, 3])
+        w = make_weights([1, 2, 3], 3)
         assert np.allclose(w, np.array([1, 2, 4]) / 7)
 
     def test_six_slot_augmented_case(self):
         # subset below k=3: indices {1, 1.5, 2} each with a noise copy
         idx = [1.0, 1.0, 1.5, 1.5, 2.0, 2.0]
-        ws = make_weights(idx, 3)
-        w = ws.weights_for(idx)
+        w = make_weights(idx, 3)
         assert np.allclose(w, np.array([1, 1, 2, 2, 4, 4]) / 14)
 
     def test_single_report(self):
-        ws = make_weights([1], 1)
-        assert ws.weights_for([1]) == pytest.approx([1.0])
+        assert make_weights([1], 1) == pytest.approx([1.0])
 
     def test_weights_sum_to_one_over_reports(self):
         idx = [1.0, 1.0, 1.5, 1.5, 2.0, 2.0, 2.5, 2.5, 3.0, 3.0]
-        ws = make_weights(idx, 4)
-        assert ws.weights_for(idx).sum() == pytest.approx(1.0)
+        assert make_weights(idx, 4).sum() == pytest.approx(1.0)
 
     def test_nondecreasing_in_recency(self):
-        ws = make_weights([1, 1.5, 2, 2.5, 3], 3)
-        w = ws.weights_for([1, 1.5, 2, 2.5, 3])
+        w = make_weights([1, 1.5, 2, 2.5, 3], 3)
         assert np.all(np.diff(w) >= 0)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
             make_weights([1, 2, 5], 3)
-
-    def test_unknown_index_lookup_fails(self):
-        ws = make_weights([1, 2], 2)
-        with pytest.raises(ValueError):
-            ws.weights_for([1.5])
 
 
 class TestWeightedLoss:
@@ -160,8 +150,7 @@ class TestWeightedLoss:
     def test_single_report_is_masked_mean(self, small_domain):
         rep = make_report(1, seed=3)
         pred = self._pred_for(rep, mu_shift=2.0)
-        ws = make_weights([1], 1)
-        loss = weighted_loss([pred], [rep], ws, small_domain.land_mask)
+        loss = weighted_loss([pred], [rep], 1, small_domain.land_mask)
         m = small_domain.land_mask
         expected = float(np.mean(crps_gaussian(pred.mu[m], pred.sigma[m], rep.observation[m])))
         assert loss == pytest.approx(expected)
@@ -169,8 +158,7 @@ class TestWeightedLoss:
     def test_three_report_ratio_1_2_4(self, small_domain):
         reps = [make_report(i, seed=i) for i in (1, 2, 3)]
         preds = [self._pred_for(r, mu_shift=s) for r, s in zip(reps, (1.0, -2.0, 0.5))]
-        ws = make_weights([1, 2, 3], 3)
-        loss = weighted_loss(preds, reps, ws, small_domain.land_mask)
+        loss = weighted_loss(preds, reps, 3, small_domain.land_mask)
         m = small_domain.land_mask
         per = [float(np.mean(crps_gaussian(p.mu[m], p.sigma[m], r.observation[m])))
                for p, r in zip(preds, reps)]
@@ -180,33 +168,30 @@ class TestWeightedLoss:
         # duplicating a report splits its index weight across the two copies
         rep1, rep2 = make_report(1, seed=1), make_report(2, seed=2)
         preds = [self._pred_for(rep1), self._pred_for(rep2)]
-        ws = make_weights([1, 2], 2)
-        base = weighted_loss(preds, [rep1, rep2], ws, small_domain.land_mask)
+        base = weighted_loss(preds, [rep1, rep2], 2, small_domain.land_mask)
         rep2n = make_report(2, seed=2, origin=ReportOrigin.NOISE_INJECTED)
-        ws_dup = make_weights([1, 2, 2], 2)
-        dup = weighted_loss(preds + [preds[1]], [rep1, rep2, rep2n], ws_dup,
+        dup = weighted_loss(preds + [preds[1]], [rep1, rep2, rep2n], 2,
                             small_domain.land_mask)
         assert dup == pytest.approx(base)
 
     def test_reorder_invariance(self, small_domain):
         reps = [make_report(i, seed=i) for i in (1, 2, 3)]
         preds = [self._pred_for(r) for r in reps]
-        ws = make_weights([1, 2, 3], 3)
-        a = weighted_loss(preds, reps, ws, small_domain.land_mask)
+        a = weighted_loss(preds, reps, 3, small_domain.land_mask)
         order = [2, 0, 1]
         b = weighted_loss([preds[i] for i in order], [reps[i] for i in order],
-                          ws, small_domain.land_mask)
+                          3, small_domain.land_mask)
         assert a == pytest.approx(b)
 
     def test_misaligned_lists_error(self, small_domain):
         rep = make_report(1)
         with pytest.raises(ValueError):
-            weighted_loss([], [rep], make_weights([1], 1), small_domain.land_mask)
+            weighted_loss([], [rep], 1, small_domain.land_mask)
 
     def test_empty_mask_error(self, small_domain):
         rep = make_report(1)
         with pytest.raises(ValueError):
-            weighted_loss([self._pred_for(rep)], [rep], make_weights([1], 1),
+            weighted_loss([self._pred_for(rep)], [rep], 1,
                           np.zeros(small_domain.shape, bool))
 
 

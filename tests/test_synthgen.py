@@ -10,13 +10,14 @@ from cyclone_pp.synthgen import (
     Scenario,
     ScenarioSpec,
     generate_scenario,
-    load_scenario,
+    load_scenario_header,
     make_island_domain,
     report_dirname,
     save_scenario,
     track_positions,
     truth_distribution,
 )
+from tests.conftest import load_scenario
 
 REDUCED = dict(n_rows=28, n_cols=24)
 
@@ -364,4 +365,4 @@ class TestScenarioIO:
     def test_load_rejects_junk_dir(self, tmp_path):
         (tmp_path / "spec.json").write_text('{"format": "other"}')
         with pytest.raises(ValueError, match="format"):
-            load_scenario(tmp_path)
+            load_scenario_header(tmp_path)
