@@ -8,6 +8,11 @@
 # Re-running a stage with the same inputs reproduces identical hashes.
 set -euo pipefail
 
+# a source checkout without the installed script runs the module instead
+if ! command -v cyclone-pp >/dev/null; then
+    cyclone-pp() { python3 -m cyclone_pp.cli "$@"; }
+fi
+
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work"

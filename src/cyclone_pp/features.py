@@ -109,8 +109,10 @@ def assemble_stack(report: Report, domain: GridDomain, track) -> np.ndarray:
 def fit_standardizer(data: np.ndarray) -> NormStats:
     """Per-channel mean/std over a (B, C, H, W) fitting array.
 
-    Constant channels keep their mean but have std clamped to 1 so the
-    transform degrades to a pure shift.
+    The std sums squared deviations one stack at a time, in the order of
+    numpy's ``std(axis=(0, 2, 3))``: the same bits, no full-size
+    temporary. Constant channels keep their mean but have std clamped to
+    1 so the transform degrades to a pure shift.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 4:
@@ -118,7 +120,12 @@ def fit_standardizer(data: np.ndarray) -> NormStats:
     if data.shape[0] == 0:
         raise ValueError("need at least one stack to fit")
     mean = data.mean(axis=(0, 2, 3))
-    std = data.std(axis=(0, 2, 3))
+    sq = np.zeros_like(mean)
+    for stack in data:
+        dev = stack - mean[:, None, None]
+        dev *= dev
+        sq += dev.sum(axis=(1, 2))
+    std = np.sqrt(sq / (data.size // mean.size))
     std = np.where(std < _CONST_STD, 1.0, std)
     return NormStats(mean=mean, std=std)
 

@@ -208,8 +208,8 @@ class TrainedModel:
         only positions at or before the report's index are consulted.
         """
         stack = _stack_for(self.config, report, domain, track_pairs)
-        x = apply_standardizer(stack, self.norm)[None].astype(DTYPE)
-        out = self.net.forward(im2col(x, self.net.conv.kernel_size))[0]
+        x = apply_standardizer(stack, self.norm)[None]
+        out = self.net.forward(im2col(x, self.net.conv.kernel_size, dtype=DTYPE))[0]
         return self._heads_to_field(out)
 
     def save(self, path) -> None:
@@ -258,6 +258,8 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
     epoch is one Adam step on the weighted CRPS loss over land cells.
     The patch rows are built once, for land cells only: sea cells carry
     no loss weight, and a land cell's sea neighbours stay in its row.
+    A loss or gradient that stops being finite raises ``TrainingDiverged``,
+    the one report of it: numpy's float warnings in the epochs are off.
     """
     if not config.trains:
         raise ValueError("the members baseline has no trainable parameters")
@@ -268,15 +270,18 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
         raise ValueError("every training report needs an observation")
 
     track_pairs = original_track(history)
-    # one float64 buffer, standardized in place, then cast once
+    land = domain.land_mask
+    n_land = int(land.sum())
+    # one float64 buffer, standardized in place; each stack is cast as
+    # its land patch rows are copied out, then the buffer is dropped
     x = np.empty((len(history), len(config.channel_names), *domain.shape))
     for i, r in enumerate(history):
         x[i] = _stack_for(config, r, domain, track_pairs)
     norm = fit_standardizer(x)
-    x = apply_standardizer(x, norm, out=x).astype(DTYPE)
+    apply_standardizer(x, norm, out=x)
+    patches = im2col(x, config.network_shape[2], mask=land, dtype=DTYPE)
+    del x
 
-    land = domain.land_mask
-    n_land = int(land.sum())
     y = np.stack([r.observation for r in history])[:, land]  # (B, n_land)
     target_mean = float(y.mean())
     target_std = max(float(y.std()), TARGET_STD_FLOOR_MM)
@@ -296,28 +301,28 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
                          target_mean=target_mean, target_std=target_std,
                          grid_shape=domain.shape)
 
-    patches = im2col(x, net.conv.kernel_size, mask=land)
     # per-cell loss scale: w_r / n_land
     cell_w = w[:, None] / n_land
-    for _epoch in range(config.epochs):
-        out = net.forward(patches)[..., 0].astype(float)  # (B, 2, n_land)
-        mu = target_mean + target_std * out[:, 0]
-        raw = out[:, 1]
-        sigma = target_std * softplus(raw) + SIGMA_FLOOR_MM
-        scores = crps_gaussian(mu, sigma, y)
-        loss = float((cell_w * scores).sum())
-        if not np.isfinite(loss):
-            raise TrainingDiverged(
-                f"non-finite training loss at epoch {_epoch} for {config.variant}")
-        model.loss_history.append(loss)
+    with np.errstate(all="ignore"):
+        for _epoch in range(config.epochs):
+            out = net.forward(patches)[..., 0].astype(float)  # (B, 2, n_land)
+            mu = target_mean + target_std * out[:, 0]
+            raw = out[:, 1]
+            sigma = target_std * softplus(raw) + SIGMA_FLOOR_MM
+            scores = crps_gaussian(mu, sigma, y)
+            loss = float((cell_w * scores).sum())
+            if not np.isfinite(loss):
+                raise TrainingDiverged(
+                    f"non-finite training loss at epoch {_epoch} for {config.variant}")
+            model.loss_history.append(loss)
 
-        dmu, dsigma = crps_gradient(mu, sigma, y)
-        grad = np.empty_like(out)
-        grad[:, 0] = cell_w * dmu * target_std
-        grad[:, 1] = cell_w * dsigma * target_std * expit(raw)
-        net.zero_grad()
-        net.backward(grad.astype(DTYPE)[..., None])
-        opt.step()
+            dmu, dsigma = crps_gradient(mu, sigma, y)
+            grad = np.empty_like(out)
+            grad[:, 0] = cell_w * dmu * target_std
+            grad[:, 1] = cell_w * dsigma * target_std * expit(raw)
+            net.zero_grad()
+            net.backward(grad.astype(DTYPE)[..., None])
+            opt.step()
     return model
 
 

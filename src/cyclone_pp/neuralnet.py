@@ -38,7 +38,7 @@ ADAM_EPS = 1e-8
 DTYPE = np.float32
 
 CHECKPOINT_FORMAT = "cyclone-pp-net/4"
-#: a checkpoint's four arrays, in ``Network.parameters`` order
+#: a checkpoint's four arrays: the names of ``Network.parameters``, in order
 CHECKPOINT_ARRAYS = ("conv_kernels", "conv_bias", "head_kernels", "head_bias")
 
 
@@ -60,24 +60,28 @@ def kaiming_init(fan_in: int, shape, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def im2col(x: np.ndarray, kernel, mask: np.ndarray | None = None) -> np.ndarray:
+def im2col(x: np.ndarray, kernel, mask: np.ndarray | None = None,
+           dtype=None) -> np.ndarray:
     """Patch rows of a (B, C, H, W) stack for a (kh, kw) kernel.
 
     Row (b, i, j) holds x[b, :, i:i+kh, j:j+kw] in the kernels' (C, kh,
     kw) order, zero past the bottom and right edges. The result is a
     (B, C*kh*kw, H, W) view of the (B*H*W, C*kh*kw) row matrix. With a
     boolean (H, W) ``mask`` only the R masked cells get rows, in row-major
-    order, and the view is (B, C*kh*kw, R, 1).
+    order, and the view is (B, C*kh*kw, R, 1). The rows are built one
+    batch item at a time and cast to ``dtype`` (default: x's) as they are
+    copied in, so no padded or cast copy of the whole stack exists.
     """
     batch, channels, rows, cols = x.shape
     kh, kw = kernel
-    xp = np.pad(x, ((0, 0), (0, 0), (0, kh - 1), (0, kw - 1)))
-    # (B, H, W, C, kh, kw) windows, copied into rows
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 2, 3, 1, 4, 5)
-    if mask is not None:
-        win = win[:, mask][:, :, None]  # (B, R, 1, C, kh, kw)
-    mat = np.ascontiguousarray(win)
-    return mat.reshape(*mat.shape[:3], -1).transpose(0, 3, 1, 2)
+    grid = (rows, cols) if mask is None else (int(mask.sum()), 1)
+    mat = np.empty((batch, *grid, channels, kh, kw), x.dtype if dtype is None else dtype)
+    for item, out in zip(x, mat):
+        xp = np.pad(item, ((0, 0), (0, kh - 1), (0, kw - 1)))
+        # (H, W, C, kh, kw) windows of one item
+        win = sliding_window_view(xp, (kh, kw), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
+        out[...] = win if mask is None else win[mask][:, None]
+    return mat.reshape(batch, *grid, -1).transpose(0, 3, 1, 2)
 
 
 def _row_matrix(x: np.ndarray) -> np.ndarray:
@@ -180,31 +184,45 @@ class ConvLayer:
 
 
 class SoftplusLayer:
-    """Elementwise softplus; one exp(-|x|) serves it and its derivative."""
+    """Elementwise softplus that keeps only its slope, the logistic.
+
+    Forward works through its input in cache-sized blocks of whole
+    leading-axis items: one exp(-|x|) per block serves the softplus and
+    the logistic, and only the logistic outlives the block. Backward
+    multiplies it by the upstream gradient in place, so each forward
+    serves one backward.
+    """
+
+    #: elements per block (256 KB of float32), in whole items, at least one
+    BLOCK = 1 << 16
 
     def __init__(self):
-        self._x = None
-        self._exp = None
+        self._slope = None
 
     def parameters(self) -> list[Parameter]:
         return []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        self._exp = np.exp(-np.abs(x))
-        out = np.log1p(self._exp)
-        out += np.maximum(x, 0.0)
+        out = np.empty_like(x)
+        self._slope = np.empty_like(x)
+        step = max(1, self.BLOCK * len(x) // max(x.size, 1))
+        for lo in range(0, len(x), step):
+            xb, yb, sb = (a[lo:lo + step] for a in (x, out, self._slope))
+            e = np.exp(-np.abs(xb))
+            np.log1p(e, out=yb)
+            yb += np.maximum(xb, 0.0)
+            # the logistic is 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x)
+            # below; max(exp(-|x|), x >= 0) is that numerator, without a branch
+            np.maximum(e, xb >= 0, out=sb)
+            sb /= 1.0 + e
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._exp is None:
+        if self._slope is None:
             raise RuntimeError("backward called before forward")
-        # the logistic is 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x)
-        # below; max(exp(-|x|), x >= 0) is that numerator, without a branch
-        sig = np.maximum(self._exp, self._x >= 0)
-        sig /= 1.0 + self._exp
-        sig *= grad_out
-        return sig
+        grad, self._slope = self._slope, None
+        grad *= grad_out
+        return grad
 
 
 class Network:
@@ -222,9 +240,11 @@ class Network:
         self.conv = ConvLayer(in_channels, hidden, kernel, rng=rng, input_grad=False)
         self.softplus = SoftplusLayer()
         self.head = ConvLayer(hidden, 2, (1, 1), rng=rng)
-        for layer in (self.conv, self.head):
-            layer.kernels = Parameter(layer.kernels.value.astype(DTYPE), name="kernels")
-            layer.bias = Parameter(layer.bias.value.astype(DTYPE), name="bias")
+        # named by their checkpoint keys, so an error says which layer failed
+        for layer, prefix in ((self.conv, "conv"), (self.head, "head")):
+            layer.kernels = Parameter(layer.kernels.value.astype(DTYPE),
+                                      name=f"{prefix}_kernels")
+            layer.bias = Parameter(layer.bias.value.astype(DTYPE), name=f"{prefix}_bias")
 
     @property
     def shape(self) -> tuple[int, int, tuple[int, int]]:
@@ -292,8 +312,8 @@ def _decode_array(rec: dict) -> np.ndarray:
 def save_network(path, net: Network, meta: dict | None = None) -> None:
     """Write a bit-exact JSON checkpoint (base64 row-major arrays)."""
     doc = {"format": CHECKPOINT_FORMAT, "meta": meta or {}}
-    for key, p in zip(CHECKPOINT_ARRAYS, net.parameters()):
-        doc[key] = _encode_array(p.value)
+    for p in net.parameters():
+        doc[p.name] = _encode_array(p.value)
     write_text(path, json.dumps(doc, sort_keys=True))
 
 

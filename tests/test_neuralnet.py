@@ -96,6 +96,34 @@ class TestSoftplus:
         np.testing.assert_allclose(grad, fd, rtol=1e-6)
         assert grad[1] == 0.5
 
+    @pytest.mark.parametrize("block", [1, 100, 1 << 16])
+    def test_layer_bits_do_not_depend_on_the_block(self, monkeypatch, block):
+        # a conv output: a (batch, width, rows, 1) view of a row matrix
+        rng = np.random.default_rng(7)
+        x = (4 * rng.standard_normal((5 * 9, 6))).astype(DTYPE).reshape(5, 9, 1, 6)
+        x = x.transpose(0, 3, 1, 2)
+        g = rng.standard_normal(x.shape).astype(DTYPE)
+        e = np.exp(-np.abs(x))
+        want = np.log1p(e)
+        want += np.maximum(x, 0.0)
+        slope = np.maximum(e, x >= 0)
+        slope /= 1.0 + e
+        monkeypatch.setattr(SoftplusLayer, "BLOCK", block)
+        layer = SoftplusLayer()
+        out = layer.forward(x)
+        assert out.dtype == DTYPE and out.strides == x.strides
+        assert out.tobytes() == want.tobytes()
+        assert layer.backward(g).tobytes() == (slope * g).tobytes()
+
+    def test_each_forward_serves_one_backward(self):
+        # backward turns the cached slope into the gradient in place
+        layer = SoftplusLayer()
+        x = np.array([[-1.0, 0.0, 2.0]])
+        layer.forward(x)
+        layer.backward(np.ones_like(x))
+        with pytest.raises(RuntimeError, match="before forward"):
+            layer.backward(np.ones_like(x))
+
 
 class TestKaimingInit:
     def test_sample_variance(self):
@@ -144,6 +172,13 @@ class TestIm2col:
         rows = im2col(np.ones((2, 3, 4, 5)), (2, 2), mask)
         matrix = rows.transpose(0, 2, 3, 1).reshape(-1, 12)
         assert np.shares_memory(matrix, rows) and matrix.flags.c_contiguous
+
+    @pytest.mark.parametrize("mask", [None, np.eye(4, 5, dtype=bool)])
+    def test_dtype_casts_like_the_cast_stack(self, mask):
+        x = np.random.default_rng(3).normal(size=(3, 2, 4, 5))
+        rows = im2col(x, (2, 2), mask, dtype=np.float32)
+        assert rows.dtype == np.float32
+        assert rows.tobytes() == im2col(x.astype(np.float32), (2, 2), mask).tobytes()
 
     def test_one_by_one_rows_are_the_channels(self):
         x = np.random.default_rng(2).normal(size=(2, 3, 4, 5))
@@ -312,6 +347,37 @@ class TestNetwork:
         net.forward(im2col(rng.normal(size=(1, 3, 4, 4)).astype(DTYPE), (2, 2)))
         assert net.backward(np.ones((1, 2, 4, 4), dtype=DTYPE)) is None
         assert not net.conv.input_grad and net.conv.kernels.grad.any()
+
+    def test_forward_results_are_independent(self):
+        rng = np.random.default_rng(8)
+        net = Network(3, 4, (2, 2), rng=rng)
+        x = im2col(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2))
+        first = net.forward(x)
+        kept = first.copy()
+        second = net.forward(2 * x)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+
+    def test_backward_leaves_grad_out_untouched(self):
+        rng = np.random.default_rng(9)
+        net = Network(3, 4, (2, 2), rng=rng)
+        net.forward(im2col(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2)))
+        g = rng.normal(size=(2, 2, 4, 4)).astype(DTYPE)
+        kept = g.copy()
+        net.backward(g)
+        assert g.tobytes() == kept.tobytes()
+        layer = SoftplusLayer()
+        layer.forward(rng.normal(size=(2, 4, 4, 4)).astype(DTYPE))
+        g = rng.normal(size=(2, 4, 4, 4)).astype(DTYPE)
+        kept = g.copy()
+        grad = layer.backward(g)
+        assert g.tobytes() == kept.tobytes() and not np.shares_memory(grad, g)
+
+    def test_parameters_are_named_by_checkpoint_key(self):
+        # a divergence error names the layer; a lone conv keeps short names
+        net = Network(3, 4, (2, 2), rng=np.random.default_rng(0))
+        assert tuple(p.name for p in net.parameters()) == CHECKPOINT_ARRAYS
+        assert [p.name for p in ConvLayer(3, 4).parameters()] == ["kernels", "bias"]
 
     def test_parameters_are_float32(self):
         net = Network(3, 4, (2, 2), rng=np.random.default_rng(0))
