@@ -17,9 +17,9 @@ config hash, seed, inputs and a sha256 per output file.
 Each stage hashes exactly the files it opens, chosen by directory name
 before any is read: ``augment`` the original reports, ``train`` the
 originals before the target, ``predict`` the target's forecast fields
-(never its observation), ``evaluate`` its targets' reports. So nothing
-at or after the target informs a prediction, and ``evaluate`` scores
-only predictions of its own ``--scenario``, one per target.
+and the earlier originals' metadata, ``evaluate`` its targets' reports.
+So nothing at or after the target informs a prediction, and ``evaluate``
+scores only predictions of its own ``--scenario``, one per target.
 """
 
 from __future__ import annotations
@@ -69,15 +69,15 @@ from .storage import (
     write_text,
 )
 from .synthgen import (
-    MEMBER_FILES,
     ScenarioSpec,
     Scenario,
     generate_scenario,
     list_report_dirs,
     load_report,
+    load_report_meta,
     load_scenario_header,
-    load_track_csv,
     make_island_domain,
+    report_files,
     save_scenario,
 )
 
@@ -179,25 +179,24 @@ def _originals(scenario_dir, needed=()) -> dict[int, Path]:
     return found
 
 
-def _load_header(stage: _Stage, scenario_dir, *extra):
+def _load_header(stage: _Stage, scenario_dir):
     """Hash-check, record and read a scenario's spec and domain."""
-    manifest = verify_manifest(scenario_dir, ["spec.json", "domain.txt", *extra])
+    manifest = verify_manifest(scenario_dir, ["spec.json", "domain.txt"])
     stage.record("scenario", scenario_dir, manifest_fingerprint(manifest))
     return load_scenario_header(scenario_dir)
 
 
+def _verified(scenario_dir, rdirs, **parts) -> list:
+    """rdirs, once the files ``report_files(**parts)`` names hash-check in each."""
+    verify_manifest(scenario_dir, [f"{rdir.name}/{name}" for rdir in rdirs
+                                   for name in report_files(**parts)])
+    return rdirs
+
+
 def _load_reports(scenario_dir, rdirs, with_observation: bool = True) -> list:
     """Hash-check, then read, the files of each listed report directory."""
-    names = ["meta.json", *MEMBER_FILES] + ["obs.npy"] * with_observation
-    verify_manifest(scenario_dir, [f"{rdir.name}/{name}" for rdir in rdirs
-                                   for name in names])
-    return [load_report(rdir, with_observation) for rdir in rdirs]
-
-
-def _causal_track(scenario_dir, target: int) -> list[tuple[float, tuple[float, float]]]:
-    """Original (integer-index) track positions at or before the target."""
-    track = load_track_csv(Path(scenario_dir) / "track.csv")
-    return [(i, c) for i, c in track if i == int(i) and i <= target]
+    return [load_report(rdir, with_observation) for rdir in
+            _verified(scenario_dir, rdirs, with_observation=with_observation)]
 
 
 def cmd_generate(args) -> int:
@@ -306,11 +305,10 @@ def cmd_predict(args) -> int:
     if args.variant is not None and args.variant.lower() != "members":
         raise ValueError("only the members baseline predicts without a "
                          "checkpoint; train the other variants first")
-    track = [] if args.checkpoint is None else ["track.csv"]
-    _spec, domain = _load_header(stage, args.scenario, *track)
-    target_dir = _originals(args.scenario, [args.target])[args.target]
+    _spec, domain = _load_header(stage, args.scenario)
+    originals = _originals(args.scenario, [args.target])
     # the target's observation is verification data, never an input here
-    [target] = _load_reports(args.scenario, [target_dir], with_observation=False)
+    [target] = _load_reports(args.scenario, [originals[args.target]], with_observation=False)
 
     if args.checkpoint is None:
         variant = "members"
@@ -329,8 +327,11 @@ def cmd_predict(args) -> int:
             raise ValueError("checkpoint trained on a {}x{} grid cannot predict a "
                              "{}x{} scenario".format(*model.grid_shape, *domain.shape))
         variant = model.config.variant
-        track_pairs = _causal_track(args.scenario, args.target)
-        field = model.predict(target, domain, track_pairs)
+        # the track: the metadata alone of each earlier original, then the target
+        earlier = [rdir for k, rdir in originals.items() if k < args.target]
+        track = [(m["index"], m["tc_center"]) for m in map(load_report_meta, _verified(
+            args.scenario, earlier, with_members=False, with_observation=False))]
+        field = model.predict(target, domain, track + [(target.index, target.tc_center)])
 
     with stage.output("predict", {"variant": variant, "target": args.target}) as tmp:
         _write_predictions_csv(tmp / "predictions.csv", field)

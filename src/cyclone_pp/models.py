@@ -250,6 +250,7 @@ class TrainedModel:
         return model
 
 
+@np.errstate(all="ignore")
 def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedModel:
     """Fit one variant on the reports preceding a target.
 
@@ -258,8 +259,9 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
     epoch is one Adam step on the weighted CRPS loss over land cells.
     The patch rows are built once, for land cells only: sea cells carry
     no loss weight, and a land cell's sea neighbours stay in its row.
-    A loss or gradient that stops being finite raises ``TrainingDiverged``,
-    the one report of it: numpy's float warnings in the epochs are off.
+    A mu, sigma, loss or gradient that stops being finite raises
+    ``TrainingDiverged``, the one report of it: numpy's float warnings in
+    the fit are off.
     """
     if not config.trains:
         raise ValueError("the members baseline has no trainable parameters")
@@ -278,6 +280,8 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
     for i, r in enumerate(history):
         x[i] = _stack_for(config, r, domain, track_pairs)
     norm = fit_standardizer(x)
+    if not (np.isfinite(norm.mean).all() and np.isfinite(norm.std).all()):
+        raise ValueError(f"{config.variant} training features overflow float64")
     apply_standardizer(x, norm, out=x)
     patches = im2col(x, config.network_shape[2], mask=land, dtype=DTYPE)
     del x
@@ -303,26 +307,28 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
 
     # per-cell loss scale: w_r / n_land
     cell_w = w[:, None] / n_land
-    with np.errstate(all="ignore"):
-        for _epoch in range(config.epochs):
-            out = net.forward(patches)[..., 0].astype(float)  # (B, 2, n_land)
-            mu = target_mean + target_std * out[:, 0]
-            raw = out[:, 1]
-            sigma = target_std * softplus(raw) + SIGMA_FLOOR_MM
-            scores = crps_gaussian(mu, sigma, y)
-            loss = float((cell_w * scores).sum())
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite training loss at epoch {_epoch} for {config.variant}")
-            model.loss_history.append(loss)
+    for _epoch in range(config.epochs):
+        out = net.forward(patches)[..., 0].astype(float)  # (B, 2, n_land)
+        mu = target_mean + target_std * out[:, 0]
+        raw = out[:, 1]
+        sigma = target_std * softplus(raw) + SIGMA_FLOOR_MM
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise TrainingDiverged(
+                f"non-finite mu or sigma at epoch {_epoch} for {config.variant}")
+        scores = crps_gaussian(mu, sigma, y)
+        loss = float((cell_w * scores).sum())
+        if not np.isfinite(loss):
+            raise TrainingDiverged(
+                f"non-finite training loss at epoch {_epoch} for {config.variant}")
+        model.loss_history.append(loss)
 
-            dmu, dsigma = crps_gradient(mu, sigma, y)
-            grad = np.empty_like(out)
-            grad[:, 0] = cell_w * dmu * target_std
-            grad[:, 1] = cell_w * dsigma * target_std * expit(raw)
-            net.zero_grad()
-            net.backward(grad.astype(DTYPE)[..., None])
-            opt.step()
+        dmu, dsigma = crps_gradient(mu, sigma, y)
+        grad = np.empty_like(out)
+        grad[:, 0] = cell_w * dmu * target_std
+        grad[:, 1] = cell_w * dsigma * target_std * expit(raw)
+        net.zero_grad()
+        net.backward(grad.astype(DTYPE)[..., None])
+        opt.step()
     return model
 
 

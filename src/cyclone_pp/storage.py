@@ -1,6 +1,6 @@
 """File plumbing shared by the pipeline stages.
 
-Grid fields are .npy files (2-D float64, no pickles), metadata is JSON
+Grids are .npy files (2-D or 3-D float64, no pickles), metadata is JSON
 and the tables people read are CSV. Writes go to a temporary path and
 rename into place, so a crashed stage leaves no half-written file or
 directory, and what is left follows the umask. Each stage directory has
@@ -65,29 +65,29 @@ def _atomic_open(path, mode: str = "w"):
 
 
 def save_grid_csv(path, field: np.ndarray) -> None:
-    """Write a 2D field as a float64 .npy file, atomically.
+    """Write a 2-D or 3-D field as a float64 .npy file, atomically.
 
     The bytes depend only on the values, so a saved scenario trains
     bit-identically to one in memory. The name stays for the tracer.
     """
     field = np.ascontiguousarray(field, dtype=np.float64)
-    if field.ndim != 2:
-        raise ValueError(f"expected a 2D field, got shape {field.shape}")
+    if field.ndim not in (2, 3):
+        raise ValueError(f"expected a 2D or 3D field, got shape {field.shape}")
     with _atomic_open(path, "wb") as fh:
         np.save(fh, field, allow_pickle=False)
 
 
 def load_grid_csv(path) -> np.ndarray:
-    """Read a 2D float64 grid written by save_grid_csv (name kept for the tracer).
+    """Read a 2-D or 3-D float64 grid written by save_grid_csv (name kept for the tracer).
 
-    A pickled, truncated, non-2D or non-float64 file is a ValueError.
+    A pickled, truncated or non-float64 file, or another rank, is a ValueError.
     """
     try:
         field = np.load(path, allow_pickle=False)
     except (ValueError, EOFError) as exc:
         raise ValueError(f"{path} is not a .npy grid: {exc}") from exc
-    if not isinstance(field, np.ndarray) or field.ndim != 2 or field.dtype != np.float64:
-        raise ValueError(f"{path} does not hold a 2D float64 grid")
+    if not isinstance(field, np.ndarray) or field.ndim not in (2, 3) or field.dtype != np.float64:
+        raise ValueError(f"{path} does not hold a 2D or 3D float64 grid")
     return field
 
 

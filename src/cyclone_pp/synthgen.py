@@ -43,19 +43,21 @@ from .storage import (
     record_from_json,
     save_grid_csv,
     write_json,
-    write_text,
 )
 
-SCENARIO_FORMAT = "cyclone-pp-scenario/2"
+SCENARIO_FORMAT = "cyclone-pp-scenario/3"
 # island origin and extent in degrees, kept constant across grid resolutions
 ISLAND_LAT0, ISLAND_LON0 = 21.9, 120.0
 ISLAND_EXTENT_LAT = 2.52
 ISLAND_PEAK_M = 3200.0
+# about five times the world's 24 h rain record (1,825 mm); rain near
+# 1e154 mm overflows float64 when the fit squares it
+MAX_AMPLITUDE_MM = 10_000.0
 _STREAM_REPORT = 101
 _STREAM_BIAS = 9001
 
-#: the forecast files of a report directory, beside meta.json and obs.npy
-MEMBER_FILES = tuple(f"member_{m:02d}.npy" for m in range(1, 21))
+# the files of a report directory; report_files() names them to others
+_META, _MEMBERS, _OBS = "meta.json", "members.npy", "obs.npy"
 _REPORT_DIR_RE = re.compile(r"report_(\d{4})(n?)$")
 _EPOCH = datetime(2015, 8, 6, 0, tzinfo=timezone.utc)
 
@@ -99,8 +101,11 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.n_reports < 2:
             raise ValueError(f"need at least 2 reports, got {self.n_reports}")
-        if self.amplitude_mm < 0 or self.decay_km <= 0:
-            raise ValueError("amplitude must be >= 0 and decay length > 0")
+        if not 0 <= self.amplitude_mm <= MAX_AMPLITUDE_MM:
+            raise ValueError(f"'amplitude_mm' must be in [0, {MAX_AMPLITUDE_MM:g}], "
+                             f"got {self.amplitude_mm!r}")
+        if self.decay_km <= 0:
+            raise ValueError(f"'decay_km' must be > 0, got {self.decay_km!r}")
         if min(self.noise_sigma, self.member_bias_spread,
                self.member_noise_sigma, self.member_noise_mm,
                self.track_jitter_deg) < 0:
@@ -252,29 +257,31 @@ def parse_report_dirname(name: str) -> tuple[float, bool] | None:
 
 
 def save_scenario(scenario: Scenario, out_dir) -> None:
-    """Write spec.json, domain.txt, track.csv, and one report_XXXX/ each."""
+    """Write spec.json, domain.txt, and one report_XXXX/ each: the (20, H, W)
+    members.npy, obs.npy and meta.json (index, origin, storm center, time)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "spec.json",
                {"format": SCENARIO_FORMAT, "spec": scenario.spec.to_dict()})
     save_domain_file(scenario.domain, out_dir / "domain.txt")
-    track_lines = ["index,lat,lon"]
-    for r in scenario.reports:
-        track_lines.append(f"{r.index:g},{r.tc_center[0]:.6f},{r.tc_center[1]:.6f}")
-    write_text(out_dir / "track.csv", "\n".join(track_lines) + "\n")
     for r in scenario.reports:
         rdir = out_dir / report_dirname(r.index, r.origin)
         rdir.mkdir(exist_ok=True)
-        for name, member in zip(MEMBER_FILES, r.members, strict=True):
-            save_grid_csv(rdir / name, member)
-        save_grid_csv(rdir / "obs.npy", r.observation)
-        write_json(rdir / "meta.json", {
+        save_grid_csv(rdir / _MEMBERS, r.members)
+        save_grid_csv(rdir / _OBS, r.observation)
+        write_json(rdir / _META, {
             "index": r.index,
             "origin": r.origin.value,
             "tc_lat": r.tc_center[0],
             "tc_lon": r.tc_center[1],
             "valid_time": r.valid_time.isoformat() if r.valid_time else None,
         })
+
+
+def report_files(*, with_members: bool = True, with_observation: bool = True) -> list[str]:
+    """The files of a report directory that load_report opens (meta.json
+    alone is load_report_meta's)."""
+    return [_META] + [_MEMBERS] * with_members + [_OBS] * with_observation
 
 
 def _key(doc: dict, path, key: str):
@@ -315,32 +322,29 @@ def list_report_dirs(path) -> list[tuple[float, bool, Path]]:
     return entries
 
 
-def load_report(rdir, with_observation: bool = True) -> Report:
-    """Read one report directory.
-
-    ``with_observation=False`` skips obs.npy entirely; forecast-only
-    consumers (prediction on a target report) must never open it.
-    """
-    rdir = Path(rdir)
-    meta = read_json(rdir / "meta.json")
-    index, origin, lat, lon = (_key(meta, rdir / "meta.json", key)
+def load_report_meta(rdir) -> dict:
+    """index, origin, tc_center and valid_time from a report's meta.json,
+    as Report keywords; a missing key is a ValueError naming the file."""
+    path = Path(rdir) / _META
+    meta = read_json(path)
+    index, origin, lat, lon = (_key(meta, path, key)
                                for key in ("index", "origin", "tc_lat", "tc_lon"))
     valid_time = meta.get("valid_time")
-    members = np.stack([load_grid_csv(rdir / name) for name in MEMBER_FILES])
-    observation = load_grid_csv(rdir / "obs.npy") if with_observation else None
-    return Report(index=float(index), origin=ReportOrigin(origin), members=members,
-                  observation=observation, tc_center=(lat, lon),
-                  valid_time=datetime.fromisoformat(valid_time) if valid_time else None)
+    return {"index": float(index), "origin": ReportOrigin(origin), "tc_center": (lat, lon),
+            "valid_time": datetime.fromisoformat(valid_time) if valid_time else None}
 
 
-def load_track_csv(path) -> list[tuple[float, tuple[float, float]]]:
-    """(index, (lat, lon)) rows of a track.csv, in file order."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != "index,lat,lon":
-        raise ValueError(f"{path} is not a track file")
-    out = []
-    for line in lines[1:]:
-        idx, lat, lon = line.split(",")
-        out.append((float(idx), (float(lat), float(lon))))
-    return out
+def load_report(rdir, with_observation: bool = True) -> Report:
+    """Read one report directory: meta.json, members.npy and obs.npy.
 
+    ``with_observation=False`` skips obs.npy entirely; forecast-only
+    consumers (prediction on a target report) must never open it. Grids
+    that do not fit a report are a ValueError naming the directory.
+    """
+    rdir = Path(rdir)
+    meta, members = load_report_meta(rdir), load_grid_csv(rdir / _MEMBERS)
+    observation = load_grid_csv(rdir / _OBS) if with_observation else None
+    try:
+        return Report(**meta, members=members, observation=observation)
+    except ValueError as exc:
+        raise ValueError(f"{rdir}: {exc}") from None

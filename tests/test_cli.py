@@ -95,12 +95,17 @@ class TestHelpers:
 class TestGenerate:
     def test_layout_and_manifest(self, pipeline):
         scen = pipeline["scen"]
-        for name in ("spec.json", "domain.txt", "track.csv", "manifest.json"):
+        for name in ("spec.json", "domain.txt", "manifest.json"):
             assert (scen / name).is_file()
+        assert not (scen / "track.csv").exists()
         assert len(list_report_dirs(scen)) == 15
         manifest = verify_manifest(scen)
         assert manifest["stage"] == "generate"
         assert manifest["seed"] == 3
+        # spec.json, domain.txt and three files per report
+        assert len(manifest["outputs"]) == 2 + 3 * 15
+        assert {"report_0070/meta.json", "report_0070/members.npy",
+                "report_0070/obs.npy"} < set(manifest["outputs"])
 
     def test_deterministic_across_runs(self, pipeline, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -122,6 +127,15 @@ class TestGenerate:
         assert err.count("error:") == 1
         assert "positive integer" in err
         assert not (tmp_path / "s").exists()
+
+    def test_absurd_amplitude_refused(self, tmp_path, capsys):
+        spec, out = tmp_path / "spec.json", tmp_path / "s"
+        spec.write_text(json.dumps({**ScenarioSpec().to_dict(), "amplitude_mm": 1e160}))
+        assert main(["generate", "--spec", str(spec), "--rows", "10", "--cols", "8",
+                     "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(spec) in err and "'amplitude_mm'" in err
+        assert not out.exists()
 
     def test_grid_without_land_rejected(self, tmp_path, capsys):
         out = tmp_path / "s"
@@ -152,7 +166,7 @@ class TestAugment:
     def test_corrupt_input_fails_without_output(self, pipeline, tmp_path, capsys):
         broken = tmp_path / "broken"
         shutil.copytree(pipeline["scen"], broken)
-        victim = next(broken.glob("report_0010/member_01.npy"))
+        victim = next(broken.glob("report_0010/members.npy"))
         victim.write_bytes(b"garbage\n")
         out = tmp_path / "aug"
         assert main(["augment", "--scenario", str(broken),
@@ -227,19 +241,33 @@ class TestTrain:
         augments = ModelConfig.for_variant(variant).use_augmentation
         assert (checkpoints[0] != checkpoints[1]) == augments
 
-    def test_diverged_training_is_one_error_line(self, tmp_path, capsys):
-        spec, scen, out = tmp_path / "spec.json", tmp_path / "scen", tmp_path / "m"
-        spec.write_text(json.dumps({**ScenarioSpec().to_dict(), "amplitude_mm": 1e100}))
-        assert main(["generate", "--spec", str(spec), "--rows", "10", "--cols", "8",
-                     "--out", str(scen)]) == 0
+    def train_on_scaled_rain(self, tmp_path, capsys, scale, grids="*") -> list[str]:
+        """train's stderr lines on a 10x8 scenario whose grids are scaled
+        on disk (generate refuses such rain)."""
+        scen, out = tmp_path / "scen", tmp_path / "m"
+        assert main(["generate", "--rows", "10", "--cols", "8", "--out", str(scen)]) == 0
+        for grid in scen.glob(f"report_*/{grids}.npy"):
+            np.save(grid, np.load(grid) * scale)
+        rehash_outputs(scen)
         capsys.readouterr()
         assert main(["train", "--scenario", str(scen), "--variant", "cnn",
                      "--target", TARGET, "--epochs", "2", "--out", str(out)]) == 1
+        assert not out.exists()
+        return capsys.readouterr().err.splitlines()
+
+    def test_diverged_training_is_one_error_line(self, tmp_path, capsys):
         # the fit's own gradient check reports it, naming the checkpoint
         # key, with no numpy float warning before it
-        assert capsys.readouterr().err.splitlines() == [
+        assert self.train_on_scaled_rain(tmp_path, capsys, 1e98) == [
             "error: non-finite gradient in parameter 'conv_kernels'"]
-        assert not out.exists()
+
+    def test_overflowing_rain_is_divergence(self, tmp_path, capsys):
+        # the target's std overflows, so the first sigma is infinite
+        assert self.train_on_scaled_rain(tmp_path, capsys, 1e158, "obs") == [
+            "error: non-finite mu or sigma at epoch 0 for cnn"]
+        # member fields as large overflow the standardizer first
+        assert self.train_on_scaled_rain(tmp_path / "all", capsys, 1e158) == [
+            "error: cnn training features overflow float64"]
 
     def test_deterministic_across_runs(self, pipeline, tmp_path):
         out = tmp_path / "again"
@@ -494,8 +522,7 @@ class TestCausality:
             (rdir / "obs.npy").write_bytes(b"ruined\n")
             if index > 6:
                 (rdir / "meta.json").write_bytes(b"ruined\n")
-                for member in rdir.glob("member_*.npy"):
-                    member.write_bytes(b"ruined\n")
+                (rdir / "members.npy").write_bytes(b"ruined\n")
         return broken
 
     def test_tampering_is_detectable(self, tampered):
@@ -610,8 +637,38 @@ def rehash_outputs(stage_dir) -> None:
     (stage_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
+def earlier_format(src, dst, version: int):
+    """A copy of a generated scenario in the layout an earlier format wrote.
+
+    Both earlier formats kept a track.csv of the centers rounded to
+    %.6f and one file per member; the first wrote %.17g CSV grids
+    (member_01.csv .. member_20.csv, obs.csv), the second .npy grids.
+    """
+    shutil.copytree(src, dst)
+    track = ["index,lat,lon"]
+    for index, _noise, rdir in list_report_dirs(dst):
+        meta = read_json(rdir / "meta.json")
+        track.append(f"{index:g},{meta['tc_lat']:.6f},{meta['tc_lon']:.6f}")
+        grids = [(f"member_{m + 1:02d}", field)
+                 for m, field in enumerate(np.load(rdir / "members.npy"))]
+        grids.append(("obs", np.load(rdir / "obs.npy")))
+        for grid in rdir.glob("*.npy"):
+            grid.unlink()
+        for name, field in grids:
+            if version == 1:
+                np.savetxt(rdir / f"{name}.csv", field, fmt="%.17g", delimiter=",")
+            else:
+                np.save(rdir / f"{name}.npy", field)
+    (dst / "track.csv").write_text("\n".join(track) + "\n")
+    doc = read_json(dst / "spec.json")
+    doc["format"] = f"cyclone-pp-scenario/{version}"
+    (dst / "spec.json").write_text(json.dumps(doc))
+    rehash_outputs(dst)
+    return dst
+
+
 class TestGridFilesRefused:
-    """Scenario grids other than 2D float64 .npy exit 1 with one line."""
+    """Scenario grids other than 2D or 3D float64 .npy exit 1 with one line."""
 
     def augment(self, scen, tmp_path):
         out = tmp_path / "aug"
@@ -620,23 +677,31 @@ class TestGridFilesRefused:
         return code
 
     def test_csv_scenario_of_first_format(self, pipeline, tmp_path, capsys):
-        # the layout the first scenario format wrote: %.17g CSV grids
-        scen = tmp_path / "scen"
-        shutil.copytree(pipeline["scen"], scen)
-        for grid in scen.glob("report_*/*.npy"):
-            np.savetxt(grid.with_suffix(".csv"), np.load(grid), fmt="%.17g",
-                       delimiter=",")
-            grid.unlink()
-        doc = read_json(scen / "spec.json")
-        doc["format"] = "cyclone-pp-scenario/1"
-        (scen / "spec.json").write_text(json.dumps(doc))
-        rehash_outputs(scen)
+        scen = earlier_format(pipeline["scen"], tmp_path / "scen", 1)
+        assert (scen / "report_0030" / "member_20.csv").is_file()
+        assert not list(scen.glob("report_*/*.npy"))
         assert self.augment(scen, tmp_path) == 1
         err = one_error_line(capsys)
         assert "'cyclone-pp-scenario/1'" in err and str(scen) in err
 
+    @pytest.mark.parametrize("stage", ["augment", "train", "predict"])
+    def test_scenario_of_second_format(self, pipeline, tmp_path, capsys, stage):
+        scen = earlier_format(pipeline["scen"], tmp_path / "scen", 2)
+        assert (scen / "report_0030" / "member_20.npy").is_file()
+        out = tmp_path / "out"
+        argv = {"augment": ["augment"],
+                "train": ["train", "--variant", "cnn", "--target", TARGET,
+                          "--epochs", "1"],
+                "predict": ["predict", "--checkpoint", str(pipeline["model"]),
+                            "--target", TARGET]}[stage]
+        assert main(argv + ["--scenario", str(scen), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert "'cyclone-pp-scenario/2'" in err and str(scen) in err
+        assert "'cyclone-pp-scenario/3'; generate it again" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["one_d", "float32", "object", "truncated"])
-    @pytest.mark.parametrize("victim", ["member_07.npy", "obs.npy"])
+    @pytest.mark.parametrize("victim", ["members.npy", "obs.npy"])
     def test_bad_grid(self, pipeline, tmp_path, capsys, bad_grid_writer, bad, victim):
         scen = tmp_path / "scen"
         shutil.copytree(pipeline["scen"], scen)
@@ -647,7 +712,7 @@ class TestGridFilesRefused:
         assert f"report_0030/{victim}" in one_error_line(capsys)
 
 
-REPORT_FILES = ["meta.json", *(f"member_{m:02d}.npy" for m in range(1, 21))]
+REPORT_FILES = ["meta.json", "members.npy"]
 
 
 def report_files(index, with_observation=True):
@@ -723,8 +788,11 @@ class TestStageFiles:
         parsed, hashed = opened_and_hashed(monkeypatch, [
             "predict", "--checkpoint", pipeline["model"], "--scenario", pipeline["aug"],
             "--target", TARGET, "--out", tmp_path / "p"], root)
+        # the track from the metadata of originals 1..6, no grid before
+        # the target and nothing after it
         want = {"model/model_cnn-all.json", "aug/spec.json", "aug/domain.txt",
-                "aug/track.csv"} | {f"aug/{f}" for f in report_files(6, False)}
+                "aug/report_0060/members.npy"} | {
+            f"aug/report_{10 * k:04d}/meta.json" for k in range(1, 7)}
         assert hashed == parsed == want
 
     def test_members_predict_reads_no_track(self, pipeline, tmp_path, monkeypatch):
@@ -771,14 +839,14 @@ class TestEarlierReportFlipped:
     def flipped(self, pipeline, tmp_path):
         scen = tmp_path / "flipped"
         shutil.copytree(pipeline["scen"], scen)
-        flip_byte(scen / "report_0030" / "member_01.npy")
+        flip_byte(scen / "report_0030" / "members.npy")
         return scen
 
     def test_train_fails(self, flipped, tmp_path, capsys):
         out = tmp_path / "m"
         assert main(["train", "--scenario", str(flipped), "--variant", "cnn",
                      "--target", TARGET, "--epochs", "1", "--out", str(out)]) == 1
-        assert "report_0030/member_01.npy" in one_error_line(capsys)
+        assert "report_0030/members.npy" in one_error_line(capsys)
         assert not out.exists()
 
     def test_predict_succeeds_unchanged(self, pipeline, flipped, tmp_path):
@@ -786,6 +854,37 @@ class TestEarlierReportFlipped:
         assert main(["predict", "--checkpoint", str(pipeline["model"]),
                      "--scenario", str(flipped), "--target", TARGET,
                      "--out", str(pred)]) == 0
+        assert ((pred / "predictions.csv").read_bytes()
+                == (pipeline["pred"] / "predictions.csv").read_bytes())
+
+
+class TestReportMetaFlipped:
+    """predict reads the track from the metadata of originals up to its target."""
+
+    def flipped(self, pipeline, tmp_path, rel):
+        scen = tmp_path / "flipped"
+        shutil.copytree(pipeline["scen"], scen)
+        flip_byte(scen / rel, offset=-4)
+        return scen
+
+    def predict(self, pipeline, scen, out):
+        return main(["predict", "--checkpoint", str(pipeline["model"]),
+                     "--scenario", str(scen), "--target", TARGET, "--out", str(out)])
+
+    def test_earlier_meta_fails_predict(self, pipeline, tmp_path, capsys):
+        scen = self.flipped(pipeline, tmp_path, "report_0030/meta.json")
+        out = tmp_path / "p"
+        assert self.predict(pipeline, scen, out) == 1
+        err = one_error_line(capsys)
+        assert "hash mismatch" in err and "report_0030/meta.json" in err
+        assert not out.exists()
+
+    def test_future_meta_leaves_predict_unchanged(self, pipeline, tmp_path):
+        scen = self.flipped(pipeline, tmp_path, "report_0070/meta.json")
+        with pytest.raises(ValueError, match="report_0070/meta.json"):
+            verify_manifest(scen)
+        pred = tmp_path / "p"
+        assert self.predict(pipeline, scen, pred) == 0
         assert ((pred / "predictions.csv").read_bytes()
                 == (pipeline["pred"] / "predictions.csv").read_bytes())
 
@@ -839,7 +938,7 @@ class TestFingerprints:
         before = {name: fingerprint(name)
                   for name in ("scen", "aug", "model", "pred", "base", "eval")}
         if upstream == "scen":
-            flip_byte(tmp_path / "scen" / "report_0030" / "member_01.npy")
+            flip_byte(tmp_path / "scen" / "report_0030" / "members.npy")
             downstream = ["aug", "model", "pred", "base", "eval"]
         else:
             ckpt = tmp_path / "model" / "model_cnn-all.json"

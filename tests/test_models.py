@@ -24,6 +24,7 @@ from cyclone_pp.models import (
 )
 from cyclone_pp import models
 from cyclone_pp.augmentation import build_augmented_set
+from cyclone_pp.neuralnet import TrainingDiverged
 from cyclone_pp.scoring import weighted_loss
 from cyclone_pp.synthgen import ScenarioSpec, generate_scenario, make_island_domain
 
@@ -214,6 +215,30 @@ class TestTrainModel:
         predictions = [untrained.predict(r, tiny_domain, track) for r in history]
         oracle = weighted_loss(predictions, history, len(track), tiny_domain.land_mask)
         assert model.loss_history[0] == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("variant", ["fcn", "cnn"])
+    def test_overflowing_fit_is_divergence(self, tiny_scenario, tiny_domain, variant):
+        # observed rain near 1e160 mm squares past float64 in the target's
+        # std, so the first epoch's sigma is infinite; that is divergence,
+        # not a complaint about crps_gaussian's input
+        history = [dataclasses.replace(r, observation=r.observation * 1e158)
+                   for r in history_until(tiny_scenario, 6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and numpy stays quiet
+            with pytest.raises(TrainingDiverged, match=f"sigma at epoch 0 for {variant}$"):
+                train_model(ModelConfig.for_variant(variant, epochs=2), history,
+                            tiny_domain)
+
+    @pytest.mark.parametrize("variant", ["fcn", "cnn"])
+    def test_overflowing_features_are_refused(self, tiny_scenario, tiny_domain, variant):
+        # members near 1e160 mm would standardize to zero or NaN
+        history = [dataclasses.replace(r, members=r.members * 1e158)
+                   for r in history_until(tiny_scenario, 6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{variant} training features overflow"):
+                train_model(ModelConfig.for_variant(variant, epochs=2), history,
+                            tiny_domain)
 
     def test_zero_epochs_returns_initialized_model(self, tiny_scenario, tiny_domain):
         cfg = ModelConfig.for_variant("cnn", epochs=0, seed=1)

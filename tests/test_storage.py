@@ -38,6 +38,20 @@ class TestGridCsv:
         with pytest.raises(ValueError, match="2D"):
             save_grid_csv(tmp_path / "x.npy", np.zeros(4))
 
+    def test_member_stack_round_trips_exactly(self, tmp_path):
+        stack = np.random.default_rng(3).gamma(2.0, 50.0, size=(20, 7, 5))
+        save_grid_csv(tmp_path / "members.npy", stack)
+        back = load_grid_csv(tmp_path / "members.npy")
+        assert back.shape == (20, 7, 5) and back.dtype == np.float64
+        assert back.tobytes() == stack.tobytes()
+
+    def test_rank_four_refused_both_ways(self, tmp_path):
+        with pytest.raises(ValueError, match="3D"):
+            save_grid_csv(tmp_path / "x.npy", np.zeros((2, 2, 2, 2)))
+        np.save(tmp_path / "x.npy", np.zeros((2, 2, 2, 2)))
+        with pytest.raises(ValueError, match="x.npy"):
+            load_grid_csv(tmp_path / "x.npy")
+
     def test_no_temp_residue(self, tmp_path):
         save_grid_csv(tmp_path / "a.npy", np.zeros((2, 2)))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.npy"]

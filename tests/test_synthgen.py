@@ -6,13 +6,17 @@ import pytest
 from cyclone_pp.domain import RainCategory, ReportOrigin, tabulate_categories
 from cyclone_pp.features import tc_distance_field
 from cyclone_pp.scoring import crps_gaussian
+from cyclone_pp.storage import save_grid_csv
 from cyclone_pp.synthgen import (
     Scenario,
     ScenarioSpec,
     generate_scenario,
+    load_report,
+    load_report_meta,
     load_scenario_header,
     make_island_domain,
     report_dirname,
+    report_files,
     save_scenario,
     track_positions,
     truth_distribution,
@@ -74,6 +78,15 @@ class TestSpec:
     def test_rejects_bad_decay(self):
         with pytest.raises(ValueError):
             ScenarioSpec(decay_km=0.0)
+
+    def test_amplitude_bounded_at_ten_metres(self):
+        assert ScenarioSpec(amplitude_mm=10_000.0).amplitude_mm == 10_000.0
+        for amplitude in (10_000.5, 1e160, -1.0):
+            with pytest.raises(ValueError, match="amplitude_mm"):
+                ScenarioSpec(amplitude_mm=amplitude)
+        with pytest.raises(ValueError, match="^where/spec.json: .*'amplitude_mm'"):
+            ScenarioSpec.from_dict({**ScenarioSpec().to_dict(), "amplitude_mm": 1e160},
+                                   source="where/spec.json")
 
     def test_dict_round_trip(self):
         spec = ScenarioSpec(seed=9, amplitude_mm=321.0, track_start=(20.0, 125.0))
@@ -348,19 +361,40 @@ class TestScenarioIO:
     def test_expected_layout(self, tiny_scenario, tmp_path):
         save_scenario(tiny_scenario, tmp_path / "scen")
         root = tmp_path / "scen"
-        assert (root / "spec.json").is_file()
-        assert (root / "domain.txt").is_file()
-        assert (root / "track.csv").is_file()
+        assert sorted(p.name for p in root.iterdir()) == [
+            "domain.txt", "report_0010", "report_0020", "report_0030", "spec.json"]
         rdir = root / "report_0020"
-        assert (rdir / "obs.npy").is_file()
-        assert (rdir / "meta.json").is_file()
-        assert len(list(rdir.glob("member_*.npy"))) == 20
+        assert sorted(p.name for p in rdir.iterdir()) == ["members.npy", "meta.json",
+                                                          "obs.npy"]
+        members = np.load(rdir / "members.npy")
+        assert members.shape == (20, 12, 10) and members.dtype == np.float64
+        assert members.tobytes() == tiny_scenario.reports[1].members.tobytes()
 
-    def test_track_csv_has_header_and_rows(self, tiny_scenario, tmp_path):
+    def test_report_files_name_what_is_written(self, tiny_scenario, tmp_path):
         save_scenario(tiny_scenario, tmp_path / "scen")
-        lines = (tmp_path / "scen" / "track.csv").read_text().strip().splitlines()
-        assert lines[0] == "index,lat,lon"
-        assert len(lines) == 4
+        rdir = tmp_path / "scen" / "report_0010"
+        assert sorted(report_files()) == sorted(p.name for p in rdir.iterdir())
+        assert report_files(with_observation=False) == ["meta.json", "members.npy"]
+        assert report_files(with_members=False, with_observation=False) == ["meta.json"]
+
+    def test_meta_holds_the_center_bit_for_bit(self, tiny_scenario, tmp_path):
+        save_scenario(tiny_scenario, tmp_path / "scen")
+        for r in tiny_scenario.reports:
+            meta = load_report_meta(tmp_path / "scen" / report_dirname(r.index, r.origin))
+            assert meta == {"index": r.index, "origin": r.origin,
+                            "tc_center": r.tc_center, "valid_time": r.valid_time}
+
+    @pytest.mark.parametrize("victim,shape", [("members.npy", (12, 10)),
+                                              ("members.npy", (19, 12, 10)),
+                                              ("obs.npy", (1, 12, 10))])
+    def test_grid_of_wrong_shape_names_the_report(self, tiny_scenario, tmp_path,
+                                                  victim, shape):
+        save_scenario(tiny_scenario, tmp_path / "scen")
+        rdir = tmp_path / "scen" / "report_0010"
+        save_grid_csv(rdir / victim, np.ones(shape))
+        with pytest.raises(ValueError, match="report_0010") as exc:
+            load_report(rdir)
+        assert "\n" not in str(exc.value)
 
     def test_load_rejects_junk_dir(self, tmp_path):
         (tmp_path / "spec.json").write_text('{"format": "other"}')
