@@ -71,6 +71,7 @@ from .storage import (
 from .synthgen import (
     ScenarioSpec,
     Scenario,
+    check_report_grid,
     generate_scenario,
     list_report_dirs,
     load_report,
@@ -193,10 +194,11 @@ def _verified(scenario_dir, rdirs, **parts) -> list:
     return rdirs
 
 
-def _load_reports(scenario_dir, rdirs, with_observation: bool = True) -> list:
-    """Hash-check, then read, the files of each listed report directory."""
-    return [load_report(rdir, with_observation) for rdir in
-            _verified(scenario_dir, rdirs, with_observation=with_observation)]
+def _load_reports(scenario_dir, rdirs, domain, with_observation: bool = True) -> list:
+    """Hash-check, then read, the files of each listed report directory;
+    a grid of another shape than the domain's is refused, naming its file."""
+    return [check_report_grid(load_report(rdir, with_observation), rdir, domain.shape)
+            for rdir in _verified(scenario_dir, rdirs, with_observation=with_observation)]
 
 
 def cmd_generate(args) -> int:
@@ -221,7 +223,7 @@ def cmd_generate(args) -> int:
 def cmd_augment(args) -> int:
     stage = _Stage(args.out)
     spec, domain = _load_header(stage, args.scenario)
-    originals = _load_reports(args.scenario, _originals(args.scenario).values())
+    originals = _load_reports(args.scenario, _originals(args.scenario).values(), domain)
     augset = build_augmented_set(originals, eta=args.eta, seed=args.seed)
     augmented = Scenario(spec=spec, domain=domain, reports=list(augset.reports))
     config = {"eta": args.eta, "seed": args.seed, "n_original": augset.n_original}
@@ -248,7 +250,7 @@ def cmd_train(args) -> int:
     # must itself exist, or predict would fail later
     originals = _originals(args.scenario, [args.target])
     history = _load_reports(args.scenario, [rdir for k, rdir in originals.items()
-                                            if k < args.target])
+                                            if k < args.target], domain)
 
     def fit(config):
         return fit_fold(config, history, domain, args.target)
@@ -308,7 +310,8 @@ def cmd_predict(args) -> int:
     _spec, domain = _load_header(stage, args.scenario)
     originals = _originals(args.scenario, [args.target])
     # the target's observation is verification data, never an input here
-    [target] = _load_reports(args.scenario, [originals[args.target]], with_observation=False)
+    [target] = _load_reports(args.scenario, [originals[args.target]], domain,
+                             with_observation=False)
 
     if args.checkpoint is None:
         variant = "members"
@@ -368,7 +371,7 @@ def cmd_evaluate(args) -> int:
     if missing:
         raise ValueError(f"no predictions supplied for targets {missing}")
     originals = _originals(args.scenario, targets)
-    reports = _load_reports(args.scenario, [originals[k] for k in targets])
+    reports = _load_reports(args.scenario, [originals[k] for k in targets], domain)
 
     tables, pooled_p, pooled_y, maps = [], [], [], {}
     for k, target_rep in zip(targets, reports):

@@ -106,26 +106,34 @@ def assemble_stack(report: Report, domain: GridDomain, track) -> np.ndarray:
     return channels
 
 
-def fit_standardizer(data: np.ndarray) -> NormStats:
-    """Per-channel mean/std over a (B, C, H, W) fitting array.
+def fit_standardizer(stacks) -> NormStats:
+    """Per-channel mean/std over B (C, H, W) float stacks.
 
-    The std sums squared deviations one stack at a time, in the order of
-    numpy's ``std(axis=(0, 2, 3))``: the same bits, no full-size
-    temporary. Constant channels keep their mean but have std clamped to
-    1 so the transform degrades to a pure shift.
+    ``stacks`` is a (B, C, H, W) array or a list of equal-shaped stacks,
+    so a fit needs no (B, C, H, W) buffer. The sums for the mean and for
+    the std's squared deviations are taken one stack at a time, in the
+    order of numpy's ``mean``/``std(axis=(0, 2, 3))``: the same bits, and
+    no temporary larger than one stack. Constant channels keep their mean
+    but have std clamped to 1 so the transform degrades to a pure shift.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 4:
-        raise ValueError(f"need a (B, C, H, W) array to fit, got shape {data.shape}")
-    if data.shape[0] == 0:
+    shapes = {np.shape(s) for s in stacks}
+    if len(shapes) > 1 or any(len(s) != 3 for s in shapes):
+        found = np.shape(stacks) if len(shapes) == 1 else sorted(shapes)
+        raise ValueError(f"need (B, C, H, W) equal-shaped stacks to fit, got {found}")
+    if not shapes:
         raise ValueError("need at least one stack to fit")
-    mean = data.mean(axis=(0, 2, 3))
+    channels, rows, cols = shapes.pop()
+    count = len(stacks) * rows * cols
+    total = np.zeros(channels)
+    for stack in stacks:
+        total += stack.sum(axis=(1, 2))
+    mean = total / count
     sq = np.zeros_like(mean)
-    for stack in data:
+    for stack in stacks:
         dev = stack - mean[:, None, None]
         dev *= dev
         sq += dev.sum(axis=(1, 2))
-    std = np.sqrt(sq / (data.size // mean.size))
+    std = np.sqrt(sq / count)
     std = np.where(std < _CONST_STD, 1.0, std)
     return NormStats(mean=mean, std=std)
 

@@ -20,6 +20,11 @@ t_std * out0 and sigma = t_std * softplus(out1) + floor, where t_mean /
 t_std summarize the training observations over land. Without this
 rescaling a freshly initialized network sits hundreds of mm from the
 data and 100 fixed-rate epochs cannot close the gap.
+
+A fit holds each training report until its input stack is built, and
+each stack until its standardized land rows are in the float32 patch
+matrix; there is no (B, C, H, W) buffer. The epochs then hold the
+patch rows and the network's three reused hidden-size arrays.
 """
 
 from __future__ import annotations
@@ -250,7 +255,6 @@ class TrainedModel:
         return model
 
 
-@np.errstate(all="ignore")
 def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedModel:
     """Fit one variant on the reports preceding a target.
 
@@ -259,44 +263,66 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
     epoch is one Adam step on the weighted CRPS loss over land cells.
     The patch rows are built once, for land cells only: sea cells carry
     no loss weight, and a land cell's sea neighbours stay in its row.
+
+    The fit copies the list and leaves the caller's as it is. In its own
+    list each report gives way to its input stack, and each stack to its
+    standardized land rows in the float32 patch matrix; no (B, C, H, W)
+    buffer exists. So a report that nobody else holds, such as the
+    derived reports ``fit_fold`` hands over, is freed as soon as its
+    stack is built, and a stack as soon as its rows are copied.
+
     A mu, sigma, loss or gradient that stops being finite raises
     ``TrainingDiverged``, the one report of it: numpy's float warnings in
     the fit are off.
     """
     if not config.trains:
         raise ValueError("the members baseline has no trainable parameters")
-    history = list(history)
-    if not history:
+    reports = list(history)
+    del history  # a list handed over held the last reference to its reports
+    if not reports:
         raise ValueError("history is empty; need at least one report to train on")
-    if any(r.observation is None for r in history):
+    if any(r.observation is None for r in reports):
         raise ValueError("every training report needs an observation")
+    return _fit(config, reports, domain)
 
-    track_pairs = original_track(history)
-    land = domain.land_mask
-    n_land = int(land.sum())
-    # one float64 buffer, standardized in place; each stack is cast as
-    # its land patch rows are copied out, then the buffer is dropped
-    x = np.empty((len(history), len(config.channel_names), *domain.shape))
-    for i, r in enumerate(history):
-        x[i] = _stack_for(config, r, domain, track_pairs)
-    norm = fit_standardizer(x)
-    if not (np.isfinite(norm.mean).all() and np.isfinite(norm.std).all()):
-        raise ValueError(f"{config.variant} training features overflow float64")
-    apply_standardizer(x, norm, out=x)
-    patches = im2col(x, config.network_shape[2], mask=land, dtype=DTYPE)
-    del x
 
-    y = np.stack([r.observation for r in history])[:, land]  # (B, n_land)
-    target_mean = float(y.mean())
-    target_std = max(float(y.std()), TARGET_STD_FLOOR_MM)
-
+@np.errstate(all="ignore")
+def _fit(config: ModelConfig, reports: list, domain: GridDomain) -> TrainedModel:
+    """``train_model``'s fit; it empties ``reports``, its own list."""
+    track_pairs = original_track(reports)
     if not track_pairs:
         raise ValueError("history contains no original reports")
-    w = make_weights([r.index for r in history], len(track_pairs))  # (B,), sums to 1
-
+    land = domain.land_mask
+    n_land = int(land.sum())
+    # all the epochs need of the reports themselves. y is masked report by
+    # report, as freeing a (B, H, W) temporary larger than a stack would
+    # raise glibc's mmap threshold and keep the freed stacks in the heap.
+    # It is F-ordered, the layout np.stack(...)[:, land] gives: reductions
+    # over y, and so the fitted bits, follow its memory order.
+    y = np.stack([r.observation[land] for r in reports], axis=1).T  # (B, n_land)
+    w = make_weights([r.index for r in reports], len(track_pairs))  # (B,), sums to 1
     # fold_key decorrelates the parameter draw across rolling-origin folds
     # so a single unlucky initialization cannot taint every target.
-    fold_key = round(10 * max(r.index for r in history))
+    fold_key = round(10 * max(r.index for r in reports))
+
+    # each report gives way to its stack, standardized in place below: a
+    # report's own read-only members are copied, a new stack is kept as is
+    stacks = reports
+    for i, report in enumerate(stacks):
+        stacks[i] = np.require(_stack_for(config, report, domain, track_pairs),
+                               requirements="W")
+    del report
+    norm = fit_standardizer(stacks)
+    if not (np.isfinite(norm.mean).all() and np.isfinite(norm.std).all()):
+        raise ValueError(f"{config.variant} training features overflow float64")
+    for stack in stacks:
+        apply_standardizer(stack, norm, out=stack)
+    del stack
+    # im2col empties the list, freeing each stack once its rows are copied
+    patches = im2col(stacks, config.network_shape[2], mask=land, dtype=DTYPE)
+
+    target_mean = float(y.mean())
+    target_std = max(float(y.std()), TARGET_STD_FLOOR_MM)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(int(config.seed), 7, int(fold_key))))
     net = Network(*config.network_shape, rng=rng)
@@ -329,7 +355,24 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
         net.zero_grad()
         net.backward(grad.astype(DTYPE)[..., None])
         opt.step()
+    net.drop_buffers()
     return model
+
+
+def _training_set(config: ModelConfig, reports, target: int) -> list[Report]:
+    """The reports ``fit_fold`` trains on for one target (see there)."""
+    history = sorted((r for r in reports
+                      if r.origin is ReportOrigin.ORIGINAL and r.index < target),
+                     key=lambda r: r.index)
+    if not history:
+        raise ValueError(f"no reports precede target {target}")
+    if not config.use_augmentation:
+        return history
+    if len(history) < 2:
+        warnings.warn(f"target {target}: single-report history cannot be "
+                      "augmented; training on originals", stacklevel=3)
+        return history
+    return build_augmented_set(history, eta=config.noise_scale, seed=config.seed).reports
 
 
 def fit_fold(config: ModelConfig, reports, domain: GridDomain,
@@ -340,21 +383,11 @@ def fit_fold(config: ModelConfig, reports, domain: GridDomain,
     original reports indexed strictly below ``target``; derived reports
     are dropped, since an interpolation at target - 0.5 blends the
     target itself. The -aug variants then expand those originals with
-    the config's own noise scale and seed.
+    the config's own noise scale and seed. The set goes to
+    ``train_model`` with no reference kept here, so the derived reports
+    are freed as the fit turns them into stacks.
     """
-    history = sorted((r for r in reports
-                      if r.origin is ReportOrigin.ORIGINAL and r.index < target),
-                     key=lambda r: r.index)
-    if not history:
-        raise ValueError(f"no reports precede target {target}")
-    if config.use_augmentation:
-        if len(history) >= 2:
-            history = build_augmented_set(history, eta=config.noise_scale,
-                                          seed=config.seed).reports
-        else:
-            warnings.warn(f"target {target}: single-report history cannot be "
-                          "augmented; training on originals", stacklevel=2)
-    model = train_model(config, history, domain)
+    model = train_model(config, _training_set(config, reports, target), domain)
     model.target = target
     return model
 

@@ -5,11 +5,15 @@ convolution, softplus, and a 1x1 convolution to the two Gaussian heads.
 Convolutions are one BLAS matmul over im2col patch rows (Chellapilla,
 Puri & Simard 2006); parameters are Kaiming-initialized float32 and
 fitted by Adam. Layers cache their forward inputs and accumulate
-parameter gradients in place. No external ML framework is involved.
+parameter gradients in place. A layer can write its result into a
+given array, and the network hands its layers the same hidden-size
+arrays every epoch, so a training epoch allocates nothing of hidden
+size. No external ML framework is involved.
 
-``im2col`` turns a (batch, channels, rows, cols) stack into patch rows:
-one row per batch item and grid cell, holding the C*kh*kw inputs a
-kernel sees there. A 2x2 kernel with one-sided (right/bottom) zero
+``im2col`` turns a (batch, channels, rows, cols) stack, or a list of
+per-item stacks that it empties as it goes, into patch rows: one row
+per batch item and grid cell, holding the C*kh*kw inputs a kernel sees
+there. A 2x2 kernel with one-sided (right/bottom) zero
 padding keeps the spatial shape. Given a cell mask it builds the rows of
 those cells only; their neighbours stay in the columns, so each masked
 row is exact. Layers take and return 4-D (batch, width, rows, cols)
@@ -60,9 +64,8 @@ def kaiming_init(fan_in: int, shape, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def im2col(x: np.ndarray, kernel, mask: np.ndarray | None = None,
-           dtype=None) -> np.ndarray:
-    """Patch rows of a (B, C, H, W) stack for a (kh, kw) kernel.
+def im2col(x, kernel, mask: np.ndarray | None = None, dtype=None) -> np.ndarray:
+    """Patch rows of B (C, H, W) stacks for a (kh, kw) kernel.
 
     Row (b, i, j) holds x[b, :, i:i+kh, j:j+kw] in the kernels' (C, kh,
     kw) order, zero past the bottom and right edges. The result is a
@@ -71,17 +74,29 @@ def im2col(x: np.ndarray, kernel, mask: np.ndarray | None = None,
     order, and the view is (B, C*kh*kw, R, 1). The rows are built one
     batch item at a time and cast to ``dtype`` (default: x's) as they are
     copied in, so no padded or cast copy of the whole stack exists.
+
+    ``x`` is a (B, C, H, W) array, or a list of B equal-shaped stacks that
+    im2col consumes: it empties the list front to back, so a stack that
+    nobody else holds is freed as soon as its rows are copied.
     """
-    batch, channels, rows, cols = x.shape
+    batch, (channels, rows, cols) = len(x), x[0].shape
     kh, kw = kernel
     grid = (rows, cols) if mask is None else (int(mask.sum()), 1)
-    mat = np.empty((batch, *grid, channels, kh, kw), x.dtype if dtype is None else dtype)
-    for item, out in zip(x, mat):
+    mat = np.empty((batch, *grid, channels, kh, kw), x[0].dtype if dtype is None else dtype)
+    items = _consumed(x) if isinstance(x, list) else x
+    for item, out in zip(items, mat):
         xp = np.pad(item, ((0, 0), (0, kh - 1), (0, kw - 1)))
         # (H, W, C, kh, kw) windows of one item
         win = sliding_window_view(xp, (kh, kw), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
         out[...] = win if mask is None else win[mask][:, None]
     return mat.reshape(batch, *grid, -1).transpose(0, 3, 1, 2)
+
+
+def _consumed(items: list):
+    """Yield a list's items in order, removing each from the list."""
+    items.reverse()
+    while items:
+        yield items.pop()
 
 
 def _row_matrix(x: np.ndarray) -> np.ndarray:
@@ -122,7 +137,8 @@ class ConvLayer:
     its input channels, so it takes the previous layer's output as is.
     Weights start Kaiming, bias starts zero. ``backward`` returns the
     gradient with respect to the patch rows; ``input_grad=False`` marks a
-    first layer whose input gradient nobody consumes.
+    first layer whose input gradient nobody consumes. Either may write
+    its result rows into ``out``, a C-contiguous (rows, width) matrix.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel=(2, 2),
@@ -158,7 +174,7 @@ class ConvLayer:
     def _kernel_matrix(self) -> np.ndarray:
         return self.kernels.value.reshape(self.out_channels, -1)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"expected (batch, patch width, rows, cols), got shape {x.shape}")
         width = self.kernels.value[0].size
@@ -168,11 +184,12 @@ class ConvLayer:
                              f"x {kh}x{kw} = {width}, got width {x.shape[1]}")
         self._input_shape = x.shape
         self._rows = _row_matrix(x)
-        out = self._rows @ self._kernel_matrix().T
+        out = np.matmul(self._rows, self._kernel_matrix().T, out=out)
         out += self.bias.value
         return _layer_array(out, x.shape)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
+    def backward(self, grad_out: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray | None:
         if self._input_shape is None:
             raise RuntimeError("backward called before forward")
         g = _row_matrix(grad_out)
@@ -180,7 +197,7 @@ class ConvLayer:
         self.bias.grad += g.sum(axis=0)
         if not self.input_grad:
             return None
-        return _layer_array(g @ self._kernel_matrix(), self._input_shape)
+        return _layer_array(np.matmul(g, self._kernel_matrix(), out=out), self._input_shape)
 
 
 class SoftplusLayer:
@@ -188,9 +205,11 @@ class SoftplusLayer:
 
     Forward works through its input in cache-sized blocks of whole
     leading-axis items: one exp(-|x|) per block serves the softplus and
-    the logistic, and only the logistic outlives the block. Backward
-    multiplies it by the upstream gradient in place, so each forward
-    serves one backward.
+    the logistic, and only the logistic outlives the block. ``out`` and
+    ``slope`` are arrays shaped like the input to write the softplus and
+    the logistic into; ``out`` may be the input itself. Backward
+    multiplies the logistic by the upstream gradient in place, so each
+    forward serves one backward.
     """
 
     #: elements per block (256 KB of float32), in whole items, at least one
@@ -202,19 +221,21 @@ class SoftplusLayer:
     def parameters(self) -> list[Parameter]:
         return []
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        self._slope = np.empty_like(x)
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None,
+                slope: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty_like(x) if out is None else out
+        self._slope = np.empty_like(x) if slope is None else slope
         step = max(1, self.BLOCK * len(x) // max(x.size, 1))
         for lo in range(0, len(x), step):
             xb, yb, sb = (a[lo:lo + step] for a in (x, out, self._slope))
             e = np.exp(-np.abs(xb))
-            np.log1p(e, out=yb)
-            yb += np.maximum(xb, 0.0)
             # the logistic is 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x)
             # below; max(exp(-|x|), x >= 0) is that numerator, without a branch
             np.maximum(e, xb >= 0, out=sb)
             sb /= 1.0 + e
+            positive = np.maximum(xb, 0.0)
+            np.log1p(e, out=yb)  # yb may be xb: every read of xb comes first
+            yb += positive
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -233,6 +254,13 @@ class Network:
     never needed, so ``backward`` stops there and returns nothing.
     Kaiming draws come from ``rng``, first conv then head, in float64,
     and are rounded to ``DTYPE``.
+
+    The network owns three (rows, hidden) arrays: the conv output, with
+    the softplus taken in place over it; the softplus slope; and the
+    head's input gradient. Every forward over the same number of rows
+    reuses them, so a training epoch allocates nothing of hidden size,
+    while ``forward``'s result is a new array each call.
+    ``drop_buffers`` frees them, as a finished fit does.
     """
 
     def __init__(self, in_channels: int, hidden: int, kernel,
@@ -245,6 +273,7 @@ class Network:
             layer.kernels = Parameter(layer.kernels.value.astype(DTYPE),
                                       name=f"{prefix}_kernels")
             layer.bias = Parameter(layer.bias.value.astype(DTYPE), name=f"{prefix}_bias")
+        self._buffers = [None, None, None]
 
     @property
     def shape(self) -> tuple[int, int, tuple[int, int]]:
@@ -258,11 +287,29 @@ class Network:
         for p in self.parameters():
             p.zero_grad()
 
+    def _buffer(self, i: int, shape, dtype) -> np.ndarray:
+        """Hidden-size buffer i, made anew when its shape or dtype changes."""
+        buf = self._buffers[i]
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self._buffers[i] = np.empty(shape, dtype)
+        return buf
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.head.forward(self.softplus.forward(self.conv.forward(x)))
+        batch, _width, rows, cols = x.shape
+        shape = (batch * rows * cols, self.conv.out_channels)
+        dtype = np.result_type(x, self.conv.kernels.value)
+        h = self.conv.forward(x, out=self._buffer(0, shape, dtype))
+        slope = _layer_array(self._buffer(1, shape, dtype), h.shape)
+        return self.head.forward(self.softplus.forward(h, out=h, slope=slope))
 
     def backward(self, grad_out: np.ndarray) -> None:
-        self.conv.backward(self.softplus.backward(self.head.backward(grad_out)))
+        hidden = self._buffers[0]
+        grad = None if hidden is None else self._buffer(
+            2, hidden.shape, np.result_type(grad_out, self.head.kernels.value))
+        self.conv.backward(self.softplus.backward(self.head.backward(grad_out, out=grad)))
+
+    def drop_buffers(self) -> None:
+        self._buffers = [None, None, None]
 
 
 class Adam:

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import (
+    N_MEMBERS,
     GridDomain,
     Report,
     ReportOrigin,
@@ -53,6 +54,12 @@ ISLAND_PEAK_M = 3200.0
 # about five times the world's 24 h rain record (1,825 mm); rain near
 # 1e154 mm overflows float64 when the fit squares it
 MAX_AMPLITUDE_MM = 10_000.0
+# the other rain scales: a tenfold wet bias, or tenfold rain per km of
+# altitude, is already far outside any real ensemble
+MAX_RAIN_FACTOR = 10.0
+_SCALE_BOUNDS = {"amplitude_mm": MAX_AMPLITUDE_MM, "member_noise_mm": MAX_AMPLITUDE_MM,
+                 "member_bias": MAX_RAIN_FACTOR, "terrain_factor": MAX_RAIN_FACTOR,
+                 "member_terrain_factor": MAX_RAIN_FACTOR}
 _STREAM_REPORT = 101
 _STREAM_BIAS = 9001
 
@@ -101,9 +108,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.n_reports < 2:
             raise ValueError(f"need at least 2 reports, got {self.n_reports}")
-        if not 0 <= self.amplitude_mm <= MAX_AMPLITUDE_MM:
-            raise ValueError(f"'amplitude_mm' must be in [0, {MAX_AMPLITUDE_MM:g}], "
-                             f"got {self.amplitude_mm!r}")
+        for key, top in _SCALE_BOUNDS.items():
+            if not 0 <= getattr(self, key) <= top:
+                raise ValueError(f"{key!r} must be in [0, {top:g}], "
+                                 f"got {getattr(self, key)!r}")
         if self.decay_km <= 0:
             raise ValueError(f"'decay_km' must be > 0, got {self.decay_km!r}")
         if min(self.noise_sigma, self.member_bias_spread,
@@ -305,6 +313,17 @@ def load_scenario_header(path) -> tuple[ScenarioSpec, GridDomain]:
     return spec, load_domain_file(path / "domain.txt")
 
 
+def check_report_grid(report: Report, rdir, shape) -> Report:
+    """``report``, as ``load_report`` read it from ``rdir``, once its grids
+    cover a ``shape`` domain; other grids are a ValueError naming the file.
+    """
+    want = (N_MEMBERS, *shape)
+    if report.members.shape != want:
+        raise ValueError(f"{Path(rdir) / _MEMBERS} holds {report.members.shape}; "
+                         "the {}x{} domain needs {}".format(*shape, want))
+    return report
+
+
 def list_report_dirs(path) -> list[tuple[float, bool, Path]]:
     """(index, is_noise_copy, dir) per report directory, sorted, no file reads.
 
@@ -344,6 +363,9 @@ def load_report(rdir, with_observation: bool = True) -> Report:
     rdir = Path(rdir)
     meta, members = load_report_meta(rdir), load_grid_csv(rdir / _MEMBERS)
     observation = load_grid_csv(rdir / _OBS) if with_observation else None
+    if observation is not None and observation.shape != members.shape[1:]:
+        raise ValueError(f"{rdir / _OBS} holds a {observation.shape} grid, "
+                         f"but {_MEMBERS} holds {members.shape}")
     try:
         return Report(**meta, members=members, observation=observation)
     except ValueError as exc:

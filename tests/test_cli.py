@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -135,6 +136,18 @@ class TestGenerate:
                      "--out", str(out)]) == 1
         err = one_error_line(capsys)
         assert str(spec) in err and "'amplitude_mm'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["member_bias", "terrain_factor",
+                                     "member_terrain_factor", "member_noise_mm"])
+    def test_absurd_scale_refused(self, tmp_path, capsys, key):
+        # each scale multiplies the rain; at 1e300 it overflows float64
+        spec, out = tmp_path / "spec.json", tmp_path / "s"
+        spec.write_text(json.dumps({**ScenarioSpec().to_dict(), key: 1e300}))
+        assert main(["generate", "--spec", str(spec), "--rows", "10", "--cols", "8",
+                     "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(spec) in err and f"'{key}'" in err
         assert not out.exists()
 
     def test_grid_without_land_rejected(self, tmp_path, capsys):
@@ -306,6 +319,45 @@ class TestTrain:
         assert names == ["model_cnn-all.json", "model_cnn-aug.json",
                          "model_cnn-dyn.json", "model_cnn.json",
                          "model_fcn.json"]
+
+
+#: runs the CLI with its argv; prints the peak RSS above the RSS right
+#: after import, in MB. The process's own VmHWM, not ru_maxrss: on Linux
+#: ru_maxrss carries the parent's peak across fork and exec.
+PEAK_ABOVE_IMPORT = """
+import sys
+from cyclone_pp import cli
+
+def status_mb(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key)) / 1024
+
+after_import = status_mb("VmRSS:")
+code = cli.main(sys.argv[1:])
+print(status_mb("VmHWM:") - after_import)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="reads the process's peak RSS from /proc")
+def test_full_grid_fit_peak_memory(tmp_path):
+    # a cnn-all fit at 84x70, target 11: the 10 originals, then 38 stacks
+    # (45 MB) that give way to float32 patch rows (23 MB), then three
+    # hidden-size buffers (22 MB). It reads 62 MB; a float64 batch buffer
+    # beside the derived reports, and fresh hidden arrays each epoch, 104 MB.
+    # tracemalloc cannot see memory the allocator keeps, so this is a process.
+    scen, out = tmp_path / "scen", tmp_path / "model"
+    assert main(["generate", "--seed", "1", "--out", str(scen)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    env.pop(cli.THREADS_ENV, None)
+    run = subprocess.run(
+        [sys.executable, "-c", PEAK_ABOVE_IMPORT, "train", "--scenario", str(scen),
+         "--variant", "cnn-all", "--target", "11", "--epochs", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout.split()[-1]) <= 80
 
 
 class TestTrainMatchesLibrary:
@@ -710,6 +762,26 @@ class TestGridFilesRefused:
         verify_manifest(scen)
         assert self.augment(scen, tmp_path) == 1
         assert f"report_0030/{victim}" in one_error_line(capsys)
+
+
+    @pytest.mark.parametrize("stage", ["augment", "train"])
+    @pytest.mark.parametrize("victim", ["members.npy", "obs.npy"])
+    def test_grid_of_another_domain(self, pipeline, tmp_path, capsys, stage, victim):
+        # the 14x12 scenario's report 3 on a 10x8 grid: members (20, 10, 8)
+        # with a matching (10, 8) observation, or the observation alone
+        scen, out = tmp_path / "scen", tmp_path / "out"
+        shutil.copytree(pipeline["scen"], scen)
+        rdir = scen / "report_0030"
+        for name in ["members.npy", "obs.npy"][["members.npy", "obs.npy"].index(victim):]:
+            np.save(rdir / name, np.ascontiguousarray(np.load(rdir / name)[..., :10, :8]))
+        rehash_outputs(scen)
+        argv = {"augment": ["augment"],
+                "train": ["train", "--variant", "cnn", "--target", TARGET,
+                          "--epochs", "1"]}[stage]
+        assert main(argv + ["--scenario", str(scen), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert f"report_0030/{victim}" in err and "10, 8)" in err and "14, 12)" in err
+        assert not out.exists()
 
 
 REPORT_FILES = ["meta.json", "members.npy"]

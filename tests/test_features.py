@@ -191,10 +191,12 @@ class TestStandardizer:
         assert buf.tobytes() == want.tobytes()
         assert apply_standardizer(data, stats).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("shape", [(1, 25, 6, 5), (4, 3, 7, 9), (26, 25, 28, 24)])
+    @pytest.mark.parametrize("shape", [(1, 25, 6, 5), (4, 3, 7, 9), (26, 25, 28, 24),
+                                       (38, 25, 84, 70)])
     def test_streamed_std_is_numpys_bit_for_bit(self, shape):
-        # the std is summed one stack at a time; a numpy change to the
-        # order of its (0, 2, 3) reduction must fail here, not move bits
+        # mean and std are summed one stack at a time; a numpy change to
+        # the order of its (0, 2, 3) reduction must fail here, not move
+        # bits. The last shape is the 84x70 pipeline's cnn-all fit.
         rng = np.random.default_rng(shape[0])
         data = rng.gamma(0.5, 40.0, size=shape) + rng.normal(0.0, 100.0, size=shape[1])[:, None, None]
         data[:, 1] = 0.1  # a constant channel; 0.1 is inexact in binary
@@ -203,6 +205,14 @@ class TestStandardizer:
         assert np.array_equal(stats.mean, data.mean(axis=(0, 2, 3)))
         assert np.array_equal(stats.std, np.where(std < 1e-12, 1.0, std))
         assert stats.std[1] == 1.0 and np.all(stats.std[2:] != 1.0)
+        listed = fit_standardizer(list(data))
+        assert listed.mean.tobytes() == stats.mean.tobytes()
+        assert listed.std.tobytes() == stats.std.tobytes()
+
+    def test_stacks_of_two_shapes_refused(self, small_domain):
+        data = self._stacks(small_domain)
+        with pytest.raises(ValueError, match="equal-shaped"):
+            fit_standardizer([data[0], data[1, :20]])
 
     def test_channel_count_mismatch_errors(self, small_domain):
         data = self._stacks(small_domain)

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import tracemalloc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,7 @@ from cyclone_pp.models import (
 )
 from cyclone_pp import models
 from cyclone_pp.augmentation import build_augmented_set
-from cyclone_pp.neuralnet import TrainingDiverged
+from cyclone_pp.neuralnet import TrainingDiverged, im2col
 from cyclone_pp.scoring import weighted_loss
 from cyclone_pp.synthgen import ScenarioSpec, generate_scenario, make_island_domain
 
@@ -301,29 +302,55 @@ class TestTrainModel:
                               track_of(tiny_scenario))
         assert np.all(field.sigma > 0)
 
-    def test_features_held_in_one_buffer(self):
-        # Training holds one float64 (B, C, H, W) buffer, standardizes it in
-        # place with a std summed one stack at a time, and casts each stack
-        # as its land patch rows are copied out. So the traced peak is that
-        # buffer (1x) plus the float32 patch rows (176 of 672 cells x 4 taps
-        # x half the width: 0.52x) and one stack's temporaries: 1.59x. The
-        # std's full-size temporary and a whole float32 copy of the stack
-        # next to its padded copy read 2.17x; holding the stacks, their
-        # np.stack copy and a standardized list read 3.17x.
+    def test_fit_holds_each_report_once(self):
+        # fit_fold hands its augmented set over; train_model turns each
+        # report into its stack, and each stack into float32 land patch
+        # rows. So the traced peak is, while the rows are copied out: the
+        # stacks, the patch rows (176 of 672 cells x 4 taps x half the
+        # width: 0.52x the stacks) and one stack's padded copy and masked
+        # float64 windows. Together 1.58x the stacks; it reads 1.60x. The
+        # epochs come after the stacks are gone: the rows plus three
+        # hidden-size buffers (3 x 0.17x). A float64 (B, C, H, W) buffer
+        # filled while the derived reports were still held read 2.19x.
         domain = make_island_domain(n_rows=28, n_cols=24)
-        originals = history_until(generate_scenario(ScenarioSpec(seed=1), domain), 11)
-        history = build_augmented_set(originals, eta=0.05, seed=0).reports
+        scenario = generate_scenario(ScenarioSpec(seed=1), domain)
         cfg = ModelConfig.for_variant("cnn-all", epochs=1)
-        feature_bytes = len(history) * len(cfg.channel_names) * 28 * 24 * 8
+        (n_in, _hidden, (kh, kw)), n_land = cfg.network_shape, int(domain.land_mask.sum())
+        n = len(build_augmented_set(history_until(scenario, 11)).reports)
+        stack = n_in * 28 * 24 * 8
+        rows = n_land * n_in * kh * kw * 4
+        temporaries = n_in * (28 + kh - 1) * (24 + kw - 1) * 8 + n_land * n_in * kh * kw * 8
+        budget = n * (stack + rows) + temporaries
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            train_model(cfg, history, domain)
+            fit_fold(cfg, scenario.reports, domain, 11)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - entry) / feature_bytes <= 1.7
+        assert peak - entry <= 1.05 * budget
+
+    def test_derived_reports_freed_before_the_patch_rows_exist(self, monkeypatch):
+        domain = make_island_domain(**TINY)
+        reports = generate_scenario(ScenarioSpec(seed=1), domain).reports
+        derived, alive = [], []
+
+        def augmenting(*args, **kwargs):
+            augset = build_augmented_set(*args, **kwargs)
+            derived.extend(weakref.ref(r) for r in augset.reports
+                           if r.origin is not ReportOrigin.ORIGINAL)
+            return augset
+
+        def rows(*args, **kwargs):
+            patches = im2col(*args, **kwargs)
+            alive.append(sum(ref() is not None for ref in derived))
+            return patches
+
+        monkeypatch.setattr(models, "build_augmented_set", augmenting)
+        monkeypatch.setattr(models, "im2col", rows)
+        fit_fold(ModelConfig.for_variant("cnn-aug", epochs=1), reports, domain, 6)
+        assert derived and alive == [0]
 
 
 class TestFitFold:

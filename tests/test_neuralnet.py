@@ -180,6 +180,14 @@ class TestIm2col:
         assert rows.dtype == np.float32
         assert rows.tobytes() == im2col(x.astype(np.float32), (2, 2), mask).tobytes()
 
+    @pytest.mark.parametrize("mask", [None, np.eye(4, 5, dtype=bool)])
+    def test_a_list_of_stacks_is_consumed(self, mask):
+        x = np.random.default_rng(4).normal(size=(3, 2, 4, 5))
+        stacks = [stack.copy() for stack in x]
+        rows = im2col(stacks, (2, 2), mask, dtype=np.float32)
+        assert stacks == []
+        assert rows.tobytes() == im2col(x, (2, 2), mask, dtype=np.float32).tobytes()
+
     def test_one_by_one_rows_are_the_channels(self):
         x = np.random.default_rng(2).normal(size=(2, 3, 4, 5))
         np.testing.assert_array_equal(im2col(x, (1, 1)), x)
@@ -357,6 +365,36 @@ class TestNetwork:
         second = net.forward(2 * x)
         assert not np.shares_memory(first, second)
         assert first.tobytes() == kept.tobytes()
+
+    def test_epochs_reuse_the_hidden_buffers(self):
+        # the conv output (softplus in place over it) and the slope live in
+        # the network's own arrays; the head values are new each forward
+        rng = np.random.default_rng(10)
+        net = Network(3, 4, (2, 2), rng=rng)
+        x = im2col(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2))
+        epochs = []
+        for _epoch in range(2):
+            out = net.forward(x)
+            epochs.append((out, net.head._rows, net.softplus._slope))
+            net.backward(np.ones_like(out))
+        (out1, hidden1, slope1), (out2, hidden2, slope2) = epochs
+        assert np.shares_memory(hidden1, hidden2) and np.shares_memory(slope1, slope2)
+        assert not np.shares_memory(out1, out2)
+
+    def test_buffers_keep_the_bits_of_fresh_arrays(self):
+        # the same layers, called without buffers, give the same bytes
+        rng = np.random.default_rng(11)
+        x = im2col(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2))
+        g = rng.normal(size=(2, 2, 4, 4)).astype(DTYPE)
+        net, fresh = (Network(3, 4, (2, 2), rng=np.random.default_rng(0)) for _ in range(2))
+        out = net.forward(x)
+        net.backward(g)
+        conv, soft, head = fresh.conv, fresh.softplus, fresh.head
+        want = head.forward(soft.forward(conv.forward(x)))
+        conv.backward(soft.backward(head.backward(g)))
+        assert out.tobytes() == want.tobytes()
+        for got, expected in zip(net.parameters(), fresh.parameters()):
+            assert got.grad.tobytes() == expected.grad.tobytes()
 
     def test_backward_leaves_grad_out_untouched(self):
         rng = np.random.default_rng(9)

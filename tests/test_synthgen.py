@@ -88,6 +88,18 @@ class TestSpec:
             ScenarioSpec.from_dict({**ScenarioSpec().to_dict(), "amplitude_mm": 1e160},
                                    source="where/spec.json")
 
+    @pytest.mark.parametrize("key, top", [
+        ("member_bias", 10.0), ("terrain_factor", 10.0),
+        ("member_terrain_factor", 10.0), ("member_noise_mm", 10_000.0)])
+    def test_multiplicative_scales_bounded(self, key, top):
+        assert getattr(ScenarioSpec(**{key: top}), key) == top
+        for value in (top * 1.5, 1e300, -1.0):
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                ScenarioSpec(**{key: value})
+        with pytest.raises(ValueError, match=f"^where/spec.json: .*'{key}'"):
+            ScenarioSpec.from_dict({**ScenarioSpec().to_dict(), key: 1e300},
+                                   source="where/spec.json")
+
     def test_dict_round_trip(self):
         spec = ScenarioSpec(seed=9, amplitude_mm=321.0, track_start=(20.0, 125.0))
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
