@@ -84,6 +84,9 @@ from .synthgen import (
 
 THREADS_ENV = "CYCLONE_PP_THREADS"
 TRAINABLE = tuple(v for v in VARIANTS if v != "members")
+#: the most rows or columns ``generate`` makes; a 500x500 scenario's
+#: members alone take 40 MB per report
+MAX_GRID_SIDE = 500
 
 
 def thread_cap() -> int:
@@ -95,9 +98,10 @@ def thread_cap() -> int:
         raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+def _grid_side(text: str) -> int:
+    if not text.isdecimal() or not 1 <= int(text) <= MAX_GRID_SIDE:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer up to {MAX_GRID_SIDE}, got {text!r}")
     return int(text)
 
 
@@ -114,16 +118,22 @@ def _noise_scale(text: str) -> float:
     return eta
 
 
-def _parse_targets(text: str) -> list[int]:
-    """Accept '6..11', '6,9,11', or a single integer."""
+def _parse_targets(text: str) -> range | list[int]:
+    """Accept '6..11', '6,9,11', or a single integer, each target once.
+
+    A range stays a ``range``, so its length is known without building it.
+    """
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
+        targets = range(int(lo), int(hi) + 1)
+        if not targets:
             raise ValueError(f"empty target range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(t) for t in text.split(",")]
+        return targets
+    targets = [int(t) for t in text.split(",")]
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"--targets {text!r} names a target twice")
+    return targets
 
 
 def _load_spec(path, seed=None) -> ScenarioSpec:
@@ -367,6 +377,10 @@ def cmd_evaluate(args) -> int:
         pred_dirs[config["target"]] = pred_dir
     targets = (_parse_targets(args.targets) if args.targets
                else sorted(pred_dirs))
+    if len(targets) > len(pred_dirs):
+        raise ValueError(f"--targets {args.targets} names {len(targets)} targets, but "
+                         f"predictions were supplied for {len(pred_dirs)}")
+    targets = list(targets)
     missing = [k for k in targets if k not in pred_dirs]
     if missing:
         raise ValueError(f"no predictions supplied for targets {missing}")
@@ -412,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="fabricate a synthetic scenario")
     p.add_argument("--spec", help="scenario spec JSON (defaults built in)")
     p.add_argument("--seed", type=_seed, default=None, help="override spec seed")
-    p.add_argument("--rows", type=_positive_int, default=84)
-    p.add_argument("--cols", type=_positive_int, default=70)
+    p.add_argument("--rows", type=_grid_side, default=84)
+    p.add_argument("--cols", type=_grid_side, default=70)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

@@ -58,20 +58,20 @@ from .neuralnet import (
 from .scoring import GaussianField, crps_gaussian, crps_gradient, make_weights
 from .storage import record_from_json
 
-#: variant -> (use_geo_dyn, use_augmentation); members/fcn take neither
-_VARIANT_FLAGS = {
-    "members": (False, False),
-    "fcn": (False, False),
-    "cnn": (False, False),
-    "cnn-dyn": (True, False),
-    "cnn-aug": (False, True),
-    "cnn-all": (True, True),
-}
-VARIANTS = tuple(_VARIANT_FLAGS)
-
 FCN_CHANNEL_NAMES = ("member_mean", "member_std", *CHANNEL_NAMES[N_MEMBERS:])
-HIDDEN_MAPS_CNN = 32
-HIDDEN_WIDTH_FCN = 16
+_MEMBER_CHANNELS = CHANNEL_NAMES[:N_MEMBERS]
+#: variant -> (input channels, hidden width, first kernel, augments); the
+#: members baseline reads the member channels and trains no network
+_VARIANT_TABLE = {
+    "members": (_MEMBER_CHANNELS, None, None, False),
+    "fcn": (FCN_CHANNEL_NAMES, 16, (1, 1), False),
+    "cnn": (_MEMBER_CHANNELS, 32, (2, 2), False),
+    "cnn-dyn": (CHANNEL_NAMES, 32, (2, 2), False),
+    "cnn-aug": (_MEMBER_CHANNELS, 32, (2, 2), True),
+    "cnn-all": (CHANNEL_NAMES, 32, (2, 2), True),
+}
+VARIANTS = tuple(_VARIANT_TABLE)
+
 SIGMA_FLOOR_MM = 1e-3
 MEMBERS_SIGMA_FLOOR = 1e-6
 #: t_std is clamped here so near-dry training windows cannot blow up the
@@ -103,29 +103,22 @@ class ModelConfig:
         return cls(variant.lower(), **overrides)
 
     @property
-    def use_geo_dyn(self) -> bool:
-        return _VARIANT_FLAGS[self.variant][0]
-
-    @property
-    def use_augmentation(self) -> bool:
-        return _VARIANT_FLAGS[self.variant][1]
-
-    @property
-    def trains(self) -> bool:
-        return self.variant != "members"
-
-    @property
     def channel_names(self) -> tuple[str, ...]:
-        if self.variant == "fcn":
-            return FCN_CHANNEL_NAMES
-        return CHANNEL_NAMES if self.use_geo_dyn else CHANNEL_NAMES[:N_MEMBERS]
+        return _VARIANT_TABLE[self.variant][0]
 
     @property
     def network_shape(self) -> tuple[int, int, tuple[int, int]]:
         """(input channels, hidden width, first kernel) of the variant's net."""
-        if self.variant == "fcn":
-            return len(FCN_CHANNEL_NAMES), HIDDEN_WIDTH_FCN, (1, 1)
-        return len(self.channel_names), HIDDEN_MAPS_CNN, (2, 2)
+        names, hidden, kernel, _augments = _VARIANT_TABLE[self.variant]
+        return len(names), hidden, kernel
+
+    @property
+    def use_augmentation(self) -> bool:
+        return _VARIANT_TABLE[self.variant][3]
+
+    @property
+    def trains(self) -> bool:
+        return self.variant != "members"
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -174,16 +167,20 @@ def fcn_features(report: Report, domain: GridDomain, track) -> np.ndarray:
                             report.members.std(axis=0, ddof=1)], geo_dyn])
 
 
+def _gaussian(t_mean: float, t_std: float, out_mu, out_sigma):
+    """(mu, sigma) in mm from the network's raw head values."""
+    return t_mean + t_std * out_mu, t_std * softplus(out_sigma) + SIGMA_FLOOR_MM
+
+
 def _stack_for(config: ModelConfig, report: Report, domain: GridDomain,
                track_pairs) -> np.ndarray:
     """The (C, H, W) input channels the variant sees for one report."""
-    if config.variant == "fcn":
-        return fcn_features(report, domain, track_through(track_pairs, report))
-    if config.use_geo_dyn:
-        return assemble_stack(report, domain, track_through(track_pairs, report))
-    if report.members.shape[1:] != domain.shape:
-        raise ValueError(f"member fields {report.members.shape} do not match domain {domain.shape}")
-    return report.members
+    if config.channel_names == _MEMBER_CHANNELS:
+        if report.members.shape[1:] != domain.shape:
+            raise ValueError(f"member fields {report.members.shape} do not match domain {domain.shape}")
+        return report.members
+    features = fcn_features if config.channel_names == FCN_CHANNEL_NAMES else assemble_stack
+    return features(report, domain, track_through(track_pairs, report))
 
 
 @dataclass
@@ -201,11 +198,6 @@ class TrainedModel:
     #: the report this fold was trained for; all training reports precede it
     target: int | None = None
 
-    def _heads_to_field(self, out: np.ndarray) -> GaussianField:
-        mu = self.target_mean + self.target_std * out[0].astype(float)
-        sigma = self.target_std * softplus(out[1].astype(float)) + SIGMA_FLOOR_MM
-        return GaussianField(mu=mu, sigma=sigma)
-
     def predict(self, report: Report, domain: GridDomain, track_pairs) -> GaussianField:
         """Post-processed Gaussian for one report.
 
@@ -214,8 +206,9 @@ class TrainedModel:
         """
         stack = _stack_for(self.config, report, domain, track_pairs)
         x = apply_standardizer(stack, self.norm)[None]
-        out = self.net.forward(im2col(x, self.net.conv.kernel_size, dtype=DTYPE))[0]
-        return self._heads_to_field(out)
+        out = self.net.forward(im2col(x, self.net.shape[2], dtype=DTYPE))[0].astype(float)
+        self.net.drop_buffers()
+        return GaussianField(*_gaussian(self.target_mean, self.target_std, *out))
 
     def save(self, path) -> None:
         meta = {
@@ -247,9 +240,8 @@ class TrainedModel:
             raise ValueError(f"checkpoint {path} has no meta key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed checkpoint meta in {path}: {exc}") from None
-        n_in = len(config.channel_names)
-        if (not config.trains or net.shape != config.network_shape
-                or model.norm.mean.shape != (n_in,)):
+        n_in = config.network_shape[0]  # a members row has no width: nothing fits it
+        if net.shape != config.network_shape or model.norm.mean.shape != (n_in,):
             raise ValueError(f"checkpoint {path} does not fit a {config.variant} "
                              f"network on {n_in} channels")
         return model
@@ -325,7 +317,7 @@ def _fit(config: ModelConfig, reports: list, domain: GridDomain) -> TrainedModel
     target_std = max(float(y.std()), TARGET_STD_FLOOR_MM)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(int(config.seed), 7, int(fold_key))))
-    net = Network(*config.network_shape, rng=rng)
+    net = Network.kaiming(*config.network_shape, rng)
     opt = Adam(net.parameters())
     model = TrainedModel(config=config, net=net, norm=norm,
                          target_mean=target_mean, target_std=target_std,
@@ -335,9 +327,7 @@ def _fit(config: ModelConfig, reports: list, domain: GridDomain) -> TrainedModel
     cell_w = w[:, None] / n_land
     for _epoch in range(config.epochs):
         out = net.forward(patches)[..., 0].astype(float)  # (B, 2, n_land)
-        mu = target_mean + target_std * out[:, 0]
-        raw = out[:, 1]
-        sigma = target_std * softplus(raw) + SIGMA_FLOOR_MM
+        mu, sigma = _gaussian(target_mean, target_std, out[:, 0], out[:, 1])
         if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
             raise TrainingDiverged(
                 f"non-finite mu or sigma at epoch {_epoch} for {config.variant}")
@@ -351,7 +341,7 @@ def _fit(config: ModelConfig, reports: list, domain: GridDomain) -> TrainedModel
         dmu, dsigma = crps_gradient(mu, sigma, y)
         grad = np.empty_like(out)
         grad[:, 0] = cell_w * dmu * target_std
-        grad[:, 1] = cell_w * dsigma * target_std * expit(raw)
+        grad[:, 1] = cell_w * dsigma * target_std * expit(out[:, 1])
         net.zero_grad()
         net.backward(grad.astype(DTYPE)[..., None])
         opt.step()

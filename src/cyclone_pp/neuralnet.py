@@ -121,8 +121,6 @@ class Parameter:
     def __post_init__(self):
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
-        if self.grad.shape != self.value.shape:
-            raise ValueError("gradient shape must match the value")
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -131,57 +129,28 @@ class Parameter:
 class ConvLayer:
     """2D cross-correlation, one matmul over patch rows.
 
-    ``forward`` takes the ``im2col`` patch rows of its input for this
-    layer's kernel size and returns one output row per patch row, in the
-    same (batch, width, rows, cols) layout. A 1x1 layer's patch rows are
-    its input channels, so it takes the previous layer's output as is.
-    Weights start Kaiming, bias starts zero. ``backward`` returns the
-    gradient with respect to the patch rows; ``input_grad=False`` marks a
-    first layer whose input gradient nobody consumes. Either may write
-    its result rows into ``out``, a C-contiguous (rows, width) matrix.
+    It wraps the (out, in, kh, kw) ``kernels`` and (out,) ``bias``
+    parameters it is given. ``forward`` takes the ``im2col`` patch rows
+    of its input for this layer's kernel size and returns one output row
+    per patch row, in the same (batch, width, rows, cols) layout. A 1x1
+    layer's patch rows are its input channels, so it takes the previous
+    layer's output as is. ``backward`` returns the gradient with respect
+    to the patch rows; ``input_grad=False`` marks a first layer whose
+    input gradient nobody consumes. Either may write its result rows
+    into ``out``, a C-contiguous (rows, width) matrix.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, kernel=(2, 2),
-                 rng: np.random.Generator | None = None, input_grad: bool = True):
-        kh, kw = kernel
-        if kh < 1 or kw < 1:
-            raise ValueError(f"kernel must be at least 1x1, got {kernel}")
-        fan_in = in_channels * kh * kw
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.kernels = Parameter(kaiming_init(fan_in, (out_channels, in_channels, kh, kw), rng),
-                                 name="kernels")
-        self.bias = Parameter(np.zeros(out_channels), name="bias")
+    def __init__(self, kernels: Parameter, bias: Parameter, input_grad: bool = True):
+        self.kernels = kernels
+        self.bias = bias
         self.input_grad = input_grad
         self._rows = None
         self._input_shape = None
 
-    @property
-    def in_channels(self) -> int:
-        return self.kernels.value.shape[1]
-
-    @property
-    def out_channels(self) -> int:
-        return self.kernels.value.shape[0]
-
-    @property
-    def kernel_size(self) -> tuple[int, int]:
-        return self.kernels.value.shape[2:]
-
-    def parameters(self) -> list[Parameter]:
-        return [self.kernels, self.bias]
-
     def _kernel_matrix(self) -> np.ndarray:
-        return self.kernels.value.reshape(self.out_channels, -1)
+        return self.kernels.value.reshape(len(self.kernels.value), -1)
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if x.ndim != 4:
-            raise ValueError(f"expected (batch, patch width, rows, cols), got shape {x.shape}")
-        width = self.kernels.value[0].size
-        if x.shape[1] != width:
-            kh, kw = self.kernel_size
-            raise ValueError(f"layer expects patch rows of {self.in_channels} channels "
-                             f"x {kh}x{kw} = {width}, got width {x.shape[1]}")
         self._input_shape = x.shape
         self._rows = _row_matrix(x)
         out = np.matmul(self._rows, self._kernel_matrix().T, out=out)
@@ -190,8 +159,6 @@ class ConvLayer:
 
     def backward(self, grad_out: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray | None:
-        if self._input_shape is None:
-            raise RuntimeError("backward called before forward")
         g = _row_matrix(grad_out)
         self.kernels.grad += (g.T @ self._rows).reshape(self.kernels.value.shape)
         self.bias.grad += g.sum(axis=0)
@@ -214,12 +181,7 @@ class SoftplusLayer:
 
     #: elements per block (256 KB of float32), in whole items, at least one
     BLOCK = 1 << 16
-
-    def __init__(self):
-        self._slope = None
-
-    def parameters(self) -> list[Parameter]:
-        return []
+    _slope = None  # the logistic of the last forward, until its backward
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None,
                 slope: np.ndarray | None = None) -> np.ndarray:
@@ -239,8 +201,6 @@ class SoftplusLayer:
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._slope is None:
-            raise RuntimeError("backward called before forward")
         grad, self._slope = self._slope, None
         grad *= grad_out
         return grad
@@ -249,39 +209,50 @@ class SoftplusLayer:
 class Network:
     """A kh x kw conv, softplus, then a 1x1 conv to the (mu, sigma) heads.
 
-    ``forward`` takes the first conv's ``im2col`` patch rows and returns
-    the two raw head values per row. The first conv's input gradient is
-    never needed, so ``backward`` stops there and returns nothing.
-    Kaiming draws come from ``rng``, first conv then head, in float64,
-    and are rounded to ``DTYPE``.
+    The network is its four ``CHECKPOINT_ARRAYS``, held as parameters
+    named by those keys. ``kaiming`` draws them and ``load_network``
+    reads them, in ``DTYPE``; float64 arrays make the float64 network
+    that gradient checks use. ``forward`` takes the first conv's
+    ``im2col`` patch rows and returns the two raw head values per row.
+    The first conv's input gradient is never needed, so ``backward``
+    stops there and returns nothing.
 
     The network owns three (rows, hidden) arrays: the conv output, with
     the softplus taken in place over it; the softplus slope; and the
     head's input gradient. Every forward over the same number of rows
     reuses them, so a training epoch allocates nothing of hidden size,
     while ``forward``'s result is a new array each call.
-    ``drop_buffers`` frees them, as a finished fit does.
+    ``drop_buffers`` frees them and the layers' cached inputs, as a
+    finished fit or prediction does.
     """
 
-    def __init__(self, in_channels: int, hidden: int, kernel,
-                 rng: np.random.Generator | None = None):
-        self.conv = ConvLayer(in_channels, hidden, kernel, rng=rng, input_grad=False)
+    def __init__(self, conv_kernels, conv_bias, head_kernels, head_bias):
+        conv_k, conv_b, head_k, head_b = (Parameter(value, name=key) for value, key in zip(
+            (conv_kernels, conv_bias, head_kernels, head_bias), CHECKPOINT_ARRAYS))
+        self.conv = ConvLayer(conv_k, conv_b, input_grad=False)
         self.softplus = SoftplusLayer()
-        self.head = ConvLayer(hidden, 2, (1, 1), rng=rng)
-        # named by their checkpoint keys, so an error says which layer failed
-        for layer, prefix in ((self.conv, "conv"), (self.head, "head")):
-            layer.kernels = Parameter(layer.kernels.value.astype(DTYPE),
-                                      name=f"{prefix}_kernels")
-            layer.bias = Parameter(layer.bias.value.astype(DTYPE), name=f"{prefix}_bias")
+        self.head = ConvLayer(head_k, head_b)
         self._buffers = [None, None, None]
+
+    @classmethod
+    def kaiming(cls, in_channels: int, hidden: int, kernel,
+                rng: np.random.Generator) -> "Network":
+        """Kaiming kernels drawn from ``rng``, conv then head, in float64
+        and rounded to ``DTYPE``; zero biases."""
+        kh, kw = kernel
+        conv = kaiming_init(in_channels * kh * kw, (hidden, in_channels, kh, kw), rng)
+        head = kaiming_init(hidden, (2, hidden, 1, 1), rng)
+        return cls(conv.astype(DTYPE), np.zeros(hidden, DTYPE),
+                   head.astype(DTYPE), np.zeros(2, DTYPE))
 
     @property
     def shape(self) -> tuple[int, int, tuple[int, int]]:
         """(input channels, hidden width, first kernel size)."""
-        return self.conv.in_channels, self.conv.out_channels, tuple(self.conv.kernel_size)
+        hidden, in_channels, kh, kw = self.conv.kernels.value.shape
+        return in_channels, hidden, (kh, kw)
 
     def parameters(self) -> list[Parameter]:
-        return self.conv.parameters() + self.head.parameters()
+        return [self.conv.kernels, self.conv.bias, self.head.kernels, self.head.bias]
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -296,20 +267,20 @@ class Network:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         batch, _width, rows, cols = x.shape
-        shape = (batch * rows * cols, self.conv.out_channels)
+        shape = (batch * rows * cols, len(self.conv.bias.value))
         dtype = np.result_type(x, self.conv.kernels.value)
         h = self.conv.forward(x, out=self._buffer(0, shape, dtype))
         slope = _layer_array(self._buffer(1, shape, dtype), h.shape)
         return self.head.forward(self.softplus.forward(h, out=h, slope=slope))
 
     def backward(self, grad_out: np.ndarray) -> None:
-        hidden = self._buffers[0]
-        grad = None if hidden is None else self._buffer(
-            2, hidden.shape, np.result_type(grad_out, self.head.kernels.value))
+        grad = self._buffer(2, self._buffers[0].shape,
+                            np.result_type(grad_out, self.head.kernels.value))
         self.conv.backward(self.softplus.backward(self.head.backward(grad_out, out=grad)))
 
     def drop_buffers(self) -> None:
         self._buffers = [None, None, None]
+        self.conv._rows = self.head._rows = self.softplus._slope = None
 
 
 class Adam:
@@ -392,7 +363,4 @@ def load_network(path) -> tuple[Network, dict]:
                          f"{np.dtype(DTYPE)} conv -> softplus -> 1x1 network")
     if not isinstance(doc.get("meta"), dict):
         raise ValueError(f"checkpoint {path} has no 'meta' object")
-    net = Network(conv_k.shape[1], conv_k.shape[0], conv_k.shape[2:])
-    for p, value in zip(net.parameters(), arrays):
-        p.value[...] = value
-    return net, doc["meta"]
+    return Network(*arrays), doc["meta"]

@@ -39,6 +39,7 @@ from .domain import (
 )
 from .features import tc_distance_field
 from .storage import (
+    _typed,
     load_grid_csv,
     read_json,
     record_from_json,
@@ -51,15 +52,22 @@ SCENARIO_FORMAT = "cyclone-pp-scenario/3"
 ISLAND_LAT0, ISLAND_LON0 = 21.9, 120.0
 ISLAND_EXTENT_LAT = 2.52
 ISLAND_PEAK_M = 3200.0
-# about five times the world's 24 h rain record (1,825 mm); rain near
-# 1e154 mm overflows float64 when the fit squares it
-MAX_AMPLITUDE_MM = 10_000.0
-# the other rain scales: a tenfold wet bias, or tenfold rain per km of
-# altitude, is already far outside any real ensemble
-MAX_RAIN_FACTOR = 10.0
-_SCALE_BOUNDS = {"amplitude_mm": MAX_AMPLITUDE_MM, "member_noise_mm": MAX_AMPLITUDE_MM,
-                 "member_bias": MAX_RAIN_FACTOR, "terrain_factor": MAX_RAIN_FACTOR,
-                 "member_terrain_factor": MAX_RAIN_FACTOR}
+_POINT = ("[-90, 90]", "[-180, 360)")  # a track point's latitude and longitude
+#: the interval of each numeric key, or of each component of a pair. The
+#: rain amounts stop at about five times the world's 24 h rain record
+#: (1,825 mm): rain near 1e154 mm overflows float64 when the fit squares
+#: it. A tenfold wet bias or tenfold rain per km of altitude, a log-std
+#: of 5 (a spread of e^5 = 150 times) or a storm center moved by 10
+#: degrees is already far outside any real ensemble. Report directories
+#: name an index in four digits of tenths, so 999 reports at most.
+_BOUNDS = {
+    "seed": "[0, inf)", "n_reports": "[2, 999]", "track_start": _POINT, "track_end": _POINT,
+    "amplitude_mm": "[0, 1e4]", "decay_km": "(0, inf)", "terrain_factor": "[0, 10]",
+    "noise_sigma": "[0, 5]", "member_bias": "(0, 10]", "member_bias_spread": "[0, 5]",
+    "member_noise_sigma": "[0, 5]", "member_noise_mm": "[0, 1e4]",
+    "member_terrain_factor": "[0, 10]", "track_bias_deg": ("[-10, 10]", "[-10, 10]"),
+    "track_jitter_deg": "[0, 10]",
+}
 _STREAM_REPORT = 101
 _STREAM_BIAS = 9001
 
@@ -67,6 +75,13 @@ _STREAM_BIAS = 9001
 _META, _MEMBERS, _OBS = "meta.json", "members.npy", "obs.npy"
 _REPORT_DIR_RE = re.compile(r"report_(\d{4})(n?)$")
 _EPOCH = datetime(2015, 8, 6, 0, tzinfo=timezone.utc)
+
+
+def _inside(value, interval: str) -> bool:
+    """Whether value lies in an interval written like "[0, 5]" or "(0, inf)"."""
+    low, high = map(float, interval[1:-1].split(","))
+    return ((low < value) if interval[0] == "(" else (low <= value)) and (
+        (value < high) if interval[-1] == ")" else (value <= high))
 
 
 @dataclass(frozen=True)
@@ -106,22 +121,11 @@ class ScenarioSpec:
     track_jitter_deg: float = 0.03
 
     def __post_init__(self):
-        if self.n_reports < 2:
-            raise ValueError(f"need at least 2 reports, got {self.n_reports}")
-        for key, top in _SCALE_BOUNDS.items():
-            if not 0 <= getattr(self, key) <= top:
-                raise ValueError(f"{key!r} must be in [0, {top:g}], "
-                                 f"got {getattr(self, key)!r}")
-        if self.decay_km <= 0:
-            raise ValueError(f"'decay_km' must be > 0, got {self.decay_km!r}")
-        if min(self.noise_sigma, self.member_bias_spread,
-               self.member_noise_sigma, self.member_noise_mm,
-               self.track_jitter_deg) < 0:
-            raise ValueError("noise scales must be >= 0")
-        if self.member_bias <= 0:
-            raise ValueError(f"member bias must be positive, got {self.member_bias}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for key, bounds in _BOUNDS.items():
+            value = getattr(self, key)
+            parts, intervals = (value, bounds) if isinstance(bounds, tuple) else ([value], [bounds])
+            if not all(map(_inside, parts, intervals)):
+                raise ValueError(f"{key!r} must be in {' x '.join(intervals)}, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -230,7 +234,11 @@ def generate_scenario(spec: ScenarioSpec, domain: GridDomain) -> Scenario:
             jlat, jlon = spec.track_jitter_deg * rng.standard_normal(2)
             center_m = (track[k - 1][0] + blat + jlat,
                         track[k - 1][1] + blon + jlon)
-            base_m = _base_field(spec, domain, center_m, spec.member_terrain_factor)
+            try:
+                base_m = _base_field(spec, domain, center_m, spec.member_terrain_factor)
+            except ValueError as exc:  # a center pushed off the globe
+                raise ValueError(f"'track_bias_deg' and 'track_jitter_deg' move member "
+                                 f"{m + 1} of report {k}: {exc}") from None
             zeta = np.exp(rng.normal(-sm * sm / 2, sm, size=shape)) if sm > 0 else 1.0
             jitter = spec.member_noise_mm * rng.standard_normal(shape)
             members[m] = np.maximum(biases[m] * base_m * zeta + jitter, 0.0)
@@ -343,14 +351,25 @@ def list_report_dirs(path) -> list[tuple[float, bool, Path]]:
 
 def load_report_meta(rdir) -> dict:
     """index, origin, tc_center and valid_time from a report's meta.json,
-    as Report keywords; a missing key is a ValueError naming the file."""
+    as Report keywords. A missing key, or a value that is not a finite
+    number (index, tc_lat, tc_lon), a ReportOrigin value (origin) or null
+    or an ISO time (valid_time), is a ValueError naming the file and key."""
     path = Path(rdir) / _META
     meta = read_json(path)
-    index, origin, lat, lon = (_key(meta, path, key)
-                               for key in ("index", "origin", "tc_lat", "tc_lon"))
+    index, origin, lat, lon = (
+        _typed(_key(meta, path, key), kind, f"{path} key {key!r}")
+        for key, kind in (("index", float), ("origin", str), ("tc_lat", float), ("tc_lon", float)))
+    origins = [o.value for o in ReportOrigin]
+    if origin not in origins:
+        raise ValueError(f"{path} key 'origin' must be one of {origins}, got {origin!r}")
     valid_time = meta.get("valid_time")
+    try:
+        valid_time = None if valid_time is None else datetime.fromisoformat(valid_time)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path} key 'valid_time' must be null or an ISO time, "
+                         f"got {valid_time!r}") from None
     return {"index": float(index), "origin": ReportOrigin(origin), "tc_center": (lat, lon),
-            "valid_time": datetime.fromisoformat(valid_time) if valid_time else None}
+            "valid_time": valid_time}
 
 
 def load_report(rdir, with_observation: bool = True) -> Report:

@@ -30,7 +30,14 @@ from cyclone_pp.evaluation import (
     reliability_diagram,
 )
 from cyclone_pp.models import ModelConfig, rolling_origin_run
-from cyclone_pp.neuralnet import ConvLayer, Network, SoftplusLayer, im2col
+from cyclone_pp.neuralnet import (
+    ConvLayer,
+    Network,
+    Parameter,
+    SoftplusLayer,
+    im2col,
+    kaiming_init,
+)
 from cyclone_pp.scoring import (
     crps_gaussian,
     crps_gradient,
@@ -156,7 +163,7 @@ def test_c2_gradients_pass_finite_difference_checks():
     # every layer type on randomized small shapes, params and inputs; conv
     # layers take im2col patch rows, so their input gradient is with
     # respect to those rows
-    def layer_errors(layer, x, label):
+    def layer_errors(layer, params, x, label):
         g = rng.standard_normal(layer.forward(x).shape)
 
         def loss():
@@ -164,23 +171,27 @@ def test_c2_gradients_pass_finite_difference_checks():
 
         loss()
         grad_x = layer.backward(g)
-        for p in layer.parameters():
+        for p in params:
             errs[f"{label}_{p.name}"] = max_rel_err(
                 p.grad, finite_difference(loss, p.value))
         errs[f"{label}_input"] = max_rel_err(grad_x, finite_difference(loss, x))
 
-    layer_errors(ConvLayer(3, 4, kernel=(2, 2), rng=rng),
-                 im2col(rng.standard_normal((2, 3, 5, 4)), (2, 2)), "conv2x2")
-    layer_errors(ConvLayer(4, 2, kernel=(1, 1), rng=rng),
-                 im2col(rng.standard_normal((2, 4, 3, 3)), (1, 1)), "conv1x1")
-    layer_errors(SoftplusLayer(), rng.standard_normal((2, 3, 4, 4)), "softplus")
+    def conv_params(in_channels, out_channels, kh, kw):
+        """float64 Kaiming kernels and a zero bias."""
+        kernels = kaiming_init(in_channels * kh * kw, (out_channels, in_channels, kh, kw), rng)
+        return [Parameter(kernels, name="kernels"), Parameter(np.zeros(out_channels), name="bias")]
+
+    for label, (n_in, n_out, kh, kw), shape in (("conv2x2", (3, 4, 2, 2), (2, 3, 5, 4)),
+                                                ("conv1x1", (4, 2, 1, 1), (2, 4, 3, 3))):
+        params = conv_params(n_in, n_out, kh, kw)
+        layer_errors(ConvLayer(*params), params,
+                     im2col(rng.standard_normal(shape), (kh, kw)), label)
+    layer_errors(SoftplusLayer(), [], rng.standard_normal((2, 3, 4, 4)), "softplus")
 
     # the shipped network, its parameters widened to float64 so finite
     # differences resolve; its first conv computes no input gradient
-    net = Network(3, 6, (2, 2), rng=rng)
-    for p in net.parameters():
-        p.value = p.value.astype(np.float64)
-        p.grad = np.zeros_like(p.value)
+    drawn = Network.kaiming(3, 6, (2, 2), rng)
+    net = Network(*(p.value.astype(np.float64) for p in drawn.parameters()))
     x = im2col(rng.standard_normal((2, 3, 4, 5)), (2, 2))
     g = rng.standard_normal((2, 2, 4, 5))
 

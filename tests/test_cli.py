@@ -62,7 +62,7 @@ def pipeline(tmp_path_factory):
 
 class TestHelpers:
     def test_targets_range(self):
-        assert _parse_targets("6..11") == [6, 7, 8, 9, 10, 11]
+        assert list(_parse_targets("6..11")) == [6, 7, 8, 9, 10, 11]
 
     def test_targets_list(self):
         assert _parse_targets("6,9,11") == [6, 9, 11]
@@ -129,6 +129,16 @@ class TestGenerate:
         assert "positive integer" in err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("flag", ["--rows", "--cols"])
+    def test_grid_side_bounded_at_500(self, tmp_path, capsys, flag):
+        # 100000 x 100000 ran out of memory in numpy with a traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", flag, "501", "--out", str(tmp_path / "s")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "500" in err and flag in err
+        assert not (tmp_path / "s").exists()
+
     def test_absurd_amplitude_refused(self, tmp_path, capsys):
         spec, out = tmp_path / "spec.json", tmp_path / "s"
         spec.write_text(json.dumps({**ScenarioSpec().to_dict(), "amplitude_mm": 1e160}))
@@ -139,7 +149,9 @@ class TestGenerate:
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["member_bias", "terrain_factor",
-                                     "member_terrain_factor", "member_noise_mm"])
+                                     "member_terrain_factor", "member_noise_mm",
+                                     "noise_sigma", "member_bias_spread",
+                                     "member_noise_sigma", "track_jitter_deg"])
     def test_absurd_scale_refused(self, tmp_path, capsys, key):
         # each scale multiplies the rain; at 1e300 it overflows float64
         spec, out = tmp_path / "spec.json", tmp_path / "s"
@@ -149,6 +161,47 @@ class TestGenerate:
         err = one_error_line(capsys)
         assert str(spec) in err and f"'{key}'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("track_bias_deg", [1e300, 0.0]), ("track_start", [100.0, 124.5]),
+        ("track_end", [25.5, 360.0]), ("n_reports", 1000)])
+    def test_out_of_range_track_or_count_refused(self, tmp_path, capsys, key, value):
+        spec, out = tmp_path / "spec.json", tmp_path / "s"
+        spec.write_text(json.dumps({**ScenarioSpec().to_dict(), key: value}))
+        assert main(["generate", "--spec", str(spec), "--rows", "10", "--cols", "8",
+                     "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(spec) in err and f"'{key}' must be in" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("track", ["at its bounds", "as by default"])
+    def test_spec_at_every_upper_bound(self, tmp_path, capsys, track):
+        # the scales, the spread and the report count at their tops; seed and
+        # decay_km have no top, so a large value stands in. The storm then
+        # generates and trains, or stops in one line naming its keys.
+        top = {**ScenarioSpec().to_dict(), "seed": 2**64, "n_reports": 999,
+               "amplitude_mm": 1e4, "decay_km": 1e300, "terrain_factor": 10.0,
+               "noise_sigma": 5.0, "member_bias": 10.0, "member_bias_spread": 5.0,
+               "member_noise_sigma": 5.0, "member_noise_mm": 1e4,
+               "member_terrain_factor": 10.0, "track_bias_deg": [10.0, 10.0],
+               "track_jitter_deg": 10.0}
+        if track == "at its bounds":
+            top.update(track_start=[90.0, 359.99], track_end=[90.0, 359.99])
+        spec, scen, model = tmp_path / "spec.json", tmp_path / "s", tmp_path / "m"
+        spec.write_text(json.dumps(top))
+        code = main(["generate", "--spec", str(spec), "--rows", "10", "--cols", "8",
+                     "--out", str(scen)])
+        if code == 0:
+            code = main(["train", "--scenario", str(scen), "--variant", "cnn-all",
+                         "--target", "11", "--epochs", "1", "--out", str(model)])
+        lines = capsys.readouterr().err.splitlines()
+        errors = [line for line in lines if not line.startswith("warning: ")]
+        assert (code, errors) == (0, []) or (code == 1 and len(errors) == 1
+                                             and errors[0].startswith("error: ")), lines
+        if track == "at its bounds":  # the members' storm leaves the globe
+            assert code == 1 and "'track_bias_deg'" in errors[0]
+        else:
+            assert code == 0 and (model / "model_cnn-all.json").is_file()
 
     def test_grid_without_land_rejected(self, tmp_path, capsys):
         out = tmp_path / "s"
@@ -634,6 +687,45 @@ class TestEvaluate:
                      "--scenario", str(pipeline["scen"]), "--targets", "7",
                      "--out", str(tmp_path / "ev")]) == 1
         assert "no predictions supplied" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("targets", ["6,6", "6, 6", "6,7,6"])
+    def test_duplicate_target_refused(self, pipeline, tmp_path, capsys, targets):
+        # a target twice scored its report twice: 48 skill rows for 24 cells
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--predictions", str(pipeline["pred"]),
+                     "--scenario", str(pipeline["scen"]), "--targets", targets,
+                     "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert "--targets" in err and "twice" in err
+        assert not out.exists()
+
+    def test_range_longer_than_the_predictions_refused(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--predictions", str(pipeline["pred"]),
+                     "--scenario", str(pipeline["scen"]), "--targets", "1..3000",
+                     "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert "3000 targets" in err and len(err) < 300
+        assert not out.exists()
+
+    def test_huge_range_is_not_built(self, pipeline, tmp_path):
+        # a billion targets in a list would need gigabytes; the range is
+        # measured, not built, so this runs in a 1 GB address space
+        out = tmp_path / "ev"
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from cyclone_pp.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        run = subprocess.run(
+            [sys.executable, "-c", code, "evaluate", "--predictions", str(pipeline["pred"]),
+             "--scenario", str(pipeline["scen"]), "--targets", "1..1000000000",
+             "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+        assert "1000000000 targets" in run.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["target", "variant"])
     def test_manifest_config_without_key_exits_1(self, pipeline, tmp_path, capsys, key):
@@ -1173,6 +1265,23 @@ class TestMalformedLoaderInput:
                      "--target", TARGET, "--epochs", "1", "--out", str(out)]) == 1
         err = one_error_line(capsys)
         assert str(scen / "report_0030" / "meta.json") in err and "'index'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("valid_time", 5), ("valid_time", "Thursday"), ("tc_lat", "north"),
+        ("tc_lon", None), ("index", True), ("index", [3]), ("origin", 0),
+        ("origin", "forecast")])
+    def test_report_meta_of_another_type(self, pipeline, tmp_path, capsys, key, value):
+        scen = tmp_path / "scen"
+        shutil.copytree(pipeline["scen"], scen)
+        meta = scen / "report_0030" / "meta.json"
+        meta.write_text(json.dumps({**read_json(meta), key: value}))
+        rehash_outputs(scen)
+        out = tmp_path / "m"
+        assert main(["train", "--scenario", str(scen), "--variant", "cnn",
+                     "--target", TARGET, "--epochs", "1", "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(meta) in err and repr(key) in err
         assert not out.exists()
 
 

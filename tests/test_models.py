@@ -23,7 +23,7 @@ from cyclone_pp.models import (
     track_through,
     train_model,
 )
-from cyclone_pp import models
+from cyclone_pp import models, neuralnet
 from cyclone_pp.augmentation import build_augmented_set
 from cyclone_pp.neuralnet import TrainingDiverged, im2col
 from cyclone_pp.scoring import weighted_loss
@@ -54,16 +54,18 @@ def track_of(scenario):
 
 class TestModelConfig:
     def test_variant_flag_matrix(self):
-        table = {v: (ModelConfig.for_variant(v).use_geo_dyn,
+        # one row per variant: (input channels, hidden width, first kernel)
+        # of its network, and whether its training set is augmented
+        table = {v: (ModelConfig.for_variant(v).network_shape,
                      ModelConfig.for_variant(v).use_augmentation)
                  for v in VARIANTS}
         assert table == {
-            "members": (False, False),
-            "fcn": (False, False),
-            "cnn": (False, False),
-            "cnn-dyn": (True, False),
-            "cnn-aug": (False, True),
-            "cnn-all": (True, True),
+            "members": ((20, None, None), False),
+            "fcn": ((7, 16, (1, 1)), False),
+            "cnn": ((20, 32, (2, 2)), False),
+            "cnn-dyn": ((25, 32, (2, 2)), False),
+            "cnn-aug": ((20, 32, (2, 2)), True),
+            "cnn-all": ((25, 32, (2, 2)), True),
         }
 
     def test_the_variant_is_the_only_flag(self):
@@ -462,6 +464,35 @@ class TestSaveLoad:
         b = loaded.predict(rep, tiny_domain, track_of(tiny_scenario))
         assert a.mu.tobytes() == b.mu.tobytes()
         assert a.sigma.tobytes() == b.sigma.tobytes()
+
+    def test_load_draws_no_weights(self, tiny_scenario, tiny_domain, tmp_path,
+                                   monkeypatch):
+        # the checkpoint's four arrays are the network; none is drawn first
+        model = train_model(ModelConfig.for_variant("fcn", epochs=1),
+                            history_until(tiny_scenario, 7), tiny_domain)
+        path = tmp_path / "model.json"
+        model.save(path)
+
+        def no_draw(*args):
+            raise AssertionError("a load drew Kaiming weights")
+
+        monkeypatch.setattr(neuralnet, "kaiming_init", no_draw)
+        loaded = TrainedModel.load(path)
+        for a, b in zip(model.net.parameters(), loaded.net.parameters()):
+            assert a.value.tobytes() == b.value.tobytes()
+
+    @pytest.mark.parametrize("variant", ["fcn", "cnn-all"])
+    def test_fit_and_predict_leave_the_network_no_buffers(self, tiny_scenario,
+                                                          tiny_domain, variant):
+        # a kept model holds its four arrays, not the patch rows of its
+        # fit or the hidden-size arrays of its last prediction
+        model = train_model(ModelConfig.for_variant(variant, epochs=1),
+                            history_until(tiny_scenario, 7), tiny_domain)
+        net = model.net
+        for _call in range(2):
+            assert net._buffers == [None, None, None]
+            assert net.conv._rows is net.head._rows is net.softplus._slope is None
+            model.predict(tiny_scenario.reports[6], tiny_domain, track_of(tiny_scenario))
 
 
 class TestStackFor:

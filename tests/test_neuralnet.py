@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cyclone_pp import neuralnet
 from cyclone_pp.neuralnet import (
     CHECKPOINT_ARRAYS,
     DTYPE,
@@ -41,16 +42,24 @@ def conv_reference(x, kernels, bias):
 
 def conv(layer, x):
     """A conv layer applied to an image stack through its patch rows."""
-    return layer.forward(im2col(x, layer.kernel_size))
+    return layer.forward(im2col(x, layer.kernels.value.shape[2:]))
+
+
+def conv_layer(in_channels, out_channels, kernel=(2, 2), rng=None,
+               input_grad=True) -> ConvLayer:
+    """A float64 conv layer: Kaiming kernels (from default_rng(0) unless
+    given a generator) and a zero bias."""
+    kh, kw = kernel
+    kernels = kaiming_init(in_channels * kh * kw, (out_channels, in_channels, kh, kw),
+                           np.random.default_rng(0) if rng is None else rng)
+    return ConvLayer(Parameter(kernels, name="kernels"),
+                     Parameter(np.zeros(out_channels), name="bias"), input_grad)
 
 
 def float64_network(rng, in_channels=3, hidden=4, kernel=(2, 2)) -> Network:
     """A Network with float64 parameters, fine enough for finite differences."""
-    net = Network(in_channels, hidden, kernel, rng=rng)
-    for p in net.parameters():
-        p.value = p.value.astype(np.float64)
-        p.grad = np.zeros_like(p.value)
-    return net
+    drawn = Network.kaiming(in_channels, hidden, kernel, rng)
+    return Network(*(p.value.astype(np.float64) for p in drawn.parameters()))
 
 
 def finite_difference(f, x, h=1e-4):
@@ -114,15 +123,6 @@ class TestSoftplus:
         assert out.dtype == DTYPE and out.strides == x.strides
         assert out.tobytes() == want.tobytes()
         assert layer.backward(g).tobytes() == (slope * g).tobytes()
-
-    def test_each_forward_serves_one_backward(self):
-        # backward turns the cached slope into the gradient in place
-        layer = SoftplusLayer()
-        x = np.array([[-1.0, 0.0, 2.0]])
-        layer.forward(x)
-        layer.backward(np.ones_like(x))
-        with pytest.raises(RuntimeError, match="before forward"):
-            layer.backward(np.ones_like(x))
 
 
 class TestKaimingInit:
@@ -195,7 +195,7 @@ class TestIm2col:
 
 class TestConvForward:
     def test_identity_kernel(self):
-        layer = ConvLayer(1, 1, kernel=(2, 2))
+        layer = conv_layer(1, 1, kernel=(2, 2))
         layer.kernels.value[:] = 0.0
         layer.kernels.value[0, 0, 0, 0] = 1.0
         layer.bias.value[:] = 0.0
@@ -206,7 +206,7 @@ class TestConvForward:
         # 2x2 sum over a constant 3x3 field: 4c inside, halved where the
         # window hangs over the zero pad, c at the bottom-right corner.
         c = 2.5
-        layer = ConvLayer(1, 1, kernel=(2, 2))
+        layer = conv_layer(1, 1, kernel=(2, 2))
         layer.kernels.value[:] = 1.0
         layer.bias.value[:] = 0.0
         out = conv(layer, np.full((1, 1, 3, 3), c))[0, 0]
@@ -219,30 +219,18 @@ class TestConvForward:
     def test_matches_naive_loop(self, kernel):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(2, 3, 5, 6))
-        layer = ConvLayer(3, 4, kernel=kernel, rng=rng)
+        layer = conv_layer(3, 4, kernel=kernel, rng=rng)
         layer.bias.value[:] = rng.normal(size=4)
         want = conv_reference(x, layer.kernels.value, layer.bias.value)
         np.testing.assert_allclose(conv(layer, x), want, rtol=1e-12, atol=1e-12)
 
     def test_shape_preserved(self):
-        layer = ConvLayer(25, 32, kernel=(2, 2))
+        layer = conv_layer(25, 32, kernel=(2, 2))
         out = conv(layer, np.zeros((1, 25, 84, 70)))
         assert out.shape == (1, 32, 84, 70)
 
-    def test_channel_mismatch_rejected(self):
-        layer = ConvLayer(3, 4)
-        with pytest.raises(ValueError, match="channels"):
-            conv(layer, np.zeros((1, 5, 4, 4)))
-        with pytest.raises(ValueError, match="channels"):
-            layer.forward(np.zeros((1, 3, 4, 4)))  # an image, not patch rows
-
-    def test_rank_mismatch_rejected(self):
-        layer = ConvLayer(3, 4)
-        with pytest.raises(ValueError, match="batch"):
-            layer.forward(np.zeros((3, 4, 4)))
-
     def test_float32_stays_float32(self):
-        layer = Network(2, 3, (2, 2), rng=np.random.default_rng(1)).conv
+        layer = Network.kaiming(2, 3, (2, 2), np.random.default_rng(1)).conv
         out = conv(layer, np.zeros((1, 2, 4, 4), dtype=np.float32))
         assert out.dtype == np.float32
 
@@ -250,7 +238,7 @@ class TestConvForward:
 class TestConvBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(3)
-        layer = ConvLayer(2, 3, rng=rng)
+        layer = conv_layer(2, 3, rng=rng)
         x = rng.normal(size=(2, 2, 4, 4))
         conv(layer, x)
         gx = layer.backward(np.zeros((2, 3, 4, 4)))
@@ -262,7 +250,7 @@ class TestConvBackward:
         # with upstream grad = 1 at one output pixel, the kernel gradient
         # is exactly the padded input patch under that pixel
         rng = np.random.default_rng(4)
-        layer = ConvLayer(1, 1, kernel=(2, 2), rng=rng)
+        layer = conv_layer(1, 1, kernel=(2, 2), rng=rng)
         x = rng.normal(size=(1, 1, 3, 3))
         conv(layer, x)
         g = np.zeros((1, 1, 3, 3))
@@ -270,15 +258,10 @@ class TestConvBackward:
         layer.backward(g)
         np.testing.assert_allclose(layer.kernels.grad[0, 0], x[0, 0, 1:3, 1:3])
 
-    def test_backward_before_forward_errors(self):
-        layer = ConvLayer(1, 1)
-        with pytest.raises(RuntimeError, match="before forward"):
-            layer.backward(np.zeros((1, 1, 3, 3)))
-
     @pytest.mark.parametrize("kernel", [(2, 2), (1, 1)])
     def test_gradients_match_finite_differences(self, kernel):
         rng = np.random.default_rng(11)
-        layer = ConvLayer(3, 2, kernel=kernel, rng=rng)
+        layer = conv_layer(3, 2, kernel=kernel, rng=rng)
         x = im2col(rng.normal(size=(2, 3, 4, 5)), kernel)  # gradient w.r.t. the rows
         proj = rng.normal(size=(2, 2, 4, 5))
 
@@ -297,7 +280,7 @@ class TestConvBackward:
 
     def test_input_grad_disabled_returns_none(self):
         rng = np.random.default_rng(6)
-        layer = ConvLayer(2, 3, rng=rng, input_grad=False)
+        layer = conv_layer(2, 3, rng=rng, input_grad=False)
         x = im2col(rng.normal(size=(1, 2, 4, 4)), (2, 2))
         proj = rng.normal(size=(1, 3, 4, 4))
 
@@ -313,7 +296,7 @@ class TestConvBackward:
 
     def test_grads_accumulate_until_zeroed(self):
         rng = np.random.default_rng(5)
-        layer = ConvLayer(1, 1, rng=rng)
+        layer = conv_layer(1, 1, rng=rng)
         x = im2col(rng.normal(size=(1, 1, 3, 3)), (2, 2))
         g = rng.normal(size=(1, 1, 3, 3))
         layer.forward(x)
@@ -345,20 +328,20 @@ class TestNetwork:
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(2)
-        net = Network(3, 4, (2, 2), rng=rng)
+        net = Network.kaiming(3, 4, (2, 2), rng)
         x = im2col(rng.normal(size=(1, 3, 5, 5)).astype(DTYPE), (2, 2))
         np.testing.assert_array_equal(net.forward(x), net.forward(x))
 
     def test_backward_stops_at_gradless_first_layer(self):
         rng = np.random.default_rng(12)
-        net = Network(3, 4, (2, 2), rng=rng)
+        net = Network.kaiming(3, 4, (2, 2), rng)
         net.forward(im2col(rng.normal(size=(1, 3, 4, 4)).astype(DTYPE), (2, 2)))
         assert net.backward(np.ones((1, 2, 4, 4), dtype=DTYPE)) is None
         assert not net.conv.input_grad and net.conv.kernels.grad.any()
 
     def test_forward_results_are_independent(self):
         rng = np.random.default_rng(8)
-        net = Network(3, 4, (2, 2), rng=rng)
+        net = Network.kaiming(3, 4, (2, 2), rng)
         x = im2col(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2))
         first = net.forward(x)
         kept = first.copy()
@@ -370,7 +353,7 @@ class TestNetwork:
         # the conv output (softplus in place over it) and the slope live in
         # the network's own arrays; the head values are new each forward
         rng = np.random.default_rng(10)
-        net = Network(3, 4, (2, 2), rng=rng)
+        net = Network.kaiming(3, 4, (2, 2), rng)
         x = im2col(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2))
         epochs = []
         for _epoch in range(2):
@@ -386,7 +369,7 @@ class TestNetwork:
         rng = np.random.default_rng(11)
         x = im2col(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2))
         g = rng.normal(size=(2, 2, 4, 4)).astype(DTYPE)
-        net, fresh = (Network(3, 4, (2, 2), rng=np.random.default_rng(0)) for _ in range(2))
+        net, fresh = (Network.kaiming(3, 4, (2, 2), np.random.default_rng(0)) for _ in range(2))
         out = net.forward(x)
         net.backward(g)
         conv, soft, head = fresh.conv, fresh.softplus, fresh.head
@@ -398,7 +381,7 @@ class TestNetwork:
 
     def test_backward_leaves_grad_out_untouched(self):
         rng = np.random.default_rng(9)
-        net = Network(3, 4, (2, 2), rng=rng)
+        net = Network.kaiming(3, 4, (2, 2), rng)
         net.forward(im2col(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2)))
         g = rng.normal(size=(2, 2, 4, 4)).astype(DTYPE)
         kept = g.copy()
@@ -412,13 +395,12 @@ class TestNetwork:
         assert g.tobytes() == kept.tobytes() and not np.shares_memory(grad, g)
 
     def test_parameters_are_named_by_checkpoint_key(self):
-        # a divergence error names the layer; a lone conv keeps short names
-        net = Network(3, 4, (2, 2), rng=np.random.default_rng(0))
+        # a divergence error names the layer
+        net = Network.kaiming(3, 4, (2, 2), np.random.default_rng(0))
         assert tuple(p.name for p in net.parameters()) == CHECKPOINT_ARRAYS
-        assert [p.name for p in ConvLayer(3, 4).parameters()] == ["kernels", "bias"]
 
     def test_parameters_are_float32(self):
-        net = Network(3, 4, (2, 2), rng=np.random.default_rng(0))
+        net = Network.kaiming(3, 4, (2, 2), np.random.default_rng(0))
         assert all(p.value.dtype == p.grad.dtype == DTYPE for p in net.parameters())
         out = net.forward(im2col(np.zeros((1, 3, 4, 4), dtype=DTYPE), (2, 2)))
         assert out.dtype == DTYPE
@@ -427,7 +409,7 @@ class TestNetwork:
     def test_kaiming_draws_conv_then_head(self, kernel, hidden):
         # float64 draws from one stream, rounded: the weights of every
         # earlier fit are reproduced exactly
-        net = Network(7, hidden, kernel, rng=np.random.default_rng(4))
+        net = Network.kaiming(7, hidden, kernel, np.random.default_rng(4))
         rng = np.random.default_rng(4)
         conv = kaiming_init(7 * kernel[0] * kernel[1], (hidden, 7, *kernel), rng)
         head = kaiming_init(hidden, (2, hidden, 1, 1), rng)
@@ -492,7 +474,7 @@ class TestAdam:
 
 class TestCheckpoint:
     def _net(self, kernel=(2, 2)):
-        return Network(5, 8, kernel, rng=np.random.default_rng(33))
+        return Network.kaiming(5, 8, kernel, np.random.default_rng(33))
 
     def test_round_trip_bit_exact(self, tmp_path):
         net = self._net()
@@ -512,6 +494,18 @@ class TestCheckpoint:
         x = im2col(np.random.default_rng(1).normal(size=(1, 5, 6, 7)).astype(DTYPE),
                    (2, 2))
         np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        # the network is its four checkpoint arrays; none is drawn first
+        path = tmp_path / "net.json"
+        save_network(path, self._net())
+
+        def no_draw(*args):
+            raise AssertionError("a load drew Kaiming weights")
+
+        monkeypatch.setattr(neuralnet, "kaiming_init", no_draw)
+        loaded, _ = load_network(path)
+        assert loaded.shape == (5, 8, (2, 2))
 
     def test_one_by_one_first_kernel_round_trip(self, tmp_path):
         net = self._net(kernel=(1, 1))

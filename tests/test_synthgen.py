@@ -100,6 +100,26 @@ class TestSpec:
             ScenarioSpec.from_dict({**ScenarioSpec().to_dict(), key: 1e300},
                                    source="where/spec.json")
 
+    @pytest.mark.parametrize("key, value", [
+        ("noise_sigma", 5.01), ("member_bias_spread", 1e300), ("member_noise_sigma", 6.0),
+        ("noise_sigma", -0.1), ("track_jitter_deg", 1e300), ("track_jitter_deg", 10.5),
+        ("track_bias_deg", (1e300, 0.0)), ("track_bias_deg", (0.0, -10.5)),
+        ("track_start", (100.0, 124.5)), ("track_start", (21.0, -180.5)),
+        ("track_end", (-90.5, 117.5)), ("track_end", (25.5, 360.0)),
+        ("n_reports", 1000), ("n_reports", 1), ("decay_km", 0.0), ("decay_km", -1.0),
+        ("member_bias", 0.0), ("seed", -1)])
+    def test_every_numeric_key_bounded(self, key, value):
+        # one interval per key, or per component of a pair; each refusal names its key
+        with pytest.raises(ValueError, match=f"^'{key}' must be in "):
+            ScenarioSpec(**{key: value})
+
+    def test_bounds_are_closed_where_written(self):
+        spec = ScenarioSpec(noise_sigma=5.0, member_bias_spread=5.0, member_noise_sigma=0.0,
+                            track_jitter_deg=10.0, track_bias_deg=(10.0, -10.0),
+                            track_start=(90.0, -180.0), track_end=(-90.0, 359.99),
+                            n_reports=999, decay_km=1e-3, member_bias=10.0)
+        assert spec.n_reports == 999
+
     def test_dict_round_trip(self):
         spec = ScenarioSpec(seed=9, amplitude_mm=321.0, track_start=(20.0, 125.0))
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
