@@ -35,9 +35,6 @@ def interpolate_reports(a: Report, b: Report) -> Report:
         raise ValueError(f"reports must have consecutive indices, got {a.index} and {b.index}")
     if a.observation is None or b.observation is None:
         raise ValueError("both reports need observations to interpolate")
-    valid_time = None
-    if a.valid_time is not None and b.valid_time is not None:
-        valid_time = a.valid_time + (b.valid_time - a.valid_time) / 2
     return Report(
         index=a.index + 0.5,
         origin=ReportOrigin.INTERPOLATED,
@@ -45,7 +42,6 @@ def interpolate_reports(a: Report, b: Report) -> Report:
         observation=0.5 * (a.observation + b.observation),
         tc_center=(0.5 * (a.tc_center[0] + b.tc_center[0]),
                    0.5 * (a.tc_center[1] + b.tc_center[1])),
-        valid_time=valid_time,
     )
 
 
@@ -69,7 +65,6 @@ def inject_noise(report: Report, eta: float, rng: np.random.Generator) -> Report
         members=members,
         observation=report.observation,
         tc_center=report.tc_center,
-        valid_time=report.valid_time,
     )
 
 

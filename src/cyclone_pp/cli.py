@@ -12,7 +12,7 @@ upstream manifest fingerprint, or a bare file's sha256, and the paths as
 typed in ``input_paths``, which the fingerprint leaves out. It refuses an
 ``--out`` at, inside or above an input, and writes into a temporary
 directory renamed over ``--out`` only on success, with a manifest of the
-config hash, seed, inputs and a sha256 per output file.
+config, inputs and a sha256 per output file.
 
 Each stage hashes exactly the files it opens, chosen by directory name
 before any is read: ``augment`` the original reports, ``train`` the
@@ -105,7 +105,7 @@ def _grid_side(text: str) -> int:
     return int(text)
 
 
-def _seed(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
@@ -122,16 +122,16 @@ def _parse_targets(text: str) -> range | list[int]:
     """Accept '6..11', '6,9,11', or a single integer, each target once.
 
     A range stays a ``range``, so its length is known without building it.
+    Any other text is a ValueError naming ``--targets`` and the text.
     """
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        targets = range(int(lo), int(hi) + 1)
-        if not targets:
-            raise ValueError(f"empty target range {text!r}")
-        return targets
-    targets = [int(t) for t in text.split(",")]
-    if len(set(targets)) != len(targets):
+    lo, dots, hi = text.strip().partition("..")
+    parts = [lo, hi] if dots else lo.split(",")
+    if not all(part.strip().isdecimal() for part in parts):
+        raise ValueError(f"--targets {text!r} is neither lo..hi nor integers like 6,8,10")
+    targets = range(int(lo), int(hi) + 1) if dots else [int(t) for t in parts]
+    if not targets:
+        raise ValueError(f"--targets {text!r} is an empty target range")
+    if not dots and len(set(targets)) != len(targets):
         raise ValueError(f"--targets {text!r} names a target twice")
     return targets
 
@@ -168,11 +168,11 @@ class _Stage:
         self.input_paths[role] = Path(path).as_posix()
 
     @contextlib.contextmanager
-    def output(self, name: str, config, seed=None):
+    def output(self, name: str, config):
         """Yield the staging directory; the manifest goes in on clean exit."""
         with staged_dir(self.out) as tmp:
             yield tmp
-            write_manifest(tmp, name, config=config, seed=seed, inputs=self.inputs,
+            write_manifest(tmp, name, config=config, inputs=self.inputs,
                            wall_time_s=time.perf_counter() - self.t0,
                            input_paths=self.input_paths)
 
@@ -224,7 +224,7 @@ def cmd_generate(args) -> int:
                          "training needs at least one")
     scenario = generate_scenario(spec, domain)
     config = {"spec": spec.to_dict(), "rows": args.rows, "cols": args.cols}
-    with stage.output("generate", config, spec.seed) as tmp:
+    with stage.output("generate", config) as tmp:
         save_scenario(scenario, tmp)
     print(f"generated {len(scenario.reports)} reports -> {args.out}")
     return 0
@@ -237,7 +237,7 @@ def cmd_augment(args) -> int:
     augset = build_augmented_set(originals, eta=args.eta, seed=args.seed)
     augmented = Scenario(spec=spec, domain=domain, reports=list(augset.reports))
     config = {"eta": args.eta, "seed": args.seed, "n_original": augset.n_original}
-    with stage.output("augment", config, args.seed) as tmp:
+    with stage.output("augment", config) as tmp:
         save_scenario(augmented, tmp)
     print(f"augmented {augset.n_original} originals into "
           f"{len(augset.reports)} reports -> {args.out}")
@@ -276,7 +276,7 @@ def cmd_train(args) -> int:
               "seed": args.seed}
     if any(c.use_augmentation for c in configs):
         config["eta"] = args.eta
-    with stage.output("train", config, args.seed) as tmp:
+    with stage.output("train", config) as tmp:
         for model in fitted:
             model.save(tmp / f"model_{model.config.variant}.json")
     print(f"trained {', '.join(variants)} for target {args.target} -> {args.out}")
@@ -340,10 +340,10 @@ def cmd_predict(args) -> int:
             raise ValueError("checkpoint trained on a {}x{} grid cannot predict a "
                              "{}x{} scenario".format(*model.grid_shape, *domain.shape))
         variant = model.config.variant
-        # the track: the metadata alone of each earlier original, then the target
-        earlier = [rdir for k, rdir in originals.items() if k < args.target]
-        track = [(m["index"], m["tc_center"]) for m in map(load_report_meta, _verified(
-            args.scenario, earlier, with_members=False, with_observation=False))]
+        # the track: the storm center alone of each earlier original, then the target
+        earlier = {k: rdir for k, rdir in originals.items() if k < args.target}
+        _verified(args.scenario, earlier.values(), with_members=False, with_observation=False)
+        track = [(k, load_report_meta(rdir)["tc_center"]) for k, rdir in earlier.items()]
         field = model.predict(target, domain, track + [(target.index, target.tc_center)])
 
     with stage.output("predict", {"variant": variant, "target": args.target}) as tmp:
@@ -375,7 +375,7 @@ def cmd_evaluate(args) -> int:
         stage.record(f"predictions/{config['target']}", pred_dir,
                      manifest_fingerprint(manifest))
         pred_dirs[config["target"]] = pred_dir
-    targets = (_parse_targets(args.targets) if args.targets
+    targets = (_parse_targets(args.targets) if args.targets is not None
                else sorted(pred_dirs))
     if len(targets) > len(pred_dirs):
         raise ValueError(f"--targets {args.targets} names {len(targets)} targets, but "
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="fabricate a synthetic scenario")
     p.add_argument("--spec", help="scenario spec JSON (defaults built in)")
-    p.add_argument("--seed", type=_seed, default=None, help="override spec seed")
+    p.add_argument("--seed", type=_non_negative_int, default=None, help="override spec seed")
     p.add_argument("--rows", type=_grid_side, default=84)
     p.add_argument("--cols", type=_grid_side, default=70)
     p.add_argument("--out", required=True)
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="interpolate + noise-expand a scenario")
     p.add_argument("--scenario", required=True)
     p.add_argument("--eta", type=_noise_scale, default=DEFAULT_NOISE_SCALE)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 
@@ -445,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-variants", action="store_true",
                    help="train every trainable variant")
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--epochs", type=_non_negative_int, default=100)
     p.add_argument("--eta", type=_noise_scale, default=DEFAULT_NOISE_SCALE)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

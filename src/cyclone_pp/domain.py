@@ -9,7 +9,6 @@ thresholds at 10, 80 and 200 mm / 24 h.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -152,7 +151,6 @@ class Report:
     members: np.ndarray
     observation: np.ndarray | None
     tc_center: tuple[float, float]
-    valid_time: datetime | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "members", _readonly(np.asarray(self.members, dtype=float)))
@@ -211,15 +209,21 @@ def tabulate_categories(report: Report, domain: GridDomain) -> np.ndarray:
     return counts
 
 
+def _exact(value) -> str:
+    """The shortest text that reads back as the same float (-9999.0 as -9999)."""
+    return repr(float(value)).removesuffix(".0")
+
+
 def save_domain_file(domain: GridDomain, path) -> None:
-    """Write the plain-text domain file.
+    """Write the plain-text domain file, which loads back bit for bit.
 
     Line 1 holds "rows cols lat0 lon0 cell"; the rest is the row-major
     altitude grid with sea cells encoded as -9999.
     """
     alt = np.where(domain.land_mask, domain.altitude, SEA_SENTINEL)
-    lines = [f"{domain.n_rows} {domain.n_cols} {domain.lat0:.10g} {domain.lon0:.10g} {domain.cell:.10g}"]
-    lines += [" ".join(f"{v:.10g}" for v in row) for row in alt]
+    lines = [f"{domain.n_rows} {domain.n_cols} "
+             + " ".join(map(_exact, (domain.lat0, domain.lon0, domain.cell)))]
+    lines += [" ".join(map(_exact, row)) for row in alt.tolist()]
     write_text(path, "\n".join(lines) + "\n")
 
 

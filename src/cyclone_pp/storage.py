@@ -4,9 +4,9 @@ Grids are .npy files (2-D or 3-D float64, no pickles), metadata is JSON
 and the tables people read are CSV. Writes go to a temporary path and
 rename into place, so a crashed stage leaves no half-written file or
 directory, and what is left follows the umask. Each stage directory has
-a manifest.json with the stage, config hash, seed, inputs and a sha256
-per output file; at a fixed BLAS thread count, re-running a stage with
-the same inputs and seed reproduces its fingerprint bit for bit.
+a manifest.json with the stage, config, inputs and a sha256 per output
+file; at a fixed BLAS thread count, re-running a stage with the same
+inputs and config reproduces its fingerprint bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 MANIFEST_NAME = "manifest.json"
-ENGINE_VERSION = "0.3.0"
+ENGINE_VERSION = "0.4.0"
 
 
 def sha256_file(path) -> str:
@@ -132,7 +132,7 @@ def _typed(value, kind, where: str):
 
 
 def record_from_json(cls, doc, where: str):
-    """A dataclass from a JSON object holding every field and no other key.
+    """A dataclass or NamedTuple from a JSON object of every field and no other key.
 
     Each value must have its field's type. Anything else, and any
     ValueError of the constructor, is a ValueError starting with
@@ -182,25 +182,15 @@ def staged_dir(final_path):
     shutil.rmtree(aside, ignore_errors=True)
 
 
-def write_manifest(out_dir, stage: str, config, seed, inputs: dict[str, str],
+def write_manifest(out_dir, stage: str, config, inputs: dict[str, str],
                    wall_time_s: float, input_paths=None) -> dict:
     """Record a stage's inputs by role and the sha256 of each file in out_dir."""
     out_dir = Path(out_dir)
-    outputs = {}
-    for p in sorted(out_dir.rglob("*")):
-        if p.is_file() and p.name != MANIFEST_NAME:
-            outputs[p.relative_to(out_dir).as_posix()] = sha256_file(p)
-    manifest = {
-        "stage": stage,
-        "engine_version": ENGINE_VERSION,
-        "config": config,
-        "config_hash": config_hash(config),
-        "seed": seed,
-        "inputs": inputs,
-        "input_paths": input_paths or {},
-        "outputs": outputs,
-        "wall_time_s": wall_time_s,
-    }
+    outputs = {p.relative_to(out_dir).as_posix(): sha256_file(p)
+               for p in sorted(out_dir.rglob("*")) if p.is_file() and p.name != MANIFEST_NAME}
+    manifest = {"stage": stage, "engine_version": ENGINE_VERSION, "config": config,
+                "inputs": inputs, "input_paths": input_paths or {}, "outputs": outputs,
+                "wall_time_s": wall_time_s}
     write_json(out_dir / MANIFEST_NAME, manifest)
     return manifest
 
@@ -217,13 +207,12 @@ def verify_manifest(stage_dir, files=None) -> dict:
     ``files`` lists the relative paths to hash: those a stage opens, so
     it hashes nothing it may not read; None hashes every output. A listed
     file the manifest does not record, or a manifest without its
-    ``config_hash`` string or ``outputs`` object, is a ValueError.
+    ``outputs`` object, is a ValueError.
     """
     stage_dir = Path(stage_dir)
     manifest = read_json(stage_dir / MANIFEST_NAME)
-    for key, kind in (("config_hash", str), ("outputs", dict)):
-        if not isinstance(manifest, dict) or not isinstance(manifest.get(key), kind):
-            raise ValueError(f"manifest of {stage_dir} has no {key!r} {kind.__name__}")
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("outputs"), dict):
+        raise ValueError(f"manifest of {stage_dir} has no 'outputs' dict")
     for rel in manifest["outputs"] if files is None else files:
         want = manifest["outputs"].get(rel)
         if want is None:

@@ -23,8 +23,8 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import asdict, dataclass
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .domain import (
 )
 from .features import tc_distance_field
 from .storage import (
-    _typed,
     load_grid_csv,
     read_json,
     record_from_json,
@@ -47,7 +46,7 @@ from .storage import (
     write_json,
 )
 
-SCENARIO_FORMAT = "cyclone-pp-scenario/3"
+SCENARIO_FORMAT = "cyclone-pp-scenario/4"
 # island origin and extent in degrees, kept constant across grid resolutions
 ISLAND_LAT0, ISLAND_LON0 = 21.9, 120.0
 ISLAND_EXTENT_LAT = 2.52
@@ -74,7 +73,6 @@ _STREAM_BIAS = 9001
 # the files of a report directory; report_files() names them to others
 _META, _MEMBERS, _OBS = "meta.json", "members.npy", "obs.npy"
 _REPORT_DIR_RE = re.compile(r"report_(\d{4})(n?)$")
-_EPOCH = datetime(2015, 8, 6, 0, tzinfo=timezone.utc)
 
 
 def _inside(value, interval: str) -> bool:
@@ -137,6 +135,13 @@ class ScenarioSpec:
         Anything else is a ValueError naming ``source`` and the key.
         """
         return record_from_json(cls, d, f"{source}: spec")
+
+
+class _Center(NamedTuple):
+    """A report's meta.json: the storm center, which its name does not hold."""
+
+    tc_lat: float
+    tc_lon: float
 
 
 @dataclass(frozen=True)
@@ -249,7 +254,6 @@ def generate_scenario(spec: ScenarioSpec, domain: GridDomain) -> Scenario:
             members=members,
             observation=observation,
             tc_center=track[k - 1],
-            valid_time=_EPOCH + timedelta(hours=6 * (k - 1)),
         ))
     return Scenario(spec=spec, domain=domain, reports=reports)
 
@@ -274,7 +278,7 @@ def parse_report_dirname(name: str) -> tuple[float, bool] | None:
 
 def save_scenario(scenario: Scenario, out_dir) -> None:
     """Write spec.json, domain.txt, and one report_XXXX/ each: the (20, H, W)
-    members.npy, obs.npy and meta.json (index, origin, storm center, time)."""
+    members.npy, obs.npy and meta.json (the storm center)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "spec.json",
@@ -285,26 +289,13 @@ def save_scenario(scenario: Scenario, out_dir) -> None:
         rdir.mkdir(exist_ok=True)
         save_grid_csv(rdir / _MEMBERS, r.members)
         save_grid_csv(rdir / _OBS, r.observation)
-        write_json(rdir / _META, {
-            "index": r.index,
-            "origin": r.origin.value,
-            "tc_lat": r.tc_center[0],
-            "tc_lon": r.tc_center[1],
-            "valid_time": r.valid_time.isoformat() if r.valid_time else None,
-        })
+        write_json(rdir / _META, _Center(*r.tc_center)._asdict())
 
 
 def report_files(*, with_members: bool = True, with_observation: bool = True) -> list[str]:
     """The files of a report directory that load_report opens (meta.json
     alone is load_report_meta's)."""
     return [_META] + [_MEMBERS] * with_members + [_OBS] * with_observation
-
-
-def _key(doc: dict, path, key: str):
-    """doc[key], or a ValueError naming the file and the key."""
-    if key not in doc:
-        raise ValueError(f"{path} has no key {key!r}")
-    return doc[key]
 
 
 def load_scenario_header(path) -> tuple[ScenarioSpec, GridDomain]:
@@ -316,8 +307,9 @@ def load_scenario_header(path) -> tuple[ScenarioSpec, GridDomain]:
     if doc.get("format") != SCENARIO_FORMAT:
         raise ValueError(f"{path} has scenario format {doc.get('format')!r}, "
                          f"not {SCENARIO_FORMAT!r}; generate it again")
-    spec = ScenarioSpec.from_dict(_key(doc, path / "spec.json", "spec"),
-                                  source=path / "spec.json")
+    if "spec" not in doc:
+        raise ValueError(f"{path / 'spec.json'} has no key 'spec'")
+    spec = ScenarioSpec.from_dict(doc["spec"], source=path / "spec.json")
     return spec, load_domain_file(path / "domain.txt")
 
 
@@ -350,26 +342,23 @@ def list_report_dirs(path) -> list[tuple[float, bool, Path]]:
 
 
 def load_report_meta(rdir) -> dict:
-    """index, origin, tc_center and valid_time from a report's meta.json,
-    as Report keywords. A missing key, or a value that is not a finite
-    number (index, tc_lat, tc_lon), a ReportOrigin value (origin) or null
-    or an ISO time (valid_time), is a ValueError naming the file and key."""
-    path = Path(rdir) / _META
-    meta = read_json(path)
-    index, origin, lat, lon = (
-        _typed(_key(meta, path, key), kind, f"{path} key {key!r}")
-        for key, kind in (("index", float), ("origin", str), ("tc_lat", float), ("tc_lon", float)))
-    origins = [o.value for o in ReportOrigin]
-    if origin not in origins:
-        raise ValueError(f"{path} key 'origin' must be one of {origins}, got {origin!r}")
-    valid_time = meta.get("valid_time")
-    try:
-        valid_time = None if valid_time is None else datetime.fromisoformat(valid_time)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path} key 'valid_time' must be null or an ISO time, "
-                         f"got {valid_time!r}") from None
-    return {"index": float(index), "origin": ReportOrigin(origin), "tc_center": (lat, lon),
-            "valid_time": valid_time}
+    """index, origin and tc_center of a report directory, as Report keywords.
+
+    The name gives the index and noise flag; a plain copy at an integer
+    index is an original, any other an interpolation. meta.json holds just
+    the finite ``tc_lat`` and ``tc_lon``. Another name, or a missing, extra
+    or mistyped key, is a ValueError naming the directory, or file and key.
+    """
+    rdir = Path(rdir)
+    parsed = parse_report_dirname(rdir.name)
+    if parsed is None:
+        raise ValueError(f"{rdir} is not named like a report directory "
+                         "(report_0010, report_0015n)")
+    index, noise = parsed
+    origin = (ReportOrigin.NOISE_INJECTED if noise
+              else ReportOrigin.ORIGINAL if index == int(index) else ReportOrigin.INTERPOLATED)
+    center = record_from_json(_Center, read_json(rdir / _META), str(rdir / _META))
+    return {"index": index, "origin": origin, "tc_center": tuple(center)}
 
 
 def load_report(rdir, with_observation: bool = True) -> Report:

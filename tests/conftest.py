@@ -1,5 +1,3 @@
-from datetime import datetime, timezone
-
 import numpy as np
 import pytest
 
@@ -36,8 +34,7 @@ def make_report(index, shape=(6, 5), origin=ReportOrigin.ORIGINAL, seed=None,
     if observation is None:
         observation = rng.gamma(2.0, scale, size=shape)
     return Report(index=index, origin=origin, members=members,
-                  observation=observation, tc_center=tc_center,
-                  valid_time=datetime(2015, 8, 5, 18, tzinfo=timezone.utc))
+                  observation=observation, tc_center=tc_center)
 
 
 @pytest.fixture

@@ -22,6 +22,8 @@ from cyclone_pp.cli import (
 from cyclone_pp.domain import ReportOrigin
 from cyclone_pp.models import (
     ModelConfig,
+    TrainedModel,
+    fit_fold,
     predict_members_baseline,
     rolling_origin_run,
     train_model,
@@ -32,7 +34,13 @@ from cyclone_pp.storage import (
     sha256_file,
     verify_manifest,
 )
-from cyclone_pp.synthgen import ScenarioSpec, list_report_dirs, load_report
+from cyclone_pp.synthgen import (
+    ScenarioSpec,
+    generate_scenario,
+    list_report_dirs,
+    load_report,
+    make_island_domain,
+)
 from tests.conftest import load_scenario
 
 GRID = ["--rows", "14", "--cols", "12"]
@@ -74,6 +82,12 @@ class TestHelpers:
         with pytest.raises(ValueError, match="empty target range"):
             _parse_targets("11..6")
 
+    @pytest.mark.parametrize("text", ["6..x", "6,,7", "x", "", " ", "..6", "6..", "1.5"])
+    def test_malformed_targets_name_the_flag(self, text):
+        with pytest.raises(ValueError) as exc:
+            _parse_targets(text)
+        assert str(exc.value).startswith(f"--targets {text!r} ")
+
     def test_thread_cap_default(self, monkeypatch):
         monkeypatch.delenv("CYCLONE_PP_THREADS", raising=False)
         assert thread_cap() == 1
@@ -102,7 +116,7 @@ class TestGenerate:
         assert len(list_report_dirs(scen)) == 15
         manifest = verify_manifest(scen)
         assert manifest["stage"] == "generate"
-        assert manifest["seed"] == 3
+        assert manifest["config"]["spec"]["seed"] == 3
         # spec.json, domain.txt and three files per report
         assert len(manifest["outputs"]) == 2 + 3 * 15
         assert {"report_0070/meta.json", "report_0070/members.npy",
@@ -436,6 +450,24 @@ class TestTrainMatchesLibrary:
         assert got.mu.tobytes() == expected.mu.tobytes()
         assert got.sigma.tobytes() == expected.sigma.tobytes()
 
+    def test_full_grid_checkpoint_equals_fit_fold(self, tmp_path):
+        # at 84x70 a rounded domain.txt moved altitudes by up to 5e-7 m,
+        # so a saved scenario trained cnn-dyn differently from memory
+        scen, model = tmp_path / "scen", tmp_path / "model"
+        assert main(["generate", "--seed", "1", "--out", str(scen)]) == 0
+        assert main(["train", "--scenario", str(scen), "--variant", "cnn-dyn",
+                     "--target", "6", "--epochs", "1", "--out", str(model)]) == 0
+        got = TrainedModel.load(model / "model_cnn-dyn.json")
+        domain = make_island_domain(84, 70)
+        scenario = generate_scenario(ScenarioSpec(seed=1), domain)
+        want = fit_fold(ModelConfig.for_variant("cnn-dyn", epochs=1),
+                        [r for r in scenario.reports if r.index < 6], domain, 6)
+        for a, b in zip(got.net.parameters(), want.net.parameters()):
+            assert a.value.tobytes() == b.value.tobytes(), a.name
+        assert got.norm.mean.tobytes() == want.norm.mean.tobytes()
+        assert got.norm.std.tobytes() == want.norm.std.tobytes()
+        assert (got.target_mean, got.target_std) == (want.target_mean, want.target_std)
+
     def test_augment_seed_does_not_reach_train(self, pipeline, tmp_path):
         # train augments with its own --seed, whatever augment used
         aug5 = tmp_path / "aug5"
@@ -699,6 +731,16 @@ class TestEvaluate:
         assert "--targets" in err and "twice" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("targets", ["6..x", "6,,7", "x", ""])
+    def test_malformed_targets_refused(self, pipeline, tmp_path, capsys, targets):
+        # an empty value evaluated every prediction; the others named no flag
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--predictions", str(pipeline["pred"]),
+                     "--scenario", str(pipeline["scen"]), "--targets", targets,
+                     "--out", str(out)]) == 1
+        assert f"--targets {targets!r}" in one_error_line(capsys)
+        assert not out.exists()
+
     def test_range_longer_than_the_predictions_refused(self, pipeline, tmp_path, capsys):
         out = tmp_path / "ev"
         assert main(["evaluate", "--predictions", str(pipeline["pred"]),
@@ -841,7 +883,27 @@ class TestGridFilesRefused:
         assert main(argv + ["--scenario", str(scen), "--out", str(out)]) == 1
         err = one_error_line(capsys)
         assert "'cyclone-pp-scenario/2'" in err and str(scen) in err
-        assert "'cyclone-pp-scenario/3'; generate it again" in err
+        assert "'cyclone-pp-scenario/4'; generate it again" in err
+        assert not out.exists()
+
+    def test_scenario_of_third_format(self, pipeline, tmp_path, capsys):
+        # /3 repeated each report's index and origin in its meta.json
+        scen = tmp_path / "scen"
+        shutil.copytree(pipeline["scen"], scen)
+        for index, noise, rdir in list_report_dirs(scen):
+            meta = read_json(rdir / "meta.json")
+            meta.update(index=index, origin="noise" if noise else "original",
+                        valid_time=None)
+            (rdir / "meta.json").write_text(json.dumps(meta))
+        doc = read_json(scen / "spec.json")
+        doc["format"] = "cyclone-pp-scenario/3"
+        (scen / "spec.json").write_text(json.dumps(doc))
+        rehash_outputs(scen)
+        out = tmp_path / "m"
+        assert main(["train", "--scenario", str(scen), "--variant", "cnn",
+                     "--target", TARGET, "--epochs", "1", "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert "'cyclone-pp-scenario/3'" in err and "'cyclone-pp-scenario/4'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["one_d", "float32", "object", "truncated"])
@@ -1258,13 +1320,33 @@ class TestMalformedLoaderInput:
         assert str(scen / "spec.json") in err and "'decay_km'" in err
         assert not out.exists()
 
-    def test_report_meta_without_index(self, pipeline, tmp_path, capsys):
-        scen = self.edited(pipeline, tmp_path, "report_0030/meta.json", "index")
+    @pytest.mark.parametrize("key", ["tc_lat", "tc_lon"])
+    def test_report_meta_without_a_center_key(self, pipeline, tmp_path, capsys, key):
+        scen = self.edited(pipeline, tmp_path, "report_0030/meta.json", key)
         out = tmp_path / "m"
         assert main(["train", "--scenario", str(scen), "--variant", "cnn",
                      "--target", TARGET, "--epochs", "1", "--out", str(out)]) == 1
         err = one_error_line(capsys)
-        assert str(scen / "report_0030" / "meta.json") in err and "'index'" in err
+        assert str(scen / "report_0030" / "meta.json") in err and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("index", 4.0), ("index", 3.0), ("index", 12.0), ("origin", "original"),
+        ("origin", "noise"), ("valid_time", None)])
+    def test_report_meta_repeating_the_name_refused(self, pipeline, tmp_path, capsys,
+                                                    key, value):
+        # report_0030 is index 3, an original: a meta.json that says so
+        # again, or says otherwise, is refused rather than trusted
+        scen = tmp_path / "scen"
+        shutil.copytree(pipeline["scen"], scen)
+        meta = scen / "report_0030" / "meta.json"
+        meta.write_text(json.dumps({**read_json(meta), key: value}))
+        rehash_outputs(scen)
+        out = tmp_path / "m"
+        assert main(["train", "--scenario", str(scen), "--variant", "cnn",
+                     "--target", TARGET, "--epochs", "1", "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(meta) in err and repr(key) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -1313,6 +1395,19 @@ class TestSeedMustBeNonNegative:
         assert main(["generate", "--spec", str(spec), *GRID, "--out", str(out)]) == 1
         err = one_error_line(capsys)
         assert str(spec) in err and "seed" in err
+        assert not out.exists()
+
+
+class TestEpochsMustBeNonNegative:
+    @pytest.mark.parametrize("epochs", ["-1", "1.5", "x"])
+    def test_refused_with_exit_2(self, pipeline, tmp_path, capsys, epochs):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--scenario", str(pipeline["scen"]), "--variant", "cnn",
+                  "--target", TARGET, "--epochs", epochs, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "--epochs" in err
         assert not out.exists()
 
 

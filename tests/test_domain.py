@@ -17,6 +17,7 @@ from cyclone_pp.domain import (
     save_domain_file,
     tabulate_categories,
 )
+from cyclone_pp.synthgen import make_island_domain
 from tests.conftest import make_report
 
 
@@ -175,6 +176,17 @@ class TestDomainFile:
         assert np.array_equal(loaded.land_mask, small_domain.land_mask)
         assert np.allclose(loaded.altitude, small_domain.altitude)
         assert loaded.cell == small_domain.cell
+
+    @pytest.mark.parametrize("shape", [(84, 70), (13, 11)])
+    def test_round_trip_is_exact(self, tmp_path, shape):
+        # a saved scenario must train exactly like the one in memory, and
+        # the altitude and latitude channels read this file
+        domain = make_island_domain(*shape)
+        save_domain_file(domain, tmp_path / "domain.txt")
+        back = load_domain_file(tmp_path / "domain.txt")
+        assert (back.lat0, back.lon0, back.cell) == (domain.lat0, domain.lon0, domain.cell)
+        assert np.array_equal(back.land_mask, domain.land_mask)
+        assert np.array_equal(back.altitude, domain.altitude)
 
     def test_sea_sentinel_in_file(self, small_domain, tmp_path):
         path = tmp_path / "domain.txt"

@@ -171,7 +171,7 @@ class TestManifest:
         sub = out / "sub"
         sub.mkdir(exist_ok=True)
         (sub / "b.json").write_text("{}")
-        return write_manifest(out, "generate", {"seed": 1}, 1,
+        return write_manifest(out, "generate", {"seed": 1},
                               inputs={}, wall_time_s=0.5)
 
     def test_records_all_files(self, tmp_path):
@@ -181,7 +181,7 @@ class TestManifest:
 
     def test_manifest_excludes_itself(self, tmp_path):
         self._stage(tmp_path / "out")
-        second = write_manifest(tmp_path / "out", "generate", {"seed": 1}, 1,
+        second = write_manifest(tmp_path / "out", "generate", {"seed": 1},
                                 inputs={}, wall_time_s=0.7)
         assert "manifest.json" not in second["outputs"]
 
@@ -201,7 +201,13 @@ class TestManifest:
         with pytest.raises(FileNotFoundError):
             verify_manifest(tmp_path / "out")
 
-    @pytest.mark.parametrize("key", ["outputs", "config_hash"])
+    def test_records_no_derived_field(self, tmp_path):
+        # the config's hash and a top-level seed repeated what config holds
+        manifest = self._stage(tmp_path / "out")
+        assert sorted(manifest) == ["config", "engine_version", "input_paths", "inputs",
+                                    "outputs", "stage", "wall_time_s"]
+
+    @pytest.mark.parametrize("key", ["outputs"])
     def test_verify_names_a_missing_key(self, tmp_path, key):
         manifest = self._stage(tmp_path / "out")
         del manifest[key]

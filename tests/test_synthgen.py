@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from cyclone_pp.domain import RainCategory, ReportOrigin, tabulate_categories
 from cyclone_pp.features import tc_distance_field
 from cyclone_pp.scoring import crps_gaussian
-from cyclone_pp.storage import save_grid_csv
+from cyclone_pp.storage import read_json, save_grid_csv
 from cyclone_pp.synthgen import (
     Scenario,
     ScenarioSpec,
@@ -386,7 +387,6 @@ class TestScenarioIO:
             assert ra.index == rb.index
             assert ra.origin is rb.origin
             assert ra.tc_center == pytest.approx(rb.tc_center)
-            assert ra.valid_time == rb.valid_time
             np.testing.assert_allclose(ra.members, rb.members, rtol=1e-9)
             np.testing.assert_allclose(ra.observation, rb.observation, rtol=1e-9)
 
@@ -414,7 +414,34 @@ class TestScenarioIO:
         for r in tiny_scenario.reports:
             meta = load_report_meta(tmp_path / "scen" / report_dirname(r.index, r.origin))
             assert meta == {"index": r.index, "origin": r.origin,
-                            "tc_center": r.tc_center, "valid_time": r.valid_time}
+                            "tc_center": r.tc_center}
+
+    def test_meta_json_holds_only_the_center(self, tiny_scenario, tmp_path):
+        # the directory name is the index and origin; meta.json does not repeat them
+        save_scenario(tiny_scenario, tmp_path / "scen")
+        for rdir in sorted((tmp_path / "scen").glob("report_*")):
+            assert sorted(read_json(rdir / "meta.json")) == ["tc_lat", "tc_lon"]
+
+    @pytest.mark.parametrize("name, index, origin", [
+        ("report_0030", 3.0, ReportOrigin.ORIGINAL),
+        ("report_0035", 3.5, ReportOrigin.INTERPOLATED),
+        ("report_0035n", 3.5, ReportOrigin.NOISE_INJECTED),
+        ("report_0030n", 3.0, ReportOrigin.NOISE_INJECTED)])
+    def test_meta_index_and_origin_come_from_the_name(self, tmp_path, name, index, origin):
+        rdir = tmp_path / name
+        rdir.mkdir()
+        (rdir / "meta.json").write_text('{"tc_lat": 22.5, "tc_lon": 121.0}')
+        assert load_report_meta(rdir) == {"index": index, "origin": origin,
+                                          "tc_center": (22.5, 121.0)}
+
+    @pytest.mark.parametrize("name", ["report_30", "report_0030x", "meta"])
+    def test_meta_of_a_directory_not_named_like_a_report(self, tmp_path, name):
+        rdir = tmp_path / name
+        rdir.mkdir()
+        (rdir / "meta.json").write_text('{"tc_lat": 22.5, "tc_lon": 121.0}')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(rdir))} ") as exc:
+            load_report_meta(rdir)
+        assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("victim,shape", [("members.npy", (12, 10)),
                                               ("members.npy", (19, 12, 10)),
