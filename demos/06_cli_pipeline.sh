@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The five-stage command-line pipeline on a reduced domain.
 #
-# Every stage writes atomically and leaves a manifest.json with a config
-# hash, the seed, each input's content fingerprint by role (scenario,
-# checkpoint, predictions/<k>), the paths as typed, and a sha256 per
-# output file. Each stage hashes exactly the input files it opens.
+# Every stage writes atomically and leaves a manifest.json with its
+# config (seed included), each input's content fingerprint by role
+# (scenario, checkpoint, predictions/<k>), the paths as typed, and a
+# sha256 per output file. Each stage hashes exactly the input files it opens.
 # Re-running a stage with the same inputs reproduces identical hashes.
 set -euo pipefail
 
