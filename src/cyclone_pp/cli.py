@@ -19,7 +19,8 @@ before any is read: ``augment`` the original reports, ``train`` the
 originals before the target, ``predict`` the target's forecast fields
 and the earlier originals' metadata, ``evaluate`` its targets' reports.
 So nothing at or after the target informs a prediction, and ``evaluate``
-scores only predictions of its own ``--scenario``, one per target.
+scores only predictions of its own ``--scenario``, one per target. The
+fold is the library's: the loaded model refuses an earlier target.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from .models import (
     VARIANTS,
     ModelConfig,
     TrainedModel,
-    fit_fold,
     predict_members_baseline,
+    train_model,
 )
 from .scoring import GaussianField
 from .storage import (
@@ -180,7 +181,7 @@ class _Stage:
 def _originals(scenario_dir, needed=()) -> dict[int, Path]:
     """Original report directories by index, chosen by name before any read;
     each needed index must be among them. Derived reports are left out:
-    ``fit_fold`` drops them, and an interpolation at k - 0.5 blends report k.
+    ``train_model`` drops them, and an interpolation at k - 0.5 blends report k.
     """
     found = {int(i): rdir for i, noise, rdir in list_report_dirs(scenario_dir)
              if not noise and i == int(i)}
@@ -256,14 +257,14 @@ def cmd_train(args) -> int:
     configs = [replace(c, noise_scale=args.eta) if c.use_augmentation else c
                for c in configs]
     _spec, domain = _load_header(stage, args.scenario)
-    # fit_fold keeps exactly these: the originals before the target, which
-    # must itself exist, or predict would fail later
+    # only these are read: train_model keeps the originals before the
+    # target, which must itself exist, or predict would fail later
     originals = _originals(args.scenario, [args.target])
     history = _load_reports(args.scenario, [rdir for k, rdir in originals.items()
                                             if k < args.target], domain)
 
     def fit(config):
-        return fit_fold(config, history, domain, args.target)
+        return train_model(config, history, domain, args.target)
 
     workers = min(thread_cap(), len(configs))
     if workers > 1:
@@ -300,13 +301,22 @@ def _write_predictions_csv(path, field: GaussianField) -> None:
 
 
 def load_predictions_csv(path, shape) -> GaussianField:
-    """Rebuild a GaussianField from a predictions CSV."""
+    """A GaussianField from a predictions CSV naming each cell once; else a ValueError."""
+    rows, cols = shape
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape != (shape[0] * shape[1], 4):
+    if data.shape != (rows * cols, 4):
         raise ValueError(f"{path} does not cover a {shape} grid")
+    if not (np.isfinite(data).all() and (data[:, 3] > 0).all()):
+        raise ValueError(f"{path} holds a value that is not finite or a sigma <= 0")
+    r, c = data[:, 0], data[:, 1]
+    if not np.all((r % 1 == 0) & (c % 1 == 0) & (r >= 0) & (r < rows)
+                  & (c >= 0) & (c < cols)):
+        raise ValueError(f"{path} names a cell outside a {rows}x{cols} grid")
     mu, sigma = np.full((2, *shape), np.nan)
-    r, c = data[:, 0].astype(int), data[:, 1].astype(int)
+    r, c = r.astype(int), c.astype(int)
     mu[r, c], sigma[r, c] = data[:, 2], data[:, 3]
+    if np.isnan(mu).any():  # as many lines as cells, so another is named twice
+        raise ValueError(f"{path} names a cell twice")
     return GaussianField(mu=mu, sigma=sigma)
 
 
@@ -330,15 +340,6 @@ def cmd_predict(args) -> int:
         ckpt = _resolve_checkpoint(args.checkpoint)
         stage.record("checkpoint", args.checkpoint, sha256_file(ckpt))
         model = TrainedModel.load(ckpt)
-        if model.target is None:
-            raise ValueError(f"{ckpt} records no training target; "
-                             "write it with `cyclone-pp train`")
-        if args.target < model.target:
-            raise ValueError(f"checkpoint trained for target {model.target} saw "
-                             f"reports at or after target {args.target}")
-        if model.grid_shape != domain.shape:
-            raise ValueError("checkpoint trained on a {}x{} grid cannot predict a "
-                             "{}x{} scenario".format(*model.grid_shape, *domain.shape))
         variant = model.config.variant
         # the track: the storm center alone of each earlier original, then the target
         earlier = {k: rdir for k, rdir in originals.items() if k < args.target}

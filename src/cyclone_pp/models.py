@@ -21,14 +21,17 @@ t_std summarize the training observations over land. Without this
 rescaling a freshly initialized network sits hundreds of mm from the
 data and 100 fixed-rate epochs cannot close the gap.
 
-A fit holds each training report until its input stack is built, and
-each stack until its standardized land rows are in the float32 patch
-matrix; there is no (B, C, H, W) buffer. The epochs then hold the
-patch rows and the network's three reused hidden-size arrays.
+``train_model`` is the one trainer: it fits on the originals before a
+target, and its model refuses earlier reports and other grids. A fit
+holds each training report until its input stack is built, and each
+stack until its standardized land rows are in the float32 patch matrix;
+there is no (B, C, H, W) buffer. The epochs then hold the patch rows
+and the network's three reused hidden-size arrays.
 """
 
 from __future__ import annotations
 
+import typing
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -56,7 +59,7 @@ from .neuralnet import (
     softplus,
 )
 from .scoring import GaussianField, crps_gaussian, crps_gradient, make_weights
-from .storage import record_from_json
+from .storage import record_from_json, typed
 
 FCN_CHANNEL_NAMES = ("member_mean", "member_std", *CHANNEL_NAMES[N_MEMBERS:])
 _MEMBER_CHANNELS = CHANNEL_NAMES[:N_MEMBERS]
@@ -192,18 +195,25 @@ class TrainedModel:
     norm: NormStats
     target_mean: float
     target_std: float
-    loss_history: list[float] = field(default_factory=list)
     #: (rows, cols) of the training grid
-    grid_shape: tuple[int, int] | None = None
+    grid_shape: tuple[int, int]
     #: the report this fold was trained for; all training reports precede it
-    target: int | None = None
+    target: int
+    loss_history: list[float] = field(default_factory=list)
 
     def predict(self, report: Report, domain: GridDomain, track_pairs) -> GaussianField:
-        """Post-processed Gaussian for one report.
+        """Post-processed Gaussian for one report at or after the target.
 
         ``track_pairs`` are (index, tc_center) originals of the scenario;
-        only positions at or before the report's index are consulted.
+        only positions at or before the report's index are consulted. An
+        earlier report or a domain of another shape is a ValueError.
         """
+        if report.index < self.target:
+            raise ValueError(f"model trained for target {self.target} saw reports "
+                             f"at or after target {report.index:g}")
+        if domain.shape != self.grid_shape:
+            raise ValueError("model trained on a {}x{} grid cannot predict a "
+                             "{}x{} scenario".format(*self.grid_shape, *domain.shape))
         stack = _stack_for(self.config, report, domain, track_pairs)
         x = apply_standardizer(stack, self.norm)[None]
         out = self.net.forward(im2col(x, self.net.shape[2], dtype=DTYPE))[0].astype(float)
@@ -224,18 +234,16 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path) -> "TrainedModel":
-        """Inverse of ``save``; a malformed checkpoint is a ValueError."""
+        """Inverse of ``save``; a missing or mistyped (never coerced) key is a ValueError."""
         net, meta = load_network(path)
+        kinds = typing.get_type_hints(cls)
         try:
             config = ModelConfig.from_dict(meta["config"])
-            rows, cols = meta["grid_shape"]
-            target = meta["target"]
-            model = cls(config=config, net=net,
-                        norm=NormStats(mean=meta["norm_mean"], std=meta["norm_std"]),
-                        target_mean=float(meta["target_mean"]),
-                        target_std=float(meta["target_std"]),
-                        grid_shape=(int(rows), int(cols)),
-                        target=None if target is None else int(target))
+            fold = {key: typed(meta[key], kinds[key], f"key {key!r}")
+                    for key in ("target_mean", "target_std", "grid_shape", "target")}
+            norm = [typed(meta[key], list[float], f"key {key!r}")
+                    for key in ("norm_mean", "norm_std")]
+            model = cls(config=config, net=net, norm=NormStats(*norm), **fold)
         except KeyError as exc:
             raise ValueError(f"checkpoint {path} has no meta key {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -247,21 +255,25 @@ class TrainedModel:
         return model
 
 
-def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedModel:
-    """Fit one variant on the reports preceding a target.
+def train_model(config: ModelConfig, reports, domain: GridDomain,
+                target: int) -> TrainedModel:
+    """Fit one variant for one target report; the only trainer.
 
-    ``history`` is the ready-made training list (already augmented for the
-    -aug variants); every report needs an observation. Full-batch: each
-    epoch is one Adam step on the weighted CRPS loss over land cells.
-    The patch rows are built once, for land cells only: sea cells carry
-    no loss weight, and a land cell's sea neighbours stay in its row.
+    This is the only place that picks a training set. It keeps the
+    original ``reports`` indexed strictly below ``target``, each with an
+    observation; derived reports are dropped, since an interpolation at
+    target - 0.5 blends the target itself. The -aug variants then expand
+    those originals with the config's own noise scale and seed.
+    Full-batch: each epoch is one Adam step on the weighted CRPS loss
+    over land cells. The patch rows are built once, for land cells only:
+    sea cells carry no loss weight, and a land cell's sea neighbours stay
+    in its row.
 
-    The fit copies the list and leaves the caller's as it is. In its own
-    list each report gives way to its input stack, and each stack to its
-    standardized land rows in the float32 patch matrix; no (B, C, H, W)
-    buffer exists. So a report that nobody else holds, such as the
-    derived reports ``fit_fold`` hands over, is freed as soon as its
-    stack is built, and a stack as soon as its rows are copied.
+    The fit gets the training set as a new list no one else holds, and
+    in it each report gives way to its input stack, and each stack to its
+    standardized land rows in the float32 patch matrix. So a derived
+    report is freed as soon as its stack is built, and a stack as soon as
+    its rows are copied; the caller's list stays as it is.
 
     A mu, sigma, loss or gradient that stops being finite raises
     ``TrainingDiverged``, the one report of it: numpy's float warnings in
@@ -269,21 +281,14 @@ def train_model(config: ModelConfig, history, domain: GridDomain) -> TrainedMode
     """
     if not config.trains:
         raise ValueError("the members baseline has no trainable parameters")
-    reports = list(history)
-    del history  # a list handed over held the last reference to its reports
-    if not reports:
-        raise ValueError("history is empty; need at least one report to train on")
-    if any(r.observation is None for r in reports):
-        raise ValueError("every training report needs an observation")
-    return _fit(config, reports, domain)
+    return _fit(config, _training_set(config, reports, target), domain, target)
 
 
 @np.errstate(all="ignore")
-def _fit(config: ModelConfig, reports: list, domain: GridDomain) -> TrainedModel:
+def _fit(config: ModelConfig, reports: list, domain: GridDomain,
+         target: int) -> TrainedModel:
     """``train_model``'s fit; it empties ``reports``, its own list."""
     track_pairs = original_track(reports)
-    if not track_pairs:
-        raise ValueError("history contains no original reports")
     land = domain.land_mask
     n_land = int(land.sum())
     # all the epochs need of the reports themselves. y is masked report by
@@ -321,7 +326,7 @@ def _fit(config: ModelConfig, reports: list, domain: GridDomain) -> TrainedModel
     opt = Adam(net.parameters())
     model = TrainedModel(config=config, net=net, norm=norm,
                          target_mean=target_mean, target_std=target_std,
-                         grid_shape=domain.shape)
+                         grid_shape=domain.shape, target=target)
 
     # per-cell loss scale: w_r / n_land
     cell_w = w[:, None] / n_land
@@ -350,12 +355,14 @@ def _fit(config: ModelConfig, reports: list, domain: GridDomain) -> TrainedModel
 
 
 def _training_set(config: ModelConfig, reports, target: int) -> list[Report]:
-    """The reports ``fit_fold`` trains on for one target (see there)."""
+    """A new list of the reports ``train_model`` fits for one target (see there)."""
     history = sorted((r for r in reports
                       if r.origin is ReportOrigin.ORIGINAL and r.index < target),
                      key=lambda r: r.index)
     if not history:
         raise ValueError(f"no reports precede target {target}")
+    if any(r.observation is None for r in history):
+        raise ValueError("every training report needs an observation")
     if not config.use_augmentation:
         return history
     if len(history) < 2:
@@ -365,28 +372,11 @@ def _training_set(config: ModelConfig, reports, target: int) -> list[Report]:
     return build_augmented_set(history, eta=config.noise_scale, seed=config.seed).reports
 
 
-def fit_fold(config: ModelConfig, reports, domain: GridDomain,
-             target: int) -> TrainedModel:
-    """Train one variant for one target report.
-
-    This is the only place that picks a training set. It keeps the
-    original reports indexed strictly below ``target``; derived reports
-    are dropped, since an interpolation at target - 0.5 blends the
-    target itself. The -aug variants then expand those originals with
-    the config's own noise scale and seed. The set goes to
-    ``train_model`` with no reference kept here, so the derived reports
-    are freed as the fit turns them into stacks.
-    """
-    model = train_model(config, _training_set(config, reports, target), domain)
-    model.target = target
-    return model
-
-
 def rolling_origin_run(configs, scenario, targets=range(6, 12),
                        ) -> dict[tuple[str, int], GaussianField]:
     """Train-and-predict every variant at every target, never peeking ahead.
 
-    For each target k the trainable variants are fitted by ``fit_fold``
+    For each target k the trainable variants are fitted by ``train_model``
     and then post-process report k's forecast stack. Returns {(variant,
     k): prediction}; targets without any preceding report are skipped
     with a warning.
@@ -406,7 +396,7 @@ def rolling_origin_run(configs, scenario, targets=range(6, 12),
             continue
         for config in configs:
             if config.trains:
-                model = fit_fold(config, scenario.reports, domain, k)
+                model = train_model(config, scenario.reports, domain, k)
                 predictions[(config.variant, k)] = model.predict(target, domain, track_pairs)
             else:
                 predictions[(config.variant, k)] = predict_members_baseline(target)

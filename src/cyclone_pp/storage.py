@@ -113,14 +113,20 @@ def _finite_number(value) -> bool:
             and math.isfinite(value))
 
 
-def _typed(value, kind, where: str):
-    """value checked against its field's type: a tuple of floats, int, str or float."""
+def typed(value, kind, where: str):
+    """value checked, never coerced, against a type: int, str, float, or a tuple or
+    list of these."""
+    if typing.get_origin(kind) is list:  # of any length
+        if isinstance(value, list):
+            return [typed(v, typing.get_args(kind)[0], f"{where} item {i}")
+                    for i, v in enumerate(value)]
+        raise ValueError(f"{where} must be a list, got {value!r}")
     if typing.get_origin(kind) is tuple:
-        n = len(typing.get_args(kind))
-        if (isinstance(value, (list, tuple)) and len(value) == n
-                and all(_finite_number(v) for v in value)):
-            return tuple(value)
-        raise ValueError(f"{where} must be a list of {n} finite numbers, got {value!r}")
+        kinds = typing.get_args(kind)
+        if isinstance(value, (list, tuple)) and len(value) == len(kinds):
+            return tuple(typed(v, k, f"{where} item {i}")
+                         for i, (v, k) in enumerate(zip(value, kinds)))
+        raise ValueError(f"{where} must be a list of {len(kinds)} values, got {value!r}")
     if kind in (int, str):  # isinstance(True, int) holds, but true is no integer here
         if isinstance(value, kind) and not isinstance(value, bool):
             return value
@@ -147,7 +153,7 @@ def record_from_json(cls, doc, where: str):
     missing = [name for name in kinds if name not in doc]
     if missing:
         raise ValueError(f"{where} has no key {', '.join(map(repr, missing))}")
-    kwargs = {name: _typed(doc[name], kind, f"{where} key {name!r}")
+    kwargs = {name: typed(doc[name], kind, f"{where} key {name!r}")
               for name, kind in kinds.items()}
     try:
         return cls(**kwargs)

@@ -23,7 +23,6 @@ from cyclone_pp.domain import ReportOrigin
 from cyclone_pp.models import (
     ModelConfig,
     TrainedModel,
-    fit_fold,
     predict_members_baseline,
     rolling_origin_run,
     train_model,
@@ -450,7 +449,7 @@ class TestTrainMatchesLibrary:
         assert got.mu.tobytes() == expected.mu.tobytes()
         assert got.sigma.tobytes() == expected.sigma.tobytes()
 
-    def test_full_grid_checkpoint_equals_fit_fold(self, tmp_path):
+    def test_full_grid_checkpoint_equals_train_model(self, tmp_path):
         # at 84x70 a rounded domain.txt moved altitudes by up to 5e-7 m,
         # so a saved scenario trained cnn-dyn differently from memory
         scen, model = tmp_path / "scen", tmp_path / "model"
@@ -460,8 +459,8 @@ class TestTrainMatchesLibrary:
         got = TrainedModel.load(model / "model_cnn-dyn.json")
         domain = make_island_domain(84, 70)
         scenario = generate_scenario(ScenarioSpec(seed=1), domain)
-        want = fit_fold(ModelConfig.for_variant("cnn-dyn", epochs=1),
-                        [r for r in scenario.reports if r.index < 6], domain, 6)
+        want = train_model(ModelConfig.for_variant("cnn-dyn", epochs=1),
+                           scenario.reports, domain, 6)
         for a, b in zip(got.net.parameters(), want.net.parameters()):
             assert a.value.tobytes() == b.value.tobytes(), a.name
         assert got.norm.mean.tobytes() == want.norm.mean.tobytes()
@@ -543,17 +542,6 @@ class TestPredictChecksCheckpointFold:
         assert "trained for target 6" in one_error_line(capsys)
         assert not out.exists()
 
-    def test_checkpoint_without_target_rejected(self, pipeline, tmp_path, capsys):
-        # train_model alone does not know the fold, so its checkpoint
-        # cannot show which targets it may predict
-        scenario = load_scenario(pipeline["scen"])
-        history = [r for r in scenario.reports if r.index < 6]
-        ckpt = tmp_path / "model.json"
-        train_model(ModelConfig.for_variant("cnn", epochs=1), history,
-                    scenario.domain).save(ckpt)
-        assert self.predict(pipeline, tmp_path / "p", 6, checkpoint=ckpt) == 1
-        assert "records no training target" in one_error_line(capsys)
-
     def test_later_target_allowed(self, pipeline, tmp_path):
         assert self.predict(pipeline, tmp_path / "p", 8) == 0
 
@@ -612,15 +600,32 @@ class TestPredictChecksCheckpointFold:
         assert repr(key) in one_error_line(capsys)
         assert not out.exists()
 
+    # a bool, a float or a string was coerced: a target of true let a
+    # model trained for target 6 predict target 3, and a norm std of true
+    # read 1.0; null is refused alike
     @pytest.mark.parametrize("key,value", [("norm_std", "wide"), ("norm_mean", [0.0]),
                                            ("grid_shape", 14), ("target_std", None),
-                                           ("config", {"variant": "cnn-all"})])
+                                           ("config", {"variant": "cnn-all"}),
+                                           ("target", True), ("target", 6.7),
+                                           ("target", "6"), ("target", None),
+                                           ("grid_shape", [14.9, 12]),
+                                           ("grid_shape", [14, True]),
+                                           ("target_mean", "3.5"),
+                                           ("target_std", True),
+                                           ("norm_mean", ["1"] * 25),
+                                           ("norm_std", [True] * 25)])
     def test_checkpoint_with_mistyped_meta_rejected(self, pipeline, tmp_path, capsys,
                                                     key, value):
         ckpt = self.edited_checkpoint(pipeline, tmp_path,
                                       lambda doc: doc["meta"].update({key: value}))
-        assert self.predict(pipeline, tmp_path / "p", 6, checkpoint=ckpt) == 1
-        one_error_line(capsys)
+        out = tmp_path / "p"
+        assert self.predict(pipeline, out, 6, checkpoint=ckpt) == 1
+        err = one_error_line(capsys)
+        assert str(ckpt) in err
+        # norm arrays of unequal length are refused as a pair, the config by
+        # its own keys
+        assert repr(key) in err or value in ([0.0], {"variant": "cnn-all"})
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit,key", [
         (lambda c: c.pop("epochs"), "'epochs'"),
@@ -767,6 +772,29 @@ class TestEvaluate:
         assert run.returncode == 1, run.stderr
         assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
         assert "1000000000 targets" in run.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,edit", [
+        (1, lambda cells: ["99", *cells[1:]]),
+        (1, lambda cells: ["-1", *cells[1:]]),
+        (2, lambda cells: ["0", "0", *cells[2:]]),
+        (1, lambda cells: [*cells[:3], "nan"]),
+        (1, lambda cells: [*cells[:3], "0"]),
+    ], ids=["row-99", "row-minus-1", "repeated-cell", "nan-sigma", "zero-sigma"])
+    def test_predictions_csv_filling_no_grid_refused(self, pipeline, tmp_path, capsys,
+                                                     line, edit):
+        # row 99 ended in an IndexError traceback; GaussianField refused the
+        # others as non-finite, or a zero sigma, naming no file
+        pred = tmp_path / "pred"
+        shutil.copytree(pipeline["pred"], pred)
+        lines = (pred / "predictions.csv").read_text().splitlines()
+        lines[line] = ",".join(edit(lines[line].split(",")))
+        (pred / "predictions.csv").write_text("\n".join(lines) + "\n")
+        rehash_outputs(pred)
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--predictions", str(pred),
+                     "--scenario", str(pipeline["scen"]), "--out", str(out)]) == 1
+        assert str(pred / "predictions.csv") in one_error_line(capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["target", "variant"])
@@ -1000,7 +1028,7 @@ class TestStageFiles:
     def test_train_reads_originals_before_target(self, pipeline, tmp_path,
                                                   monkeypatch):
         # on an augment output: originals 1..5 only, no derived report
-        # (fit_fold drops them; 5.5 blends report 6) and nothing after
+        # (train_model drops them; 5.5 blends report 6) and nothing after
         aug = pipeline["aug"]
         parsed, hashed = opened_and_hashed(monkeypatch, [
             "train", "--scenario", aug, "--variant", "cnn-all", "--target", TARGET,

@@ -16,7 +16,6 @@ from cyclone_pp.models import (
     ModelConfig,
     TrainedModel,
     fcn_features,
-    fit_fold,
     original_track,
     predict_members_baseline,
     rolling_origin_run,
@@ -192,14 +191,14 @@ class TestFcnFeatures:
 class TestTrainModel:
     def test_loss_decreases(self, tiny_scenario, tiny_domain):
         cfg = ModelConfig.for_variant("cnn-all", epochs=40, seed=2)
-        model = train_model(cfg, history_until(tiny_scenario, 8), tiny_domain)
+        model = train_model(cfg, tiny_scenario.reports, tiny_domain, 8)
         assert len(model.loss_history) == 40
         assert model.loss_history[-1] < model.loss_history[0]
         assert all(np.isfinite(l) for l in model.loss_history)
 
     def test_fcn_loss_decreases(self, tiny_scenario, tiny_domain):
         model = train_model(ModelConfig.for_variant("fcn", epochs=40, seed=2),
-                            history_until(tiny_scenario, 8), tiny_domain)
+                            tiny_scenario.reports, tiny_domain, 8)
         assert model.loss_history[-1] < model.loss_history[0]
 
     @pytest.mark.parametrize("variant", ["fcn", "cnn", "cnn-all"])
@@ -207,15 +206,18 @@ class TestTrainModel:
                                                        tiny_domain, variant):
         # training scores land rows only; the oracle scores full-grid
         # predictions of the untrained network over the land mask
-        history = [r for r in tiny_scenario.reports if r.index < 5]
+        config = ModelConfig.for_variant(variant, epochs=1)
+        model = train_model(config, tiny_scenario.reports, tiny_domain, 5)
+        untrained = train_model(dataclasses.replace(config, epochs=0),
+                                tiny_scenario.reports, tiny_domain, 5)
+        history = history_until(tiny_scenario, 5)
         if variant == "cnn-all":
             history = build_augmented_set(history).reports
-        model = train_model(ModelConfig.for_variant(variant, epochs=1),
-                            history, tiny_domain)
-        untrained = train_model(ModelConfig.for_variant(variant, epochs=0),
-                                history, tiny_domain)
         track = original_track(history)
-        predictions = [untrained.predict(r, tiny_domain, track) for r in history]
+        # the model refuses the reports before its target, its training
+        # reports among them; relabelled to target 1 it scores them as is
+        scorer = dataclasses.replace(untrained, target=1)
+        predictions = [scorer.predict(r, tiny_domain, track) for r in history]
         oracle = weighted_loss(predictions, history, len(track), tiny_domain.land_mask)
         assert model.loss_history[0] == pytest.approx(oracle, rel=1e-6)
 
@@ -230,7 +232,7 @@ class TestTrainModel:
             warnings.simplefilter("error")  # and numpy stays quiet
             with pytest.raises(TrainingDiverged, match=f"sigma at epoch 0 for {variant}$"):
                 train_model(ModelConfig.for_variant(variant, epochs=2), history,
-                            tiny_domain)
+                            tiny_domain, 6)
 
     @pytest.mark.parametrize("variant", ["fcn", "cnn"])
     def test_overflowing_features_are_refused(self, tiny_scenario, tiny_domain, variant):
@@ -241,11 +243,11 @@ class TestTrainModel:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{variant} training features overflow"):
                 train_model(ModelConfig.for_variant(variant, epochs=2), history,
-                            tiny_domain)
+                            tiny_domain, 6)
 
     def test_zero_epochs_returns_initialized_model(self, tiny_scenario, tiny_domain):
         cfg = ModelConfig.for_variant("cnn", epochs=0, seed=1)
-        model = train_model(cfg, history_until(tiny_scenario, 6), tiny_domain)
+        model = train_model(cfg, tiny_scenario.reports, tiny_domain, 6)
         assert model.loss_history == []
         rep = tiny_scenario.reports[6]
         field = model.predict(rep, tiny_domain, track_of(tiny_scenario))
@@ -257,55 +259,54 @@ class TestTrainModel:
         rep = tiny_scenario.reports[7]
         fields = []
         for _ in range(2):
-            model = train_model(cfg, history_until(tiny_scenario, 8), tiny_domain)
+            model = train_model(cfg, tiny_scenario.reports, tiny_domain, 8)
             fields.append(model.predict(rep, tiny_domain, track_of(tiny_scenario)))
         assert fields[0].mu.tobytes() == fields[1].mu.tobytes()
         assert fields[0].sigma.tobytes() == fields[1].sigma.tobytes()
 
     def test_seeds_change_the_fit(self, tiny_scenario, tiny_domain):
-        history = history_until(tiny_scenario, 8)
         rep = tiny_scenario.reports[7]
         a = train_model(ModelConfig.for_variant("cnn", epochs=15, seed=0),
-                        history, tiny_domain)
+                        tiny_scenario.reports, tiny_domain, 8)
         b = train_model(ModelConfig.for_variant("cnn", epochs=15, seed=1),
-                        history, tiny_domain)
+                        tiny_scenario.reports, tiny_domain, 8)
         assert not np.array_equal(
             a.predict(rep, tiny_domain, track_of(tiny_scenario)).mu,
             b.predict(rep, tiny_domain, track_of(tiny_scenario)).mu)
 
     def test_network_input_width_tracks_variant(self, tiny_scenario, tiny_domain):
-        history = history_until(tiny_scenario, 6)
-        cnn = train_model(ModelConfig.for_variant("cnn", epochs=1), history,
-                          tiny_domain)
-        dyn = train_model(ModelConfig.for_variant("cnn-dyn", epochs=1), history,
-                          tiny_domain)
+        reports = tiny_scenario.reports
+        cnn = train_model(ModelConfig.for_variant("cnn", epochs=1), reports,
+                          tiny_domain, 6)
+        dyn = train_model(ModelConfig.for_variant("cnn-dyn", epochs=1), reports,
+                          tiny_domain, 6)
         assert cnn.net.conv.kernels.value.shape == (32, 20, 2, 2)
         assert dyn.net.conv.kernels.value.shape == (32, 25, 2, 2)
 
     def test_members_config_rejected(self, tiny_scenario, tiny_domain):
         with pytest.raises(ValueError):
             train_model(ModelConfig.for_variant("members"),
-                        history_until(tiny_scenario, 6), tiny_domain)
+                        tiny_scenario.reports, tiny_domain, 6)
 
     def test_empty_history_rejected(self, tiny_domain):
-        with pytest.raises(ValueError):
-            train_model(ModelConfig.for_variant("cnn"), [], tiny_domain)
+        with pytest.raises(ValueError, match="no reports precede target 6"):
+            train_model(ModelConfig.for_variant("cnn"), [], tiny_domain, 6)
 
     def test_observation_required(self, tiny_domain):
         rep = make_report(1.0, shape=tiny_domain.shape)
         stripped = dataclasses.replace(rep, observation=None)
-        with pytest.raises(ValueError):
-            train_model(ModelConfig.for_variant("cnn"), [stripped], tiny_domain)
+        with pytest.raises(ValueError, match="needs an observation"):
+            train_model(ModelConfig.for_variant("cnn"), [stripped], tiny_domain, 2)
 
     def test_sigma_strictly_positive(self, tiny_scenario, tiny_domain):
         cfg = ModelConfig.for_variant("cnn", epochs=10, seed=3)
-        model = train_model(cfg, history_until(tiny_scenario, 7), tiny_domain)
+        model = train_model(cfg, tiny_scenario.reports, tiny_domain, 7)
         field = model.predict(tiny_scenario.reports[6], tiny_domain,
                               track_of(tiny_scenario))
         assert np.all(field.sigma > 0)
 
     def test_fit_holds_each_report_once(self):
-        # fit_fold hands its augmented set over; train_model turns each
+        # train_model hands its augmented set to the fit, which turns each
         # report into its stack, and each stack into float32 land patch
         # rows. So the traced peak is, while the rows are copied out: the
         # stacks, the patch rows (176 of 672 cells x 4 taps x half the
@@ -327,7 +328,7 @@ class TestTrainModel:
         try:
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            fit_fold(cfg, scenario.reports, domain, 11)
+            train_model(cfg, scenario.reports, domain, 11)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,31 +352,31 @@ class TestTrainModel:
 
         monkeypatch.setattr(models, "build_augmented_set", augmenting)
         monkeypatch.setattr(models, "im2col", rows)
-        fit_fold(ModelConfig.for_variant("cnn-aug", epochs=1), reports, domain, 6)
+        train_model(ModelConfig.for_variant("cnn-aug", epochs=1), reports, domain, 6)
         assert derived and alive == [0]
 
 
 class TestFitFold:
-    """The training set fit_fold hands to train_model, per variant."""
+    """The training set train_model hands to its fit, per variant."""
 
     @pytest.fixture(autouse=True)
     def no_training(self, monkeypatch):
-        # train_model hands back its history, so fit_fold returns the set
-        monkeypatch.setattr(models, "train_model",
-                            lambda config, history, domain: SimpleNamespace(history=history))
+        # the fit hands back its reports, so train_model returns the set
+        monkeypatch.setattr(models, "_fit", lambda config, reports, domain, target:
+                            SimpleNamespace(history=reports, target=target))
 
     @staticmethod
     def chosen(variant, reports, target, **overrides):
-        return fit_fold(ModelConfig.for_variant(variant, **overrides),
-                        reports, None, target).history
+        return train_model(ModelConfig.for_variant(variant, **overrides),
+                           reports, None, target).history
 
     def test_records_the_target(self, augmented):
-        model = fit_fold(ModelConfig.for_variant("cnn"), augmented, None, 4)
+        model = train_model(ModelConfig.for_variant("cnn"), augmented, None, 4)
         assert model.target == 4
 
     @pytest.fixture()
     def augmented(self, report_factory):
-        # an augment output: fit_fold must rebuild from its originals
+        # an augment output: train_model must rebuild from its originals
         originals = [report_factory(index=float(i)) for i in range(1, 6)]
         return build_augmented_set(originals, seed=5).reports
 
@@ -423,13 +424,47 @@ class TestFitFold:
 
 
 class TestFoldInCheckpoint:
-    def test_target_and_grid_round_trip(self, tiny_scenario, tiny_domain, tmp_path):
-        model = fit_fold(ModelConfig.for_variant("cnn", epochs=1),
-                         tiny_scenario.reports, tiny_domain, 7)
+    """The model carries its fold: a target and a grid it may predict."""
+
+    @pytest.fixture(scope="class")
+    def fold_7(self, tiny_scenario, tiny_domain):
+        return train_model(ModelConfig.for_variant("cnn", epochs=1),
+                           tiny_scenario.reports, tiny_domain, 7)
+
+    def test_target_and_grid_round_trip(self, fold_7, tmp_path):
         path = tmp_path / "model.json"
-        model.save(path)
+        fold_7.save(path)
         loaded = TrainedModel.load(path)
         assert (loaded.target, loaded.grid_shape) == (7, (14, 12))
+
+    def test_predict_before_the_target_refused(self, fold_7, tiny_scenario, tiny_domain):
+        # report 6 preceded target 7: the model was trained on it
+        track = track_of(tiny_scenario)
+        with pytest.raises(ValueError, match="^model trained for target 7 saw reports "
+                                             "at or after target 6$"):
+            fold_7.predict(tiny_scenario.reports[5], tiny_domain, track)
+        fold_7.predict(tiny_scenario.reports[6], tiny_domain, track)
+
+    def test_predict_on_another_grid_refused(self, fold_7):
+        other = make_island_domain(n_rows=12, n_cols=9)
+        scenario = generate_scenario(ScenarioSpec(seed=2), other)
+        with pytest.raises(ValueError, match="^model trained on a 14x12 grid cannot "
+                                             "predict a 12x9 scenario$"):
+            fold_7.predict(scenario.reports[8], other, track_of(scenario))
+
+    @pytest.mark.parametrize("variant", ["cnn", "cnn-all"])
+    def test_whole_scenario_trains_like_the_originals_before_the_target(
+            self, tiny_scenario, tiny_domain, tmp_path, variant):
+        # the target, the reports after it and an augment output's derived
+        # reports (k - 0.5 blends report k) all stay out of the fit
+        derived = [r for r in build_augmented_set(tiny_scenario.reports, seed=5).reports
+                   if r.origin is not ReportOrigin.ORIGINAL]
+        config = ModelConfig.for_variant(variant, epochs=2)
+        whole, before = tmp_path / "whole.json", tmp_path / "before.json"
+        train_model(config, [*reversed(tiny_scenario.reports), *derived],
+                    tiny_domain, 7).save(whole)
+        train_model(config, history_until(tiny_scenario, 7), tiny_domain, 7).save(before)
+        assert whole.read_bytes() == before.read_bytes()
 
 
 class TestFcnLocality:
@@ -437,7 +472,7 @@ class TestFcnLocality:
         # 1x1 convolutions see one cell at a time: shuffling the columns of
         # the input shuffles the output identically
         model = train_model(ModelConfig.for_variant("fcn", epochs=5, seed=0),
-                            history_until(tiny_scenario, 7), tiny_domain)
+                            tiny_scenario.reports, tiny_domain, 7)
         rep = tiny_scenario.reports[7]
         from cyclone_pp.models import _stack_for
         from cyclone_pp.features import apply_standardizer
@@ -453,12 +488,12 @@ class TestSaveLoad:
     def test_round_trip_predicts_identically(self, tiny_scenario, tiny_domain,
                                              tmp_path):
         cfg = ModelConfig.for_variant("cnn-all", epochs=10, seed=5)
-        model = train_model(cfg, history_until(tiny_scenario, 8), tiny_domain)
+        model = train_model(cfg, tiny_scenario.reports, tiny_domain, 8)
         path = tmp_path / "model.json"
         model.save(path)
         loaded = TrainedModel.load(path)
         assert loaded.config == cfg
-        assert loaded.grid_shape == (14, 12) and loaded.target is None
+        assert (loaded.grid_shape, loaded.target) == ((14, 12), 8)
         rep = tiny_scenario.reports[9]
         a = model.predict(rep, tiny_domain, track_of(tiny_scenario))
         b = loaded.predict(rep, tiny_domain, track_of(tiny_scenario))
@@ -469,7 +504,7 @@ class TestSaveLoad:
                                    monkeypatch):
         # the checkpoint's four arrays are the network; none is drawn first
         model = train_model(ModelConfig.for_variant("fcn", epochs=1),
-                            history_until(tiny_scenario, 7), tiny_domain)
+                            tiny_scenario.reports, tiny_domain, 7)
         path = tmp_path / "model.json"
         model.save(path)
 
@@ -487,7 +522,7 @@ class TestSaveLoad:
         # a kept model holds its four arrays, not the patch rows of its
         # fit or the hidden-size arrays of its last prediction
         model = train_model(ModelConfig.for_variant(variant, epochs=1),
-                            history_until(tiny_scenario, 7), tiny_domain)
+                            tiny_scenario.reports, tiny_domain, 7)
         net = model.net
         for _call in range(2):
             assert net._buffers == [None, None, None]

@@ -31,7 +31,6 @@ def tracing(monkeypatch):
 def test_traced_training_and_checkpoints_leave_no_metric_absent(tracing, tmp_path):
     domain = make_island_domain(n_rows=14, n_cols=12)
     scenario = generate_scenario(ScenarioSpec(seed=1), domain)
-    history = [r for r in scenario.reports if r.index < 6]
     target = next(r for r in scenario.reports if r.index == 6)
     track = original_track(scenario.reports)
     tracer = tracing.new_tracer()
@@ -39,7 +38,7 @@ def test_traced_training_and_checkpoints_leave_no_metric_absent(tracing, tmp_pat
         for variant in ("fcn", "cnn-all"):
             # through the module, so the call goes to the wrapped name
             model = models.train_model(ModelConfig.for_variant(variant, epochs=2),
-                                       history, domain)
+                                       scenario.reports, domain, 6)
             model.predict(target, domain, track)
             path = tmp_path / f"{variant}.json"
             model.save(path)
