@@ -4,7 +4,10 @@ Two operators stretch N original reports into 2*(2N-1): midpoint
 interpolation of consecutive reports (N-1 new fractional indices) and
 additive Gaussian noise injection into every member field of all 2N-1
 reports (one noise copy each, same fractional index). Noise streams are
-keyed on (seed, index) so parallel generation reproduces serial output.
+keyed on (seed, index), so a report built alone equals the same report
+built among the others. ``AugmentedReports`` builds the set one report
+at a time, as it is iterated, so a fit or a write holds one derived
+report pair and never the whole set.
 """
 
 from __future__ import annotations
@@ -73,6 +76,41 @@ def _noise_rng(seed: int, index: float) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), index_tenths(index))))
 
 
+class AugmentedReports:
+    """The augmented set of N original reports, built as it is iterated.
+
+    Iteration yields the 2*(2N-1) reports in ``report_sort_key`` order,
+    each noise copy directly after its source, building each
+    interpolation and noise copy only when it is reached; ``len`` builds
+    nothing. ``originals`` must be >= 2 reports with consecutive integer
+    indices, and are checked here, before any report is built.
+    """
+
+    def __init__(self, originals, eta: float = DEFAULT_NOISE_SCALE, seed: int = 0):
+        originals = sorted(originals, key=report_sort_key)
+        if len(originals) < 2:
+            raise ValueError("need at least two original reports to augment")
+        indices = [r.index for r in originals]
+        if any(r.origin is not ReportOrigin.ORIGINAL for r in originals):
+            raise ValueError("augmentation inputs must all be original reports")
+        if any(b != a + 1 for a, b in zip(indices, indices[1:])):
+            raise ValueError(f"original indices must be consecutive integers, got {indices}")
+        self.originals, self.eta, self.seed = originals, eta, seed
+
+    def __len__(self) -> int:
+        return 2 * (2 * len(self.originals) - 1)
+
+    def __iter__(self):
+        for a, b in zip(self.originals, [*self.originals[1:], None]):
+            yield from self._with_noise_copy(a)
+            if b is not None:
+                yield from self._with_noise_copy(interpolate_reports(a, b))
+
+    def _with_noise_copy(self, plain: Report):
+        yield plain
+        yield inject_noise(plain, self.eta, _noise_rng(self.seed, plain.index))
+
+
 @dataclass(frozen=True)
 class AugmentedSet:
     """Original, interpolated, and noise-injected reports for one sequence.
@@ -91,22 +129,8 @@ class AugmentedSet:
 def build_augmented_set(originals, eta: float = DEFAULT_NOISE_SCALE, seed: int = 0) -> AugmentedSet:
     """Interpolate consecutive pairs, then noise-inject everything.
 
-    ``originals`` must be >= 2 reports with consecutive integer indices.
-    The result's index multiset is {k, k+0.5, ..., N} each appearing twice
-    (plain and noise copy).
+    The whole ``AugmentedReports`` set, held at once. The result's index
+    multiset is {k, k+0.5, ..., N} each appearing twice (plain and noise
+    copy).
     """
-    originals = sorted(originals, key=report_sort_key)
-    if len(originals) < 2:
-        raise ValueError("need at least two original reports to augment")
-    indices = [r.index for r in originals]
-    if any(r.origin is not ReportOrigin.ORIGINAL for r in originals):
-        raise ValueError("augmentation inputs must all be original reports")
-    if any(b != a + 1 for a, b in zip(indices, indices[1:])):
-        raise ValueError(f"original indices must be consecutive integers, got {indices}")
-
-    expanded = list(originals)
-    for a, b in zip(originals, originals[1:]):
-        expanded.append(interpolate_reports(a, b))
-    noisy = [inject_noise(r, eta, _noise_rng(seed, r.index)) for r in expanded]
-    reports = sorted(expanded + noisy, key=report_sort_key)
-    return AugmentedSet(reports=reports)
+    return AugmentedSet(reports=list(AugmentedReports(originals, eta, seed)))

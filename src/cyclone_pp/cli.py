@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augmentation import DEFAULT_NOISE_SCALE, build_augmented_set
+from .augmentation import DEFAULT_NOISE_SCALE, AugmentedReports
 from .evaluation import (
     calibration_error,
     concat_skill_tables,
@@ -235,13 +235,13 @@ def cmd_augment(args) -> int:
     stage = _Stage(args.out)
     spec, domain = _load_header(stage, args.scenario)
     originals = _load_reports(args.scenario, _originals(args.scenario).values(), domain)
-    augset = build_augmented_set(originals, eta=args.eta, seed=args.seed)
-    augmented = Scenario(spec=spec, domain=domain, reports=list(augset.reports))
-    config = {"eta": args.eta, "seed": args.seed, "n_original": augset.n_original}
+    # each derived report is written as it is built, and then dropped
+    augmented = AugmentedReports(originals, eta=args.eta, seed=args.seed)
+    n_original = len(augmented.originals)
+    config = {"eta": args.eta, "seed": args.seed, "n_original": n_original}
     with stage.output("augment", config) as tmp:
-        save_scenario(augmented, tmp)
-    print(f"augmented {augset.n_original} originals into "
-          f"{len(augset.reports)} reports -> {args.out}")
+        save_scenario(Scenario(spec=spec, domain=domain, reports=augmented), tmp)
+    print(f"augmented {n_original} originals into {len(augmented)} reports -> {args.out}")
     return 0
 
 

@@ -107,32 +107,37 @@ def assemble_stack(report: Report, domain: GridDomain, track) -> np.ndarray:
 
 
 def fit_standardizer(stacks) -> NormStats:
-    """Per-channel mean/std over B (C, H, W) float stacks.
+    """Per-channel mean/std over equal-shaped (C, H, W) float stacks, in one pass.
 
-    ``stacks`` is a (B, C, H, W) array or a list of equal-shaped stacks,
-    so a fit needs no (B, C, H, W) buffer. The sums for the mean and for
-    the std's squared deviations are taken one stack at a time, in the
-    order of numpy's ``mean``/``std(axis=(0, 2, 3))``: the same bits, and
-    no temporary larger than one stack. Constant channels keep their mean
-    but have std clamped to 1 so the transform degrades to a pure shift.
+    ``stacks`` is any iterable of them: a (B, C, H, W) array, a list, or
+    a generator that builds each stack when asked, so a fit holds one
+    stack at a time. Each stack's own mean and summed squared deviations
+    are merged into the running ones by the pairwise update of Chan,
+    Golub & LeVeque (1979), so the bits depend only on the stacks and
+    their order, and agree with numpy's ``mean``/``std(axis=(0, 2, 3))``
+    to rounding. Constant channels keep their mean but have std clamped
+    to 1 so the transform degrades to a pure shift.
     """
-    shapes = {np.shape(s) for s in stacks}
-    if len(shapes) > 1 or any(len(s) != 3 for s in shapes):
-        found = np.shape(stacks) if len(shapes) == 1 else sorted(shapes)
-        raise ValueError(f"need (B, C, H, W) equal-shaped stacks to fit, got {found}")
-    if not shapes:
-        raise ValueError("need at least one stack to fit")
-    channels, rows, cols = shapes.pop()
-    count = len(stacks) * rows * cols
-    total = np.zeros(channels)
+    shape, count = None, 0
     for stack in stacks:
-        total += stack.sum(axis=(1, 2))
-    mean = total / count
-    sq = np.zeros_like(mean)
-    for stack in stacks:
-        dev = stack - mean[:, None, None]
+        shape = np.shape(stack) if shape is None else shape
+        if len(shape) != 3 or np.shape(stack) != shape:
+            raise ValueError(f"need (B, C, H, W) equal-shaped stacks to fit, "
+                             f"got {sorted({shape, np.shape(stack)})}")
+        n = shape[1] * shape[2]
+        stack_mean = stack.mean(axis=(1, 2))
+        dev = stack - stack_mean[:, None, None]
         dev *= dev
-        sq += dev.sum(axis=(1, 2))
+        stack_sq = dev.sum(axis=(1, 2))
+        if count == 0:
+            mean, sq = stack_mean, stack_sq
+        else:
+            delta = stack_mean - mean
+            mean = mean + delta * (n / (count + n))
+            sq = sq + stack_sq + delta * delta * (count * n / (count + n))
+        count += n
+    if shape is None:
+        raise ValueError("need at least one stack to fit")
     std = np.sqrt(sq / count)
     std = np.where(std < _CONST_STD, 1.0, std)
     return NormStats(mean=mean, std=std)

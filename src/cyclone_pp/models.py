@@ -23,10 +23,20 @@ data and 100 fixed-rate epochs cannot close the gap.
 
 ``train_model`` is the one trainer: it fits on the originals before a
 target, and its model refuses earlier reports and other grids. A fit
-holds each training report until its input stack is built, and each
-stack until its standardized land rows are in the float32 patch matrix;
-there is no (B, C, H, W) buffer. The epochs then hold the patch rows
-and the network's three reused hidden-size arrays.
+reads its training reports once, each built when it is reached: a
+report gives way to its input stack, and the stack to its land patch
+rows in the float32 patch matrix, once the standardizer has merged it.
+There is no (B, C, H, W) buffer and no list of derived reports. The
+epochs then hold the patch rows and the network's three block-sized
+hidden arrays, and run forward, loss and backward one row block at a
+time, with one Adam step per epoch.
+
+Train and predict build a stack's patch rows the same way: standardized
+in float64, then cast to float32, with taps past the grid's edge at 0.
+A fit does not know its statistics until it has read every report, so
+it standardizes by the first stack's own mean and std, which keeps the
+float32 rows free of the channels' offsets, and then moves each
+report's rows to the fit's statistics in place, in float64.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .augmentation import DEFAULT_NOISE_SCALE, build_augmented_set
+from .augmentation import DEFAULT_NOISE_SCALE, AugmentedReports
 from .domain import GridDomain, Report, ReportOrigin
 from .features import (
     CHANNEL_NAMES,
@@ -55,10 +65,14 @@ from .neuralnet import (
     TrainingDiverged,
     im2col,
     load_network,
+    one_blas_thread,
+    row_blocks,
+    row_matrix,
     save_network,
     softplus,
 )
-from .scoring import GaussianField, crps_gaussian, crps_gradient, make_weights
+from .scoring import GaussianField, _crps_and_gradient, make_weights
+from .scoring import crps_gaussian  # noqa: F401  (perfbench's tracer tests reach it here)
 from .storage import record_from_json, typed
 
 FCN_CHANNEL_NAMES = ("member_mean", "member_std", *CHANNEL_NAMES[N_MEMBERS:])
@@ -186,6 +200,17 @@ def _stack_for(config: ModelConfig, report: Report, domain: GridDomain,
     return features(report, domain, track_through(track_pairs, report))
 
 
+def _restandardize(rows: np.ndarray, old: NormStats, new: NormStats, edge) -> None:
+    """Patch rows standardized by ``old`` become, in place and in float64,
+    rows standardized by ``new``; the ``edge`` taps, (R, kh*kw) flags of
+    those past the grid's edge, stay exactly 0."""
+    x = rows.reshape(len(rows), len(new.mean), -1).astype(float)
+    x *= (old.std / new.std)[:, None]
+    x += ((old.mean - new.mean) / new.std)[:, None]
+    np.copyto(x, 0.0, where=edge[:, None, :])
+    rows[...] = x.reshape(rows.shape)
+
+
 @dataclass
 class TrainedModel:
     """A fitted network plus everything needed to replay its predictions."""
@@ -214,9 +239,10 @@ class TrainedModel:
         if domain.shape != self.grid_shape:
             raise ValueError("model trained on a {}x{} grid cannot predict a "
                              "{}x{} scenario".format(*self.grid_shape, *domain.shape))
-        stack = _stack_for(self.config, report, domain, track_pairs)
-        x = apply_standardizer(stack, self.norm)[None]
-        out = self.net.forward(im2col(x, self.net.shape[2], dtype=DTYPE))[0].astype(float)
+        x = im2col(apply_standardizer(_stack_for(self.config, report, domain, track_pairs),
+                                      self.norm)[None], self.net.shape[2], dtype=DTYPE)
+        with one_blas_thread:
+            out = self.net.forward(x)[0].astype(float)
         self.net.drop_buffers()
         return GaussianField(*_gaussian(self.target_mean, self.target_std, *out))
 
@@ -264,16 +290,17 @@ def train_model(config: ModelConfig, reports, domain: GridDomain,
     observation; derived reports are dropped, since an interpolation at
     target - 0.5 blends the target itself. The -aug variants then expand
     those originals with the config's own noise scale and seed.
-    Full-batch: each epoch is one Adam step on the weighted CRPS loss
-    over land cells. The patch rows are built once, for land cells only:
-    sea cells carry no loss weight, and a land cell's sea neighbours stay
-    in its row.
+    Full-batch: each epoch sums the gradients of every row block of the
+    weighted CRPS loss over land cells, then takes one Adam step. The
+    patch rows are built once, for land cells only: sea cells carry no
+    loss weight, and a land cell's sea neighbours stay in its row.
 
-    The fit gets the training set as a new list no one else holds, and
-    in it each report gives way to its input stack, and each stack to its
-    standardized land rows in the float32 patch matrix. So a derived
-    report is freed as soon as its stack is built, and a stack as soon as
-    its rows are copied; the caller's list stays as it is.
+    The fit reads the training set once, in index order, and an
+    augmented set is built one report at a time as it is read (see the
+    module docstring), so the caller's reports are never copied and no
+    derived report outlives its patch rows. numpy's bundled BLAS runs on
+    one thread throughout, so the bits do not depend on the BLAS thread
+    count.
 
     A mu, sigma, loss or gradient that stops being finite raises
     ``TrainingDiverged``, the one report of it: numpy's float warnings in
@@ -285,41 +312,63 @@ def train_model(config: ModelConfig, reports, domain: GridDomain,
 
 
 @np.errstate(all="ignore")
-def _fit(config: ModelConfig, reports: list, domain: GridDomain,
+@one_blas_thread
+def _fit(config: ModelConfig, reports, domain: GridDomain,
          target: int) -> TrainedModel:
-    """``train_model``'s fit; it empties ``reports``, its own list."""
-    track_pairs = original_track(reports)
+    """``train_model``'s fit; ``reports`` is a sized iterable in index
+    order, which it reads once."""
     land = domain.land_mask
     n_land = int(land.sum())
-    # all the epochs need of the reports themselves. y is masked report by
-    # report, as freeing a (B, H, W) temporary larger than a stack would
-    # raise glibc's mmap threshold and keep the freed stacks in the heap.
-    # It is F-ordered, the layout np.stack(...)[:, land] gives: reductions
-    # over y, and so the fitted bits, follow its memory order.
-    y = np.stack([r.observation[land] for r in reports], axis=1).T  # (B, n_land)
-    w = make_weights([r.index for r in reports], len(track_pairs))  # (B,), sums to 1
-    # fold_key decorrelates the parameter draw across rolling-origin folds
-    # so a single unlucky initialization cannot taint every target.
-    fold_key = round(10 * max(r.index for r in reports))
+    n_in, _hidden, kernel = config.network_shape
+    patches = np.empty((len(reports) * n_land, n_in * kernel[0] * kernel[1]), DTYPE)
+    y = np.empty((len(reports), n_land))
+    indices, track_pairs = [], []
 
-    # each report gives way to its stack, standardized in place below: a
-    # report's own read-only members are copied, a new stack is kept as is
-    stacks = reports
-    for i, report in enumerate(stacks):
-        stacks[i] = np.require(_stack_for(config, report, domain, track_pairs),
+    first = None  # the first stack's own mean and std
+
+    def stacks():
+        # in index order, the originals seen so far are the track up to
+        # each report. Once the standardizer has merged a stack, it is
+        # standardized in place by the first stack's statistics and its
+        # rows are copied out; then report and stack give way to the next.
+        # Derived reports kept in a list while the rows fill would peak
+        # 20 MB higher at 84x70 after an augment in the same process: it
+        # has raised glibc's mmap threshold, so their freed ~1 MB arrays
+        # stay in the heap.
+        nonlocal first
+        for i, report in enumerate(reports):
+            if report.origin is ReportOrigin.ORIGINAL:
+                track_pairs.append((report.index, report.tc_center))
+            indices.append(report.index)
+            y[i] = report.observation[land]
+            # a report's own read-only members are copied, a new stack kept
+            stack = np.require(_stack_for(config, report, domain, track_pairs),
                                requirements="W")
-    del report
-    norm = fit_standardizer(stacks)
+            if first is None:
+                first = fit_standardizer([stack])
+            yield stack
+            apply_standardizer(stack, first, out=stack)
+            rows = patches[i * n_land:(i + 1) * n_land]
+            rows[...] = row_matrix(im2col(stack[None], kernel, land, DTYPE))
+            if not np.isfinite(rows).all():
+                raise ValueError(f"{config.variant} training features overflow float32")
+
+    norm = fit_standardizer(stacks())
     if not (np.isfinite(norm.mean).all() and np.isfinite(norm.std).all()):
         raise ValueError(f"{config.variant} training features overflow float64")
-    for stack in stacks:
-        apply_standardizer(stack, norm, out=stack)
-    del stack
-    # im2col empties the list, freeing each stack once its rows are copied
-    patches = im2col(stacks, config.network_shape[2], mask=land, dtype=DTYPE)
+    edge = row_matrix(im2col(np.ones((1, 1, *domain.shape)), kernel, land)) == 0
+    for lo in range(0, len(patches), n_land):
+        _restandardize(patches[lo:lo + n_land], first, norm, edge)
 
+    w = make_weights(indices, len(track_pairs))  # (B,), sums to 1
+    # per-row loss scale: w_r / n_land for each of report r's land rows
+    row_w = np.repeat(w / n_land, n_land)
+    y = y.ravel()
     target_mean = float(y.mean())
     target_std = max(float(y.std()), TARGET_STD_FLOOR_MM)
+    # fold_key decorrelates the parameter draw across rolling-origin folds
+    # so a single unlucky initialization cannot taint every target.
+    fold_key = round(10 * max(indices))
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(int(config.seed), 7, int(fold_key))))
     net = Network.kaiming(*config.network_shape, rng)
@@ -328,34 +377,35 @@ def _fit(config: ModelConfig, reports: list, domain: GridDomain,
                          target_mean=target_mean, target_std=target_std,
                          grid_shape=domain.shape, target=target)
 
-    # per-cell loss scale: w_r / n_land
-    cell_w = w[:, None] / n_land
     for _epoch in range(config.epochs):
-        out = net.forward(patches)[..., 0].astype(float)  # (B, 2, n_land)
-        mu, sigma = _gaussian(target_mean, target_std, out[:, 0], out[:, 1])
-        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
-            raise TrainingDiverged(
-                f"non-finite mu or sigma at epoch {_epoch} for {config.variant}")
-        scores = crps_gaussian(mu, sigma, y)
-        loss = float((cell_w * scores).sum())
+        net.zero_grad()
+        loss, lo = 0.0, 0
+        for block in row_blocks(patches):
+            hi = lo + block.shape[2]
+            out = net.forward(block)[0, :, :, 0].astype(float)  # (2, rows)
+            mu, sigma = _gaussian(target_mean, target_std, out[0], out[1])
+            if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+                raise TrainingDiverged(
+                    f"non-finite mu or sigma at epoch {_epoch} for {config.variant}")
+            scores, dmu, dsigma = _crps_and_gradient(mu, sigma, y[lo:hi])
+            loss += float(row_w[lo:hi] @ scores)
+            grad = np.empty((hi - lo, 2), DTYPE)  # a (rows, 2) layer matrix
+            grad[:, 0] = row_w[lo:hi] * dmu * target_std
+            grad[:, 1] = row_w[lo:hi] * dsigma * target_std * expit(out[1])
+            net.backward(grad.T[None, :, :, None])
+            lo = hi
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"non-finite training loss at epoch {_epoch} for {config.variant}")
         model.loss_history.append(loss)
-
-        dmu, dsigma = crps_gradient(mu, sigma, y)
-        grad = np.empty_like(out)
-        grad[:, 0] = cell_w * dmu * target_std
-        grad[:, 1] = cell_w * dsigma * target_std * expit(out[:, 1])
-        net.zero_grad()
-        net.backward(grad.astype(DTYPE)[..., None])
         opt.step()
     net.drop_buffers()
     return model
 
 
-def _training_set(config: ModelConfig, reports, target: int) -> list[Report]:
-    """A new list of the reports ``train_model`` fits for one target (see there)."""
+def _training_set(config: ModelConfig, reports, target: int):
+    """The reports ``train_model`` fits for one target (see there), as a
+    new list or an ``AugmentedReports`` set, either in index order."""
     history = sorted((r for r in reports
                       if r.origin is ReportOrigin.ORIGINAL and r.index < target),
                      key=lambda r: r.index)
@@ -369,7 +419,7 @@ def _training_set(config: ModelConfig, reports, target: int) -> list[Report]:
         warnings.warn(f"target {target}: single-report history cannot be "
                       "augmented; training on originals", stacklevel=3)
         return history
-    return build_augmented_set(history, eta=config.noise_scale, seed=config.seed).reports
+    return AugmentedReports(history, eta=config.noise_scale, seed=config.seed)
 
 
 def rolling_origin_run(configs, scenario, targets=range(6, 12),

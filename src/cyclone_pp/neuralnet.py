@@ -4,32 +4,41 @@
 convolution, softplus, and a 1x1 convolution to the two Gaussian heads.
 Convolutions are one BLAS matmul over im2col patch rows (Chellapilla,
 Puri & Simard 2006); parameters are Kaiming-initialized float32 and
-fitted by Adam. Layers cache their forward inputs and accumulate
-parameter gradients in place. A layer can write its result into a
-given array, and the network hands its layers the same hidden-size
-arrays every epoch, so a training epoch allocates nothing of hidden
-size. No external ML framework is involved.
+fitted by Adam over one flat vector. Layers cache their forward inputs
+and accumulate parameter gradients in place. A layer can write its
+result into a given array. The network runs its rows in blocks of
+``BLOCK_ROWS`` through three block-sized hidden arrays that it reuses,
+so nothing of hidden size grows with the rows, and a training epoch
+runs forward, loss and backward one block at a time. No external ML
+framework is involved.
 
-``im2col`` turns a (batch, channels, rows, cols) stack, or a list of
-per-item stacks that it empties as it goes, into patch rows: one row
-per batch item and grid cell, holding the C*kh*kw inputs a kernel sees
-there. A 2x2 kernel with one-sided (right/bottom) zero
+``im2col`` turns a (batch, channels, rows, cols) stack into patch rows:
+one row per batch item and grid cell, holding the C*kh*kw inputs a
+kernel sees there. A 2x2 kernel with one-sided (right/bottom) zero
 padding keeps the spatial shape. Given a cell mask it builds the rows of
 those cells only; their neighbours stay in the columns, so each masked
 row is exact. Layers take and return 4-D (batch, width, rows, cols)
 arrays laid out as one contiguous (batch*rows*cols, width) matrix, so
 passing data between layers never copies. Per-cell dense stages are 1x1
 convolutions, whose patch rows are the channels themselves.
+
+BLAS sums a matmul in an order that depends on its thread count, so
+``one_blas_thread`` pins numpy's bundled OpenBLAS to one thread while a
+fit or a prediction runs: their bits do not depend on
+``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
+import ctypes
 import json
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .storage import write_text
 
@@ -40,6 +49,11 @@ ADAM_EPS = 1e-8
 
 #: the one floating-point type of network parameters and activations
 DTYPE = np.float32
+
+#: rows per block of a forward or a training epoch. A numpy prototype of
+#: the blocked epoch at 58,520 rows ran fastest at 4,096 (1,024 to 16,384
+#: tried); its hidden arrays are then 0.5 MB each at width 32
+BLOCK_ROWS = 4096
 
 CHECKPOINT_FORMAT = "cyclone-pp-net/4"
 #: a checkpoint's four arrays: the names of ``Network.parameters``, in order
@@ -65,41 +79,31 @@ def kaiming_init(fan_in: int, shape, rng: np.random.Generator) -> np.ndarray:
 
 
 def im2col(x, kernel, mask: np.ndarray | None = None, dtype=None) -> np.ndarray:
-    """Patch rows of B (C, H, W) stacks for a (kh, kw) kernel.
+    """Patch rows of a (B, C, H, W) stack for a (kh, kw) kernel.
 
     Row (b, i, j) holds x[b, :, i:i+kh, j:j+kw] in the kernels' (C, kh,
     kw) order, zero past the bottom and right edges. The result is a
     (B, C*kh*kw, H, W) view of the (B*H*W, C*kh*kw) row matrix. With a
     boolean (H, W) ``mask`` only the R masked cells get rows, in row-major
-    order, and the view is (B, C*kh*kw, R, 1). The rows are built one
-    batch item at a time and cast to ``dtype`` (default: x's) as they are
-    copied in, so no padded or cast copy of the whole stack exists.
-
-    ``x`` is a (B, C, H, W) array, or a list of B equal-shaped stacks that
-    im2col consumes: it empties the list front to back, so a stack that
-    nobody else holds is freed as soon as its rows are copied.
+    order, and the view is (B, C*kh*kw, R, 1). The rows are gathered one
+    tap and one batch item at a time and cast to ``dtype`` (default: x's)
+    as they are copied in, so no padded or cast copy of the stack exists.
     """
     batch, (channels, rows, cols) = len(x), x[0].shape
     kh, kw = kernel
-    grid = (rows, cols) if mask is None else (int(mask.sum()), 1)
-    mat = np.empty((batch, *grid, channels, kh, kw), x[0].dtype if dtype is None else dtype)
-    items = _consumed(x) if isinstance(x, list) else x
-    for item, out in zip(items, mat):
-        xp = np.pad(item, ((0, 0), (0, kh - 1), (0, kw - 1)))
-        # (H, W, C, kh, kw) windows of one item
-        win = sliding_window_view(xp, (kh, kw), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
-        out[...] = win if mask is None else win[mask][:, None]
+    ii, jj = np.nonzero(np.ones((rows, cols), bool) if mask is None else mask)
+    grid = (rows, cols) if mask is None else (len(ii), 1)
+    mat = np.zeros((batch, len(ii), channels, kh, kw), x.dtype if dtype is None else dtype)
+    for di in range(kh):
+        for dj in range(kw):
+            inside = (ii + di < rows) & (jj + dj < cols)
+            src_i, src_j = ii[inside] + di, jj[inside] + dj
+            for item, out in zip(x, mat):
+                out[inside, :, di, dj] = item[:, src_i, src_j].T
     return mat.reshape(batch, *grid, -1).transpose(0, 3, 1, 2)
 
 
-def _consumed(items: list):
-    """Yield a list's items in order, removing each from the list."""
-    items.reverse()
-    while items:
-        yield items.pop()
-
-
-def _row_matrix(x: np.ndarray) -> np.ndarray:
+def row_matrix(x: np.ndarray) -> np.ndarray:
     """The (B*H*W, width) matrix behind a (B, width, H, W) layer array."""
     return x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1])
 
@@ -108,6 +112,14 @@ def _layer_array(mat: np.ndarray, shape) -> np.ndarray:
     """A (B*H*W, width) matrix seen as (B, width, H, W) for the given B, H, W."""
     batch, _width, rows, cols = shape
     return mat.reshape(batch, rows, cols, -1).transpose(0, 3, 1, 2)
+
+
+def row_blocks(rows: np.ndarray):
+    """A (n, width) row matrix in blocks of at most ``BLOCK_ROWS`` rows, in
+    order, each seen as a (1, width, rows, 1) layer array."""
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        block = rows[lo:lo + BLOCK_ROWS]
+        yield _layer_array(block, (1, rows.shape[1], len(block), 1))
 
 
 @dataclass
@@ -152,16 +164,17 @@ class ConvLayer:
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         self._input_shape = x.shape
-        self._rows = _row_matrix(x)
+        self._rows = row_matrix(x)
         out = np.matmul(self._rows, self._kernel_matrix().T, out=out)
         out += self.bias.value
         return _layer_array(out, x.shape)
 
     def backward(self, grad_out: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray | None:
-        g = _row_matrix(grad_out)
+        g = row_matrix(grad_out)
         self.kernels.grad += (g.T @ self._rows).reshape(self.kernels.value.shape)
-        self.bias.grad += g.sum(axis=0)
+        # a matmul with ones sums the rows far faster than g.sum(axis=0)
+        self.bias.grad += np.ones(len(g), g.dtype) @ g
         if not self.input_grad:
             return None
         return _layer_array(np.matmul(g, self._kernel_matrix(), out=out), self._input_shape)
@@ -217,12 +230,14 @@ class Network:
     The first conv's input gradient is never needed, so ``backward``
     stops there and returns nothing.
 
-    The network owns three (rows, hidden) arrays: the conv output, with
-    the softplus taken in place over it; the softplus slope; and the
-    head's input gradient. Every forward over the same number of rows
-    reuses them, so a training epoch allocates nothing of hidden size,
-    while ``forward``'s result is a new array each call.
-    ``drop_buffers`` frees them and the layers' cached inputs, as a
+    ``forward`` runs its rows in blocks of ``BLOCK_ROWS`` through three
+    (block, hidden) arrays that the network owns and reuses: the conv
+    output, with the softplus taken in place over it; the softplus
+    slope; and the head's input gradient. The layers keep the last
+    block's inputs, so ``backward`` follows a forward of at most
+    ``BLOCK_ROWS`` rows, and a fit runs forward and backward block by
+    block; ``forward``'s result is a new array each call.
+    ``drop_buffers`` frees the arrays and the layers' cached inputs, as a
     finished fit or prediction does.
     """
 
@@ -233,6 +248,7 @@ class Network:
         self.softplus = SoftplusLayer()
         self.head = ConvLayer(head_k, head_b)
         self._buffers = [None, None, None]
+        self._rows_forwarded = 0
 
     @classmethod
     def kaiming(cls, in_channels: int, hidden: int, kernel,
@@ -258,23 +274,34 @@ class Network:
         for p in self.parameters():
             p.zero_grad()
 
-    def _buffer(self, i: int, shape, dtype) -> np.ndarray:
-        """Hidden-size buffer i, made anew when its shape or dtype changes."""
+    def _buffer(self, i: int, rows: int, dtype) -> np.ndarray:
+        """The first ``rows`` rows of hidden-size buffer i, made anew when
+        it is shorter or of another dtype."""
         buf = self._buffers[i]
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = self._buffers[i] = np.empty(shape, dtype)
-        return buf
+        if buf is None or len(buf) < rows or buf.dtype != dtype:
+            buf = self._buffers[i] = np.empty((rows, len(self.conv.bias.value)), dtype)
+        return buf[:rows]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         batch, _width, rows, cols = x.shape
-        shape = (batch * rows * cols, len(self.conv.bias.value))
         dtype = np.result_type(x, self.conv.kernels.value)
-        h = self.conv.forward(x, out=self._buffer(0, shape, dtype))
-        slope = _layer_array(self._buffer(1, shape, dtype), h.shape)
-        return self.head.forward(self.softplus.forward(h, out=h, slope=slope))
+        out = np.empty((batch * rows * cols, 2), dtype)
+        lo = 0
+        for block in row_blocks(row_matrix(x)):
+            n = block.shape[2]
+            h = self.conv.forward(block, out=self._buffer(0, n, dtype))
+            slope = _layer_array(self._buffer(1, n, dtype), h.shape)
+            self.head.forward(self.softplus.forward(h, out=h, slope=slope),
+                              out=out[lo:lo + n])
+            lo += n
+        self._rows_forwarded = len(out)
+        return _layer_array(out, (batch, 2, rows, cols))
 
     def backward(self, grad_out: np.ndarray) -> None:
-        grad = self._buffer(2, self._buffers[0].shape,
+        if self._rows_forwarded > BLOCK_ROWS:
+            raise ValueError(f"backward follows a forward of at most {BLOCK_ROWS} "
+                             f"rows, not {self._rows_forwarded}")
+        grad = self._buffer(2, self._rows_forwarded,
                             np.result_type(grad_out, self.head.kernels.value))
         self.conv.backward(self.softplus.backward(self.head.backward(grad_out, out=grad)))
 
@@ -284,32 +311,99 @@ class Network:
 
 
 class Adam:
-    """Adam with bias correction; one shared step counter.
+    """Adam with bias correction over one flat vector; one step counter.
 
-    It uses the usual constants: learning rate 0.001, betas (0.9, 0.999)
-    and eps 1e-8. A non-finite gradient aborts training rather than
-    poisoning the moment estimates.
+    It gathers its parameters into one value vector and one gradient
+    vector, and makes each parameter's value and grad views of them, so
+    a step is one elementwise update of the same bits as one update per
+    parameter. It uses the usual constants: learning rate 0.001, betas
+    (0.9, 0.999) and eps 1e-8. A non-finite gradient aborts training
+    rather than poisoning the moment estimates, naming its parameter.
     """
 
     def __init__(self, params):
         self.params = list(params)
         self.t = 0
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        self._value = np.concatenate([p.value.ravel() for p in self.params])
+        self._grad = np.concatenate([p.grad.ravel() for p in self.params])
+        lo = 0
+        for p in self.params:
+            hi = lo + p.value.size
+            p.value = self._value[lo:hi].reshape(p.value.shape)
+            p.grad = self._grad[lo:hi].reshape(p.grad.shape)
+            lo = hi
+        self._m = np.zeros_like(self._value)
+        self._v = np.zeros_like(self._value)
 
     def step(self) -> None:
-        for p in self.params:
-            if not np.all(np.isfinite(p.grad)):
-                raise TrainingDiverged(f"non-finite gradient in parameter {p.name!r}")
+        if not np.all(np.isfinite(self._grad)):
+            bad = next(p for p in self.params if not np.all(np.isfinite(p.grad)))
+            raise TrainingDiverged(f"non-finite gradient in parameter {bad.name!r}")
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * p.grad
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * np.square(p.grad)
-            p.value -= ADAM_LR * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+        m, v, g = self._m, self._v, self._grad
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        self._value -= ADAM_LR * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Pins numpy's bundled OpenBLAS to one thread while held.
+
+    The first holder saves the thread count and sets one thread; the
+    last to leave restores it, so fits on several Python threads share
+    one pin. Without that library (another BLAS build) it does nothing,
+    and the bits may depend on the thread count as before.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = None
+        self._calls = None
+
+    @staticmethod
+    def _openblas():
+        """(get, set) of the bundled OpenBLAS's thread count, or None."""
+        libs = Path(np.__file__).parent.parent / "numpy.libs"
+        for lib in sorted(libs.glob("libscipy_openblas64_-*.so")):
+            try:
+                dll = ctypes.CDLL(str(lib))
+                get = dll.scipy_openblas_get_num_threads64_
+                put = dll.scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+        return None
+
+    def __enter__(self):
+        with self._lock:
+            if self._holders == 0:
+                if self._calls is None:
+                    self._calls = self._openblas() or ()
+                if self._calls:
+                    get, put = self._calls
+                    self._saved = get()
+                    put(1)
+            self._holders += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._saved is not None:
+                self._calls[1](self._saved)
+                self._saved = None
+        return False
+
+
+#: one process-wide pin: the BLAS thread count is process state
+one_blas_thread = _OneBlasThread()
 
 
 def _encode_array(a: np.ndarray) -> dict:

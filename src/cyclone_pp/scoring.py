@@ -51,11 +51,7 @@ def crps_gaussian(mu, sigma, y):
     y = np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(y))):
         raise ValueError("mu and y must be finite")
-    z = (y - mu) / sigma
-    phi = np.exp(-0.5 * z * z) / SQRT_2PI
-    out = sigma * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * phi - 1.0 / SQRT_PI)
-    # guard against tiny negative round-off in the z ~ 0, sigma ~ 0 corner
-    out = np.maximum(out, 0.0)
+    out = _crps_and_gradient(mu, sigma, y)[0]
     return out if out.ndim else float(out)
 
 
@@ -68,13 +64,22 @@ def crps_gradient(mu, sigma, y):
         dCRPS/dsigma = 2 * phi(z) - 1 / sqrt(pi)
     """
     sigma = _check_sigma(sigma)
-    mu = np.asarray(mu, dtype=float)
-    y = np.asarray(y, dtype=float)
+    return _crps_and_gradient(np.asarray(mu, dtype=float), sigma,
+                              np.asarray(y, dtype=float))[1:]
+
+
+def _crps_and_gradient(mu, sigma, y):
+    """(crps_gaussian, *crps_gradient) of float arrays, unchecked.
+
+    The one closed form, and the training loss kernel: z, Phi(z) and
+    phi(z) are computed once for the score and both partial derivatives.
+    """
     z = (y - mu) / sigma
     phi = np.exp(-0.5 * z * z) / SQRT_2PI
-    dmu = -(2.0 * ndtr(z) - 1.0)
-    dsigma = 2.0 * phi - 1.0 / SQRT_PI
-    return dmu, dsigma
+    cdf = 2.0 * ndtr(z) - 1.0
+    crps = sigma * (z * cdf + 2.0 * phi - 1.0 / SQRT_PI)
+    # guard against tiny negative round-off in the z ~ 0, sigma ~ 0 corner
+    return np.maximum(crps, 0.0), -cdf, 2.0 * phi - 1.0 / SQRT_PI
 
 
 def crps_quadrature_oracle(mu: float, sigma: float, y: float) -> float:

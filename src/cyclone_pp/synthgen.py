@@ -278,7 +278,12 @@ def parse_report_dirname(name: str) -> tuple[float, bool] | None:
 
 def save_scenario(scenario: Scenario, out_dir) -> None:
     """Write spec.json, domain.txt, and one report_XXXX/ each: the (20, H, W)
-    members.npy, obs.npy and meta.json (the storm center)."""
+    members.npy, obs.npy and meta.json (the storm center).
+
+    The reports are written in the order ``scenario.reports`` yields them,
+    one at a time, so a lazily built set such as
+    ``augmentation.AugmentedReports`` is never held whole.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "spec.json",

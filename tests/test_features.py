@@ -194,20 +194,22 @@ class TestStandardizer:
     @pytest.mark.parametrize("shape", [(1, 25, 6, 5), (4, 3, 7, 9), (26, 25, 28, 24),
                                        (38, 25, 84, 70)])
     def test_streamed_std_is_numpys_bit_for_bit(self, shape):
-        # mean and std are summed one stack at a time; a numpy change to
-        # the order of its (0, 2, 3) reduction must fail here, not move
-        # bits. The last shape is the 84x70 pipeline's cnn-all fit.
+        # one pass merges each stack into the running mean and squared
+        # deviations, so the bits are the same however the stacks are
+        # held, and numpy's two-pass mean/std agree to rounding. The last
+        # shape is the 84x70 pipeline's cnn-all fit.
         rng = np.random.default_rng(shape[0])
         data = rng.gamma(0.5, 40.0, size=shape) + rng.normal(0.0, 100.0, size=shape[1])[:, None, None]
         data[:, 1] = 0.1  # a constant channel; 0.1 is inexact in binary
         stats = fit_standardizer(data)
         std = data.std(axis=(0, 2, 3))
-        assert np.array_equal(stats.mean, data.mean(axis=(0, 2, 3)))
-        assert np.array_equal(stats.std, np.where(std < 1e-12, 1.0, std))
+        np.testing.assert_allclose(stats.mean, data.mean(axis=(0, 2, 3)), rtol=1e-12)
+        np.testing.assert_allclose(stats.std, np.where(std < 1e-12, 1.0, std), rtol=1e-12)
         assert stats.std[1] == 1.0 and np.all(stats.std[2:] != 1.0)
-        listed = fit_standardizer(list(data))
-        assert listed.mean.tobytes() == stats.mean.tobytes()
-        assert listed.std.tobytes() == stats.std.tobytes()
+        for held in (list(data), (stack for stack in data)):
+            again = fit_standardizer(held)
+            assert again.mean.tobytes() == stats.mean.tobytes()
+            assert again.std.tobytes() == stats.std.tobytes()
 
     def test_stacks_of_two_shapes_refused(self, small_domain):
         data = self._stacks(small_domain)

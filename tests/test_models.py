@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cyclone_pp.domain import ReportOrigin
-from cyclone_pp.features import CHANNEL_NAMES
+from cyclone_pp.features import CHANNEL_NAMES, apply_standardizer
 from cyclone_pp.models import (
     FCN_CHANNEL_NAMES,
     VARIANTS,
@@ -22,9 +22,9 @@ from cyclone_pp.models import (
     track_through,
     train_model,
 )
-from cyclone_pp import models, neuralnet
+from cyclone_pp import augmentation, models, neuralnet
 from cyclone_pp.augmentation import build_augmented_set
-from cyclone_pp.neuralnet import TrainingDiverged, im2col
+from cyclone_pp.neuralnet import TrainingDiverged, im2col, row_matrix
 from cyclone_pp.scoring import weighted_loss
 from cyclone_pp.synthgen import ScenarioSpec, generate_scenario, make_island_domain
 
@@ -306,24 +306,22 @@ class TestTrainModel:
         assert np.all(field.sigma > 0)
 
     def test_fit_holds_each_report_once(self):
-        # train_model hands its augmented set to the fit, which turns each
-        # report into its stack, and each stack into float32 land patch
-        # rows. So the traced peak is, while the rows are copied out: the
-        # stacks, the patch rows (176 of 672 cells x 4 taps x half the
-        # width: 0.52x the stacks) and one stack's padded copy and masked
-        # float64 windows. Together 1.58x the stacks; it reads 1.60x. The
-        # epochs come after the stacks are gone: the rows plus three
-        # hidden-size buffers (3 x 0.17x). A float64 (B, C, H, W) buffer
-        # filled while the derived reports were still held read 2.19x.
+        # train_model builds the augmented set one report at a time; each
+        # report gives way to its stack and each stack to its float32 land
+        # patch rows. So the traced peak is the patch rows (176 of 672
+        # cells x 4 taps x half the width: 0.52x a stack each), then three
+        # block-sized hidden buffers, plus the temporaries of one report
+        # or one block: 10 stacks' worth covers them (it reads 8.6). A fit
+        # that held the 38 stacks beside the rows would need 1.67x this.
         domain = make_island_domain(n_rows=28, n_cols=24)
         scenario = generate_scenario(ScenarioSpec(seed=1), domain)
         cfg = ModelConfig.for_variant("cnn-all", epochs=1)
-        (n_in, _hidden, (kh, kw)), n_land = cfg.network_shape, int(domain.land_mask.sum())
+        (n_in, hidden, (kh, kw)), n_land = cfg.network_shape, int(domain.land_mask.sum())
         n = len(build_augmented_set(history_until(scenario, 11)).reports)
         stack = n_in * 28 * 24 * 8
         rows = n_land * n_in * kh * kw * 4
-        temporaries = n_in * (28 + kh - 1) * (24 + kw - 1) * 8 + n_land * n_in * kh * kw * 8
-        budget = n * (stack + rows) + temporaries
+        buffers = 3 * min(neuralnet.BLOCK_ROWS, n * n_land) * hidden * 4
+        budget = n * rows + buffers + 10 * stack
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -332,28 +330,80 @@ class TestTrainModel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - entry <= 1.05 * budget
+        assert peak - entry <= budget
 
-    def test_derived_reports_freed_before_the_patch_rows_exist(self, monkeypatch):
+    def test_derived_reports_are_built_as_the_fit_reads_them(self, monkeypatch):
+        # the augmented set is built one report at a time: when a stack is
+        # built, at most one derived report pair (an interpolation and its
+        # noise copy) is alive; a set built whole holds all 13 at first
         domain = make_island_domain(**TINY)
         reports = generate_scenario(ScenarioSpec(seed=1), domain).reports
         derived, alive = [], []
 
-        def augmenting(*args, **kwargs):
-            augset = build_augmented_set(*args, **kwargs)
-            derived.extend(weakref.ref(r) for r in augset.reports
-                           if r.origin is not ReportOrigin.ORIGINAL)
-            return augset
+        def kept(build):
+            def building(*args):
+                report = build(*args)
+                derived.append(weakref.ref(report))
+                return report
+            return building
 
-        def rows(*args, **kwargs):
-            patches = im2col(*args, **kwargs)
-            alive.append(sum(ref() is not None for ref in derived))
-            return patches
+        def counting(stack_for):
+            def stacking(*args):
+                alive.append(sum(ref() is not None for ref in derived))
+                return stack_for(*args)
+            return stacking
 
-        monkeypatch.setattr(models, "build_augmented_set", augmenting)
-        monkeypatch.setattr(models, "im2col", rows)
+        for name in ("interpolate_reports", "inject_noise"):
+            monkeypatch.setattr(augmentation, name, kept(getattr(augmentation, name)))
+        monkeypatch.setattr(models, "_stack_for", counting(models._stack_for))
         train_model(ModelConfig.for_variant("cnn-aug", epochs=1), reports, domain, 6)
-        assert derived and alive == [0]
+        assert len(derived) == 13 and max(alive) == 2
+
+
+class TestFitRows:
+    """The fit's patch rows are the standardized stacks' im2col rows."""
+
+    @pytest.fixture(scope="class")
+    def edge_domain(self):
+        # land on the last row and the last column reaches the taps past
+        # the grid's edge; no island domain has any land there
+        island = make_island_domain(n_rows=10, n_cols=8)
+        land = island.land_mask.copy()
+        land[-1, 2:] = True
+        land[:, -1] = True
+        return dataclasses.replace(island, land_mask=land,
+                                   altitude=np.where(land, island.altitude + 50.0, 0.0))
+
+    @pytest.mark.parametrize("variant", ["cnn", "cnn-all"])
+    def test_rows_are_the_standardized_stacks_rows(self, edge_domain, monkeypatch, variant):
+        scenario = generate_scenario(ScenarioSpec(seed=3), edge_domain)
+        fitted = []
+        row_blocks = models.row_blocks
+
+        def spy(rows):
+            fitted.append(rows.copy())
+            return row_blocks(rows)
+
+        monkeypatch.setattr(models, "row_blocks", spy)
+        config = ModelConfig.for_variant(variant, epochs=1)
+        model = train_model(config, scenario.reports, edge_domain, 6)
+        history = history_until(scenario, 6)
+        if config.use_augmentation:
+            history = build_augmented_set(history).reports
+        land = edge_domain.land_mask
+        want = np.concatenate([row_matrix(im2col(
+            apply_standardizer(models._stack_for(config, r, edge_domain, track_of(scenario)),
+                               model.norm)[None], (2, 2), land, np.float32))
+            for r in history])
+        rows = fitted[0]
+        np.testing.assert_allclose(rows, want, rtol=1e-6, atol=1e-6)
+        # the (row, col) offsets of the four taps; a tap past the edge is 0
+        cells = np.argwhere(land)
+        taps = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
+        edge = ((cells[:, None, 0] + taps[:, 0] >= land.shape[0])
+                | (cells[:, None, 1] + taps[:, 1] >= land.shape[1]))
+        per_tap = rows.reshape(len(history), len(cells), -1, 4).transpose(0, 2, 1, 3)
+        assert edge.any() and not per_tap[:, :, edge].any()
 
 
 class TestFitFold:

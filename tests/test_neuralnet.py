@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -179,14 +181,6 @@ class TestIm2col:
         rows = im2col(x, (2, 2), mask, dtype=np.float32)
         assert rows.dtype == np.float32
         assert rows.tobytes() == im2col(x.astype(np.float32), (2, 2), mask).tobytes()
-
-    @pytest.mark.parametrize("mask", [None, np.eye(4, 5, dtype=bool)])
-    def test_a_list_of_stacks_is_consumed(self, mask):
-        x = np.random.default_rng(4).normal(size=(3, 2, 4, 5))
-        stacks = [stack.copy() for stack in x]
-        rows = im2col(stacks, (2, 2), mask, dtype=np.float32)
-        assert stacks == []
-        assert rows.tobytes() == im2col(x, (2, 2), mask, dtype=np.float32).tobytes()
 
     def test_one_by_one_rows_are_the_channels(self):
         x = np.random.default_rng(2).normal(size=(2, 3, 4, 5))
@@ -379,6 +373,17 @@ class TestNetwork:
         for got, expected in zip(net.parameters(), fresh.parameters()):
             assert got.grad.tobytes() == expected.grad.tobytes()
 
+    def test_forward_runs_in_row_blocks(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        net = Network.kaiming(3, 4, (2, 2), rng)
+        x = im2col(rng.normal(size=(2, 3, 5, 4)).astype(DTYPE), (2, 2))  # 40 rows
+        whole = net.forward(x)
+        monkeypatch.setattr(neuralnet, "BLOCK_ROWS", 16)
+        np.testing.assert_allclose(net.forward(x), whole, rtol=1e-6)
+        # the layers hold the last block only: a fit runs block by block
+        with pytest.raises(ValueError, match="at most 16 rows, not 40"):
+            net.backward(np.ones_like(whole))
+
     def test_backward_leaves_grad_out_untouched(self):
         rng = np.random.default_rng(9)
         net = Network.kaiming(3, 4, (2, 2), rng)
@@ -458,6 +463,30 @@ class TestAdam:
         with pytest.raises(TrainingDiverged):
             Adam([p]).step()
 
+    def test_one_vector_steps_the_bits_of_one_update_per_parameter(self):
+        # the network's four arrays become views of one value vector
+        shapes = [(4, 3, 2, 2), (4,), (2, 4, 1, 1), (2,)]
+        values = [np.random.default_rng(i).normal(size=shape).astype(DTYPE)
+                  for i, shape in enumerate(shapes)]
+        together = [Parameter(v.copy()) for v in values]
+        apart = [Parameter(v.copy()) for v in values]
+        opts = [Adam(together)] + [Adam([p]) for p in apart]
+        for k in range(5):
+            for a, b in zip(together, apart):
+                a.grad[...] = b.grad[...] = np.sin(b.value + k)
+            for opt in opts:
+                opt.step()
+        for a, b in zip(together, apart):
+            assert a.value.shape == b.value.shape
+            assert a.value.tobytes() == b.value.tobytes()
+
+    def test_non_finite_gradient_names_its_parameter(self):
+        net = Network.kaiming(3, 4, (2, 2), np.random.default_rng(0))
+        opt = Adam(net.parameters())
+        net.head.kernels.grad[1, 2] = np.inf
+        with pytest.raises(TrainingDiverged, match="parameter 'head_kernels'$"):
+            opt.step()
+
     def test_trajectory_reproducible(self):
         def run():
             rng = np.random.default_rng(8)
@@ -470,6 +499,34 @@ class TestAdam:
             return p.value
 
         np.testing.assert_array_equal(run(), run())
+
+
+def test_one_blas_thread_pin_is_shared_by_threads():
+    # fits on several Python threads hold one pin: BLAS stays on one
+    # thread while any holds it, and the count comes back after the last
+    pin = neuralnet._OneBlasThread()
+    blas = {"threads": 4}
+    pin._calls = (lambda: blas["threads"], lambda n: blas.update(threads=n))
+    seen = []
+
+    def fit():
+        for _ in range(200):
+            with pin:
+                seen.append(blas["threads"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=fit) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(seen) == 1600 and set(seen) == {1}
+    assert blas["threads"] == 4
 
 
 class TestCheckpoint:
