@@ -67,9 +67,13 @@ def _check_center(tc_center) -> tuple[float, float]:
 
 def tc_distance_field(domain: GridDomain, tc_center) -> np.ndarray:
     """Distance (km) from every cell center to the TC center."""
+    return _distance_km(domain.latlon_grids(), tc_center)
+
+
+def _distance_km(latlon_grids, tc_center) -> np.ndarray:
+    """``tc_distance_field`` on the domain's (lat, lon) grids."""
     lat, lon = _check_center(tc_center)
-    lat_grid, lon_grid = domain.latlon_grids()
-    return haversine_km(lat_grid, lon_grid, lat, lon)
+    return haversine_km(*latlon_grids, lat, lon)
 
 
 def passed_flag_field(track, domain: GridDomain) -> np.ndarray:
@@ -81,9 +85,10 @@ def passed_flag_field(track, domain: GridDomain) -> np.ndarray:
     track = list(track)
     if not track:
         raise ValueError("track must contain at least one TC position")
+    grids = domain.latlon_grids()
     min_dist = np.full(domain.shape, np.inf)
     for center in track:
-        np.minimum(min_dist, tc_distance_field(domain, center), out=min_dist)
+        np.minimum(min_dist, _distance_km(grids, center), out=min_dist)
     return (min_dist <= PASSED_RADIUS_KM).astype(float)
 
 
@@ -95,13 +100,13 @@ def assemble_stack(report: Report, domain: GridDomain, track) -> np.ndarray:
     """
     if report.members.shape != (N_MEMBERS, *domain.shape):
         raise ValueError(f"member fields {report.members.shape} do not match domain {domain.shape}")
-    lat_grid, lon_grid = domain.latlon_grids()
+    grids = lat_grid, lon_grid = domain.latlon_grids()
     channels = np.empty((N_CHANNELS, *domain.shape))
     channels[:N_MEMBERS] = report.members
     channels[N_MEMBERS + 0] = lon_grid
     channels[N_MEMBERS + 1] = lat_grid
     channels[N_MEMBERS + 2] = domain.altitude
-    channels[N_MEMBERS + 3] = tc_distance_field(domain, report.tc_center)
+    channels[N_MEMBERS + 3] = _distance_km(grids, report.tc_center)
     channels[N_MEMBERS + 4] = passed_flag_field(track, domain)
     return channels
 

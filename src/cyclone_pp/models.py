@@ -19,7 +19,10 @@ Network outputs live in standardized target space: mu = t_mean +
 t_std * out0 and sigma = t_std * softplus(out1) + floor, where t_mean /
 t_std summarize the training observations over land. Without this
 rescaling a freshly initialized network sits hundreds of mm from the
-data and 100 fixed-rate epochs cannot close the gap.
+data and 100 fixed-rate epochs cannot close the gap. The sigma head's
+gradient goes through softplus's slope, the logistic, and the CRPS's
+through Phi (``scoring.ndtr``); both are numpy, so training loads no
+scipy module.
 
 ``train_model`` is the one trainer: it fits on the originals before a
 target, and its model refuses earlier reports and other grids. A fit
@@ -46,7 +49,6 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .augmentation import DEFAULT_NOISE_SCALE, AugmentedReports
 from .domain import GridDomain, Report, ReportOrigin
@@ -65,6 +67,7 @@ from .neuralnet import (
     TrainingDiverged,
     im2col,
     load_network,
+    logistic,
     one_blas_thread,
     row_blocks,
     row_matrix,
@@ -391,7 +394,7 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
             loss += float(row_w[lo:hi] @ scores)
             grad = np.empty((hi - lo, 2), DTYPE)  # a (rows, 2) layer matrix
             grad[:, 0] = row_w[lo:hi] * dmu * target_std
-            grad[:, 1] = row_w[lo:hi] * dsigma * target_std * expit(out[1])
+            grad[:, 1] = row_w[lo:hi] * dsigma * target_std * logistic(out[1])
             net.backward(grad.T[None, :, :, None])
             lo = hi
         if not np.isfinite(loss):

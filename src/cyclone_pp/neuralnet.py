@@ -71,6 +71,12 @@ def softplus(x):
     return out if out.ndim else float(out)
 
 
+def logistic(x):
+    """1 / (1 + e^-x), the slope of :func:`softplus`. Below x = -709,
+    e^-x overflows to inf and the result is 0, not NaN."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def kaiming_init(fan_in: int, shape, rng: np.random.Generator) -> np.ndarray:
     """Zero-mean Gaussian draws with variance 2 / fan_in."""
     if fan_in <= 0:
@@ -183,32 +189,45 @@ class ConvLayer:
 class SoftplusLayer:
     """Elementwise softplus that keeps only its slope, the logistic.
 
-    Forward works through its input in cache-sized blocks of whole
-    leading-axis items: one exp(-|x|) per block serves the softplus and
-    the logistic, and only the logistic outlives the block. ``out`` and
-    ``slope`` are arrays shaped like the input to write the softplus and
-    the logistic into; ``out`` may be the input itself. Backward
-    multiplies the logistic by the upstream gradient in place, so each
-    forward serves one backward.
+    Forward works through its input in cache-sized blocks along the axis
+    that is outermost in memory: one exp(-|x|) per block serves the
+    softplus and the logistic, and only the logistic outlives the block.
+    ``out`` and ``slope`` are arrays shaped like the input to write the
+    softplus and the logistic into; ``out`` may be the input itself. A
+    block's intermediates go to two block-sized scratch arrays that the
+    layer keeps, so a forward allocates nothing once they exist.
+    Backward multiplies the logistic by the upstream gradient in place,
+    so each forward serves one backward.
     """
 
     #: elements per block (256 KB of float32), in whole items, at least one
     BLOCK = 1 << 16
     _slope = None  # the logistic of the last forward, until its backward
+    _scratch = None  # flat buffer of a block's two intermediates
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None,
                 slope: np.ndarray | None = None) -> np.ndarray:
         out = np.empty_like(x) if out is None else out
         self._slope = np.empty_like(x) if slope is None else slope
-        step = max(1, self.BLOCK * len(x) // max(x.size, 1))
-        for lo in range(0, len(x), step):
-            xb, yb, sb = (a[lo:lo + step] for a in (x, out, self._slope))
-            e = np.exp(-np.abs(xb))
+        # x's axes from outermost to innermost in memory, length-1 axes
+        # last: a block of items of the first is one stretch of memory
+        order = sorted(range(x.ndim), key=lambda i: (x.shape[i] == 1, -x.strides[i]))
+        xt, yt, st = (a.transpose(order) for a in (x, out, self._slope))
+        step = max(1, self.BLOCK * len(xt) // max(xt.size, 1))
+        size = min(step, len(xt)) * (xt.size // max(len(xt), 1))
+        scratch = self._scratch
+        if scratch is None or len(scratch) < 2 * size or scratch.dtype != x.dtype:
+            scratch = self._scratch = np.empty(2 * size, x.dtype)
+        for lo in range(0, len(xt), step):
+            xb, yb, sb = (a[lo:lo + step] for a in (xt, yt, st))
+            e, tmp = (scratch[i * xb.size:(i + 1) * xb.size].reshape(xb.shape)
+                      for i in range(2))
+            np.exp(np.negative(np.abs(xb, out=e), out=e), out=e)
             # the logistic is 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x)
             # below; max(exp(-|x|), x >= 0) is that numerator, without a branch
-            np.maximum(e, xb >= 0, out=sb)
-            sb /= 1.0 + e
-            positive = np.maximum(xb, 0.0)
+            np.maximum(e, np.greater_equal(xb, 0, out=tmp), out=sb)
+            sb /= np.add(1.0, e, out=tmp)
+            positive = np.maximum(xb, 0.0, out=tmp)
             np.log1p(e, out=yb)  # yb may be xb: every read of xb comes first
             yb += positive
         return out
@@ -307,7 +326,8 @@ class Network:
 
     def drop_buffers(self) -> None:
         self._buffers = [None, None, None]
-        self.conv._rows = self.head._rows = self.softplus._slope = None
+        self.conv._rows = self.head._rows = None
+        self.softplus._slope = self.softplus._scratch = None
 
 
 class Adam:

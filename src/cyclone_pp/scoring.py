@@ -7,10 +7,12 @@ y. For a Gaussian N(mu, sigma^2) it collapses to
     CRPS = sigma * (z * (2 * Phi(z) - 1) + 2 * phi(z) - 1 / sqrt(pi)),
     z = (y - mu) / sigma,
 
-which is what the training loop differentiates. The quadrature routine
+which is what the training loop differentiates. Phi is ``ndtr``, a numpy
+normal CDF built on a fitted erfcx polynomial, so importing this module
+(and so every CLI stage) loads no scipy module. The quadrature routine
 evaluates the defining integral directly and exists purely as an independent
-cross-check of the closed form; it alone imports ``scipy.integrate``, at its
-first call, so importing this module (and so every CLI stage) does not.
+cross-check of the closed form; it alone imports scipy (``scipy.integrate``
+and ``scipy.special``'s own Phi), at its first call.
 """
 
 from __future__ import annotations
@@ -18,10 +20,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 SQRT_PI = np.sqrt(np.pi)
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+#: erfcx(x) = exp(x^2) * erfc(x) on [0, 40] as a degree-22 power series in
+#: u = (x - 3) / (x + 3), constant term first: a Chebyshev least-squares
+#: fit in u against scipy.special.erfcx at 4,000 nodes, converted to
+#: powers. tests/test_scoring.py holds the snippet that reproduces it.
+_ERFCX_IN_U = (
+    0.1790011511813898, -0.32623356004303966, 0.24560380171230203,
+    -0.1501159365006807, 0.07166583719898613, -0.024392499319383143,
+    0.004269136318645611, 0.0007077464365598403, -0.0005970618383806339,
+    4.525535550661522e-05, 6.405602839559669e-05, -1.2860848160305512e-05,
+    -7.97649353585886e-06, 2.1211946317315517e-06, 1.249105434369043e-06,
+    -2.9639669581454855e-07, -2.2994948744357136e-07, 3.165987706698695e-08,
+    4.2579292978426995e-08, -1.3894372889305287e-09, -6.370576082954053e-09,
+    -1.4917835818107505e-10, 5.275336624898496e-10,
+)
+
+
+def ndtr(z):
+    """Standard normal CDF Phi(z), elementwise, on numpy alone.
+
+    With q = erfc(|z| / sqrt(2)) / 2 = erfcx(x) * exp(-z^2 / 2) / 2 and
+    x = min(|z| / sqrt(2), 40), Phi is q below 0 and 1 - q from 0 on, so
+    each tail keeps its relative accuracy. Against scipy.special.ndtr it
+    is within 4.4e-16 absolute on [-40, 40] and 2.4e-13 relative on
+    [-37, 0]; Phi(-inf) is 0, Phi(inf) is 1 and NaN stays NaN.
+    """
+    z = np.asarray(z, dtype=float)
+    x = np.minimum(np.abs(z) / np.sqrt(2.0), 40.0)
+    u = (x - 3.0) / (x + 3.0)
+    q = np.full_like(u, _ERFCX_IN_U[-1])
+    for c in _ERFCX_IN_U[-2::-1]:  # Horner, in place
+        q *= u
+        q += c
+    q *= 0.5 * np.exp(-0.5 * z * z)
+    out = np.where(z < 0, q, 1.0 - q)
+    return out if out.ndim else float(out)
 
 
 def _check_sigma(sigma) -> np.ndarray:
@@ -88,10 +125,12 @@ def crps_quadrature_oracle(mu: float, sigma: float, y: float) -> float:
     Integrates [F(q) - 1{q >= y}]^2 over a wide truncated range, split at
     the observation so the integrand is smooth on each piece. Slow and
     scalar by design; it is the independent reference the closed form is
-    verified against. scipy.integrate is imported here, so that only
-    callers of the oracle pay its import cost.
+    verified against, so it takes Phi from scipy.special, not from
+    :func:`ndtr`. scipy is imported here, so that only callers of the
+    oracle pay its import cost.
     """
     from scipy.integrate import quad
+    from scipy.special import ndtr
 
     sigma = float(_check_sigma(sigma))
     mu = float(mu)

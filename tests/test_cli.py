@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,29 @@ def peak_above_import(*argvs) -> float:
 needs_proc_status = pytest.mark.skipif(not Path("/proc/self/status").is_file(),
                                        reason="reads the process's peak RSS from /proc")
 FULL_GRID_TRAIN = ["train", "--variant", "cnn-all", "--target", "11", "--epochs", "2"]
+
+
+@needs_proc_status
+def test_cli_import_peak_memory_above_numpy():
+    # scipy.special on the import path costs about 22 MB; the CLI's own
+    # modules add about 7
+    script = textwrap.dedent("""
+        import numpy
+
+        def peak_mb():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh
+                            if line.startswith("VmHWM:")) / 1024
+
+        before = peak_mb()
+        import cyclone_pp.cli
+        print(peak_mb() - before)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout.split()[-1]) <= 15
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from cyclone_pp import neuralnet
 from cyclone_pp.neuralnet import (
@@ -18,9 +19,25 @@ from cyclone_pp.neuralnet import (
     im2col,
     kaiming_init,
     load_network,
+    logistic,
+    row_matrix,
     save_network,
     softplus,
 )
+
+
+def softplus_reference(x):
+    """The layer's softplus and slope, each step into a fresh array."""
+    e = np.exp(-np.abs(x))
+    out = np.log1p(e)
+    out += np.maximum(x, 0.0)
+    slope = np.maximum(e, x >= 0)
+    slope /= 1.0 + e
+    return out, slope
+
+
+#: inputs at both branches' limits, signed zeros and infinities
+EXTREMES = [1e4, -1e4, 0.0, -0.0, 88.0, -88.0, 1e-30, -1e-30, np.inf, -np.inf]
 
 
 def conv_reference(x, kernels, bias):
@@ -111,20 +128,29 @@ class TestSoftplus:
     def test_layer_bits_do_not_depend_on_the_block(self, monkeypatch, block):
         # a conv output: a (batch, width, rows, 1) view of a row matrix
         rng = np.random.default_rng(7)
-        x = (4 * rng.standard_normal((5 * 9, 6))).astype(DTYPE).reshape(5, 9, 1, 6)
-        x = x.transpose(0, 3, 1, 2)
+        rows = (4 * rng.standard_normal((5 * 9, 6))).astype(DTYPE)
+        rows.flat[:len(EXTREMES)] = EXTREMES
+        x = rows.reshape(5, 9, 1, 6).transpose(0, 3, 1, 2)
         g = rng.standard_normal(x.shape).astype(DTYPE)
-        e = np.exp(-np.abs(x))
-        want = np.log1p(e)
-        want += np.maximum(x, 0.0)
-        slope = np.maximum(e, x >= 0)
-        slope /= 1.0 + e
+        want, slope = softplus_reference(x)
         monkeypatch.setattr(SoftplusLayer, "BLOCK", block)
         layer = SoftplusLayer()
         out = layer.forward(x)
         assert out.dtype == DTYPE and out.strides == x.strides
         assert out.tobytes() == want.tobytes()
         assert layer.backward(g).tobytes() == (slope * g).tobytes()
+
+
+def test_logistic_matches_scipy_expit():
+    # within 2 ulp, except near x = -37, where 1 + e^-x is about 2^53 and
+    # rounds; six of these points read 3 ulp
+    x = np.concatenate([np.linspace(-700.0, 700.0, 140_001),
+                        np.random.default_rng(5).normal(0.0, 5.0, 100_000)])
+    want = expit(x)
+    ulps = np.abs(logistic(x) - want) / np.spacing(want)
+    assert ulps[np.abs(x + 37.0) > 0.5].max() <= 2 and ulps.max() <= 3
+    with np.errstate(over="ignore"):
+        assert logistic(np.array([-1e3, 1e3])).tolist() == [0.0, 1.0]
 
 
 class TestKaimingInit:
@@ -372,6 +398,30 @@ class TestNetwork:
         assert out.tobytes() == want.tobytes()
         for got, expected in zip(net.parameters(), fresh.parameters()):
             assert got.grad.tobytes() == expected.grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [DTYPE, np.float64])
+    def test_softplus_keeps_the_bits_of_fresh_temporaries(self, monkeypatch, dtype):
+        # the hidden softplus and its slope, over a full row block and then
+        # a shorter one, equal the formula with a fresh array per step
+        monkeypatch.setattr(neuralnet, "BLOCK_ROWS", 96)
+        monkeypatch.setattr(SoftplusLayer, "BLOCK", 512)
+        rng = np.random.default_rng(14)
+        n_in, hidden = 3, 8
+        net = Network(rng.normal(0.0, 1e3, (hidden, n_in, 1, 1)).astype(dtype),
+                      np.zeros(hidden, dtype), rng.normal(size=(2, hidden, 1, 1)).astype(dtype),
+                      np.zeros(2, dtype))
+        # zero kernel rows give hidden units that equal their bias exactly
+        net.conv.kernels.value[:3] = 0.0
+        net.conv.bias.value[:3] = [1e4, -1e4, 0.0]
+        x = rng.normal(size=(1, n_in, 150, 1)).astype(dtype)
+        x[0, :, :3, 0] = [[1e4, -1e4, 0.0], [-0.0, 30.0, -30.0], [1e-3, 0.0, -1e4]]
+        net.forward(x)
+        last = x[:, :, 96:]
+        h = row_matrix(Network(*(p.value for p in net.parameters())).conv.forward(last))
+        want, slope = softplus_reference(h)
+        assert (h == 1e4).any() and (h == -1e4).any() and (h == 0.0).any()
+        assert net.head._rows.tobytes() == want.tobytes()
+        assert row_matrix(net.softplus._slope).tobytes() == slope.tobytes()
 
     def test_forward_runs_in_row_blocks(self, monkeypatch):
         rng = np.random.default_rng(13)

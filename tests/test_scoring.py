@@ -7,8 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import chebyshev
+from scipy.special import erfcx
+from scipy.special import ndtr as scipy_ndtr
 
 import cyclone_pp
+from cyclone_pp import scoring
 from cyclone_pp.domain import ReportOrigin
 from cyclone_pp.scoring import (
     GaussianField,
@@ -17,6 +21,7 @@ from cyclone_pp.scoring import (
     crps_quadrature_oracle,
     crpss,
     make_weights,
+    ndtr,
     weighted_loss,
 )
 from tests.conftest import make_report
@@ -225,15 +230,51 @@ class TestGaussianField:
         assert f.crps(np.zeros((2, 2)))[0, 0] == pytest.approx(CRPS_0_1_0, abs=1e-6)
 
 
+class TestNdtr:
+    """The numpy Phi against scipy.special.ndtr, which only tests import."""
+
+    def test_within_1e_15_of_scipy(self):
+        z = np.concatenate([np.linspace(-40.0, 40.0, 400_001),
+                            np.random.default_rng(3).normal(0.0, 8.0, 200_000)])
+        assert np.max(np.abs(ndtr(z) - scipy_ndtr(z))) <= 1e-15
+
+    def test_lower_tail_relative_error(self):
+        # exceedance_probability relies on it far into the tail
+        z = np.linspace(-37.0, 0.0, 370_001)
+        assert np.max(np.abs(ndtr(z) / scipy_ndtr(z) - 1.0)) <= 1e-12
+
+    def test_infinities_nan_and_symmetry(self):
+        assert ndtr(np.inf) == 1.0 and ndtr(-np.inf) == 0.0
+        assert np.isnan(ndtr(np.nan))
+        assert ndtr(np.array([-np.inf, np.nan, np.inf])).tolist()[::2] == [0.0, 1.0]
+        z = np.random.default_rng(4).normal(0.0, 10.0, 100_000)
+        assert np.all(np.abs(ndtr(z) + ndtr(-z) - 1.0) <= np.spacing(1.0))
+
+    def test_scalar_in_scalar_out(self):
+        assert isinstance(ndtr(0.3), float)
+        assert ndtr(0.3) == pytest.approx(scipy_ndtr(0.3), rel=0, abs=1e-15)
+
+    def test_coefficient_table_reproduces(self):
+        # the fit that made scoring._ERFCX_IN_U: erfcx at 4,000 Chebyshev
+        # nodes in u = (x - 3) / (x + 3), degree 22, converted to powers
+        n = 4000
+        u = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        x = 3.0 * (1.0 + u) / (1.0 - u)
+        powers = chebyshev.cheb2poly(chebyshev.chebfit(u, erfcx(x), 22))
+        np.testing.assert_allclose(powers, scoring._ERFCX_IN_U, rtol=0, atol=1e-14)
+
+
 def test_only_the_oracle_imports_scipy_integrate():
-    # a fresh interpreter: this test process may hold scipy.integrate already
+    # a fresh interpreter: this test process holds scipy already. The CLI
+    # loads no scipy module at all; the oracle loads both it needs
     script = textwrap.dedent("""
         import sys
         import cyclone_pp.cli
-        assert "scipy.integrate" not in sys.modules, "loaded by import cyclone_pp.cli"
+        loaded = [k for k in sys.modules if k == "scipy" or k.startswith("scipy.")]
+        assert not loaded, f"loaded by import cyclone_pp.cli: {loaded}"
         from cyclone_pp.scoring import crps_gaussian, crps_quadrature_oracle
         got, want = crps_quadrature_oracle(0, 1, 0.3), crps_gaussian(0, 1, 0.3)
-        assert "scipy.integrate" in sys.modules
+        assert "scipy.integrate" in sys.modules and "scipy.special" in sys.modules
         assert abs(got - want) < 1e-9, (got, want)
     """)
     src = str(Path(cyclone_pp.__file__).resolve().parents[1])
