@@ -167,9 +167,18 @@ class Report:
                 raise ValueError("observed precipitation must be finite and >= 0")
         if self.origin is ReportOrigin.ORIGINAL and self.index != int(self.index):
             raise ValueError(f"original report must have integer index, got {self.index}")
-        lat, lon = self.tc_center
-        if not (-90.0 <= lat <= 90.0 and np.isfinite(lon)):
-            raise ValueError(f"invalid tc_center {self.tc_center}")
+        check_center(self.tc_center)
+
+
+def check_center(tc_center) -> tuple[float, float]:
+    """A storm center's (lat, lon) in degrees as floats; a lat outside [-90, 90]
+    or lon outside [-180, 360), or NaN, is a ValueError naming its meta.json key."""
+    lat, lon = float(tc_center[0]), float(tc_center[1])
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"'tc_lat' {lat} outside [-90, 90]")
+    if not -180.0 <= lon < 360.0:
+        raise ValueError(f"'tc_lon' {lon} outside [-180, 360)")
+    return lat, lon
 
 
 def classify_rain(y: float) -> RainCategory:

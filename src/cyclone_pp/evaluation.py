@@ -6,7 +6,7 @@ box-summary CRPSS distributions per stratum, exceedance-probability
 maps, and reliability diagrams for a threshold event.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -142,12 +142,11 @@ class SkillTable:
 
     def __post_init__(self):
         n = len(self.report_index)
-        for name in ("report_index", "row", "col", "terrain", "category",
-                     "crps_model", "crps_ref", "crpss"):
-            arr = np.asarray(getattr(self, name))
+        for column in fields(self):
+            arr = np.asarray(getattr(self, column.name))
             if arr.shape != (n,):
-                raise ValueError(f"column {name} has shape {arr.shape}, expected ({n},)")
-            object.__setattr__(self, name, arr)
+                raise ValueError(f"column {column.name} has shape {arr.shape}, expected ({n},)")
+            object.__setattr__(self, column.name, arr)
 
     def __len__(self) -> int:
         return len(self.report_index)
@@ -180,11 +179,8 @@ def concat_skill_tables(tables) -> SkillTable:
     tables = list(tables)
     if not tables:
         raise ValueError("no skill tables to concatenate")
-    cols = {}
-    for name in ("report_index", "row", "col", "terrain", "category",
-                 "crps_model", "crps_ref", "crpss"):
-        cols[name] = np.concatenate([getattr(t, name) for t in tables])
-    return SkillTable(**cols)
+    return SkillTable(**{c.name: np.concatenate([getattr(t, c.name) for t in tables])
+                         for c in fields(SkillTable)})
 
 
 @dataclass(frozen=True)
@@ -255,9 +251,7 @@ def write_skill_table(path, skill: SkillTable) -> None:
                (float(v) for v in skill.crps_model),
                (float(v) for v in skill.crps_ref),
                (float(v) for v in skill.crpss))
-    write_text(path, _csv_text(
-        ("report_index", "row", "col", "terrain", "category",
-         "crps_model", "crps_ref", "crpss"), rows))
+    write_text(path, _csv_text([c.name for c in fields(skill)], rows))
 
 
 def write_crpss_summary(path, summaries: dict) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import N_MEMBERS, GridDomain, Report
+from .domain import N_MEMBERS, GridDomain, Report, check_center
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -54,17 +54,6 @@ def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
-def _check_center(tc_center) -> tuple[float, float]:
-    lat, lon = float(tc_center[0]), float(tc_center[1])
-    if not (np.isfinite(lat) and np.isfinite(lon)):
-        raise ValueError(f"non-finite TC center {tc_center}")
-    if not (-90.0 <= lat <= 90.0):
-        raise ValueError(f"TC latitude {lat} outside [-90, 90]")
-    if not (-180.0 <= lon < 360.0):
-        raise ValueError(f"TC longitude {lon} outside [-180, 360)")
-    return lat, lon
-
-
 def tc_distance_field(domain: GridDomain, tc_center) -> np.ndarray:
     """Distance (km) from every cell center to the TC center."""
     return _distance_km(domain.latlon_grids(), tc_center)
@@ -72,7 +61,7 @@ def tc_distance_field(domain: GridDomain, tc_center) -> np.ndarray:
 
 def _distance_km(latlon_grids, tc_center) -> np.ndarray:
     """``tc_distance_field`` on the domain's (lat, lon) grids."""
-    lat, lon = _check_center(tc_center)
+    lat, lon = check_center(tc_center)
     return haversine_km(*latlon_grids, lat, lon)
 
 

@@ -19,10 +19,11 @@ Network outputs live in standardized target space: mu = t_mean +
 t_std * out0 and sigma = t_std * softplus(out1) + floor, where t_mean /
 t_std summarize the training observations over land. Without this
 rescaling a freshly initialized network sits hundreds of mm from the
-data and 100 fixed-rate epochs cannot close the gap. The sigma head's
-gradient goes through softplus's slope, the logistic, and the CRPS's
-through Phi (``scoring.ndtr``); both are numpy, so training loads no
-scipy module.
+data and 100 fixed-rate epochs cannot close the gap. Sigma and its
+slope, the logistic, come from one ``neuralnet.softplus_and_slope``
+call, the kernel of the hidden layer too; the sigma head's gradient
+goes through that slope and the CRPS's through Phi (``scoring.ndtr``),
+both numpy, so training loads no scipy module.
 
 ``train_model`` is the one trainer: it fits on the originals before a
 target, and its model refuses earlier reports and other grids. A fit
@@ -67,12 +68,11 @@ from .neuralnet import (
     TrainingDiverged,
     im2col,
     load_network,
-    logistic,
     one_blas_thread,
     row_blocks,
     row_matrix,
     save_network,
-    softplus,
+    softplus_and_slope,
 )
 from .scoring import GaussianField, _crps_and_gradient, make_weights
 from .scoring import crps_gaussian  # noqa: F401  (perfbench's tracer tests reach it here)
@@ -188,8 +188,10 @@ def fcn_features(report: Report, domain: GridDomain, track) -> np.ndarray:
 
 
 def _gaussian(t_mean: float, t_std: float, out_mu, out_sigma):
-    """(mu, sigma) in mm from the network's raw head values."""
-    return t_mean + t_std * out_mu, t_std * softplus(out_sigma) + SIGMA_FLOOR_MM
+    """(mu, sigma) in mm from the network's raw head values, and sigma's
+    slope: d sigma / d out_sigma divided by t_std."""
+    softplus, slope = softplus_and_slope(out_sigma)
+    return t_mean + t_std * out_mu, t_std * softplus + SIGMA_FLOOR_MM, slope
 
 
 def _stack_for(config: ModelConfig, report: Report, domain: GridDomain,
@@ -247,7 +249,7 @@ class TrainedModel:
         with one_blas_thread:
             out = self.net.forward(x)[0].astype(float)
         self.net.drop_buffers()
-        return GaussianField(*_gaussian(self.target_mean, self.target_std, *out))
+        return GaussianField(*_gaussian(self.target_mean, self.target_std, *out)[:2])
 
     def save(self, path) -> None:
         meta = {
@@ -386,7 +388,8 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
         for block in row_blocks(patches):
             hi = lo + block.shape[2]
             out = net.forward(block)[0, :, :, 0].astype(float)  # (2, rows)
-            mu, sigma = _gaussian(target_mean, target_std, out[0], out[1])
+            mu, sigma, slope = _gaussian(target_mean, target_std, *out)
+            del out  # the raw head values go before the loss's arrays come
             if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
                 raise TrainingDiverged(
                     f"non-finite mu or sigma at epoch {_epoch} for {config.variant}")
@@ -394,7 +397,7 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
             loss += float(row_w[lo:hi] @ scores)
             grad = np.empty((hi - lo, 2), DTYPE)  # a (rows, 2) layer matrix
             grad[:, 0] = row_w[lo:hi] * dmu * target_std
-            grad[:, 1] = row_w[lo:hi] * dsigma * target_std * logistic(out[1])
+            grad[:, 1] = row_w[lo:hi] * dsigma * target_std * slope
             net.backward(grad.T[None, :, :, None])
             lo = hi
         if not np.isfinite(loss):

@@ -9,8 +9,9 @@ and accumulate parameter gradients in place. A layer can write its
 result into a given array. The network runs its rows in blocks of
 ``BLOCK_ROWS`` through three block-sized hidden arrays that it reuses,
 so nothing of hidden size grows with the rows, and a training epoch
-runs forward, loss and backward one block at a time. No external ML
-framework is involved.
+runs forward, loss and backward one block at a time. The hidden layer
+and the sigma head in ``models`` share one softplus kernel,
+``softplus_and_slope``. No external ML framework is involved.
 
 ``im2col`` turns a (batch, channels, rows, cols) stack into patch rows:
 one row per batch item and grid cell, holding the C*kh*kw inputs a
@@ -64,17 +65,24 @@ class TrainingDiverged(ValueError):
     """A loss or gradient stopped being finite; the CLI reports it in one line."""
 
 
-def softplus(x):
-    """ln(1 + e^x) with the large-x branch returned as x itself."""
-    x = np.asarray(x)
-    out = np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
-    return out if out.ndim else float(out)
-
-
-def logistic(x):
-    """1 / (1 + e^-x), the slope of :func:`softplus`. Below x = -709,
-    e^-x overflows to inf and the result is 0, not NaN."""
-    return 1.0 / (1.0 + np.exp(-x))
+def softplus_and_slope(x, out=None, slope=None, scratch=None):
+    """ln(1 + e^x) and its slope 1 / (1 + e^-x), from one e = exp(-|x|):
+    log1p(e) + max(x, 0) and max(e, x > 0) / (1 + e); +-inf give exact
+    results and NaN stays NaN. ``out``, ``slope`` and ``scratch`` (new when
+    None) are arrays like ``x`` for the softplus, the slope and the
+    intermediates; ``out`` may be ``x`` itself. Returns (out, slope)."""
+    out = np.empty_like(x) if out is None else out
+    slope = np.empty_like(x) if slope is None else slope
+    tmp = np.empty_like(x) if scratch is None else scratch
+    e = np.exp(np.negative(np.abs(x, out=slope), out=slope), out=slope)
+    positive = np.maximum(x, 0.0, out=tmp)
+    np.log1p(e, out=out)  # out may be x: every read of x comes first
+    out += positive
+    # the slope is 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below;
+    # max(e, x > 0) is that numerator, without a branch (at x = 0, e is 1)
+    numerator = np.maximum(e, np.greater(positive, 0.0, out=tmp), out=tmp)
+    np.divide(numerator, np.add(1.0, e, out=slope), out=slope)
+    return out, slope
 
 
 def kaiming_init(fan_in: int, shape, rng: np.random.Generator) -> np.ndarray:
@@ -189,47 +197,25 @@ class ConvLayer:
 class SoftplusLayer:
     """Elementwise softplus that keeps only its slope, the logistic.
 
-    Forward works through its input in cache-sized blocks along the axis
-    that is outermost in memory: one exp(-|x|) per block serves the
-    softplus and the logistic, and only the logistic outlives the block.
+    Forward is one ``softplus_and_slope`` over its input, whose
+    intermediates go to one scratch array shaped like the input that the
+    layer keeps, so a forward of the same shape allocates nothing.
     ``out`` and ``slope`` are arrays shaped like the input to write the
-    softplus and the logistic into; ``out`` may be the input itself. A
-    block's intermediates go to two block-sized scratch arrays that the
-    layer keeps, so a forward allocates nothing once they exist.
+    softplus and the logistic into; ``out`` may be the input itself.
     Backward multiplies the logistic by the upstream gradient in place,
     so each forward serves one backward.
     """
 
-    #: elements per block (256 KB of float32), in whole items, at least one
-    BLOCK = 1 << 16
     _slope = None  # the logistic of the last forward, until its backward
-    _scratch = None  # flat buffer of a block's two intermediates
+    _scratch = None  # the intermediates of the last forward
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None,
                 slope: np.ndarray | None = None) -> np.ndarray:
-        out = np.empty_like(x) if out is None else out
-        self._slope = np.empty_like(x) if slope is None else slope
-        # x's axes from outermost to innermost in memory, length-1 axes
-        # last: a block of items of the first is one stretch of memory
-        order = sorted(range(x.ndim), key=lambda i: (x.shape[i] == 1, -x.strides[i]))
-        xt, yt, st = (a.transpose(order) for a in (x, out, self._slope))
-        step = max(1, self.BLOCK * len(xt) // max(xt.size, 1))
-        size = min(step, len(xt)) * (xt.size // max(len(xt), 1))
-        scratch = self._scratch
-        if scratch is None or len(scratch) < 2 * size or scratch.dtype != x.dtype:
-            scratch = self._scratch = np.empty(2 * size, x.dtype)
-        for lo in range(0, len(xt), step):
-            xb, yb, sb = (a[lo:lo + step] for a in (xt, yt, st))
-            e, tmp = (scratch[i * xb.size:(i + 1) * xb.size].reshape(xb.shape)
-                      for i in range(2))
-            np.exp(np.negative(np.abs(xb, out=e), out=e), out=e)
-            # the logistic is 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x)
-            # below; max(exp(-|x|), x >= 0) is that numerator, without a branch
-            np.maximum(e, np.greater_equal(xb, 0, out=tmp), out=sb)
-            sb /= np.add(1.0, e, out=tmp)
-            positive = np.maximum(xb, 0.0, out=tmp)
-            np.log1p(e, out=yb)  # yb may be xb: every read of xb comes first
-            yb += positive
+        if (self._scratch is None or self._scratch.shape != x.shape
+                or self._scratch.dtype != x.dtype):
+            self._scratch = None  # freed before the new one is made
+            self._scratch = np.empty_like(x)
+        out, self._slope = softplus_and_slope(x, out, slope, self._scratch)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ import re
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .domain import (
     GridDomain,
     Report,
     ReportOrigin,
+    check_center,
     index_tenths,
     load_domain_file,
     save_domain_file,
@@ -137,11 +137,15 @@ class ScenarioSpec:
         return record_from_json(cls, d, f"{source}: spec")
 
 
-class _Center(NamedTuple):
+@dataclass(frozen=True)
+class _Center:
     """A report's meta.json: the storm center, which its name does not hold."""
 
     tc_lat: float
     tc_lon: float
+
+    def __post_init__(self):
+        check_center((self.tc_lat, self.tc_lon))
 
 
 @dataclass(frozen=True)
@@ -294,7 +298,7 @@ def save_scenario(scenario: Scenario, out_dir) -> None:
         rdir.mkdir(exist_ok=True)
         save_grid_csv(rdir / _MEMBERS, r.members)
         save_grid_csv(rdir / _OBS, r.observation)
-        write_json(rdir / _META, _Center(*r.tc_center)._asdict())
+        write_json(rdir / _META, asdict(_Center(*r.tc_center)))
 
 
 def report_files(*, with_members: bool = True, with_observation: bool = True) -> list[str]:
@@ -351,8 +355,9 @@ def load_report_meta(rdir) -> dict:
 
     The name gives the index and noise flag; a plain copy at an integer
     index is an original, any other an interpolation. meta.json holds just
-    the finite ``tc_lat`` and ``tc_lon``. Another name, or a missing, extra
-    or mistyped key, is a ValueError naming the directory, or file and key.
+    ``tc_lat`` and ``tc_lon``, within ``domain.check_center``'s intervals.
+    Another name, or a missing, extra, mistyped or impossible key, is a
+    ValueError naming the directory, or file and key.
     """
     rdir = Path(rdir)
     parsed = parse_report_dirname(rdir.name)
@@ -363,7 +368,7 @@ def load_report_meta(rdir) -> dict:
     origin = (ReportOrigin.NOISE_INJECTED if noise
               else ReportOrigin.ORIGINAL if index == int(index) else ReportOrigin.INTERPOLATED)
     center = record_from_json(_Center, read_json(rdir / _META), str(rdir / _META))
-    return {"index": index, "origin": origin, "tc_center": tuple(center)}
+    return {"index": index, "origin": origin, "tc_center": (center.tc_lat, center.tc_lon)}
 
 
 def load_report(rdir, with_observation: bool = True) -> Report:

@@ -1473,6 +1473,30 @@ class TestMalformedLoaderInput:
         assert str(meta) in err and repr(key) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("tc_lon", 1000.0), ("tc_lon", 360.0), ("tc_lat", 90.5)])
+    @pytest.mark.parametrize("stage", [
+        ["train", "--variant", "cnn", "--target", TARGET, "--epochs", "1"],
+        ["train", "--variant", "cnn-all", "--target", TARGET, "--epochs", "1"],
+        ["predict", "--checkpoint", "MODEL", "--target", TARGET],
+        ["predict", "--variant", "members", "--target", "3"],
+    ], ids=["train-cnn", "train-cnn-all", "predict-track", "predict-members"])
+    def test_impossible_storm_center_refused_when_read(self, pipeline, tmp_path,
+                                                       capsys, stage, key, value):
+        # report_0030 is a training report, a point of the track of target
+        # 6 and the members baseline's own report at target 3
+        scen = tmp_path / "scen"
+        shutil.copytree(pipeline["scen"], scen)
+        meta = scen / "report_0030" / "meta.json"
+        meta.write_text(json.dumps({**read_json(meta), key: value}))
+        rehash_outputs(scen)
+        out = tmp_path / "o"
+        argv = [str(pipeline["model"]) if a == "MODEL" else a for a in stage]
+        assert main(argv + ["--scenario", str(scen), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(meta) in err and repr(key) in err
+        assert not out.exists()
+
 
 class TestSeedMustBeNonNegative:
     """--seed is an integer >= 0, refused by argparse otherwise."""

@@ -234,6 +234,14 @@ class TestReport:
             make_report(1.5, origin=ReportOrigin.ORIGINAL)
         make_report(1.5, origin=ReportOrigin.INTERPOLATED)  # fine
 
+    @pytest.mark.parametrize("center, key", [
+        ((90.5, 121.0), "tc_lat"), ((float("nan"), 121.0), "tc_lat"),
+        ((23.0, 360.0), "tc_lon"), ((23.0, -180.5), "tc_lon"),
+        ((23.0, 1000.0), "tc_lon"), ((23.0, float("inf")), "tc_lon")])
+    def test_impossible_center_names_its_key(self, center, key):
+        with pytest.raises(ValueError, match=f"^'{key}' .* outside"):
+            make_report(1, tc_center=center)
+
     def test_observation_may_be_absent(self):
         rep = Report(index=3, origin=ReportOrigin.ORIGINAL,
                      members=np.ones((20, 4, 4)), observation=None,

@@ -188,6 +188,21 @@ class TestFcnFeatures:
                                    tiny_domain.altitude)
 
 
+class TestGaussianHead:
+    def test_sigma_slope_is_its_central_difference_over_t_std(self):
+        t_mean, t_std, h = 2.0, 7.5, 1e-6
+        out = np.array([-8.0, -3.0, -0.5, 0.0, 0.5, 3.0, 8.0])
+
+        def gaussian(out_sigma):
+            return models._gaussian(t_mean, t_std, np.zeros_like(out_sigma), out_sigma)
+
+        mu, sigma, slope = gaussian(out)
+        fd = (gaussian(out + h)[1] - gaussian(out - h)[1]) / (2 * h)
+        np.testing.assert_allclose(slope, fd / t_std, rtol=1e-7)
+        assert mu.tolist() == [t_mean] * len(out) and slope[3] == 0.5
+        assert np.all(sigma > models.SIGMA_FLOOR_MM)
+
+
 class TestTrainModel:
     def test_loss_decreases(self, tiny_scenario, tiny_domain):
         cfg = ModelConfig.for_variant("cnn-all", epochs=40, seed=2)

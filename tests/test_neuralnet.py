@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -19,10 +20,9 @@ from cyclone_pp.neuralnet import (
     im2col,
     kaiming_init,
     load_network,
-    logistic,
     row_matrix,
     save_network,
-    softplus,
+    softplus_and_slope,
 )
 
 
@@ -97,13 +97,17 @@ def finite_difference(f, x, h=1e-4):
     return grad
 
 
+def softplus(x):
+    """The kernel's softplus alone."""
+    return softplus_and_slope(np.asarray(x, dtype=float))[0]
+
+
 class TestSoftplus:
     def test_at_zero(self):
         assert softplus(0.0) == pytest.approx(np.log(2.0))
 
     def test_large_x_passthrough(self):
-        assert softplus(100.0) == 100.0
-        assert softplus(np.array([31.0, 500.0])).tolist() == [31.0, 500.0]
+        assert softplus(np.array([40.0, 100.0, 500.0])).tolist() == [40.0, 100.0, 500.0]
 
     def test_very_negative(self):
         assert softplus(-100.0) == pytest.approx(np.exp(-100.0), rel=1e-12)
@@ -124,8 +128,7 @@ class TestSoftplus:
         np.testing.assert_allclose(grad, fd, rtol=1e-6)
         assert grad[1] == 0.5
 
-    @pytest.mark.parametrize("block", [1, 100, 1 << 16])
-    def test_layer_bits_do_not_depend_on_the_block(self, monkeypatch, block):
+    def test_layer_keeps_the_bits_of_fresh_temporaries(self):
         # a conv output: a (batch, width, rows, 1) view of a row matrix
         rng = np.random.default_rng(7)
         rows = (4 * rng.standard_normal((5 * 9, 6))).astype(DTYPE)
@@ -133,7 +136,6 @@ class TestSoftplus:
         x = rows.reshape(5, 9, 1, 6).transpose(0, 3, 1, 2)
         g = rng.standard_normal(x.shape).astype(DTYPE)
         want, slope = softplus_reference(x)
-        monkeypatch.setattr(SoftplusLayer, "BLOCK", block)
         layer = SoftplusLayer()
         out = layer.forward(x)
         assert out.dtype == DTYPE and out.strides == x.strides
@@ -141,16 +143,47 @@ class TestSoftplus:
         assert layer.backward(g).tobytes() == (slope * g).tobytes()
 
 
-def test_logistic_matches_scipy_expit():
-    # within 2 ulp, except near x = -37, where 1 + e^-x is about 2^53 and
-    # rounds; six of these points read 3 ulp
-    x = np.concatenate([np.linspace(-700.0, 700.0, 140_001),
-                        np.random.default_rng(5).normal(0.0, 5.0, 100_000)])
-    want = expit(x)
-    ulps = np.abs(logistic(x) - want) / np.spacing(want)
-    assert ulps[np.abs(x + 37.0) > 0.5].max() <= 2 and ulps.max() <= 3
-    with np.errstate(over="ignore"):
-        assert logistic(np.array([-1e3, 1e3])).tolist() == [0.0, 1.0]
+class TestSoftplusAndSlope:
+    @pytest.mark.parametrize("dtype, bound, ulp", [
+        (np.float64, 700.0, (2, 3)), (DTYPE, 80.0, (3, 4))], ids=["float64", "float32"])
+    def test_matches_logaddexp_and_expit(self, dtype, bound, ulp):
+        # the slope of x < 0 is e^x / (1 + e^x): within 2 eps of expit
+        # relative, which reads 3 ulp (float64) or 4 (float32) just above a
+        # power of two; for x >= 0 it is 1 / (1 + e^-x) bit for bit
+        x = np.concatenate([np.linspace(-bound, bound, 140_001),
+                            np.random.default_rng(5).normal(0.0, 5.0, 100_000)]).astype(dtype)
+        out, slope = softplus_and_slope(x)
+        assert out.dtype == slope.dtype == dtype
+        for got, want, most in ((out, np.logaddexp(dtype(0), x), ulp[0]),
+                                (slope, expit(x), ulp[1])):
+            assert want.dtype == dtype
+            assert (np.abs(got - want) / np.spacing(want)).max() <= most
+            assert (np.abs(got - want) / want).max() <= 2.5 * np.finfo(dtype).eps
+        positive = x >= 0
+        assert slope[positive].tobytes() == (1 / (1 + np.exp(-x[positive]))).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, DTYPE])
+    def test_exact_at_the_limits(self, dtype):
+        x = np.array([0.0, -0.0, 1e4, -1e4, np.inf, -np.inf, np.nan], dtype)
+        out, slope = softplus_and_slope(x)
+        ln2 = np.log(dtype(2))
+        assert out[:6].tolist() == [ln2, ln2, 1e4, 0.0, np.inf, 0.0]
+        assert slope[:6].tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
+        assert np.isnan(out[6]) and np.isnan(slope[6])
+
+    def test_no_float_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, slope = softplus_and_slope(np.array([-1e3, 1e3]))
+        assert out.tolist() == [0.0, 1e3] and slope.tolist() == [0.0, 1.0]
+
+    def test_writes_into_the_given_arrays(self):
+        x = np.random.default_rng(3).normal(0.0, 30.0, (4, 5)).astype(DTYPE)
+        want, want_slope = softplus_reference(x)
+        slope, scratch = np.empty_like(x), np.empty_like(x)
+        out, got_slope = softplus_and_slope(x, out=x, slope=slope, scratch=scratch)
+        assert out is x and got_slope is slope
+        assert x.tobytes() == want.tobytes() and slope.tobytes() == want_slope.tobytes()
 
 
 class TestKaimingInit:
@@ -404,7 +437,6 @@ class TestNetwork:
         # the hidden softplus and its slope, over a full row block and then
         # a shorter one, equal the formula with a fresh array per step
         monkeypatch.setattr(neuralnet, "BLOCK_ROWS", 96)
-        monkeypatch.setattr(SoftplusLayer, "BLOCK", 512)
         rng = np.random.default_rng(14)
         n_in, hidden = 3, 8
         net = Network(rng.normal(0.0, 1e3, (hidden, n_in, 1, 1)).astype(dtype),

@@ -5,7 +5,9 @@ run time, and its counters read argument shapes and layer attributes.
 A refactor that renames one of them, or changes what a counter reads,
 leaves that per-layer metric absent from a traced benchmark run. These
 tests drive the traced names on tiny grids with the tracer installed:
-the library calls, and the five CLI stages end to end.
+the library calls, and the five CLI stages end to end. Every traced
+``neuralnet`` span must also read above 0, so a name that is kept but
+no longer called fails here too.
 """
 
 import importlib
@@ -50,6 +52,10 @@ def test_traced_training_and_checkpoints_leave_no_metric_absent(tracing, tmp_pat
     metrics = tracing.layer_metrics(tracing.process_totals(tracer))
     assert [name for name, value in metrics.items() if value is None] == []
     assert metrics["neuralnet.epochs"] == (4, "count")
+    # a traced name that a refactor kept but stopped calling reads 0
+    for span in ("conv_forward", "conv_backward", "softplus_forward",
+                 "softplus_backward", "adam_step", "checkpoint_io"):
+        assert metrics[f"neuralnet.{span}_s"][0] > 0, span
 
 
 def test_traced_cli_stages_count_every_declared_metric(tracing, tmp_path):
