@@ -142,6 +142,25 @@ class TestSoftplus:
         assert out.tobytes() == want.tobytes()
         assert layer.backward(g).tobytes() == (slope * g).tobytes()
 
+    @pytest.mark.parametrize("block", [1, 100, 1 << 16])
+    def test_layer_bits_do_not_depend_on_the_block(self, block):
+        # one layer fed a row matrix a block of rows at a time, as the
+        # network's forward is; 250 rows leave a short last block of 100
+        rng = np.random.default_rng(7)
+        rows = (4 * rng.standard_normal((250, 6))).astype(DTYPE)
+        rows.flat[:len(EXTREMES)] = EXTREMES
+        g = rng.standard_normal(rows.shape).astype(DTYPE)
+        want, slope = softplus_reference(rows)
+        layer = SoftplusLayer()
+        out = np.empty_like(rows)
+        grad = np.empty_like(rows)
+        for start in range(0, len(rows), block):
+            part = slice(start, start + block)
+            out[part] = layer.forward(rows[part])
+            grad[part] = layer.backward(g[part])
+        assert out.tobytes() == want.tobytes()
+        assert grad.tobytes() == (slope * g).tobytes()
+
 
 class TestSoftplusAndSlope:
     @pytest.mark.parametrize("dtype, bound, ulp", [
