@@ -60,7 +60,7 @@ for (cat, terr), s in crpss_by_stratum(skill).items():
           f"{s.q1:+.3f}  {s.median:+.3f}  {s.q3:+.3f}")
 
 bins = reliability_diagram(np.concatenate(pooled_p), np.concatenate(pooled_y))
-print(f"\nP(y>200) reliability over {bins.n_evaluated} cells, "
+print(f"\nP(y>200) reliability over {int(bins.counts.sum())} cells, "
       f"calibration error {calibration_error(bins):.4f}")
 filled = ~np.isnan(bins.mean_probability)
 for p, f, c in zip(bins.mean_probability[filled], bins.event_frequency[filled],

@@ -34,7 +34,7 @@ cyclone-pp predict --checkpoint model8 --scenario scen --target 8 --out pred8
 
 echo
 echo "== evaluate: skill vs the members baseline, reliability, maps =="
-cyclone-pp evaluate --predictions pred8 --scenario scen --targets 8 --out eval8
+cyclone-pp evaluate --predictions pred8 --scenario scen --out eval8
 
 echo
 echo "== artifacts =="

@@ -2,9 +2,9 @@
 
 Five subcommands chain into a reproducible run: ``generate`` fabricates
 a scenario directory, ``augment`` expands its training reports,
-``train`` fits one variant (or all of them) for a target report,
-``predict`` post-processes the target's forecast stack, and
-``evaluate`` turns predictions into verification CSVs.
+``train`` fits one variant for a target report, ``predict``
+post-processes the target's forecast stack, and ``evaluate`` scores
+every prediction directory it is given, in target order.
 
 Every stage runs through one ``_Stage``. It records each input by role
 (``spec``, ``scenario``, ``checkpoint``, ``predictions/<k>``) with the
@@ -28,11 +28,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
-import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -83,20 +81,10 @@ from .synthgen import (
     save_scenario,
 )
 
-THREADS_ENV = "CYCLONE_PP_THREADS"
 TRAINABLE = tuple(v for v in VARIANTS if v != "members")
 #: the most rows or columns ``generate`` makes; a 500x500 scenario's
 #: members alone take 40 MB per report
 MAX_GRID_SIDE = 500
-
-
-def thread_cap() -> int:
-    """Worker limit from the environment; at least 1."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
 
 
 def _grid_side(text: str) -> int:
@@ -117,24 +105,6 @@ def _noise_scale(text: str) -> float:
     if not (math.isfinite(eta) and eta >= 0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return eta
-
-
-def _parse_targets(text: str) -> range | list[int]:
-    """Accept '6..11', '6,9,11', or a single integer, each target once.
-
-    A range stays a ``range``, so its length is known without building it.
-    Any other text is a ValueError naming ``--targets`` and the text.
-    """
-    lo, dots, hi = text.strip().partition("..")
-    parts = [lo, hi] if dots else lo.split(",")
-    if not all(part.strip().isdecimal() for part in parts):
-        raise ValueError(f"--targets {text!r} is neither lo..hi nor integers like 6,8,10")
-    targets = range(int(lo), int(hi) + 1) if dots else [int(t) for t in parts]
-    if not targets:
-        raise ValueError(f"--targets {text!r} is an empty target range")
-    if not dots and len(set(targets)) != len(targets):
-        raise ValueError(f"--targets {text!r} names a target twice")
-    return targets
 
 
 def _load_spec(path, seed=None) -> ScenarioSpec:
@@ -247,40 +217,29 @@ def cmd_augment(args) -> int:
 
 def cmd_train(args) -> int:
     stage = _Stage(args.out)
-    variants = list(TRAINABLE) if args.all_variants else [args.variant.lower()]
-    if "members" in variants:
+    variant = args.variant.lower()
+    if variant == "members":
         raise ValueError("the members baseline has no trainable parameters; "
                          "run predict with --variant members instead")
-    configs = [ModelConfig.for_variant(v, epochs=args.epochs, seed=args.seed)
-               for v in variants]
+    model_config = ModelConfig.for_variant(variant, epochs=args.epochs, seed=args.seed)
     # --eta reaches only the checkpoints of variants that augment
-    configs = [replace(c, noise_scale=args.eta) if c.use_augmentation else c
-               for c in configs]
+    if model_config.use_augmentation:
+        model_config = replace(model_config, noise_scale=args.eta)
     _spec, domain = _load_header(stage, args.scenario)
     # only these are read: train_model keeps the originals before the
     # target, which must itself exist, or predict would fail later
     originals = _originals(args.scenario, [args.target])
     history = _load_reports(args.scenario, [rdir for k, rdir in originals.items()
                                             if k < args.target], domain)
+    model = train_model(model_config, history, domain, args.target)
 
-    def fit(config):
-        return train_model(config, history, domain, args.target)
-
-    workers = min(thread_cap(), len(configs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fitted = list(pool.map(fit, configs))
-    else:
-        fitted = [fit(c) for c in configs]
-
-    config = {"variants": variants, "target": args.target, "epochs": args.epochs,
+    config = {"variant": variant, "target": args.target, "epochs": args.epochs,
               "seed": args.seed}
-    if any(c.use_augmentation for c in configs):
+    if model_config.use_augmentation:
         config["eta"] = args.eta
     with stage.output("train", config) as tmp:
-        for model in fitted:
-            model.save(tmp / f"model_{model.config.variant}.json")
-    print(f"trained {', '.join(variants)} for target {args.target} -> {args.out}")
+        model.save(tmp / f"model_{variant}.json")
+    print(f"trained {variant} for target {args.target} -> {args.out}")
     return 0
 
 
@@ -376,15 +335,7 @@ def cmd_evaluate(args) -> int:
         stage.record(f"predictions/{config['target']}", pred_dir,
                      manifest_fingerprint(manifest))
         pred_dirs[config["target"]] = pred_dir
-    targets = (_parse_targets(args.targets) if args.targets is not None
-               else sorted(pred_dirs))
-    if len(targets) > len(pred_dirs):
-        raise ValueError(f"--targets {args.targets} names {len(targets)} targets, but "
-                         f"predictions were supplied for {len(pred_dirs)}")
-    targets = list(targets)
-    missing = [k for k in targets if k not in pred_dirs]
-    if missing:
-        raise ValueError(f"no predictions supplied for targets {missing}")
+    targets = sorted(pred_dirs)
     originals = _originals(args.scenario, targets)
     reports = _load_reports(args.scenario, [originals[k] for k in targets], domain)
 
@@ -441,10 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit one variant for one target report")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--variant", default=None,
-                   help=f"one of {', '.join(TRAINABLE)}")
-    p.add_argument("--all-variants", action="store_true",
-                   help="train every trainable variant")
+    p.add_argument("--variant", required=True, help=f"one of {', '.join(TRAINABLE)}")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--epochs", type=_non_negative_int, default=100)
     p.add_argument("--eta", type=_noise_scale, default=DEFAULT_NOISE_SCALE)
@@ -466,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", nargs="+", required=True,
                    help="prediction directories, one per target")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--targets", default=None, help="e.g. 6..11 or 6,8,10")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
     return parser
@@ -478,9 +425,6 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "train" and not args.all_variants and args.variant is None:
-        print("error: pass --variant or --all-variants", file=sys.stderr)
-        return 2
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:

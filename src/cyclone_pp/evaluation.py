@@ -76,10 +76,6 @@ class ReliabilityBins:
         if np.any((freq[filled] < 0) | (freq[filled] > 1)):
             raise ValueError("event frequencies must lie in [0, 1]")
 
-    @property
-    def n_evaluated(self) -> int:
-        return int(self.counts.sum())
-
 
 def reliability_diagram(probabilities, observations) -> ReliabilityBins:
     """Bin forecast probabilities and tally how often the event verified.

@@ -197,25 +197,20 @@ class ConvLayer:
 class SoftplusLayer:
     """Elementwise softplus that keeps only its slope, the logistic.
 
-    Forward is one ``softplus_and_slope`` over its input, whose
-    intermediates go to one scratch array shaped like the input that the
-    layer keeps, so a forward of the same shape allocates nothing.
-    ``out`` and ``slope`` are arrays shaped like the input to write the
-    softplus and the logistic into; ``out`` may be the input itself.
-    Backward multiplies the logistic by the upstream gradient in place,
-    so each forward serves one backward.
+    Forward is one ``softplus_and_slope`` over its input. ``out``,
+    ``slope`` and ``scratch`` are arrays shaped like the input to write
+    the softplus, the logistic and the intermediates into (new when
+    None); ``out`` may be the input itself. Backward multiplies the
+    logistic by the upstream gradient in place, so each forward serves
+    one backward.
     """
 
     _slope = None  # the logistic of the last forward, until its backward
-    _scratch = None  # the intermediates of the last forward
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None,
-                slope: np.ndarray | None = None) -> np.ndarray:
-        if (self._scratch is None or self._scratch.shape != x.shape
-                or self._scratch.dtype != x.dtype):
-            self._scratch = None  # freed before the new one is made
-            self._scratch = np.empty_like(x)
-        out, self._slope = softplus_and_slope(x, out, slope, self._scratch)
+                slope: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
+        out, self._slope = softplus_and_slope(x, out, slope, scratch)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -238,10 +233,13 @@ class Network:
     ``forward`` runs its rows in blocks of ``BLOCK_ROWS`` through three
     (block, hidden) arrays that the network owns and reuses: the conv
     output, with the softplus taken in place over it; the softplus
-    slope; and the head's input gradient. The layers keep the last
-    block's inputs, so ``backward`` follows a forward of at most
-    ``BLOCK_ROWS`` rows, and a fit runs forward and backward block by
-    block; ``forward``'s result is a new array each call.
+    slope; and one that holds the softplus intermediates in ``forward``
+    and the head's input gradient in ``backward``, neither of which
+    outlives its pass. Each is made for the longest block yet and used
+    through a prefix view, so a short last block makes none. The layers
+    keep the last block's inputs, so ``backward`` follows a forward of at
+    most ``BLOCK_ROWS`` rows, and a fit runs forward and backward block
+    by block; ``forward``'s result is a new array each call.
     ``drop_buffers`` frees the arrays and the layers' cached inputs, as a
     finished fit or prediction does.
     """
@@ -296,8 +294,9 @@ class Network:
             n = block.shape[2]
             h = self.conv.forward(block, out=self._buffer(0, n, dtype))
             slope = _layer_array(self._buffer(1, n, dtype), h.shape)
-            self.head.forward(self.softplus.forward(h, out=h, slope=slope),
-                              out=out[lo:lo + n])
+            scratch = _layer_array(self._buffer(2, n, dtype), h.shape)
+            hidden = self.softplus.forward(h, out=h, slope=slope, scratch=scratch)
+            self.head.forward(hidden, out=out[lo:lo + n])
             lo += n
         self._rows_forwarded = len(out)
         return _layer_array(out, (batch, 2, rows, cols))
@@ -313,7 +312,7 @@ class Network:
     def drop_buffers(self) -> None:
         self._buffers = [None, None, None]
         self.conv._rows = self.head._rows = None
-        self.softplus._slope = self.softplus._scratch = None
+        self.softplus._slope = None
 
 
 class Adam:

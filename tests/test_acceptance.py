@@ -316,8 +316,7 @@ def test_c8_pipeline_stages_hash_stable(tmp_path_factory):
                      "--scenario", str(scen), "--target", "6",
                      "--out", str(pred)]) == 0
         assert main(["evaluate", "--predictions", str(pred),
-                     "--scenario", str(scen), "--targets", "6",
-                     "--out", str(ev)]) == 0
+                     "--scenario", str(scen), "--out", str(ev)]) == 0
         for stage, d in (("generate", scen), ("augment", aug),
                          ("train", model), ("predict", pred), ("evaluate", ev)):
             outputs.setdefault(stage, []).append(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import shutil
 import stat
 import subprocess
@@ -13,13 +14,7 @@ import numpy as np
 import pytest
 
 from cyclone_pp import cli, storage
-from cyclone_pp.cli import (
-    TRAINABLE,
-    _parse_targets,
-    load_predictions_csv,
-    main,
-    thread_cap,
-)
+from cyclone_pp.cli import TRAINABLE, load_predictions_csv, main
 from cyclone_pp.domain import ReportOrigin
 from cyclone_pp.models import (
     ModelConfig,
@@ -63,48 +58,9 @@ def pipeline(tmp_path_factory):
     assert main(["predict", "--variant", "members", "--scenario", str(scen),
                  "--target", TARGET, "--out", str(base)]) == 0
     assert main(["evaluate", "--predictions", str(pred), "--scenario", str(scen),
-                 "--targets", TARGET, "--out", str(ev)]) == 0
+                 "--out", str(ev)]) == 0
     return {"root": root, "scen": scen, "aug": aug, "model": model,
             "pred": pred, "base": base, "eval": ev}
-
-
-class TestHelpers:
-    def test_targets_range(self):
-        assert list(_parse_targets("6..11")) == [6, 7, 8, 9, 10, 11]
-
-    def test_targets_list(self):
-        assert _parse_targets("6,9,11") == [6, 9, 11]
-
-    def test_targets_single(self):
-        assert _parse_targets(" 8 ") == [8]
-
-    def test_targets_empty_range_rejected(self):
-        with pytest.raises(ValueError, match="empty target range"):
-            _parse_targets("11..6")
-
-    @pytest.mark.parametrize("text", ["6..x", "6,,7", "x", "", " ", "..6", "6..", "1.5"])
-    def test_malformed_targets_name_the_flag(self, text):
-        with pytest.raises(ValueError) as exc:
-            _parse_targets(text)
-        assert str(exc.value).startswith(f"--targets {text!r} ")
-
-    def test_thread_cap_default(self, monkeypatch):
-        monkeypatch.delenv("CYCLONE_PP_THREADS", raising=False)
-        assert thread_cap() == 1
-
-    def test_thread_cap_from_env(self, monkeypatch):
-        monkeypatch.setenv("CYCLONE_PP_THREADS", "4")
-        assert thread_cap() == 4
-
-    def test_thread_cap_floors_at_one(self, monkeypatch):
-        monkeypatch.setenv("CYCLONE_PP_THREADS", "0")
-        assert thread_cap() == 1
-
-    def test_thread_cap_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("CYCLONE_PP_THREADS", "lots")
-        with pytest.raises(ValueError, match="CYCLONE_PP_THREADS"):
-            thread_cap()
-
 
 
 class TestGenerate:
@@ -268,9 +224,14 @@ class TestTrain:
         assert "no trainable parameters" in capsys.readouterr().err
 
     def test_variant_flag_required(self, pipeline, tmp_path, capsys):
-        assert main(["train", "--scenario", str(pipeline["scen"]),
-                     "--target", TARGET, "--out", str(tmp_path / "m")]) == 2
-        assert "--variant or --all-variants" in capsys.readouterr().err
+        out = tmp_path / "m"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--scenario", str(pipeline["scen"]),
+                  "--target", TARGET, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "required: --variant" in err
+        assert not out.exists()
 
     def test_unknown_variant_rejected(self, pipeline, tmp_path, capsys):
         assert main(["train", "--scenario", str(pipeline["scen"]),
@@ -289,7 +250,7 @@ class TestTrain:
     def test_checkpoint_written(self, pipeline):
         assert (pipeline["model"] / "model_cnn-all.json").is_file()
         manifest = verify_manifest(pipeline["model"])
-        assert manifest["config"] == {"variants": ["cnn-all"], "target": 6,
+        assert manifest["config"] == {"variant": "cnn-all", "target": 6,
                                       "epochs": 2, "eta": 0.05, "seed": 0}
 
     @pytest.mark.parametrize("variant", ["fcn", "cnn", "cnn-dyn"])
@@ -302,11 +263,12 @@ class TestTrain:
         assert "eta" not in verify_manifest(out)["config"]
 
     def test_eta_recorded_when_one_variant_augments(self, pipeline, tmp_path):
-        out = tmp_path / "m"
-        assert main(["train", "--scenario", str(pipeline["scen"]),
-                     "--all-variants", "--target", TARGET, "--epochs", "1",
-                     "--eta", "0.2", "--out", str(out)]) == 0
-        assert verify_manifest(out)["config"]["eta"] == 0.2
+        for variant in ("cnn-aug", "cnn-all"):
+            out = tmp_path / variant
+            assert main(["train", "--scenario", str(pipeline["scen"]),
+                         "--variant", variant, "--target", TARGET, "--epochs", "1",
+                         "--eta", "0.2", "--out", str(out)]) == 0
+            assert verify_manifest(out)["config"]["eta"] == 0.2, variant
 
     @pytest.mark.parametrize("variant", TRAINABLE)
     def test_eta_reaches_only_checkpoints_that_augment(self, pipeline, tmp_path,
@@ -376,16 +338,16 @@ class TestTrain:
             "warning: target 2: single-report history cannot be augmented; "
             "training on originals\n")
 
-    def test_all_variants_with_thread_cap(self, pipeline, tmp_path, monkeypatch):
-        monkeypatch.setenv("CYCLONE_PP_THREADS", "2")
-        out = tmp_path / "all"
-        assert main(["train", "--scenario", str(pipeline["scen"]),
-                     "--all-variants", "--target", TARGET, "--epochs", "1",
-                     "--out", str(out)]) == 0
-        names = sorted(p.name for p in out.glob("model_*.json"))
-        assert names == ["model_cnn-all.json", "model_cnn-aug.json",
-                         "model_cnn-dyn.json", "model_cnn.json",
-                         "model_fcn.json"]
+    def test_one_checkpoint_per_variant(self, pipeline, tmp_path):
+        # five train calls write the five checkpoints, one each
+        for variant in TRAINABLE:
+            out = tmp_path / variant
+            assert main(["train", "--scenario", str(pipeline["scen"]),
+                         "--variant", variant.upper(), "--target", TARGET,
+                         "--epochs", "1", "--out", str(out)]) == 0
+            assert sorted(p.name for p in out.iterdir()) == [
+                "manifest.json", f"model_{variant}.json"]
+            assert verify_manifest(out)["config"]["variant"] == variant
 
 
 #: runs the CLI once per argv in the JSON list it is given, in one
@@ -413,7 +375,6 @@ def peak_above_import(*argvs) -> float:
     """MB of peak RSS above imports of one process that runs the CLI stages."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}
-    env.pop(cli.THREADS_ENV, None)
     run = subprocess.run(
         [sys.executable, "-c", PEAK_ABOVE_IMPORT,
          json.dumps([[str(arg) for arg in argv] for argv in argvs])],
@@ -494,7 +455,6 @@ def test_checkpoint_bytes_do_not_depend_on_blas_threads(full_grid_scen, tmp_path
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
                "OPENBLAS_NUM_THREADS": threads}
-        env.pop(cli.THREADS_ENV, None)
         out = tmp_path / f"threads-{threads}"
         run = subprocess.run(
             [sys.executable, "-m", "cyclone_pp.cli", *FULL_GRID_TRAIN[:-1], "5",
@@ -551,16 +511,15 @@ class TestTrainMatchesLibrary:
         aug5 = tmp_path / "aug5"
         assert main(["augment", "--scenario", str(pipeline["scen"]),
                      "--seed", "5", "--out", str(aug5)]) == 0
-        outs = []
-        for scen in (pipeline["scen"], aug5):
-            out = tmp_path / f"model_{scen.name}"
-            assert main(["train", "--scenario", str(scen), "--all-variants",
-                         "--target", TARGET, "--epochs", "2", "--seed", "0",
-                         "--out", str(out)]) == 0
-            outs.append(out)
         for variant in TRAINABLE:
-            name = f"model_{variant}.json"
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            checkpoints = []
+            for scen in (pipeline["scen"], aug5):
+                out = tmp_path / f"{variant}_{scen.name}"
+                assert main(["train", "--scenario", str(scen), "--variant", variant,
+                             "--target", TARGET, "--epochs", "2", "--seed", "0",
+                             "--out", str(out)]) == 0
+                checkpoints.append((out / f"model_{variant}.json").read_bytes())
+            assert checkpoints[0] == checkpoints[1], variant
 
 
 class TestPredict:
@@ -769,8 +728,7 @@ class TestCausality:
                                               tmp_path, capsys):
         # evaluate hashes its target's report, whose observation is ruined
         assert main(["evaluate", "--predictions", str(pipeline["pred"]),
-                     "--scenario", str(tampered), "--targets", TARGET,
-                     "--out", str(tmp_path / "ev")]) == 1
+                     "--scenario", str(tampered), "--out", str(tmp_path / "ev")]) == 1
         assert "hash mismatch" in capsys.readouterr().err
 
 
@@ -797,61 +755,6 @@ class TestEvaluate:
                      "--scenario", str(pipeline["scen"]),
                      "--out", str(tmp_path / "ev")]) == 1
         assert "mix variants" in capsys.readouterr().err
-
-    def test_missing_target_rejected(self, pipeline, tmp_path, capsys):
-        assert main(["evaluate", "--predictions", str(pipeline["pred"]),
-                     "--scenario", str(pipeline["scen"]), "--targets", "7",
-                     "--out", str(tmp_path / "ev")]) == 1
-        assert "no predictions supplied" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("targets", ["6,6", "6, 6", "6,7,6"])
-    def test_duplicate_target_refused(self, pipeline, tmp_path, capsys, targets):
-        # a target twice scored its report twice: 48 skill rows for 24 cells
-        out = tmp_path / "ev"
-        assert main(["evaluate", "--predictions", str(pipeline["pred"]),
-                     "--scenario", str(pipeline["scen"]), "--targets", targets,
-                     "--out", str(out)]) == 1
-        err = one_error_line(capsys)
-        assert "--targets" in err and "twice" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("targets", ["6..x", "6,,7", "x", ""])
-    def test_malformed_targets_refused(self, pipeline, tmp_path, capsys, targets):
-        # an empty value evaluated every prediction; the others named no flag
-        out = tmp_path / "ev"
-        assert main(["evaluate", "--predictions", str(pipeline["pred"]),
-                     "--scenario", str(pipeline["scen"]), "--targets", targets,
-                     "--out", str(out)]) == 1
-        assert f"--targets {targets!r}" in one_error_line(capsys)
-        assert not out.exists()
-
-    def test_range_longer_than_the_predictions_refused(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "ev"
-        assert main(["evaluate", "--predictions", str(pipeline["pred"]),
-                     "--scenario", str(pipeline["scen"]), "--targets", "1..3000",
-                     "--out", str(out)]) == 1
-        err = one_error_line(capsys)
-        assert "3000 targets" in err and len(err) < 300
-        assert not out.exists()
-
-    def test_huge_range_is_not_built(self, pipeline, tmp_path):
-        # a billion targets in a list would need gigabytes; the range is
-        # measured, not built, so this runs in a 1 GB address space
-        out = tmp_path / "ev"
-        code = ("import resource, sys\n"
-                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-                "from cyclone_pp.cli import main\n"
-                "sys.exit(main(sys.argv[1:]))\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
-               "OPENBLAS_NUM_THREADS": "1"}
-        run = subprocess.run(
-            [sys.executable, "-c", code, "evaluate", "--predictions", str(pipeline["pred"]),
-             "--scenario", str(pipeline["scen"]), "--targets", "1..1000000000",
-             "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
-        assert run.returncode == 1, run.stderr
-        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
-        assert "1000000000 targets" in run.stderr
-        assert not out.exists()
 
     @pytest.mark.parametrize("line,edit", [
         (1, lambda cells: ["99", *cells[1:]]),
@@ -1367,6 +1270,36 @@ class TestRefusals:
         assert not (tmp_path / "o").exists()
 
 
+class TestRemovedFlags:
+    """train fits one variant and evaluate scores every prediction it is
+    given: the flags that chose otherwise are argparse's usage error."""
+
+    @pytest.mark.parametrize("stage, flag", [
+        (["train", "--variant", "cnn", "--all-variants", "--target", TARGET,
+          "--epochs", "1"], "--all-variants"),
+        (["evaluate", "--predictions", "PRED", "--targets", TARGET], "--targets"),
+    ], ids=["train", "evaluate"])
+    def test_refused_with_exit_2(self, pipeline, tmp_path, capsys, stage, flag):
+        out = tmp_path / "o"
+        argv = [str(pipeline["pred"]) if a == "PRED" else a for a in stage]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scenario", str(pipeline["scen"]), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"unrecognized arguments: {flag}" in err
+        assert not out.exists()
+
+    def test_cli_import_starts_no_thread_pool(self):
+        script = ("import sys\n"
+                  "import cyclone_pp.cli\n"
+                  "print(*sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == []
+
+
 class TestMalformedLoaderInput:
     """A loader input lacking a key: one line naming the file and the key."""
 
@@ -1604,3 +1537,22 @@ def test_outputs_follow_the_umask(pipeline, tmp_path):
     assert stat.S_IMODE(out.stat().st_mode) == 0o755
     for name in ("predictions.csv", "manifest.json"):
         assert stat.S_IMODE((out / name).stat().st_mode) == 0o644
+
+
+DOCUMENTED = [Path(__file__).resolve().parents[1] / name
+              for name in ("README.md", "demos/06_cli_pipeline.sh")]
+
+
+@pytest.mark.parametrize("doc", DOCUMENTED, ids=[p.name for p in DOCUMENTED])
+def test_documented_command_lines_parse(doc):
+    # every `cyclone-pp ...` line of the docs is one the parser accepts,
+    # so no doc can name a flag that is gone
+    lines = [line.strip() for line in doc.read_text().splitlines()
+             if line.strip().startswith("cyclone-pp ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"{doc.name}: {line}")

@@ -97,7 +97,6 @@ class TestReliabilityDiagram:
         p = rng.uniform(0, 1, 500)
         y = rng.uniform(0, 400, 500)
         bins = reliability_diagram(p, y)
-        assert bins.n_evaluated == 500
         assert bins.counts.sum() == 500
 
     def test_calibrated_forecasts_land_near_diagonal(self):

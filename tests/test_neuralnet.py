@@ -436,6 +436,28 @@ class TestNetwork:
         assert np.shares_memory(hidden1, hidden2) and np.shares_memory(slope1, slope2)
         assert not np.shares_memory(out1, out2)
 
+    def test_long_short_long_blocks_make_each_buffer_once(self, monkeypatch):
+        # an epoch's row blocks, then the next epoch's first: the hidden
+        # arrays, the softplus intermediates among them, are made for the
+        # first block and kept through the short one
+        scratches = []
+
+        def spy(x, out=None, slope=None, scratch=None):
+            scratches.append(scratch)
+            return softplus_and_slope(x, out, slope, scratch)
+
+        monkeypatch.setattr(neuralnet, "softplus_and_slope", spy)
+        rng = np.random.default_rng(15)
+        net = Network.kaiming(3, 4, (2, 2), rng)
+        kept = []
+        for rows in (40, 10, 40):
+            out = net.forward(rng.normal(size=(1, 12, rows, 1)).astype(DTYPE))
+            net.backward(np.ones_like(out))
+            kept.append(list(net._buffers))
+        assert all(a is b for later in kept[1:] for a, b in zip(kept[0], later))
+        assert all(np.shares_memory(s, kept[0][2]) for s in scratches)
+        assert [s.shape[2] for s in scratches] == [40, 10, 40]
+
     def test_buffers_keep_the_bits_of_fresh_arrays(self):
         # the same layers, called without buffers, give the same bytes
         rng = np.random.default_rng(11)
