@@ -338,16 +338,16 @@ class TestTrain:
             "warning: target 2: single-report history cannot be augmented; "
             "training on originals\n")
 
-    def test_one_checkpoint_per_variant(self, pipeline, tmp_path):
-        # five train calls write the five checkpoints, one each
-        for variant in TRAINABLE:
-            out = tmp_path / variant
-            assert main(["train", "--scenario", str(pipeline["scen"]),
-                         "--variant", variant.upper(), "--target", TARGET,
-                         "--epochs", "1", "--out", str(out)]) == 0
-            assert sorted(p.name for p in out.iterdir()) == [
-                "manifest.json", f"model_{variant}.json"]
-            assert verify_manifest(out)["config"]["variant"] == variant
+    @pytest.mark.parametrize("variant", TRAINABLE)
+    def test_one_checkpoint_per_variant(self, pipeline, tmp_path, variant):
+        # one train call writes its variant's checkpoint and nothing more
+        out = tmp_path / variant
+        assert main(["train", "--scenario", str(pipeline["scen"]),
+                     "--variant", variant.upper(), "--target", TARGET,
+                     "--epochs", "1", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", f"model_{variant}.json"]
+        assert verify_manifest(out)["config"]["variant"] == variant
 
 
 #: runs the CLI once per argv in the JSON list it is given, in one
@@ -748,6 +748,41 @@ class TestEvaluate:
                      "--out", str(out)]) == 0
         assert "calibration error" in capsys.readouterr().out
         assert (out / "exceedance_map_6.csv").is_file()
+
+    @pytest.fixture
+    def two_targets(self, pipeline, tmp_path):
+        # members predictions for targets 6 and 7 of the pipeline's scenario
+        pred7 = tmp_path / "base7"
+        assert main(["predict", "--variant", "members", "--scenario", str(pipeline["scen"]),
+                     "--target", "7", "--out", str(pred7)]) == 0
+        return pipeline["base"], pred7
+
+    def test_every_prediction_scored_in_target_order(self, pipeline, tmp_path, two_targets):
+        # the order of --predictions does not reach a byte of the output
+        outs = []
+        for order in (two_targets, two_targets[::-1]):
+            out = tmp_path / f"ev{len(outs)}"
+            assert main(["evaluate", "--predictions", *map(str, order),
+                         "--scenario", str(pipeline["scen"]), "--out", str(out)]) == 0
+            assert verify_manifest(out)["config"] == {"variant": "members", "targets": [6, 7]}
+            outs.append(fingerprint(out))
+        assert outs[0] == outs[1]
+
+    def test_each_target_scored_as_alone(self, pipeline, tmp_path, two_targets):
+        # a second prediction adds its own map and rows, and changes none of
+        # the first target's
+        alone, both = tmp_path / "alone", tmp_path / "both"
+        assert main(["evaluate", "--predictions", str(two_targets[0]),
+                     "--scenario", str(pipeline["scen"]), "--out", str(alone)]) == 0
+        assert main(["evaluate", "--predictions", *map(str, two_targets),
+                     "--scenario", str(pipeline["scen"]), "--out", str(both)]) == 0
+        name = "exceedance_map_6.csv"
+        assert (alone / name).read_bytes() == (both / name).read_bytes()
+        assert (both / "exceedance_map_7.csv").is_file()
+        rows = (both / "skill_table.csv").read_text().splitlines()
+        alone_rows = (alone / "skill_table.csv").read_text().splitlines()
+        assert rows[:len(alone_rows)] == alone_rows
+        assert len(rows) == 2 * len(alone_rows) - 1
 
     def test_mixed_variants_rejected(self, pipeline, tmp_path, capsys):
         assert main(["evaluate", "--predictions", str(pipeline["pred"]),
@@ -1274,30 +1309,40 @@ class TestRemovedFlags:
     """train fits one variant and evaluate scores every prediction it is
     given: the flags that chose otherwise are argparse's usage error."""
 
-    @pytest.mark.parametrize("stage, flag", [
+    @pytest.mark.parametrize("stage, message", [
         (["train", "--variant", "cnn", "--all-variants", "--target", TARGET,
-          "--epochs", "1"], "--all-variants"),
-        (["evaluate", "--predictions", "PRED", "--targets", TARGET], "--targets"),
-    ], ids=["train", "evaluate"])
-    def test_refused_with_exit_2(self, pipeline, tmp_path, capsys, stage, flag):
+          "--epochs", "1"], "unrecognized arguments: --all-variants"),
+        (["evaluate", "--predictions", "PRED", "--targets", TARGET],
+         "unrecognized arguments: --targets"),
+        (["train", "--all-variants", "--target", TARGET, "--epochs", "1"],
+         "required: --variant"),
+        (["evaluate", "--predictions", "PRED", "--targets", "6..7"],
+         "unrecognized arguments: --targets 6..7"),
+        (["evaluate", "--predictions", "PRED", "--targets", "6,7"],
+         "unrecognized arguments: --targets 6,7"),
+    ], ids=["train", "evaluate", "train-all-variants-alone", "evaluate-range",
+            "evaluate-list"])
+    def test_refused_with_exit_2(self, pipeline, tmp_path, capsys, stage, message):
         out = tmp_path / "o"
         argv = [str(pipeline["pred"]) if a == "PRED" else a for a in stage]
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--scenario", str(pipeline["scen"]), "--out", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and f"unrecognized arguments: {flag}" in err
+        assert err.count("error:") == 1 and message in err
         assert not out.exists()
 
-    def test_cli_import_starts_no_thread_pool(self):
+    @pytest.mark.parametrize("module", ["concurrent.futures", "logging"])
+    def test_cli_import_leaves_out(self, module):
+        # the thread pool and its logging went with --all-variants
         script = ("import sys\n"
                   "import cyclone_pp.cli\n"
-                  "print(*sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n")
+                  f"print({module!r} in sys.modules)\n")
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         run = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == []
+        assert run.stdout.strip() == "False"
 
 
 class TestMalformedLoaderInput:
@@ -1539,20 +1584,31 @@ def test_outputs_follow_the_umask(pipeline, tmp_path):
         assert stat.S_IMODE((out / name).stat().st_mode) == 0o644
 
 
-DOCUMENTED = [Path(__file__).resolve().parents[1] / name
-              for name in ("README.md", "demos/06_cli_pipeline.sh")]
+ROOT = Path(__file__).resolve().parents[1]
+DOCUMENTED = [ROOT / name for name in ("README.md", "demos/06_cli_pipeline.sh")]
+STAGES = ("generate", "augment", "train", "predict", "evaluate")
+
+
+def documented_lines(doc: Path) -> list[str]:
+    return [line.strip() for line in doc.read_text().splitlines()
+            if line.strip().startswith("cyclone-pp ")]
 
 
 @pytest.mark.parametrize("doc", DOCUMENTED, ids=[p.name for p in DOCUMENTED])
-def test_documented_command_lines_parse(doc):
+def test_docs_show_every_stage(doc):
+    # the command lines parsed below are there to be parsed
+    shown = {shlex.split(line)[1] for line in documented_lines(doc)}
+    assert shown == set(STAGES)
+
+
+@pytest.mark.parametrize("doc, line", [
+    (doc, line) for doc in DOCUMENTED for line in documented_lines(doc)
+], ids=[f"{doc.name}-{i}" for doc in DOCUMENTED
+        for i, _line in enumerate(documented_lines(doc), 1)])
+def test_documented_command_lines_parse(doc, line):
     # every `cyclone-pp ...` line of the docs is one the parser accepts,
     # so no doc can name a flag that is gone
-    lines = [line.strip() for line in doc.read_text().splitlines()
-             if line.strip().startswith("cyclone-pp ")]
-    assert len(lines) >= 5
-    parser = cli.build_parser()
-    for line in lines:
-        try:
-            parser.parse_args(shlex.split(line)[1:])
-        except SystemExit:
-            pytest.fail(f"{doc.name}: {line}")
+    try:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
+    except SystemExit:
+        pytest.fail(f"{doc.name}: {line}")

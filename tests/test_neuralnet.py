@@ -458,6 +458,20 @@ class TestNetwork:
         assert all(np.shares_memory(s, kept[0][2]) for s in scratches)
         assert [s.shape[2] for s in scratches] == [40, 10, 40]
 
+    def test_drop_buffers_frees_the_block_arrays(self):
+        # a finished fit lets go of every block-sized array, the softplus
+        # intermediates with them, and the next forward gives the same bytes
+        rng = np.random.default_rng(16)
+        net = Network.kaiming(3, 4, (2, 2), rng)
+        x = rng.normal(size=(1, 12, 40, 1)).astype(DTYPE)
+        first = net.forward(x).copy()
+        net.backward(np.ones_like(first))
+        net.drop_buffers()
+        assert net._buffers == [None, None, None]
+        assert net.conv._rows is None and net.head._rows is None
+        assert net.softplus._slope is None
+        assert net.forward(x).tobytes() == first.tobytes()
+
     def test_buffers_keep_the_bits_of_fresh_arrays(self):
         # the same layers, called without buffers, give the same bytes
         rng = np.random.default_rng(11)
