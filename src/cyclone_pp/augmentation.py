@@ -6,8 +6,9 @@ additive Gaussian noise injection into every member field of all 2N-1
 reports (one noise copy each, same fractional index). Noise streams are
 keyed on (seed, index), so a report built alone equals the same report
 built among the others. ``AugmentedReports`` builds the set one report
-at a time, as it is iterated, so a fit or a write holds one derived
-report pair and never the whole set.
+at a time, as it is iterated, from originals it reads as they come, so
+a fit or a write holds two originals and one derived report, never the
+whole set.
 """
 
 from __future__ import annotations
@@ -79,36 +80,36 @@ def _noise_rng(seed: int, index: float) -> np.random.Generator:
 class AugmentedReports:
     """The augmented set of N original reports, built as it is iterated.
 
-    Iteration yields the 2*(2N-1) reports in ``report_sort_key`` order,
-    each noise copy directly after its source, building each
-    interpolation and noise copy only when it is reached; ``len`` builds
-    nothing. ``originals`` must be >= 2 reports with consecutive integer
-    indices, and are checked here, before any report is built.
+    ``originals`` is a sized iterable (a list or a stream) of N >= 2
+    originals with consecutive indices, in index order, read once and
+    pairwise: iteration yields the 2*(2N-1) reports in
+    ``report_sort_key`` order, each noise copy directly after its
+    source, building each only when it is reached. ``len`` builds
+    nothing; a pair that is not two consecutive originals is refused
+    when it is reached.
     """
 
     def __init__(self, originals, eta: float = DEFAULT_NOISE_SCALE, seed: int = 0):
-        originals = sorted(originals, key=report_sort_key)
         if len(originals) < 2:
             raise ValueError("need at least two original reports to augment")
-        indices = [r.index for r in originals]
-        if any(r.origin is not ReportOrigin.ORIGINAL for r in originals):
-            raise ValueError("augmentation inputs must all be original reports")
-        if any(b != a + 1 for a, b in zip(indices, indices[1:])):
-            raise ValueError(f"original indices must be consecutive integers, got {indices}")
         self.originals, self.eta, self.seed = originals, eta, seed
 
     def __len__(self) -> int:
         return 2 * (2 * len(self.originals) - 1)
 
     def __iter__(self):
-        for a, b in zip(self.originals, [*self.originals[1:], None]):
-            yield from self._with_noise_copy(a)
-            if b is not None:
+        a = None
+        for b in self.originals:
+            if a is not None:
                 yield from self._with_noise_copy(interpolate_reports(a, b))
+            a = b  # the earlier original goes before b's noise copy is built
+            yield from self._with_noise_copy(b)
 
     def _with_noise_copy(self, plain: Report):
         yield plain
-        yield inject_noise(plain, self.eta, _noise_rng(self.seed, plain.index))
+        # rebound, so an interpolation is not kept beside its noise copy
+        plain = inject_noise(plain, self.eta, _noise_rng(self.seed, plain.index))
+        yield plain
 
 
 @dataclass(frozen=True)
@@ -133,4 +134,5 @@ def build_augmented_set(originals, eta: float = DEFAULT_NOISE_SCALE, seed: int =
     multiset is {k, k+0.5, ..., N} each appearing twice (plain and noise
     copy).
     """
+    originals = sorted(originals, key=report_sort_key)
     return AugmentedSet(reports=list(AugmentedReports(originals, eta, seed)))

@@ -21,6 +21,9 @@ and the earlier originals' metadata, ``evaluate`` its targets' reports.
 So nothing at or after the target informs a prediction, and ``evaluate``
 scores only predictions of its own ``--scenario``, one per target. The
 fold is the library's: the loaded model refuses an earlier target.
+``augment``, ``train`` and ``evaluate`` stream the originals from disk
+(``synthgen.OriginalReports``): each is hash-checked just before it is
+parsed, when the stage reaches it, and dropped once used.
 """
 
 from __future__ import annotations
@@ -68,12 +71,11 @@ from .storage import (
     write_text,
 )
 from .synthgen import (
+    OriginalReports,
     ScenarioSpec,
     Scenario,
-    check_report_grid,
     generate_scenario,
     list_report_dirs,
-    load_report,
     load_report_meta,
     load_scenario_header,
     make_island_domain,
@@ -168,20 +170,6 @@ def _load_header(stage: _Stage, scenario_dir):
     return load_scenario_header(scenario_dir)
 
 
-def _verified(scenario_dir, rdirs, **parts) -> list:
-    """rdirs, once the files ``report_files(**parts)`` names hash-check in each."""
-    verify_manifest(scenario_dir, [f"{rdir.name}/{name}" for rdir in rdirs
-                                   for name in report_files(**parts)])
-    return rdirs
-
-
-def _load_reports(scenario_dir, rdirs, domain, with_observation: bool = True) -> list:
-    """Hash-check, then read, the files of each listed report directory;
-    a grid of another shape than the domain's is refused, naming its file."""
-    return [check_report_grid(load_report(rdir, with_observation), rdir, domain.shape)
-            for rdir in _verified(scenario_dir, rdirs, with_observation=with_observation)]
-
-
 def cmd_generate(args) -> int:
     stage = _Stage(args.out)
     if args.spec is not None:
@@ -204,10 +192,10 @@ def cmd_generate(args) -> int:
 def cmd_augment(args) -> int:
     stage = _Stage(args.out)
     spec, domain = _load_header(stage, args.scenario)
-    originals = _load_reports(args.scenario, _originals(args.scenario).values(), domain)
-    # each derived report is written as it is built, and then dropped
+    originals = OriginalReports(args.scenario, _originals(args.scenario), domain.shape)
+    # each original is read, and each derived report written, in turn
     augmented = AugmentedReports(originals, eta=args.eta, seed=args.seed)
-    n_original = len(augmented.originals)
+    n_original = len(originals)
     config = {"eta": args.eta, "seed": args.seed, "n_original": n_original}
     with stage.output("augment", config) as tmp:
         save_scenario(Scenario(spec=spec, domain=domain, reports=augmented), tmp)
@@ -226,12 +214,11 @@ def cmd_train(args) -> int:
     if model_config.use_augmentation:
         model_config = replace(model_config, noise_scale=args.eta)
     _spec, domain = _load_header(stage, args.scenario)
-    # only these are read: train_model keeps the originals before the
-    # target, which must itself exist, or predict would fail later
-    originals = _originals(args.scenario, [args.target])
-    history = _load_reports(args.scenario, [rdir for k, rdir in originals.items()
-                                            if k < args.target], domain)
-    model = train_model(model_config, history, domain, args.target)
+    # the target must exist, or predict would fail later; train_model
+    # picks the originals before it by name and reads each as it fits
+    originals = OriginalReports(args.scenario, _originals(args.scenario, [args.target]),
+                                domain.shape)
+    model = train_model(model_config, originals, domain, args.target)
 
     config = {"variant": variant, "target": args.target, "epochs": args.epochs,
               "seed": args.seed}
@@ -289,8 +276,8 @@ def cmd_predict(args) -> int:
     _spec, domain = _load_header(stage, args.scenario)
     originals = _originals(args.scenario, [args.target])
     # the target's observation is verification data, never an input here
-    [target] = _load_reports(args.scenario, [originals[args.target]], domain,
-                             with_observation=False)
+    [target] = OriginalReports(args.scenario, {args.target: originals[args.target]},
+                               domain.shape, with_observation=False)
 
     if args.checkpoint is None:
         variant = "members"
@@ -302,7 +289,9 @@ def cmd_predict(args) -> int:
         variant = model.config.variant
         # the track: the storm center alone of each earlier original, then the target
         earlier = {k: rdir for k, rdir in originals.items() if k < args.target}
-        _verified(args.scenario, earlier.values(), with_members=False, with_observation=False)
+        verify_manifest(args.scenario, [f"{rdir.name}/{name}" for rdir in earlier.values()
+                                        for name in report_files(with_members=False,
+                                                                 with_observation=False)])
         track = [(k, load_report_meta(rdir)["tc_center"]) for k, rdir in earlier.items()]
         field = model.predict(target, domain, track + [(target.index, target.tc_center)])
 
@@ -337,7 +326,8 @@ def cmd_evaluate(args) -> int:
         pred_dirs[config["target"]] = pred_dir
     targets = sorted(pred_dirs)
     originals = _originals(args.scenario, targets)
-    reports = _load_reports(args.scenario, [originals[k] for k in targets], domain)
+    # each target's report is read when it is scored
+    reports = OriginalReports(args.scenario, {k: originals[k] for k in targets}, domain.shape)
 
     tables, pooled_p, pooled_y, maps = [], [], [], {}
     for k, target_rep in zip(targets, reports):

@@ -123,6 +123,7 @@ def fit_standardizer(stacks) -> NormStats:
         dev = stack - stack_mean[:, None, None]
         dev *= dev
         stack_sq = dev.sum(axis=(1, 2))
+        del stack, dev  # neither is kept while the next stack is built
         if count == 0:
             mean, sq = stack_mean, stack_sq
         else:

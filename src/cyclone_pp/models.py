@@ -27,10 +27,11 @@ both numpy, so training loads no scipy module.
 
 ``train_model`` is the one trainer: it fits on the originals before a
 target, and its model refuses earlier reports and other grids. A fit
-reads its training reports once, each built when it is reached: a
-report gives way to its input stack, and the stack to its land patch
-rows in the float32 patch matrix, once the standardizer has merged it.
-There is no (B, C, H, W) buffer and no list of derived reports. The
+reads its training reports once, each built or read when it is
+reached: a report gives way to its input stack, and the stack to its
+land patch rows in the float32 patch matrix, once the standardizer has
+merged it, before the next is read. There is no (B, C, H, W) buffer
+and no list of reports. The
 epochs then hold the patch rows and the network's three block-sized
 hidden arrays, and run forward, loss and backward one row block at a
 time, with one Adam step per epoch.
@@ -77,6 +78,7 @@ from .neuralnet import (
 from .scoring import GaussianField, _crps_and_gradient, make_weights
 from .scoring import crps_gaussian  # noqa: F401  (perfbench's tracer tests reach it here)
 from .storage import record_from_json, typed
+from .synthgen import OriginalReports
 
 FCN_CHANNEL_NAMES = ("member_mean", "member_std", *CHANNEL_NAMES[N_MEMBERS:])
 _MEMBER_CHANNELS = CHANNEL_NAMES[:N_MEMBERS]
@@ -293,8 +295,10 @@ def train_model(config: ModelConfig, reports, domain: GridDomain,
     This is the only place that picks a training set. It keeps the
     original ``reports`` indexed strictly below ``target``, each with an
     observation; derived reports are dropped, since an interpolation at
-    target - 0.5 blends the target itself. The -aug variants then expand
-    those originals with the config's own noise scale and seed.
+    target - 0.5 blends the target itself; from an ``OriginalReports``
+    stream they are picked by name and read as the fit reaches them.
+    The -aug variants then expand those originals with the config's own
+    noise scale and seed.
     Full-batch: each epoch sums the gradients of every row block of the
     weighted CRPS loss over land cells, then takes one Adam step. The
     patch rows are built once, for land cells only: sea cells carry no
@@ -303,9 +307,9 @@ def train_model(config: ModelConfig, reports, domain: GridDomain,
     The fit reads the training set once, in index order, and an
     augmented set is built one report at a time as it is read (see the
     module docstring), so the caller's reports are never copied and no
-    derived report outlives its patch rows. numpy's bundled BLAS runs on
-    one thread throughout, so the bits do not depend on the BLAS thread
-    count.
+    report the fit reads or builds outlives its patch rows. numpy's
+    bundled BLAS runs on one thread throughout, so the bits do not
+    depend on the BLAS thread count.
 
     A mu, sigma, loss or gradient that stops being finite raises
     ``TrainingDiverged``, the one report of it: numpy's float warnings in
@@ -345,6 +349,8 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
             if report.origin is ReportOrigin.ORIGINAL:
                 track_pairs.append((report.index, report.tc_center))
             indices.append(report.index)
+            if report.observation is None:
+                raise ValueError("every training report needs an observation")
             y[i] = report.observation[land]
             # a report's own read-only members are copied, a new stack kept
             stack = np.require(_stack_for(config, report, domain, track_pairs),
@@ -357,6 +363,7 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
             rows[...] = row_matrix(im2col(stack[None], kernel, land, DTYPE))
             if not np.isfinite(rows).all():
                 raise ValueError(f"{config.variant} training features overflow float32")
+            del report, stack  # neither is kept while the next is read and built
 
     norm = fit_standardizer(stacks())
     if not (np.isfinite(norm.mean).all() and np.isfinite(norm.std).all()):
@@ -410,15 +417,17 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
 
 
 def _training_set(config: ModelConfig, reports, target: int):
-    """The reports ``train_model`` fits for one target (see there), as a
-    new list or an ``AugmentedReports`` set, either in index order."""
-    history = sorted((r for r in reports
-                      if r.origin is ReportOrigin.ORIGINAL and r.index < target),
-                     key=lambda r: r.index)
+    """The reports ``train_model`` fits for one target (see there), in
+    index order: a list, an ``OriginalReports`` stream or an
+    ``AugmentedReports`` set of either."""
+    if isinstance(reports, OriginalReports):
+        history = reports.before(target)
+    else:
+        history = sorted((r for r in reports
+                          if r.origin is ReportOrigin.ORIGINAL and r.index < target),
+                         key=lambda r: r.index)
     if not history:
         raise ValueError(f"no reports precede target {target}")
-    if any(r.observation is None for r in history):
-        raise ValueError("every training report needs an observation")
     if not config.use_augmentation:
         return history
     if len(history) < 2:

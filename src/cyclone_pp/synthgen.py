@@ -43,6 +43,7 @@ from .storage import (
     read_json,
     record_from_json,
     save_grid_csv,
+    verify_manifest,
     write_json,
 )
 
@@ -388,3 +389,29 @@ def load_report(rdir, with_observation: bool = True) -> Report:
         return Report(**meta, members=members, observation=observation)
     except ValueError as exc:
         raise ValueError(f"{rdir}: {exc}") from None
+
+
+class OriginalReports:
+    """A scenario's original reports, by index -> directory in ``rdirs``,
+    read in index order as they are iterated: each report's files are
+    hash-checked just before ``load_report`` parses them, and its grids
+    must fit ``shape``. No yielded report is kept; ``len`` reads nothing.
+    """
+
+    def __init__(self, scenario_dir, rdirs: dict, shape, with_observation: bool = True):
+        self.scenario_dir, self.shape = scenario_dir, shape
+        self.rdirs, self.with_observation = dict(sorted(rdirs.items())), with_observation
+
+    def __len__(self) -> int:
+        return len(self.rdirs)
+
+    def __iter__(self):
+        files = report_files(with_observation=self.with_observation)
+        for rdir in self.rdirs.values():
+            verify_manifest(self.scenario_dir, [f"{rdir.name}/{name}" for name in files])
+            yield check_report_grid(load_report(rdir, self.with_observation), rdir, self.shape)
+
+    def before(self, target) -> "OriginalReports":
+        """The reports indexed below ``target``, chosen by name; none is read."""
+        kept = {k: rdir for k, rdir in self.rdirs.items() if k < target}
+        return OriginalReports(self.scenario_dir, kept, self.shape, self.with_observation)

@@ -8,12 +8,13 @@ import stat
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cyclone_pp import cli, storage
+from cyclone_pp import cli, storage, synthgen
 from cyclone_pp.cli import TRAINABLE, load_predictions_csv, main
 from cyclone_pp.domain import ReportOrigin
 from cyclone_pp.models import (
@@ -384,10 +385,10 @@ def peak_above_import(*argvs) -> float:
 
 
 #: Peak RSS above imports at 84x70, seed 1. On one 2-vCPU machine these
-#: read 39, 17 and 39 MB; the trainer that held the whole augmented set
-#: and full-size hidden arrays read 62, 54 and 68 MB, and failed each
-#: bound. tracemalloc cannot see memory the allocator keeps, so each
-#: stage runs in a process of its own.
+#: read 31, 7 and 32 MB; stages that loaded every original they read
+#: before the first was used read 41, 19 and 41 MB, and fail each bound.
+#: tracemalloc cannot see memory the allocator keeps, so each stage runs
+#: in a process of its own.
 needs_proc_status = pytest.mark.skipif(not Path("/proc/self/status").is_file(),
                                        reason="reads the process's peak RSS from /proc")
 FULL_GRID_TRAIN = ["train", "--variant", "cnn-all", "--target", "11", "--epochs", "2"]
@@ -425,18 +426,20 @@ def full_grid_scen(tmp_path_factory):
 
 @needs_proc_status
 def test_full_grid_fit_peak_memory(full_grid_scen, tmp_path):
-    # a cnn-all fit at target 11: the 10 originals, the 38 reports of their
-    # augmented set built and dropped one at a time, the float32 land patch
-    # rows (23 MB) and three block-sized hidden buffers
+    # a cnn-all fit at target 11: the float32 land patch rows (23 MB),
+    # three block-sized hidden buffers, and the 38 reports of the augmented
+    # set built from two originals at a time (1 MB each) and dropped one at
+    # a time; loading the 10 originals first added about 10 MB
     assert peak_above_import([*FULL_GRID_TRAIN, "--scenario", full_grid_scen,
-                              "--out", tmp_path / "model"]) <= 50
+                              "--out", tmp_path / "model"]) <= 36
 
 
 @needs_proc_status
 def test_full_grid_augment_peak_memory(full_grid_scen, tmp_path):
-    # the 15 originals, then one derived report pair at a time
+    # two originals and one derived report at a time; loading the 15
+    # originals first added about 12 MB
     assert peak_above_import(["augment", "--scenario", full_grid_scen,
-                              "--out", tmp_path / "aug"]) <= 30
+                              "--out", tmp_path / "aug"]) <= 11
 
 
 @needs_proc_status
@@ -445,7 +448,7 @@ def test_full_grid_augment_then_train_peak_memory(full_grid_scen, tmp_path):
     # so memory the fit frees stays in the heap
     assert peak_above_import(
         ["augment", "--scenario", full_grid_scen, "--out", tmp_path / "aug"],
-        [*FULL_GRID_TRAIN, "--scenario", full_grid_scen, "--out", tmp_path / "model"]) <= 50
+        [*FULL_GRID_TRAIN, "--scenario", full_grid_scen, "--out", tmp_path / "model"]) <= 36
 
 
 def test_checkpoint_bytes_do_not_depend_on_blas_threads(full_grid_scen, tmp_path):
@@ -1127,6 +1130,75 @@ class TestEarlierReportFlipped:
                      "--out", str(pred)]) == 0
         assert ((pred / "predictions.csv").read_bytes()
                 == (pipeline["pred"] / "predictions.csv").read_bytes())
+
+
+def originals_read(monkeypatch, argv) -> tuple[int, list[str], int]:
+    """Run one stage; its exit code, the report directories it loads in
+    call order, and the most loaded reports alive at any one time."""
+    names, refs, alive = [], [], [0]
+    real = synthgen.load_report
+
+    def spy(rdir, *args, **kwargs):
+        report = real(rdir, *args, **kwargs)
+        names.append(Path(rdir).name)
+        refs.append(weakref.ref(report))
+        alive[0] = max(alive[0], sum(ref() is not None for ref in refs))
+        return report
+
+    with monkeypatch.context() as patch:
+        for home in (synthgen, cli):
+            patch.setattr(home, "load_report", spy, raising=False)
+        code = main([str(a) for a in argv])
+    return code, names, alive[0]
+
+
+def original_dirs(last: int) -> list[str]:
+    return [f"report_{10 * k:04d}" for k in range(1, last + 1)]
+
+
+class TestReportsStreamed:
+    """train and augment read each original once, as they reach it, and
+    hold at most two: a report pair to interpolate."""
+
+    @pytest.mark.parametrize("variant", ["cnn", "cnn-all"])
+    def test_train(self, pipeline, tmp_path, monkeypatch, variant):
+        code, names, alive = originals_read(monkeypatch, [
+            "train", "--scenario", pipeline["scen"], "--variant", variant,
+            "--target", "11", "--epochs", "1", "--out", tmp_path / "m"])
+        assert code == 0
+        assert names == original_dirs(10) and alive <= 2
+
+    def test_augment(self, pipeline, tmp_path, monkeypatch):
+        code, names, alive = originals_read(monkeypatch, [
+            "augment", "--scenario", pipeline["scen"], "--out", tmp_path / "a"])
+        assert code == 0
+        assert names == original_dirs(15) and alive <= 2
+
+
+class TestLastOriginalFlipped:
+    """A byte flipped in the last original before the target fails the
+    stream after it has read the earlier ones: one error line, no output."""
+
+    @pytest.fixture()
+    def flipped(self, pipeline, tmp_path):
+        scen = tmp_path / "flipped"
+        shutil.copytree(pipeline["scen"], scen)
+        flip_byte(scen / "report_0050" / "members.npy")
+        return scen
+
+    @pytest.mark.parametrize("stage", [
+        ["train", "--variant", "cnn", "--target", TARGET, "--epochs", "1"],
+        ["train", "--variant", "cnn-all", "--target", TARGET, "--epochs", "1"],
+        ["augment"],
+    ], ids=["train-cnn", "train-cnn-all", "augment"])
+    def test_one_error_line_and_no_output(self, flipped, tmp_path, capsys,
+                                          monkeypatch, stage):
+        code, names, _alive = originals_read(monkeypatch, [
+            *stage, "--scenario", flipped, "--out", tmp_path / "out"])
+        assert code == 1
+        assert "report_0050/members.npy" in one_error_line(capsys)
+        assert names == original_dirs(4)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["flipped"]
 
 
 class TestReportMetaFlipped:

@@ -323,34 +323,42 @@ class TestTrainModel:
     def test_fit_holds_each_report_once(self):
         # train_model builds the augmented set one report at a time; each
         # report gives way to its stack and each stack to its float32 land
-        # patch rows. So the traced peak is the patch rows (176 of 672
-        # cells x 4 taps x half the width: 0.52x a stack each), then three
-        # block-sized hidden buffers, plus the temporaries of one report
-        # or one block: 10 stacks' worth covers them (it reads 8.6). A fit
-        # that held the 38 stacks beside the rows would need 1.67x this.
+        # patch rows (176 of 672 cells x 4 taps x half the width: 0.52x a
+        # stack each). Beside the rows, the report pass (no epoch) holds one
+        # derived report, one stack and their temporaries: 5 stacks' worth
+        # covers them (it reads 3.9). A pass that kept the previous stack,
+        # the standardizer's squared deviations and each interpolation
+        # beside its noise copy read 5.7. One epoch adds three block-sized
+        # hidden buffers and one block's temporaries: 10 stacks' worth
+        # covers those (it reads 4.2). A fit that held the 38 stacks beside
+        # the rows would need 1.67x the rows.
         domain = make_island_domain(n_rows=28, n_cols=24)
         scenario = generate_scenario(ScenarioSpec(seed=1), domain)
-        cfg = ModelConfig.for_variant("cnn-all", epochs=1)
+        cfg = ModelConfig.for_variant("cnn-all")
         (n_in, hidden, (kh, kw)), n_land = cfg.network_shape, int(domain.land_mask.sum())
         n = len(build_augmented_set(history_until(scenario, 11)).reports)
         stack = n_in * 28 * 24 * 8
         rows = n_land * n_in * kh * kw * 4
         buffers = 3 * min(neuralnet.BLOCK_ROWS, n * n_land) * hidden * 4
-        budget = n * rows + buffers + 10 * stack
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            train_model(cfg, scenario.reports, domain, 11)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - entry <= budget
+
+        def peak_of_fit(epochs):
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                train_model(dataclasses.replace(cfg, epochs=epochs), scenario.reports,
+                            domain, 11)
+                return tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+
+        assert peak_of_fit(0) <= n * rows + 5 * stack
+        assert peak_of_fit(1) <= n * rows + buffers + 10 * stack
 
     def test_derived_reports_are_built_as_the_fit_reads_them(self, monkeypatch):
         # the augmented set is built one report at a time: when a stack is
-        # built, at most one derived report pair (an interpolation and its
-        # noise copy) is alive; a set built whole holds all 13 at first
+        # built, at most one derived report is alive, since a noise copy
+        # takes its interpolation's place; a set built whole holds all 13
         domain = make_island_domain(**TINY)
         reports = generate_scenario(ScenarioSpec(seed=1), domain).reports
         derived, alive = [], []
@@ -372,7 +380,7 @@ class TestTrainModel:
             monkeypatch.setattr(augmentation, name, kept(getattr(augmentation, name)))
         monkeypatch.setattr(models, "_stack_for", counting(models._stack_for))
         train_model(ModelConfig.for_variant("cnn-aug", epochs=1), reports, domain, 6)
-        assert len(derived) == 13 and max(alive) == 2
+        assert len(derived) == 13 and max(alive) == 1
 
 
 class TestFitRows:

@@ -86,3 +86,10 @@ def test_traced_cli_stages_count_every_declared_metric(tracing, tmp_path):
         assert metrics[f"cli.{stage}_s"][0] > 0
     assert metrics["storage.verify_manifest_s"][0] > 0
     assert metrics["storage.mb_hashed"][0] > 0
+    # train reads the 5 originals before its target through load_report and
+    # fits once through train_model; a reader past either would leave the
+    # benchmark's per-report and per-fit metrics at 0
+    [train] = [i for i, span in enumerate(tracer.spans) if span.name == "cli.train"]
+    counts = tracing.count_totals(tracer.spans, tracing.subtree(tracer.spans, train))
+    assert counts["synthgen.load_report_calls"] == 5
+    assert counts["models.fits"] == 1
