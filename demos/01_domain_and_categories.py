@@ -19,7 +19,7 @@ from cyclone_pp import (
 )
 
 domain = make_island_domain()
-print(f"domain: {domain.n_rows}x{domain.n_cols} = {domain.n_cells} cells")
+print(f"domain: {domain.n_rows}x{domain.n_cols} = {domain.n_rows * domain.n_cols} cells")
 print(f"land: {domain.n_land} cells "
       f"({domain.plain_mask.sum()} plain, {domain.mountain_mask.sum()} mountain)")
 

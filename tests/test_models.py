@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cyclone_pp.domain import ReportOrigin
-from cyclone_pp.features import CHANNEL_NAMES, apply_standardizer
+from cyclone_pp.features import CHANNEL_NAMES, NormStats, apply_standardizer
 from cyclone_pp.models import (
     FCN_CHANNEL_NAMES,
     VARIANTS,
@@ -24,7 +24,7 @@ from cyclone_pp.models import (
 )
 from cyclone_pp import augmentation, models, neuralnet
 from cyclone_pp.augmentation import build_augmented_set
-from cyclone_pp.neuralnet import TrainingDiverged, im2col, row_matrix
+from cyclone_pp.neuralnet import Network, TrainingDiverged, im2col
 from cyclone_pp.scoring import weighted_loss
 from cyclone_pp.synthgen import ScenarioSpec, generate_scenario, make_island_domain
 
@@ -171,6 +171,14 @@ class TestTrackHelpers:
         rep = make_report(1.5, origin=ReportOrigin.INTERPOLATED,
                           tc_center=(23.5, 121.5))
         assert track_through(pairs, rep) == [(23.0, 122.0), (23.5, 121.5)]
+
+    def test_track_through_ends_at_the_report_center(self):
+        # a caller's track need not hold the report itself: its own center
+        # still ends the track, and alone makes it when nothing precedes
+        pairs = [(1.0, (23.0, 122.0)), (3.0, (25.0, 120.0))]
+        rep = make_report(2.0, tc_center=(24.0, 121.0))
+        assert track_through(pairs, rep) == [(23.0, 122.0), (24.0, 121.0)]
+        assert track_through(pairs[1:], rep) == [(24.0, 121.0)]
 
 
 class TestFcnFeatures:
@@ -414,9 +422,9 @@ class TestFitRows:
         if config.use_augmentation:
             history = build_augmented_set(history).reports
         land = edge_domain.land_mask
-        want = np.concatenate([row_matrix(im2col(
+        want = np.concatenate([im2col(
             apply_standardizer(models._stack_for(config, r, edge_domain, track_of(scenario)),
-                               model.norm)[None], (2, 2), land, np.float32))
+                               model.norm), (2, 2), land, np.float32)
             for r in history])
         rows = fitted[0]
         np.testing.assert_allclose(rows, want, rtol=1e-6, atol=1e-6)
@@ -542,19 +550,17 @@ class TestFoldInCheckpoint:
 
 class TestFcnLocality:
     def test_cell_permutation_equivariance(self, tiny_scenario, tiny_domain):
-        # 1x1 convolutions see one cell at a time: shuffling the columns of
+        # 1x1 convolutions see one cell at a time: shuffling the cells of
         # the input shuffles the output identically
         model = train_model(ModelConfig.for_variant("fcn", epochs=5, seed=0),
                             tiny_scenario.reports, tiny_domain, 7)
         rep = tiny_scenario.reports[7]
-        from cyclone_pp.models import _stack_for
-        from cyclone_pp.features import apply_standardizer
-        stack = _stack_for(model.config, rep, tiny_domain, track_of(tiny_scenario))
-        x = apply_standardizer(stack, model.norm)[None].astype("float32")
+        stack = models._stack_for(model.config, rep, tiny_domain, track_of(tiny_scenario))
+        x = im2col(apply_standardizer(stack, model.norm), (1, 1), dtype=np.float32)
         out = model.net.forward(x)
-        perm = np.random.default_rng(8).permutation(x.shape[-1])
-        out_perm = model.net.forward(np.ascontiguousarray(x[..., perm]))
-        np.testing.assert_allclose(out_perm, out[..., perm], rtol=1e-6)
+        perm = np.random.default_rng(8).permutation(len(x))
+        out_perm = model.net.forward(x[perm])
+        np.testing.assert_allclose(out_perm, out[perm], rtol=1e-6)
 
 
 class TestSaveLoad:
@@ -601,6 +607,34 @@ class TestSaveLoad:
             assert net._buffers == [None, None, None]
             assert net.conv._rows is net.head._rows is net.softplus._slope is None
             model.predict(tiny_scenario.reports[6], tiny_domain, track_of(tiny_scenario))
+
+
+class TestPredict:
+    def test_forwards_at_most_block_rows_per_call(self, monkeypatch):
+        # a full-grid prediction blocks its 5,880 patch rows like a fit,
+        # and matches one unblocked forward to rounding
+        domain = make_island_domain()
+        config = ModelConfig.for_variant("cnn")
+        n_in, hidden, kernel = config.network_shape
+        model = TrainedModel(config=config,
+                             net=Network.kaiming(n_in, hidden, kernel, np.random.default_rng(0)),
+                             norm=NormStats(np.full(n_in, 10.0), np.full(n_in, 7.0)),
+                             target_mean=20.0, target_std=9.0, grid_shape=domain.shape, target=1)
+        rows, forward = [], Network.forward
+
+        def spy(net, x):
+            rows.append(x.size // (n_in * kernel[0] * kernel[1]))
+            return forward(net, x)
+
+        monkeypatch.setattr(Network, "forward", spy)
+        report = make_report(1.0, shape=domain.shape)
+        blocked = model.predict(report, domain, [])
+        assert rows == [neuralnet.BLOCK_ROWS, 5880 - neuralnet.BLOCK_ROWS]
+        monkeypatch.setattr(neuralnet, "BLOCK_ROWS", 5880)
+        whole = model.predict(report, domain, [])
+        assert rows[2:] == [5880]
+        np.testing.assert_allclose(blocked.mu, whole.mu, rtol=1e-6)
+        np.testing.assert_allclose(blocked.sigma, whole.sigma, rtol=1e-6)
 
 
 class TestStackFor:

@@ -20,7 +20,7 @@ from cyclone_pp.neuralnet import (
     im2col,
     kaiming_init,
     load_network,
-    row_matrix,
+    row_blocks,
     save_network,
     softplus_and_slope,
 )
@@ -42,26 +42,43 @@ EXTREMES = [1e4, -1e4, 0.0, -0.0, 88.0, -88.0, 1e-30, -1e-30, np.inf, -np.inf]
 
 def conv_reference(x, kernels, bias):
     """Direct quadruple-loop cross-correlation with right/bottom zero pad."""
-    batch, channels, rows, cols = x.shape
+    channels, rows, cols = x.shape
     out_ch, _, kh, kw = kernels.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (0, kh - 1), (0, kw - 1)))
-    out = np.zeros((batch, out_ch, rows, cols))
-    for b in range(batch):
-        for o in range(out_ch):
-            for i in range(rows):
-                for j in range(cols):
-                    acc = bias[o]
-                    for c in range(channels):
-                        for ki in range(kh):
-                            for kj in range(kw):
-                                acc += kernels[o, c, ki, kj] * xp[b, c, i + ki, j + kj]
-                    out[b, o, i, j] = acc
+    xp = np.pad(x, ((0, 0), (0, kh - 1), (0, kw - 1)))
+    out = np.zeros((out_ch, rows, cols))
+    for o in range(out_ch):
+        for i in range(rows):
+            for j in range(cols):
+                acc = bias[o]
+                for c in range(channels):
+                    for ki in range(kh):
+                        for kj in range(kw):
+                            acc += kernels[o, c, ki, kj] * xp[c, i + ki, j + kj]
+                out[o, i, j] = acc
     return out
 
 
+def patch_rows(stacks, kernel):
+    """The patch rows of several (C, H, W) stacks, one stack after another."""
+    return np.concatenate([im2col(x, kernel) for x in stacks])
+
+
+def forward(layer, rows):
+    """A layer's forward over an (n, width) row matrix, as an (n, out)
+    matrix; the layers take (1, width, n, 1) views of their rows."""
+    return layer.forward(rows.T[None, :, :, None])[0, :, :, 0].T
+
+
+def backward(layer, grad):
+    """A layer's backward of an (n, out) gradient, as an (n, width) matrix."""
+    out = layer.backward(grad.T[None, :, :, None])
+    return None if out is None else out[0, :, :, 0].T
+
+
 def conv(layer, x):
-    """A conv layer applied to an image stack through its patch rows."""
-    return layer.forward(im2col(x, layer.kernels.value.shape[2:]))
+    """A conv layer applied to a (C, H, W) stack through its patch rows."""
+    out = forward(layer, im2col(x, layer.kernels.value.shape[2:]))
+    return out.T.reshape(-1, *x.shape[1:])
 
 
 def conv_layer(in_channels, out_channels, kernel=(2, 2), rng=None,
@@ -228,41 +245,39 @@ class TestKaimingInit:
 
 class TestIm2col:
     def test_row_holds_the_patch_in_kernel_order(self):
-        x = np.arange(2 * 3 * 4 * 5, dtype=float).reshape(2, 3, 4, 5)
+        x = np.arange(3 * 4 * 5, dtype=float).reshape(3, 4, 5)
         rows = im2col(x, (2, 2))
-        assert rows.shape == (2, 12, 4, 5)
-        np.testing.assert_array_equal(rows[1, :, 2, 3], x[1, :, 2:4, 3:5].ravel())
+        assert rows.shape == (20, 12)
+        np.testing.assert_array_equal(rows[2 * 5 + 3], x[:, 2:4, 3:5].ravel())
         # the bottom-right cell sees zeros past both edges
-        np.testing.assert_array_equal(rows[0, :, 3, 4].reshape(3, 2, 2)[:, 0, 0],
-                                      x[0, :, 3, 4])
-        assert not rows[0, :, 3, 4].reshape(3, 2, 2)[:, 1:, :].any()
-        assert not rows[0, :, 3, 4].reshape(3, 2, 2)[:, :, 1:].any()
+        corner = rows[-1].reshape(3, 2, 2)
+        np.testing.assert_array_equal(corner[:, 0, 0], x[:, 3, 4])
+        assert not corner[:, 1:, :].any() and not corner[:, :, 1:].any()
 
     def test_masked_rows_equal_the_full_rows(self):
         # a masked cell keeps its unmasked neighbours in its row
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(3, 4, 6, 5))
+        x = rng.normal(size=(4, 6, 5))
         mask = rng.random((6, 5)) < 0.3
         rows = im2col(x, (2, 2), mask)
-        assert rows.shape == (3, 16, int(mask.sum()), 1)
-        np.testing.assert_array_equal(rows[..., 0], im2col(x, (2, 2))[:, :, mask])
+        assert rows.shape == (int(mask.sum()), 16)
+        np.testing.assert_array_equal(rows, im2col(x, (2, 2))[mask.ravel()])
 
     @pytest.mark.parametrize("mask", [None, np.eye(4, 5, dtype=bool)])
     def test_rows_are_one_contiguous_matrix(self, mask):
-        rows = im2col(np.ones((2, 3, 4, 5)), (2, 2), mask)
-        matrix = rows.transpose(0, 2, 3, 1).reshape(-1, 12)
-        assert np.shares_memory(matrix, rows) and matrix.flags.c_contiguous
+        rows = im2col(np.ones((3, 4, 5)), (2, 2), mask)
+        assert rows.shape == (20 if mask is None else 4, 12) and rows.flags.c_contiguous
 
     @pytest.mark.parametrize("mask", [None, np.eye(4, 5, dtype=bool)])
     def test_dtype_casts_like_the_cast_stack(self, mask):
-        x = np.random.default_rng(3).normal(size=(3, 2, 4, 5))
+        x = np.random.default_rng(3).normal(size=(2, 4, 5))
         rows = im2col(x, (2, 2), mask, dtype=np.float32)
         assert rows.dtype == np.float32
         assert rows.tobytes() == im2col(x.astype(np.float32), (2, 2), mask).tobytes()
 
     def test_one_by_one_rows_are_the_channels(self):
-        x = np.random.default_rng(2).normal(size=(2, 3, 4, 5))
-        np.testing.assert_array_equal(im2col(x, (1, 1)), x)
+        x = np.random.default_rng(2).normal(size=(3, 4, 5))
+        np.testing.assert_array_equal(im2col(x, (1, 1)), x.reshape(3, -1).T)
 
 
 class TestConvForward:
@@ -271,7 +286,7 @@ class TestConvForward:
         layer.kernels.value[:] = 0.0
         layer.kernels.value[0, 0, 0, 0] = 1.0
         layer.bias.value[:] = 0.0
-        x = np.random.default_rng(0).normal(size=(1, 1, 5, 4))
+        x = np.random.default_rng(0).normal(size=(1, 5, 4))
         np.testing.assert_allclose(conv(layer, x), x)
 
     def test_all_ones_kernel_on_constant_field(self):
@@ -281,7 +296,7 @@ class TestConvForward:
         layer = conv_layer(1, 1, kernel=(2, 2))
         layer.kernels.value[:] = 1.0
         layer.bias.value[:] = 0.0
-        out = conv(layer, np.full((1, 1, 3, 3), c))[0, 0]
+        out = conv(layer, np.full((1, 3, 3), c))[0]
         expected = c * np.array([[4.0, 4.0, 2.0],
                                  [4.0, 4.0, 2.0],
                                  [2.0, 2.0, 1.0]])
@@ -290,7 +305,7 @@ class TestConvForward:
     @pytest.mark.parametrize("kernel", [(2, 2), (1, 1)])
     def test_matches_naive_loop(self, kernel):
         rng = np.random.default_rng(13)
-        x = rng.normal(size=(2, 3, 5, 6))
+        x = rng.normal(size=(3, 5, 6))
         layer = conv_layer(3, 4, kernel=kernel, rng=rng)
         layer.bias.value[:] = rng.normal(size=4)
         want = conv_reference(x, layer.kernels.value, layer.bias.value)
@@ -298,12 +313,12 @@ class TestConvForward:
 
     def test_shape_preserved(self):
         layer = conv_layer(25, 32, kernel=(2, 2))
-        out = conv(layer, np.zeros((1, 25, 84, 70)))
-        assert out.shape == (1, 32, 84, 70)
+        out = conv(layer, np.zeros((25, 84, 70)))
+        assert out.shape == (32, 84, 70)
 
     def test_float32_stays_float32(self):
         layer = Network.kaiming(2, 3, (2, 2), np.random.default_rng(1)).conv
-        out = conv(layer, np.zeros((1, 2, 4, 4), dtype=np.float32))
+        out = conv(layer, np.zeros((2, 4, 4), dtype=np.float32))
         assert out.dtype == np.float32
 
 
@@ -311,9 +326,8 @@ class TestConvBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(3)
         layer = conv_layer(2, 3, rng=rng)
-        x = rng.normal(size=(2, 2, 4, 4))
-        conv(layer, x)
-        gx = layer.backward(np.zeros((2, 3, 4, 4)))
+        forward(layer, patch_rows(rng.normal(size=(2, 2, 4, 4)), (2, 2)))
+        gx = backward(layer, np.zeros((32, 3)))
         assert not gx.any()
         assert not layer.kernels.grad.any()
         assert not layer.bias.grad.any()
@@ -323,25 +337,25 @@ class TestConvBackward:
         # is exactly the padded input patch under that pixel
         rng = np.random.default_rng(4)
         layer = conv_layer(1, 1, kernel=(2, 2), rng=rng)
-        x = rng.normal(size=(1, 1, 3, 3))
+        x = rng.normal(size=(1, 3, 3))
         conv(layer, x)
-        g = np.zeros((1, 1, 3, 3))
-        g[0, 0, 1, 1] = 1.0
-        layer.backward(g)
-        np.testing.assert_allclose(layer.kernels.grad[0, 0], x[0, 0, 1:3, 1:3])
+        g = np.zeros((9, 1))
+        g[1 * 3 + 1] = 1.0
+        backward(layer, g)
+        np.testing.assert_allclose(layer.kernels.grad[0, 0], x[0, 1:3, 1:3])
 
     @pytest.mark.parametrize("kernel", [(2, 2), (1, 1)])
     def test_gradients_match_finite_differences(self, kernel):
         rng = np.random.default_rng(11)
         layer = conv_layer(3, 2, kernel=kernel, rng=rng)
-        x = im2col(rng.normal(size=(2, 3, 4, 5)), kernel)  # gradient w.r.t. the rows
-        proj = rng.normal(size=(2, 2, 4, 5))
+        x = patch_rows(rng.normal(size=(2, 3, 4, 5)), kernel)  # gradient w.r.t. the rows
+        proj = rng.normal(size=(40, 2))
 
         def loss():
-            return float(np.sum(layer.forward(x) * proj))
+            return float(np.sum(forward(layer, x) * proj))
 
         loss()
-        gx = layer.backward(proj.copy())
+        gx = backward(layer, proj.copy())
         np.testing.assert_allclose(gx, finite_difference(loss, x), rtol=1e-4, atol=1e-7)
         np.testing.assert_allclose(layer.kernels.grad,
                                    finite_difference(loss, layer.kernels.value),
@@ -353,14 +367,14 @@ class TestConvBackward:
     def test_input_grad_disabled_returns_none(self):
         rng = np.random.default_rng(6)
         layer = conv_layer(2, 3, rng=rng, input_grad=False)
-        x = im2col(rng.normal(size=(1, 2, 4, 4)), (2, 2))
-        proj = rng.normal(size=(1, 3, 4, 4))
+        x = im2col(rng.normal(size=(2, 4, 4)), (2, 2))
+        proj = rng.normal(size=(16, 3))
 
         def loss():
-            return float(np.sum(layer.forward(x) * proj))
+            return float(np.sum(forward(layer, x) * proj))
 
         loss()
-        assert layer.backward(proj.copy()) is None
+        assert backward(layer, proj.copy()) is None
         # parameter gradients still flow
         np.testing.assert_allclose(layer.kernels.grad,
                                    finite_difference(loss, layer.kernels.value),
@@ -369,13 +383,13 @@ class TestConvBackward:
     def test_grads_accumulate_until_zeroed(self):
         rng = np.random.default_rng(5)
         layer = conv_layer(1, 1, rng=rng)
-        x = im2col(rng.normal(size=(1, 1, 3, 3)), (2, 2))
-        g = rng.normal(size=(1, 1, 3, 3))
-        layer.forward(x)
-        layer.backward(g)
+        x = im2col(rng.normal(size=(1, 3, 3)), (2, 2))
+        g = rng.normal(size=(9, 1))
+        forward(layer, x)
+        backward(layer, g)
         once = layer.kernels.grad.copy()
-        layer.forward(x)
-        layer.backward(g)
+        forward(layer, x)
+        backward(layer, g)
         np.testing.assert_allclose(layer.kernels.grad, 2 * once)
         layer.kernels.zero_grad()
         assert not layer.kernels.grad.any()
@@ -385,8 +399,8 @@ class TestNetwork:
     def test_end_to_end_gradient_check(self):
         rng = np.random.default_rng(21)
         net = float64_network(rng)
-        x = im2col(rng.normal(size=(2, 3, 4, 6)), (2, 2))
-        proj = rng.normal(size=(2, 2, 4, 6))
+        x = patch_rows(rng.normal(size=(2, 3, 4, 6)), (2, 2))
+        proj = rng.normal(size=(48, 2))
 
         def loss():
             return float(np.sum(net.forward(x) * proj))
@@ -401,20 +415,21 @@ class TestNetwork:
     def test_forward_deterministic(self):
         rng = np.random.default_rng(2)
         net = Network.kaiming(3, 4, (2, 2), rng)
-        x = im2col(rng.normal(size=(1, 3, 5, 5)).astype(DTYPE), (2, 2))
+        x = im2col(rng.normal(size=(3, 5, 5)).astype(DTYPE), (2, 2))
         np.testing.assert_array_equal(net.forward(x), net.forward(x))
 
     def test_backward_stops_at_gradless_first_layer(self):
         rng = np.random.default_rng(12)
         net = Network.kaiming(3, 4, (2, 2), rng)
-        net.forward(im2col(rng.normal(size=(1, 3, 4, 4)).astype(DTYPE), (2, 2)))
-        assert net.backward(np.ones((1, 2, 4, 4), dtype=DTYPE)) is None
+        out = net.forward(im2col(rng.normal(size=(3, 4, 4)).astype(DTYPE), (2, 2)))
+        assert out.shape == (16, 2)
+        assert net.backward(np.ones((16, 2), dtype=DTYPE)) is None
         assert not net.conv.input_grad and net.conv.kernels.grad.any()
 
     def test_forward_results_are_independent(self):
         rng = np.random.default_rng(8)
         net = Network.kaiming(3, 4, (2, 2), rng)
-        x = im2col(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2))
+        x = patch_rows(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2))
         first = net.forward(x)
         kept = first.copy()
         second = net.forward(2 * x)
@@ -426,7 +441,7 @@ class TestNetwork:
         # the network's own arrays; the head values are new each forward
         rng = np.random.default_rng(10)
         net = Network.kaiming(3, 4, (2, 2), rng)
-        x = im2col(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2))
+        x = patch_rows(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2))
         epochs = []
         for _epoch in range(2):
             out = net.forward(x)
@@ -451,7 +466,7 @@ class TestNetwork:
         net = Network.kaiming(3, 4, (2, 2), rng)
         kept = []
         for rows in (40, 10, 40):
-            out = net.forward(rng.normal(size=(1, 12, rows, 1)).astype(DTYPE))
+            out = net.forward(rng.normal(size=(rows, 12)).astype(DTYPE))
             net.backward(np.ones_like(out))
             kept.append(list(net._buffers))
         assert all(a is b for later in kept[1:] for a, b in zip(kept[0], later))
@@ -463,7 +478,7 @@ class TestNetwork:
         # intermediates with them, and the next forward gives the same bytes
         rng = np.random.default_rng(16)
         net = Network.kaiming(3, 4, (2, 2), rng)
-        x = rng.normal(size=(1, 12, 40, 1)).astype(DTYPE)
+        x = rng.normal(size=(40, 12)).astype(DTYPE)
         first = net.forward(x).copy()
         net.backward(np.ones_like(first))
         net.drop_buffers()
@@ -475,15 +490,15 @@ class TestNetwork:
     def test_buffers_keep_the_bits_of_fresh_arrays(self):
         # the same layers, called without buffers, give the same bytes
         rng = np.random.default_rng(11)
-        x = im2col(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2))
-        g = rng.normal(size=(2, 2, 4, 4)).astype(DTYPE)
+        x = patch_rows(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2))
+        g = rng.normal(size=(32, 2)).astype(DTYPE)
         net, fresh = (Network.kaiming(3, 4, (2, 2), np.random.default_rng(0)) for _ in range(2))
         out = net.forward(x)
         net.backward(g)
         conv, soft, head = fresh.conv, fresh.softplus, fresh.head
-        want = head.forward(soft.forward(conv.forward(x)))
-        conv.backward(soft.backward(head.backward(g)))
-        assert out.tobytes() == want.tobytes()
+        want = head.forward(soft.forward(conv.forward(x.T[None, :, :, None])))
+        conv.backward(soft.backward(head.backward(g.T[None, :, :, None])))
+        assert out.tobytes() == want[0, :, :, 0].T.tobytes()
         for got, expected in zip(net.parameters(), fresh.parameters()):
             assert got.grad.tobytes() == expected.grad.tobytes()
 
@@ -500,32 +515,21 @@ class TestNetwork:
         # zero kernel rows give hidden units that equal their bias exactly
         net.conv.kernels.value[:3] = 0.0
         net.conv.bias.value[:3] = [1e4, -1e4, 0.0]
-        x = rng.normal(size=(1, n_in, 150, 1)).astype(dtype)
-        x[0, :, :3, 0] = [[1e4, -1e4, 0.0], [-0.0, 30.0, -30.0], [1e-3, 0.0, -1e4]]
-        net.forward(x)
-        last = x[:, :, 96:]
-        h = row_matrix(Network(*(p.value for p in net.parameters())).conv.forward(last))
+        x = rng.normal(size=(150, n_in)).astype(dtype)
+        x[:3] = np.array([[1e4, -1e4, 0.0], [-0.0, 30.0, -30.0], [1e-3, 0.0, -1e4]]).T
+        for block in row_blocks(x):
+            net.forward(block)
+        h = forward(Network(*(p.value for p in net.parameters())).conv, x[96:])
         want, slope = softplus_reference(h)
         assert (h == 1e4).any() and (h == -1e4).any() and (h == 0.0).any()
         assert net.head._rows.tobytes() == want.tobytes()
-        assert row_matrix(net.softplus._slope).tobytes() == slope.tobytes()
-
-    def test_forward_runs_in_row_blocks(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        net = Network.kaiming(3, 4, (2, 2), rng)
-        x = im2col(rng.normal(size=(2, 3, 5, 4)).astype(DTYPE), (2, 2))  # 40 rows
-        whole = net.forward(x)
-        monkeypatch.setattr(neuralnet, "BLOCK_ROWS", 16)
-        np.testing.assert_allclose(net.forward(x), whole, rtol=1e-6)
-        # the layers hold the last block only: a fit runs block by block
-        with pytest.raises(ValueError, match="at most 16 rows, not 40"):
-            net.backward(np.ones_like(whole))
+        assert net.softplus._slope[0, :, :, 0].T.tobytes() == slope.tobytes()
 
     def test_backward_leaves_grad_out_untouched(self):
         rng = np.random.default_rng(9)
         net = Network.kaiming(3, 4, (2, 2), rng)
-        net.forward(im2col(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2)))
-        g = rng.normal(size=(2, 2, 4, 4)).astype(DTYPE)
+        net.forward(patch_rows(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2)))
+        g = rng.normal(size=(32, 2)).astype(DTYPE)
         kept = g.copy()
         net.backward(g)
         assert g.tobytes() == kept.tobytes()
@@ -544,7 +548,7 @@ class TestNetwork:
     def test_parameters_are_float32(self):
         net = Network.kaiming(3, 4, (2, 2), np.random.default_rng(0))
         assert all(p.value.dtype == p.grad.dtype == DTYPE for p in net.parameters())
-        out = net.forward(im2col(np.zeros((1, 3, 4, 4), dtype=DTYPE), (2, 2)))
+        out = net.forward(im2col(np.zeros((3, 4, 4), dtype=DTYPE), (2, 2)))
         assert out.dtype == DTYPE
 
     @pytest.mark.parametrize("kernel,hidden", [((2, 2), 32), ((1, 1), 16)])
@@ -685,8 +689,7 @@ class TestCheckpoint:
         path = tmp_path / "net.json"
         save_network(path, net)
         loaded, _ = load_network(path)
-        x = im2col(np.random.default_rng(1).normal(size=(1, 5, 6, 7)).astype(DTYPE),
-                   (2, 2))
+        x = im2col(np.random.default_rng(1).normal(size=(5, 6, 7)).astype(DTYPE), (2, 2))
         np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
 
     def test_load_draws_nothing(self, tmp_path, monkeypatch):

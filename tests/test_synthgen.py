@@ -40,12 +40,12 @@ def default_scenario(reduced_domain):
 class TestIslandDomain:
     def test_full_scale_cell_count(self):
         dom = make_island_domain()
-        assert dom.n_cells == 5880
+        assert dom.land_mask.size == 5880
         assert dom.shape == (84, 70)
 
     def test_land_fraction_sane(self):
         dom = make_island_domain()
-        frac = dom.n_land / dom.n_cells
+        frac = dom.n_land / dom.land_mask.size
         assert 0.18 < frac < 0.35
 
     def test_has_plains_and_mountains(self, reduced_domain):
