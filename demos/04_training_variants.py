@@ -12,9 +12,11 @@ Six variants share one contract (per-cell Gaussian mu, sigma):
 This demo fits two of them for one target of a small synthetic event
 and compares mean CRPS over land with the members baseline. Training is
 the full recipe (Adam, temporally weighted CRPS loss), shortened to 40
-epochs for speed. ``train_model`` is the one trainer: it takes the whole
-scenario and the target, and the model it returns refuses to predict a
-report before that target.
+epochs for speed. Both folds take their inputs from one report source,
+``scenario.originals()``, which alone cuts before the target:
+``train_model`` fits the source's reports before the target, and the
+model it returns predicts report k of the same source, refusing a report
+before that target.
 """
 
 import time
@@ -30,18 +32,17 @@ from cyclone_pp import (
     make_island_domain,
     predict_members_baseline,
 )
-from cyclone_pp.models import original_track, train_model
+from cyclone_pp.models import train_model
 
 domain = make_island_domain(n_rows=28, n_cols=24)
 scenario = generate_scenario(ScenarioSpec(seed=4), domain)
+source = scenario.originals()
 k = 8
-history = [r for r in scenario.reports if r.index < k]
-target = next(r for r in scenario.reports if r.index == k)
+# the observation is verification data: the demo scores against it
+target = source.target(k, with_observation=True)
 land = domain.land_mask
-track = original_track(scenario.reports)
-causal_track = [(i, c) for i, c in track if i <= k]
 
-print(f"target report {k}, history {[r.index for r in history]}")
+print(f"target report {k}, history {[i for i, _center in source.track_before(k)]}")
 
 baseline = predict_members_baseline(target)
 base_crps = crps_gaussian(baseline.mu[land], baseline.sigma[land],
@@ -54,8 +55,8 @@ for variant in ("cnn", "cnn-all"):
     t0 = time.time()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = train_model(config, scenario.reports, domain, k)
-    field = model.predict(target, domain, causal_track)
+        model = train_model(config, source, domain, k)
+    field = model.predict(source, domain, k)
     score = crps_gaussian(field.mu[land], field.sigma[land],
                           target.observation[land]).mean()
     print(f"{variant}: {config.epochs} epochs in {time.time() - t0:.1f}s, "
@@ -63,13 +64,13 @@ for variant in ("cnn", "cnn-all"):
           f"(skill vs members {1 - score / base_crps:+.2f})")
 
 # sigma is the model's own uncertainty; wetter cells should carry more
-field = model.predict(target, domain, causal_track)
+field = model.predict(source, domain, k)
 wet = target.observation > np.percentile(target.observation[land], 90)
 print(f"\ncnn-all mean sigma: {field.sigma[land].mean():.2f} mm overall, "
       f"{field.sigma[wet & land].mean():.2f} mm on the wettest decile")
 
 # the fold travels with the model: report k - 1 was a training report
 try:
-    model.predict(history[-1], domain, causal_track)
+    model.predict(source, domain, k - 1)
 except ValueError as exc:
     print(f"report {k - 1} refused: {exc}")

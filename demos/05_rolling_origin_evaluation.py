@@ -2,7 +2,9 @@
 
 Forecast quality is judged the way it would be used: for each target
 report k in 6..11, models train only on reports before k, predict k,
-and are scored against k's observation. Per-cell CRPS against the
+and are scored against k's observation. ``rolling_origin_run`` takes
+every fold's inputs from ``scenario.originals()``, the in-memory report
+source, which never hands a fold report k's observation. Per-cell CRPS against the
 members baseline rolls up into CRPSS box summaries stratified by rain
 category and terrain, plus a reliability diagram for P(y > 200 mm).
 """
@@ -30,7 +32,6 @@ from cyclone_pp.evaluation import concat_skill_tables
 domain = make_island_domain(n_rows=28, n_cols=24)
 scenario = generate_scenario(ScenarioSpec(seed=12), domain)
 targets = range(6, 12)
-by_index = {r.index: r for r in scenario.reports}
 
 configs = [ModelConfig.for_variant(v, seed=12) for v in ("members", "cnn-all")]
 with warnings.catch_warnings():
@@ -41,7 +42,8 @@ tables = []
 pooled_p, pooled_y = [], []
 land = domain.land_mask
 for k in targets:
-    obs = by_index[float(k)].observation
+    # rolling_origin_run hid report k's observation from its folds; scoring reads it
+    obs = scenario.originals().target(k, with_observation=True).observation
     model_field = runs[("cnn-all", k)]
     reference = runs[("members", k)]
     tables.append(skill_table(k, model_field, reference, obs, domain))

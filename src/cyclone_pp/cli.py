@@ -14,16 +14,18 @@ typed in ``input_paths``, which the fingerprint leaves out. It refuses an
 directory renamed over ``--out`` only on success, with a manifest of the
 config, inputs and a sha256 per output file.
 
-Each stage hashes exactly the files it opens, chosen by directory name
-before any is read: ``augment`` the original reports, ``train`` the
-originals before the target, ``predict`` the target's forecast fields
-and the earlier originals' metadata, ``evaluate`` its targets' reports.
-So nothing at or after the target informs a prediction, and ``evaluate``
-scores only predictions of its own ``--scenario``, one per target. The
-fold is the library's: the loaded model refuses an earlier target.
-``augment``, ``train`` and ``evaluate`` stream the originals from disk
-(``synthgen.OriginalReports``): each is hash-checked just before it is
-parsed, when the stage reaches it, and dropped once used.
+Every stage reads a scenario's originals through one report source,
+``synthgen.OriginalReports``, which chooses them by directory name and
+hash-checks each file just before it is parsed, so each stage hashes
+exactly the files it opens: ``augment`` the original reports, ``train``
+the originals before the target, ``predict`` the target's forecast
+fields and the earlier originals' metadata, ``evaluate`` its targets'
+reports. ``train`` and ``predict`` are ``train_model`` and
+``TrainedModel.predict`` on that source, so the fold is the library's:
+nothing at or after the target informs a prediction, and the loaded
+model refuses an earlier target before any report is read. ``evaluate``
+scores only predictions of its own ``--scenario``, one per target. A
+streamed report is dropped once used.
 """
 
 from __future__ import annotations
@@ -75,11 +77,8 @@ from .synthgen import (
     ScenarioSpec,
     Scenario,
     generate_scenario,
-    list_report_dirs,
-    load_report_meta,
     load_scenario_header,
     make_island_domain,
-    report_files,
     save_scenario,
 )
 
@@ -150,24 +149,13 @@ class _Stage:
                            input_paths=self.input_paths)
 
 
-def _originals(scenario_dir, needed=()) -> dict[int, Path]:
-    """Original report directories by index, chosen by name before any read;
-    each needed index must be among them. Derived reports are left out:
-    ``train_model`` drops them, and an interpolation at k - 0.5 blends report k.
-    """
-    found = {int(i): rdir for i, noise, rdir in list_report_dirs(scenario_dir)
-             if not noise and i == int(i)}
-    for k in needed:
-        if k not in found:
-            raise FileNotFoundError(f"scenario has no original report with index {k}")
-    return found
-
-
-def _load_header(stage: _Stage, scenario_dir):
-    """Hash-check, record and read a scenario's spec and domain."""
+def _open_scenario(stage: _Stage, scenario_dir):
+    """Hash-check, record and read a scenario's spec and domain, and open
+    its originals as a report source; no report is read."""
     manifest = verify_manifest(scenario_dir, ["spec.json", "domain.txt"])
     stage.record("scenario", scenario_dir, manifest_fingerprint(manifest))
-    return load_scenario_header(scenario_dir)
+    spec, domain = load_scenario_header(scenario_dir)
+    return spec, domain, OriginalReports(scenario_dir, domain.shape)
 
 
 def cmd_generate(args) -> int:
@@ -191,8 +179,7 @@ def cmd_generate(args) -> int:
 
 def cmd_augment(args) -> int:
     stage = _Stage(args.out)
-    spec, domain = _load_header(stage, args.scenario)
-    originals = OriginalReports(args.scenario, _originals(args.scenario), domain.shape)
+    spec, domain, originals = _open_scenario(stage, args.scenario)
     # each original is read, and each derived report written, in turn
     augmented = AugmentedReports(originals, eta=args.eta, seed=args.seed)
     n_original = len(originals)
@@ -213,11 +200,7 @@ def cmd_train(args) -> int:
     # --eta reaches only the checkpoints of variants that augment
     if model_config.use_augmentation:
         model_config = replace(model_config, noise_scale=args.eta)
-    _spec, domain = _load_header(stage, args.scenario)
-    # the target must exist, or predict would fail later; train_model
-    # picks the originals before it by name and reads each as it fits
-    originals = OriginalReports(args.scenario, _originals(args.scenario, [args.target]),
-                                domain.shape)
+    _spec, domain, originals = _open_scenario(stage, args.scenario)
     model = train_model(model_config, originals, domain, args.target)
 
     config = {"variant": variant, "target": args.target, "epochs": args.epochs,
@@ -273,27 +256,16 @@ def cmd_predict(args) -> int:
     if args.variant is not None and args.variant.lower() != "members":
         raise ValueError("only the members baseline predicts without a "
                          "checkpoint; train the other variants first")
-    _spec, domain = _load_header(stage, args.scenario)
-    originals = _originals(args.scenario, [args.target])
-    # the target's observation is verification data, never an input here
-    [target] = OriginalReports(args.scenario, {args.target: originals[args.target]},
-                               domain.shape, with_observation=False)
-
+    _spec, domain, originals = _open_scenario(stage, args.scenario)
     if args.checkpoint is None:
         variant = "members"
-        field = predict_members_baseline(target)
+        field = predict_members_baseline(originals.target(args.target))
     else:
         ckpt = _resolve_checkpoint(args.checkpoint)
         stage.record("checkpoint", args.checkpoint, sha256_file(ckpt))
         model = TrainedModel.load(ckpt)
         variant = model.config.variant
-        # the track: the storm center alone of each earlier original
-        earlier = {k: rdir for k, rdir in originals.items() if k < args.target}
-        verify_manifest(args.scenario, [f"{rdir.name}/{name}" for rdir in earlier.values()
-                                        for name in report_files(with_members=False,
-                                                                 with_observation=False)])
-        track = [(k, load_report_meta(rdir)["tc_center"]) for k, rdir in earlier.items()]
-        field = model.predict(target, domain, track)
+        field = model.predict(originals, domain, args.target)
 
     with stage.output("predict", {"variant": variant, "target": args.target}) as tmp:
         _write_predictions_csv(tmp / "predictions.csv", field)
@@ -307,7 +279,7 @@ def _block(manifest: dict, key: str) -> dict:
 
 def cmd_evaluate(args) -> int:
     stage = _Stage(args.out)
-    _spec, domain = _load_header(stage, args.scenario)
+    _spec, domain, originals = _open_scenario(stage, args.scenario)
     pred_dirs, variant = {}, None
     for pred_dir in args.predictions:
         manifest = verify_manifest(pred_dir)
@@ -325,12 +297,10 @@ def cmd_evaluate(args) -> int:
                      manifest_fingerprint(manifest))
         pred_dirs[config["target"]] = pred_dir
     targets = sorted(pred_dirs)
-    originals = _originals(args.scenario, targets)
-    # each target's report is read when it is scored
-    reports = OriginalReports(args.scenario, {k: originals[k] for k in targets}, domain.shape)
-
     tables, pooled_p, pooled_y, maps = [], [], [], {}
-    for k, target_rep in zip(targets, reports):
+    for k in targets:
+        # read when it is scored; its observation is what is scored against
+        target_rep = originals.target(k, with_observation=True)
         field = load_predictions_csv(Path(pred_dirs[k]) / "predictions.csv",
                                      domain.shape)
         obs = target_rep.observation

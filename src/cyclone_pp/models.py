@@ -25,9 +25,10 @@ call, the kernel of the hidden layer too; the sigma head's gradient
 goes through that slope and the CRPS's through Phi (``scoring.ndtr``),
 both numpy, so training loads no scipy module.
 
-``train_model`` is the one trainer: it fits on the originals before a
-target, and its model refuses earlier reports and other grids. A fit
-reads its training reports once, each built or read when it is
+A fold's inputs come from one report source (``synthgen.ReportSource``),
+which alone cuts before the target. ``train_model`` is the one trainer,
+and its model's ``predict`` refuses an earlier report or another grid
+before it reads anything. A fit reads its training reports once, each built or read when it is
 reached: a report gives way to its input stack, and the stack to its
 land patch rows in the float32 patch matrix, once the standardizer has
 merged it, before the next is read. There is no (B, C, H, W) buffer
@@ -79,7 +80,6 @@ from .neuralnet import (
 from .scoring import GaussianField, _crps_and_gradient, make_weights
 from .scoring import crps_gaussian  # noqa: F401  (perfbench's tracer tests reach it here)
 from .storage import record_from_json, typed
-from .synthgen import OriginalReports
 
 FCN_CHANNEL_NAMES = ("member_mean", "member_std", *CHANNEL_NAMES[N_MEMBERS:])
 _MEMBER_CHANNELS = CHANNEL_NAMES[:N_MEMBERS]
@@ -100,6 +100,9 @@ MEMBERS_SIGMA_FLOOR = 1e-6
 #: t_std is clamped here so near-dry training windows cannot blow up the
 #: standardized-space gradients
 TARGET_STD_FLOOR_MM = 1.0
+#: the largest float32 patch matrix a fit allocates, 2 GiB; the default
+#: 15-report 500x500 scenario's cnn-all fit for target 15 needs 1.4 GB
+MAX_PATCH_BYTES = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -157,13 +160,6 @@ def predict_members_baseline(report: Report) -> GaussianField:
     mu = report.members.mean(axis=0)
     sigma = np.maximum(report.members.std(axis=0, ddof=1), MEMBERS_SIGMA_FLOOR)
     return GaussianField(mu=mu, sigma=sigma)
-
-
-def original_track(reports) -> list[tuple[float, tuple[float, float]]]:
-    """(index, tc_center) of the original reports, ascending."""
-    pairs = [(r.index, r.tc_center) for r in reports
-             if r.origin is ReportOrigin.ORIGINAL]
-    return sorted(pairs, key=lambda p: p[0])
 
 
 def track_through(track_pairs, report: Report) -> list[tuple[float, float]]:
@@ -226,21 +222,20 @@ class TrainedModel:
     target: int
     loss_history: list[float] = field(default_factory=list)
 
-    def predict(self, report: Report, domain: GridDomain, track_pairs) -> GaussianField:
-        """Post-processed Gaussian for one report at or after the target.
-
-        ``track_pairs`` are (index, tc_center) originals of the scenario;
-        only positions before the report's index are consulted, and the
-        report's own center ends the track. The patch rows go through the
-        network in blocks of ``BLOCK_ROWS``, as in the fit. An earlier
-        report or a domain of another shape is a ValueError.
-        """
-        if report.index < self.target:
+    def predict(self, source, domain: GridDomain, k: int) -> GaussianField:
+        """Post-processed Gaussian for report ``k`` of a report source; an
+        earlier ``k`` or another grid is a ValueError before any read."""
+        if k < self.target:
             raise ValueError(f"model trained for target {self.target} saw reports "
-                             f"at or after target {report.index:g}")
+                             f"at or after target {k:g}")
         if domain.shape != self.grid_shape:
             raise ValueError("model trained on a {}x{} grid cannot predict a "
                              "{}x{} scenario".format(*self.grid_shape, *domain.shape))
+        return self._field(source.target(k), domain, source.track_before(k))
+
+    def _field(self, report: Report, domain: GridDomain, track_pairs) -> GaussianField:
+        """``predict``'s forward of one report, in ``BLOCK_ROWS`` blocks as
+        in the fit; ``track_pairs`` are (index, center) of earlier originals."""
         rows = im2col(apply_standardizer(_stack_for(self.config, report, domain, track_pairs),
                                          self.norm), self.net.shape[2], dtype=DTYPE)
         with one_blas_thread:
@@ -284,17 +279,13 @@ class TrainedModel:
         return model
 
 
-def train_model(config: ModelConfig, reports, domain: GridDomain,
+def train_model(config: ModelConfig, source, domain: GridDomain,
                 target: int) -> TrainedModel:
-    """Fit one variant for one target report; the only trainer.
+    """Fit one variant for report ``target`` of a report source; the only trainer.
 
-    This is the only place that picks a training set. It keeps the
-    original ``reports`` indexed strictly below ``target``, each with an
-    observation; derived reports are dropped, since an interpolation at
-    target - 0.5 blends the target itself; from an ``OriginalReports``
-    stream they are picked by name and read as the fit reaches them.
-    The -aug variants then expand those originals with the config's own
-    noise scale and seed.
+    It fits ``source.before(target)``, each report with an observation,
+    which the -aug variants expand with the config's own noise scale and
+    seed. A patch matrix above ``MAX_PATCH_BYTES`` is refused unread.
     Full-batch: each epoch sums the gradients of every row block of the
     weighted CRPS loss over land cells, then takes one Adam step. The
     patch rows are built once, for land cells only: sea cells carry no
@@ -313,7 +304,7 @@ def train_model(config: ModelConfig, reports, domain: GridDomain,
     """
     if not config.trains:
         raise ValueError("the members baseline has no trainable parameters")
-    return _fit(config, _training_set(config, reports, target), domain, target)
+    return _fit(config, _training_set(config, source, target), domain, target)
 
 
 @np.errstate(all="ignore")
@@ -325,7 +316,11 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
     land = domain.land_mask
     n_land = int(land.sum())
     n_in, _hidden, kernel = config.network_shape
-    patches = np.empty((len(reports) * n_land, n_in * kernel[0] * kernel[1]), DTYPE)
+    shape = (len(reports) * n_land, n_in * kernel[0] * kernel[1])
+    if (size := shape[0] * shape[1] * np.dtype(DTYPE).itemsize) > MAX_PATCH_BYTES:
+        raise ValueError(f"{config.variant} for target {target} needs a {size:,}-byte "
+                         f"patch matrix, above the {MAX_PATCH_BYTES:,}-byte limit")
+    patches = np.empty(shape, DTYPE)
     y = np.empty((len(reports), n_land))
     indices, track_pairs = [], []
 
@@ -412,16 +407,10 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
     return model
 
 
-def _training_set(config: ModelConfig, reports, target: int):
+def _training_set(config: ModelConfig, source, target: int):
     """The reports ``train_model`` fits for one target (see there), in
-    index order: a list, an ``OriginalReports`` stream or an
-    ``AugmentedReports`` set of either."""
-    if isinstance(reports, OriginalReports):
-        history = reports.before(target)
-    else:
-        history = sorted((r for r in reports
-                          if r.origin is ReportOrigin.ORIGINAL and r.index < target),
-                         key=lambda r: r.index)
+    index order: the source's cut, or an ``AugmentedReports`` set of it."""
+    history = source.before(target)
     if not history:
         raise ValueError(f"no reports precede target {target}")
     if not config.use_augmentation:
@@ -438,27 +427,20 @@ def rolling_origin_run(configs, scenario, targets=range(6, 12),
     """Train-and-predict every variant at every target, never peeking ahead.
 
     For each target k the trainable variants are fitted by ``train_model``
-    and then post-process report k's forecast stack. Returns {(variant,
-    k): prediction}; targets without any preceding report are skipped
-    with a warning.
+    on ``scenario.originals()`` and then post-process report k's forecast
+    stack. Returns {(variant, k): prediction}; targets without any
+    preceding report are skipped with a warning.
     """
-    domain = scenario.domain
-    by_index = {r.index: r for r in scenario.reports
-                if r.origin is ReportOrigin.ORIGINAL}
-    track_pairs = original_track(scenario.reports)
-
+    domain, source = scenario.domain, scenario.originals()
     predictions: dict[tuple[str, int], GaussianField] = {}
     for k in targets:
-        target = by_index.get(float(k))
-        if target is None:
-            raise ValueError(f"scenario has no original report with index {k}")
-        if min(by_index) >= k:
+        if not source.before(k):
             warnings.warn(f"skipping target {k}: no preceding reports", stacklevel=2)
             continue
         for config in configs:
             if config.trains:
-                model = train_model(config, scenario.reports, domain, k)
-                predictions[(config.variant, k)] = model.predict(target, domain, track_pairs)
+                model = train_model(config, source, domain, k)
+                predictions[(config.variant, k)] = model.predict(source, domain, k)
             else:
-                predictions[(config.variant, k)] = predict_members_baseline(target)
+                predictions[(config.variant, k)] = predict_members_baseline(source.target(k))
     return predictions

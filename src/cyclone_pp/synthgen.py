@@ -20,9 +20,10 @@ order or in parallel with identical results.
 
 from __future__ import annotations
 
+import copy
 import re
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,11 @@ class Scenario:
     spec: ScenarioSpec
     domain: GridDomain
     reports: list[Report]
+
+    def originals(self) -> ReportSource:
+        """The in-memory report source of the original reports."""
+        return ReportSource({int(r.index): r for r in self.reports
+                             if r.origin is ReportOrigin.ORIGINAL})
 
 
 def make_island_domain(n_rows: int = 84, n_cols: int = 70) -> GridDomain:
@@ -323,17 +329,6 @@ def load_scenario_header(path) -> tuple[ScenarioSpec, GridDomain]:
     return spec, load_domain_file(path / "domain.txt")
 
 
-def check_report_grid(report: Report, rdir, shape) -> Report:
-    """``report``, as ``load_report`` read it from ``rdir``, once its grids
-    cover a ``shape`` domain; other grids are a ValueError naming the file.
-    """
-    want = (N_MEMBERS, *shape)
-    if report.members.shape != want:
-        raise ValueError(f"{Path(rdir) / _MEMBERS} holds {report.members.shape}; "
-                         "the {}x{} domain needs {}".format(*shape, want))
-    return report
-
-
 def list_report_dirs(path) -> list[tuple[float, bool, Path]]:
     """(index, is_noise_copy, dir) per report directory, sorted, no file reads.
 
@@ -391,27 +386,79 @@ def load_report(rdir, with_observation: bool = True) -> Report:
         raise ValueError(f"{rdir}: {exc}") from None
 
 
-class OriginalReports:
-    """A scenario's original reports, by index -> directory in ``rdirs``,
-    read in index order as they are iterated: each report's files are
-    hash-checked just before ``load_report`` parses them, and its grids
-    must fit ``shape``. No yielded report is kept; ``len`` reads nothing.
+class ReportSource:
+    """A scenario's original reports by index, each read when asked for: the
+    one place a fold's causal cut is made. A fold is for a report the source
+    holds, or a ValueError. ``before(k)`` and ``track_before(k)`` see only
+    the reports below k; ``target(k)`` is report k without its observation.
+
+    This form holds its reports in memory; ``OriginalReports`` reads them
+    from disk. The two differ only in how they read a report and a center.
     """
 
-    def __init__(self, scenario_dir, rdirs: dict, shape, with_observation: bool = True):
-        self.scenario_dir, self.shape = scenario_dir, shape
-        self.rdirs, self.with_observation = dict(sorted(rdirs.items())), with_observation
+    def __init__(self, items: dict):
+        self.items = dict(sorted(items.items()))  # index -> what a read reads
 
     def __len__(self) -> int:
-        return len(self.rdirs)
+        return len(self.items)
 
     def __iter__(self):
-        files = report_files(with_observation=self.with_observation)
-        for rdir in self.rdirs.values():
-            verify_manifest(self.scenario_dir, [f"{rdir.name}/{name}" for name in files])
-            yield check_report_grid(load_report(rdir, self.with_observation), rdir, self.shape)
+        """Each report with its observation, in index order; none is kept."""
+        return (self._read(k, True) for k in self.items)
 
-    def before(self, target) -> "OriginalReports":
-        """The reports indexed below ``target``, chosen by name; none is read."""
-        kept = {k: rdir for k, rdir in self.rdirs.items() if k < target}
-        return OriginalReports(self.scenario_dir, kept, self.shape, self.with_observation)
+    def _require(self, k) -> None:
+        if k not in self.items:
+            raise ValueError(f"scenario has no original report with index {k}")
+
+    def before(self, k) -> "ReportSource":
+        """The reports indexed below ``k``; none is read."""
+        self._require(k)
+        part = copy.copy(self)
+        part.items = {i: item for i, item in self.items.items() if i < k}
+        return part
+
+    def track_before(self, k) -> list[tuple[int, tuple[float, float]]]:
+        """(index, tc_center) of the reports below ``k``, read from centers alone."""
+        return [(i, self._center(i)) for i in self.before(k).items]
+
+    def target(self, k, with_observation: bool = False) -> Report:
+        """Report ``k``; with its observation only for verification."""
+        self._require(k)
+        return self._read(k, with_observation)
+
+    def _read(self, k, with_observation: bool) -> Report:
+        report = self.items[k]
+        return report if with_observation else replace(report, observation=None)
+
+    def _center(self, k) -> tuple[float, float]:
+        return self.items[k].tc_center
+
+
+class OriginalReports(ReportSource):
+    """The originals of the scenario in ``scenario_dir``, chosen by directory
+    name (an interpolation at k - 0.5 blends report k). A read hash-checks
+    just the files it parses, ``meta.json`` alone for a center, and needs
+    member grids that fit ``shape``.
+    """
+
+    def __init__(self, scenario_dir, shape):
+        self.scenario_dir, self.shape = scenario_dir, shape
+        super().__init__({int(i): rdir for i, noise, rdir in list_report_dirs(scenario_dir)
+                          if not noise and i == int(i)})
+
+    def _verified(self, k, **files) -> Path:
+        rdir = self.items[k]
+        verify_manifest(self.scenario_dir, [f"{rdir.name}/{f}" for f in report_files(**files)])
+        return rdir
+
+    def _read(self, k, with_observation: bool) -> Report:
+        rdir = self._verified(k, with_observation=with_observation)
+        report, want = load_report(rdir, with_observation), (N_MEMBERS, *self.shape)
+        if report.members.shape != want:
+            raise ValueError(f"{rdir / _MEMBERS} holds {report.members.shape}; "
+                             "the {}x{} domain needs {}".format(*self.shape, want))
+        return report
+
+    def _center(self, k) -> tuple[float, float]:
+        rdir = self._verified(k, with_members=False, with_observation=False)
+        return load_report_meta(rdir)["tc_center"]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclone_pp import cli, storage, synthgen
+from cyclone_pp import cli, models, storage, synthgen
 from cyclone_pp.cli import TRAINABLE, load_predictions_csv, main
 from cyclone_pp.domain import ReportOrigin
 from cyclone_pp.models import (
@@ -502,7 +502,7 @@ class TestTrainMatchesLibrary:
         domain = make_island_domain(84, 70)
         scenario = generate_scenario(ScenarioSpec(seed=1), domain)
         want = train_model(ModelConfig.for_variant("cnn-dyn", epochs=1),
-                           scenario.reports, domain, 6)
+                           scenario.originals(), domain, 6)
         for a, b in zip(got.net.parameters(), want.net.parameters()):
             assert a.value.tobytes() == b.value.tobytes(), a.name
         assert got.norm.mean.tobytes() == want.norm.mean.tobytes()
@@ -1199,6 +1199,67 @@ class TestLastOriginalFlipped:
         assert "report_0050/members.npy" in one_error_line(capsys)
         assert names == original_dirs(4)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["flipped"]
+
+
+class TestRefusedBeforeReading:
+    """A fold that cannot run is refused before any report file is hashed
+    or parsed: one error line, no output."""
+
+    @pytest.fixture(scope="class")
+    def model_8(self, pipeline, tmp_path_factory):
+        out = tmp_path_factory.mktemp("model_8") / "m"
+        assert main(["train", "--scenario", str(pipeline["scen"]), "--variant", "cnn",
+                     "--target", "8", "--epochs", "1", "--out", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def report_reads(monkeypatch) -> dict:
+        """Counts of load_report calls and of report files hashed."""
+        reads = {"load_report": 0, "sha256_file": 0}
+        load, hash_file = synthgen.load_report, storage.sha256_file
+
+        def loading(rdir, *args, **kwargs):
+            reads["load_report"] += 1
+            return load(rdir, *args, **kwargs)
+
+        def hashing(path):
+            reads["sha256_file"] += Path(path).parent.name.startswith("report_")
+            return hash_file(path)
+
+        monkeypatch.setattr(synthgen, "load_report", loading)
+        for home in (storage, cli):
+            monkeypatch.setattr(home, "sha256_file", hashing, raising=False)
+        return reads
+
+    def test_predict_before_the_checkpoint_target(self, pipeline, model_8, tmp_path,
+                                                  capsys, monkeypatch):
+        reads, out = self.report_reads(monkeypatch), tmp_path / "p"
+        assert main(["predict", "--checkpoint", str(model_8), "--scenario",
+                     str(pipeline["scen"]), "--target", "7", "--out", str(out)]) == 1
+        assert "trained for target 8" in one_error_line(capsys)
+        assert reads == {"load_report": 0, "sha256_file": 0} and not out.exists()
+
+    def test_library_predict_before_the_target(self, pipeline, model_8, monkeypatch):
+        scen = pipeline["scen"]
+        _spec, domain = synthgen.load_scenario_header(scen)
+        model = TrainedModel.load(model_8 / "model_cnn.json")
+        reads = self.report_reads(monkeypatch)
+        with pytest.raises(ValueError, match="^model trained for target 8 saw reports "
+                                             "at or after target 7$"):
+            model.predict(synthgen.OriginalReports(scen, domain.shape), domain, 7)
+        assert reads == {"load_report": 0, "sha256_file": 0}
+
+    def test_oversized_patch_matrix(self, pipeline, tmp_path, capsys, monkeypatch):
+        # cnn-all for target 6 fits 18 reports of 100-wide float32 land rows
+        monkeypatch.setattr(models, "MAX_PATCH_BYTES", 1000)
+        reads, out = self.report_reads(monkeypatch), tmp_path / "m"
+        assert main(["train", "--scenario", str(pipeline["scen"]), "--variant", "cnn-all",
+                     "--target", TARGET, "--epochs", "1", "--out", str(out)]) == 1
+        size = 18 * int(make_island_domain(14, 12).land_mask.sum()) * 100 * 4
+        assert one_error_line(capsys) == (
+            f"error: cnn-all for target 6 needs a {size:,}-byte patch matrix, "
+            "above the 1,000-byte limit\n")
+        assert reads == {"load_report": 0, "sha256_file": 0} and not out.exists()
 
 
 class TestReportMetaFlipped:

@@ -16,7 +16,6 @@ from cyclone_pp.models import (
     ModelConfig,
     TrainedModel,
     fcn_features,
-    original_track,
     predict_members_baseline,
     rolling_origin_run,
     track_through,
@@ -26,7 +25,7 @@ from cyclone_pp import augmentation, models, neuralnet
 from cyclone_pp.augmentation import build_augmented_set
 from cyclone_pp.neuralnet import Network, TrainingDiverged, im2col
 from cyclone_pp.scoring import weighted_loss
-from cyclone_pp.synthgen import ScenarioSpec, generate_scenario, make_island_domain
+from cyclone_pp.synthgen import Scenario, ScenarioSpec, generate_scenario, make_island_domain
 
 from conftest import make_report
 
@@ -43,12 +42,18 @@ def tiny_scenario(tiny_domain):
     return generate_scenario(ScenarioSpec(seed=2), tiny_domain)
 
 
+@pytest.fixture(scope="module")
+def tiny_source(tiny_scenario):
+    return tiny_scenario.originals()
+
+
 def history_until(scenario, k):
     return [r for r in scenario.reports if r.index < k]
 
 
-def track_of(scenario):
-    return original_track(scenario.reports)
+def source_of(reports):
+    """The in-memory report source of a scenario holding ``reports``."""
+    return Scenario(spec=None, domain=None, reports=list(reports)).originals()
 
 
 class TestModelConfig:
@@ -153,13 +158,14 @@ class TestMembersBaseline:
 
 
 class TestTrackHelpers:
-    def test_original_track_sorted_and_filtered(self):
+    def test_source_track_is_the_earlier_originals_sorted(self):
         reps = [make_report(2.0, tc_center=(24.0, 121.0)),
+                make_report(3.0, tc_center=(25.0, 120.0)),
                 make_report(1.0, tc_center=(23.0, 122.0)),
                 make_report(1.5, origin=ReportOrigin.INTERPOLATED,
                             tc_center=(23.5, 121.5))]
-        track = original_track(reps)
-        assert track == [(1.0, (23.0, 122.0)), (2.0, (24.0, 121.0))]
+        track = source_of(reps).track_before(3)
+        assert track == [(1, (23.0, 122.0)), (2, (24.0, 121.0))]
 
     def test_track_through_excludes_future(self):
         pairs = [(1.0, (23.0, 122.0)), (2.0, (24.0, 121.0)), (3.0, (25.0, 120.0))]
@@ -182,10 +188,10 @@ class TestTrackHelpers:
 
 
 class TestFcnFeatures:
-    def test_channel_layout(self, tiny_scenario, tiny_domain):
+    def test_channel_layout(self, tiny_scenario, tiny_source, tiny_domain):
         rep = tiny_scenario.reports[7]
         stack = fcn_features(rep, tiny_domain,
-                             track_through(track_of(tiny_scenario), rep))
+                             track_through(tiny_source.track_before(8), rep))
         assert stack.shape == (7, *tiny_domain.shape)
         assert FCN_CHANNEL_NAMES == ("member_mean", "member_std", "lon",
                                      "lat", "altitude", "dist_tc",
@@ -212,35 +218,34 @@ class TestGaussianHead:
 
 
 class TestTrainModel:
-    def test_loss_decreases(self, tiny_scenario, tiny_domain):
+    def test_loss_decreases(self, tiny_source, tiny_domain):
         cfg = ModelConfig.for_variant("cnn-all", epochs=40, seed=2)
-        model = train_model(cfg, tiny_scenario.reports, tiny_domain, 8)
+        model = train_model(cfg, tiny_source, tiny_domain, 8)
         assert len(model.loss_history) == 40
         assert model.loss_history[-1] < model.loss_history[0]
         assert all(np.isfinite(l) for l in model.loss_history)
 
-    def test_fcn_loss_decreases(self, tiny_scenario, tiny_domain):
+    def test_fcn_loss_decreases(self, tiny_source, tiny_domain):
         model = train_model(ModelConfig.for_variant("fcn", epochs=40, seed=2),
-                            tiny_scenario.reports, tiny_domain, 8)
+                            tiny_source, tiny_domain, 8)
         assert model.loss_history[-1] < model.loss_history[0]
 
     @pytest.mark.parametrize("variant", ["fcn", "cnn", "cnn-all"])
-    def test_first_loss_is_the_full_grid_weighted_crps(self, tiny_scenario,
+    def test_first_loss_is_the_full_grid_weighted_crps(self, tiny_source,
                                                        tiny_domain, variant):
         # training scores land rows only; the oracle scores full-grid
         # predictions of the untrained network over the land mask
         config = ModelConfig.for_variant(variant, epochs=1)
-        model = train_model(config, tiny_scenario.reports, tiny_domain, 5)
+        model = train_model(config, tiny_source, tiny_domain, 5)
         untrained = train_model(dataclasses.replace(config, epochs=0),
-                                tiny_scenario.reports, tiny_domain, 5)
-        history = history_until(tiny_scenario, 5)
+                                tiny_source, tiny_domain, 5)
+        history = list(tiny_source.before(5))
         if variant == "cnn-all":
             history = build_augmented_set(history).reports
-        track = original_track(history)
-        # the model refuses the reports before its target, its training
-        # reports among them; relabelled to target 1 it scores them as is
-        scorer = dataclasses.replace(untrained, target=1)
-        predictions = [scorer.predict(r, tiny_domain, track) for r in history]
+        track = tiny_source.track_before(5)
+        # no source yields derived reports, and predict refuses the training
+        # reports, so they go through predict's own per-report forward
+        predictions = [untrained._field(r, tiny_domain, track) for r in history]
         oracle = weighted_loss(predictions, history, len(track), tiny_domain.land_mask)
         assert model.loss_history[0] == pytest.approx(oracle, rel=1e-6)
 
@@ -249,83 +254,77 @@ class TestTrainModel:
         # observed rain near 1e160 mm squares past float64 in the target's
         # std, so the first epoch's sigma is infinite; that is divergence,
         # not a complaint about crps_gaussian's input
-        history = [dataclasses.replace(r, observation=r.observation * 1e158)
-                   for r in history_until(tiny_scenario, 6)]
+        source = source_of(dataclasses.replace(r, observation=r.observation * 1e158)
+                           for r in tiny_scenario.reports)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and numpy stays quiet
             with pytest.raises(TrainingDiverged, match=f"sigma at epoch 0 for {variant}$"):
-                train_model(ModelConfig.for_variant(variant, epochs=2), history,
+                train_model(ModelConfig.for_variant(variant, epochs=2), source,
                             tiny_domain, 6)
 
     @pytest.mark.parametrize("variant", ["fcn", "cnn"])
     def test_overflowing_features_are_refused(self, tiny_scenario, tiny_domain, variant):
         # members near 1e160 mm would standardize to zero or NaN
-        history = [dataclasses.replace(r, members=r.members * 1e158)
-                   for r in history_until(tiny_scenario, 6)]
+        source = source_of(dataclasses.replace(r, members=r.members * 1e158)
+                           for r in tiny_scenario.reports)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{variant} training features overflow"):
-                train_model(ModelConfig.for_variant(variant, epochs=2), history,
+                train_model(ModelConfig.for_variant(variant, epochs=2), source,
                             tiny_domain, 6)
 
-    def test_zero_epochs_returns_initialized_model(self, tiny_scenario, tiny_domain):
+    def test_zero_epochs_returns_initialized_model(self, tiny_source, tiny_domain):
         cfg = ModelConfig.for_variant("cnn", epochs=0, seed=1)
-        model = train_model(cfg, tiny_scenario.reports, tiny_domain, 6)
+        model = train_model(cfg, tiny_source, tiny_domain, 6)
         assert model.loss_history == []
-        rep = tiny_scenario.reports[6]
-        field = model.predict(rep, tiny_domain, track_of(tiny_scenario))
+        field = model.predict(tiny_source, tiny_domain, 7)
         assert np.all(np.isfinite(field.mu))
         assert np.all(field.sigma > 0)
 
-    def test_deterministic_given_seed(self, tiny_scenario, tiny_domain):
+    def test_deterministic_given_seed(self, tiny_source, tiny_domain):
         cfg = ModelConfig.for_variant("cnn-dyn", epochs=15, seed=6)
-        rep = tiny_scenario.reports[7]
         fields = []
         for _ in range(2):
-            model = train_model(cfg, tiny_scenario.reports, tiny_domain, 8)
-            fields.append(model.predict(rep, tiny_domain, track_of(tiny_scenario)))
+            model = train_model(cfg, tiny_source, tiny_domain, 8)
+            fields.append(model.predict(tiny_source, tiny_domain, 8))
         assert fields[0].mu.tobytes() == fields[1].mu.tobytes()
         assert fields[0].sigma.tobytes() == fields[1].sigma.tobytes()
 
-    def test_seeds_change_the_fit(self, tiny_scenario, tiny_domain):
-        rep = tiny_scenario.reports[7]
+    def test_seeds_change_the_fit(self, tiny_source, tiny_domain):
         a = train_model(ModelConfig.for_variant("cnn", epochs=15, seed=0),
-                        tiny_scenario.reports, tiny_domain, 8)
+                        tiny_source, tiny_domain, 8)
         b = train_model(ModelConfig.for_variant("cnn", epochs=15, seed=1),
-                        tiny_scenario.reports, tiny_domain, 8)
-        assert not np.array_equal(
-            a.predict(rep, tiny_domain, track_of(tiny_scenario)).mu,
-            b.predict(rep, tiny_domain, track_of(tiny_scenario)).mu)
+                        tiny_source, tiny_domain, 8)
+        assert not np.array_equal(a.predict(tiny_source, tiny_domain, 8).mu,
+                                  b.predict(tiny_source, tiny_domain, 8).mu)
 
-    def test_network_input_width_tracks_variant(self, tiny_scenario, tiny_domain):
-        reports = tiny_scenario.reports
-        cnn = train_model(ModelConfig.for_variant("cnn", epochs=1), reports,
+    def test_network_input_width_tracks_variant(self, tiny_source, tiny_domain):
+        cnn = train_model(ModelConfig.for_variant("cnn", epochs=1), tiny_source,
                           tiny_domain, 6)
-        dyn = train_model(ModelConfig.for_variant("cnn-dyn", epochs=1), reports,
+        dyn = train_model(ModelConfig.for_variant("cnn-dyn", epochs=1), tiny_source,
                           tiny_domain, 6)
         assert cnn.net.conv.kernels.value.shape == (32, 20, 2, 2)
         assert dyn.net.conv.kernels.value.shape == (32, 25, 2, 2)
 
-    def test_members_config_rejected(self, tiny_scenario, tiny_domain):
+    def test_members_config_rejected(self, tiny_source, tiny_domain):
         with pytest.raises(ValueError):
-            train_model(ModelConfig.for_variant("members"),
-                        tiny_scenario.reports, tiny_domain, 6)
+            train_model(ModelConfig.for_variant("members"), tiny_source, tiny_domain, 6)
 
-    def test_empty_history_rejected(self, tiny_domain):
-        with pytest.raises(ValueError, match="no reports precede target 6"):
-            train_model(ModelConfig.for_variant("cnn"), [], tiny_domain, 6)
+    def test_empty_history_rejected(self, tiny_source, tiny_domain):
+        with pytest.raises(ValueError, match="no reports precede target 1"):
+            train_model(ModelConfig.for_variant("cnn"), tiny_source, tiny_domain, 1)
 
     def test_observation_required(self, tiny_domain):
         rep = make_report(1.0, shape=tiny_domain.shape)
         stripped = dataclasses.replace(rep, observation=None)
+        source = source_of([stripped, make_report(2.0, shape=tiny_domain.shape)])
         with pytest.raises(ValueError, match="needs an observation"):
-            train_model(ModelConfig.for_variant("cnn"), [stripped], tiny_domain, 2)
+            train_model(ModelConfig.for_variant("cnn"), source, tiny_domain, 2)
 
-    def test_sigma_strictly_positive(self, tiny_scenario, tiny_domain):
+    def test_sigma_strictly_positive(self, tiny_source, tiny_domain):
         cfg = ModelConfig.for_variant("cnn", epochs=10, seed=3)
-        model = train_model(cfg, tiny_scenario.reports, tiny_domain, 7)
-        field = model.predict(tiny_scenario.reports[6], tiny_domain,
-                              track_of(tiny_scenario))
+        model = train_model(cfg, tiny_source, tiny_domain, 7)
+        field = model.predict(tiny_source, tiny_domain, 7)
         assert np.all(field.sigma > 0)
 
     def test_fit_holds_each_report_once(self):
@@ -354,7 +353,7 @@ class TestTrainModel:
             try:
                 entry = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                train_model(dataclasses.replace(cfg, epochs=epochs), scenario.reports,
+                train_model(dataclasses.replace(cfg, epochs=epochs), scenario.originals(),
                             domain, 11)
                 return tracemalloc.get_traced_memory()[1] - entry
             finally:
@@ -368,7 +367,7 @@ class TestTrainModel:
         # built, at most one derived report is alive, since a noise copy
         # takes its interpolation's place; a set built whole holds all 13
         domain = make_island_domain(**TINY)
-        reports = generate_scenario(ScenarioSpec(seed=1), domain).reports
+        source = generate_scenario(ScenarioSpec(seed=1), domain).originals()
         derived, alive = [], []
 
         def kept(build):
@@ -387,7 +386,7 @@ class TestTrainModel:
         for name in ("interpolate_reports", "inject_noise"):
             monkeypatch.setattr(augmentation, name, kept(getattr(augmentation, name)))
         monkeypatch.setattr(models, "_stack_for", counting(models._stack_for))
-        train_model(ModelConfig.for_variant("cnn-aug", epochs=1), reports, domain, 6)
+        train_model(ModelConfig.for_variant("cnn-aug", epochs=1), source, domain, 6)
         assert len(derived) == 13 and max(alive) == 1
 
 
@@ -417,13 +416,14 @@ class TestFitRows:
 
         monkeypatch.setattr(models, "row_blocks", spy)
         config = ModelConfig.for_variant(variant, epochs=1)
-        model = train_model(config, scenario.reports, edge_domain, 6)
+        source = scenario.originals()
+        model = train_model(config, source, edge_domain, 6)
         history = history_until(scenario, 6)
         if config.use_augmentation:
             history = build_augmented_set(history).reports
-        land = edge_domain.land_mask
+        land, track = edge_domain.land_mask, source.track_before(6)
         want = np.concatenate([im2col(
-            apply_standardizer(models._stack_for(config, r, edge_domain, track_of(scenario)),
+            apply_standardizer(models._stack_for(config, r, edge_domain, track),
                                model.norm), (2, 2), land, np.float32)
             for r in history])
         rows = fitted[0]
@@ -457,9 +457,10 @@ class TestFitFold:
 
     @pytest.fixture()
     def augmented(self, report_factory):
-        # an augment output: train_model must rebuild from its originals
-        originals = [report_factory(index=float(i)) for i in range(1, 6)]
-        return build_augmented_set(originals, seed=5).reports
+        # an augment output's source: it drops the derived reports, and
+        # train_model rebuilds them from the originals
+        originals = [report_factory(index=float(i)) for i in range(1, 7)]
+        return source_of(build_augmented_set(originals, seed=5).reports)
 
     def test_k3_takes_six_reports(self, augmented):
         # the 2.5 interpolation blends report 3, so it stays out
@@ -477,10 +478,15 @@ class TestFitFold:
             got = self.chosen("cnn-all", augmented, 2)
         assert [(r.index, r.origin) for r in got] == [(1.0, ReportOrigin.ORIGINAL)]
 
-    def test_k_past_end_takes_all(self, report_factory):
+    def test_last_target_takes_all_before_it(self, report_factory):
+        originals = [report_factory(index=float(i)) for i in range(1, 6)]
+        got = self.chosen("cnn-aug", source_of(originals), 5)
+        assert len(got) == len(build_augmented_set(originals[:4]).reports)
+
+    def test_k_past_end_refused(self, report_factory):
         originals = [report_factory(index=float(i)) for i in range(1, 5)]
-        got = self.chosen("cnn-aug", originals, 5)
-        assert len(got) == len(build_augmented_set(originals).reports)
+        with pytest.raises(ValueError, match="^scenario has no original report with index 5$"):
+            self.chosen("cnn-aug", source_of(originals), 5)
 
     def test_nesting(self, augmented):
         for k in range(3, 6):
@@ -508,9 +514,9 @@ class TestFoldInCheckpoint:
     """The model carries its fold: a target and a grid it may predict."""
 
     @pytest.fixture(scope="class")
-    def fold_7(self, tiny_scenario, tiny_domain):
+    def fold_7(self, tiny_source, tiny_domain):
         return train_model(ModelConfig.for_variant("cnn", epochs=1),
-                           tiny_scenario.reports, tiny_domain, 7)
+                           tiny_source, tiny_domain, 7)
 
     def test_target_and_grid_round_trip(self, fold_7, tmp_path):
         path = tmp_path / "model.json"
@@ -518,44 +524,45 @@ class TestFoldInCheckpoint:
         loaded = TrainedModel.load(path)
         assert (loaded.target, loaded.grid_shape) == (7, (14, 12))
 
-    def test_predict_before_the_target_refused(self, fold_7, tiny_scenario, tiny_domain):
+    def test_predict_before_the_target_refused(self, fold_7, tiny_source, tiny_domain):
         # report 6 preceded target 7: the model was trained on it
-        track = track_of(tiny_scenario)
         with pytest.raises(ValueError, match="^model trained for target 7 saw reports "
                                              "at or after target 6$"):
-            fold_7.predict(tiny_scenario.reports[5], tiny_domain, track)
-        fold_7.predict(tiny_scenario.reports[6], tiny_domain, track)
+            fold_7.predict(tiny_source, tiny_domain, 6)
+        fold_7.predict(tiny_source, tiny_domain, 7)
 
     def test_predict_on_another_grid_refused(self, fold_7):
         other = make_island_domain(n_rows=12, n_cols=9)
         scenario = generate_scenario(ScenarioSpec(seed=2), other)
         with pytest.raises(ValueError, match="^model trained on a 14x12 grid cannot "
                                              "predict a 12x9 scenario$"):
-            fold_7.predict(scenario.reports[8], other, track_of(scenario))
+            fold_7.predict(scenario.originals(), other, 9)
 
     @pytest.mark.parametrize("variant", ["cnn", "cnn-all"])
     def test_whole_scenario_trains_like_the_originals_before_the_target(
             self, tiny_scenario, tiny_domain, tmp_path, variant):
-        # the target, the reports after it and an augment output's derived
-        # reports (k - 0.5 blends report k) all stay out of the fit
+        # the target, the reports after it and the derived reports of a
+        # scenario that holds an augment output (k - 0.5 blends report k)
+        # all stay out of the fit: its source drops the derived ones
         derived = [r for r in build_augmented_set(tiny_scenario.reports, seed=5).reports
                    if r.origin is not ReportOrigin.ORIGINAL]
         config = ModelConfig.for_variant(variant, epochs=2)
         whole, before = tmp_path / "whole.json", tmp_path / "before.json"
-        train_model(config, [*reversed(tiny_scenario.reports), *derived],
+        train_model(config, source_of([*reversed(tiny_scenario.reports), *derived]),
                     tiny_domain, 7).save(whole)
-        train_model(config, history_until(tiny_scenario, 7), tiny_domain, 7).save(before)
+        train_model(config, source_of(history_until(tiny_scenario, 8)),
+                    tiny_domain, 7).save(before)
         assert whole.read_bytes() == before.read_bytes()
 
 
 class TestFcnLocality:
-    def test_cell_permutation_equivariance(self, tiny_scenario, tiny_domain):
+    def test_cell_permutation_equivariance(self, tiny_scenario, tiny_source, tiny_domain):
         # 1x1 convolutions see one cell at a time: shuffling the cells of
         # the input shuffles the output identically
         model = train_model(ModelConfig.for_variant("fcn", epochs=5, seed=0),
-                            tiny_scenario.reports, tiny_domain, 7)
+                            tiny_source, tiny_domain, 7)
         rep = tiny_scenario.reports[7]
-        stack = models._stack_for(model.config, rep, tiny_domain, track_of(tiny_scenario))
+        stack = models._stack_for(model.config, rep, tiny_domain, tiny_source.track_before(8))
         x = im2col(apply_standardizer(stack, model.norm), (1, 1), dtype=np.float32)
         out = model.net.forward(x)
         perm = np.random.default_rng(8).permutation(len(x))
@@ -564,26 +571,25 @@ class TestFcnLocality:
 
 
 class TestSaveLoad:
-    def test_round_trip_predicts_identically(self, tiny_scenario, tiny_domain,
+    def test_round_trip_predicts_identically(self, tiny_source, tiny_domain,
                                              tmp_path):
         cfg = ModelConfig.for_variant("cnn-all", epochs=10, seed=5)
-        model = train_model(cfg, tiny_scenario.reports, tiny_domain, 8)
+        model = train_model(cfg, tiny_source, tiny_domain, 8)
         path = tmp_path / "model.json"
         model.save(path)
         loaded = TrainedModel.load(path)
         assert loaded.config == cfg
         assert (loaded.grid_shape, loaded.target) == ((14, 12), 8)
-        rep = tiny_scenario.reports[9]
-        a = model.predict(rep, tiny_domain, track_of(tiny_scenario))
-        b = loaded.predict(rep, tiny_domain, track_of(tiny_scenario))
+        a = model.predict(tiny_source, tiny_domain, 10)
+        b = loaded.predict(tiny_source, tiny_domain, 10)
         assert a.mu.tobytes() == b.mu.tobytes()
         assert a.sigma.tobytes() == b.sigma.tobytes()
 
-    def test_load_draws_no_weights(self, tiny_scenario, tiny_domain, tmp_path,
+    def test_load_draws_no_weights(self, tiny_source, tiny_domain, tmp_path,
                                    monkeypatch):
         # the checkpoint's four arrays are the network; none is drawn first
         model = train_model(ModelConfig.for_variant("fcn", epochs=1),
-                            tiny_scenario.reports, tiny_domain, 7)
+                            tiny_source, tiny_domain, 7)
         path = tmp_path / "model.json"
         model.save(path)
 
@@ -596,17 +602,17 @@ class TestSaveLoad:
             assert a.value.tobytes() == b.value.tobytes()
 
     @pytest.mark.parametrize("variant", ["fcn", "cnn-all"])
-    def test_fit_and_predict_leave_the_network_no_buffers(self, tiny_scenario,
+    def test_fit_and_predict_leave_the_network_no_buffers(self, tiny_source,
                                                           tiny_domain, variant):
         # a kept model holds its four arrays, not the patch rows of its
         # fit or the hidden-size arrays of its last prediction
         model = train_model(ModelConfig.for_variant(variant, epochs=1),
-                            tiny_scenario.reports, tiny_domain, 7)
+                            tiny_source, tiny_domain, 7)
         net = model.net
         for _call in range(2):
             assert net._buffers == [None, None, None]
             assert net.conv._rows is net.head._rows is net.softplus._slope is None
-            model.predict(tiny_scenario.reports[6], tiny_domain, track_of(tiny_scenario))
+            model.predict(tiny_source, tiny_domain, 7)
 
 
 class TestPredict:
@@ -627,11 +633,11 @@ class TestPredict:
             return forward(net, x)
 
         monkeypatch.setattr(Network, "forward", spy)
-        report = make_report(1.0, shape=domain.shape)
-        blocked = model.predict(report, domain, [])
+        source = source_of([make_report(1.0, shape=domain.shape)])
+        blocked = model.predict(source, domain, 1)
         assert rows == [neuralnet.BLOCK_ROWS, 5880 - neuralnet.BLOCK_ROWS]
         monkeypatch.setattr(neuralnet, "BLOCK_ROWS", 5880)
-        whole = model.predict(report, domain, [])
+        whole = model.predict(source, domain, 1)
         assert rows[2:] == [5880]
         np.testing.assert_allclose(blocked.mu, whole.mu, rtol=1e-6)
         np.testing.assert_allclose(blocked.sigma, whole.sigma, rtol=1e-6)
@@ -641,11 +647,11 @@ class TestStackFor:
     """The channels each variant sees: members alone take no geo/dyn fields."""
 
     @pytest.mark.parametrize("variant", ["cnn", "cnn-aug"])
-    def test_member_variants_see_the_member_fields(self, tiny_scenario, tiny_domain,
-                                                   variant):
+    def test_member_variants_see_the_member_fields(self, tiny_scenario, tiny_source,
+                                                   tiny_domain, variant):
         rep = tiny_scenario.reports[4]
         stack = models._stack_for(ModelConfig.for_variant(variant), rep, tiny_domain,
-                                  track_of(tiny_scenario))
+                                  tiny_source.track_before(5))
         assert stack is rep.members
 
     @pytest.mark.parametrize("variant", ["fcn", "cnn", "cnn-aug", "cnn-all"])

@@ -7,8 +7,9 @@ import pytest
 from cyclone_pp.domain import RainCategory, ReportOrigin, tabulate_categories
 from cyclone_pp.features import tc_distance_field
 from cyclone_pp.scoring import crps_gaussian
-from cyclone_pp.storage import read_json, save_grid_csv
+from cyclone_pp.storage import read_json, save_grid_csv, write_manifest
 from cyclone_pp.synthgen import (
+    OriginalReports,
     Scenario,
     ScenarioSpec,
     generate_scenario,
@@ -459,3 +460,38 @@ class TestScenarioIO:
         (tmp_path / "spec.json").write_text('{"format": "other"}')
         with pytest.raises(ValueError, match="format"):
             load_scenario_header(tmp_path)
+
+
+class TestReportSources:
+    """A scenario in memory and the same scenario on disk make the same folds."""
+
+    @pytest.fixture(scope="class")
+    def both(self, tmp_path_factory):
+        domain = make_island_domain(n_rows=14, n_cols=12)
+        scenario = generate_scenario(ScenarioSpec(seed=4), domain)
+        scen = tmp_path_factory.mktemp("sources") / "scen"
+        save_scenario(scenario, scen)
+        write_manifest(scen, "generate", config={}, inputs={}, wall_time_s=0.0)
+        return scenario.originals(), OriginalReports(scen, domain.shape)
+
+    def test_every_fold_agrees(self, both):
+        memory, disk = both
+        n = len(memory)
+        assert len(disk) == n == 15
+        for k in range(1, n + 1):
+            indices = [[r.index for r in source.before(k)] for source in both]
+            assert indices[0] == indices[1] == [float(i) for i in range(1, k)]
+            assert memory.track_before(k) == disk.track_before(k)
+            assert [i for i, _center in disk.track_before(k)] == list(range(1, k))
+            targets = [source.target(k) for source in both]
+            assert [t.observation for t in targets] == [None, None]
+            assert targets[0].members.tobytes() == targets[1].members.tobytes()
+
+    @pytest.mark.parametrize("call", ["before", "track_before", "target"])
+    def test_a_missing_index_is_one_message(self, both, call):
+        messages = []
+        for source in both:
+            with pytest.raises(ValueError) as exc:
+                getattr(source, call)(16)
+            messages.append(str(exc.value))
+        assert messages == ["scenario has no original report with index 16"] * 2

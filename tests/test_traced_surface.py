@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from cyclone_pp import cli, models
-from cyclone_pp.models import ModelConfig, TrainedModel, original_track
+from cyclone_pp.models import ModelConfig, TrainedModel
 from cyclone_pp.synthgen import ScenarioSpec, generate_scenario, make_island_domain
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,18 +33,17 @@ def tracing(monkeypatch):
 def test_traced_training_and_checkpoints_leave_no_metric_absent(tracing, tmp_path):
     domain = make_island_domain(n_rows=14, n_cols=12)
     scenario = generate_scenario(ScenarioSpec(seed=1), domain)
-    target = next(r for r in scenario.reports if r.index == 6)
-    track = original_track(scenario.reports)
+    source = scenario.originals()
     tracer = tracing.new_tracer()
     try:
         for variant in ("fcn", "cnn-all"):
             # through the module, so the call goes to the wrapped name
             model = models.train_model(ModelConfig.for_variant(variant, epochs=2),
-                                       scenario.reports, domain, 6)
-            model.predict(target, domain, track)
+                                       source, domain, 6)
+            model.predict(source, domain, 6)
             path = tmp_path / f"{variant}.json"
             model.save(path)
-            TrainedModel.load(path).predict(target, domain, track)
+            TrainedModel.load(path).predict(source, domain, 6)
     finally:
         tracer.uninstall()
     assert tracer.absent == []
