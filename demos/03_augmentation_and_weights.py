@@ -4,15 +4,16 @@ A cyclone event yields only a handful of forecast reports, so training
 data is scarce. Two moves expand N original reports into 2(2N-1):
 midpoint interpolation between consecutive reports (index k + 0.5), and
 a noise-injected copy of every report (eta times each member field's
-standard deviation, clamped at zero). Training then weights recent
-reports double their predecessor: raw weights 1, 2, 4, ... per distinct
-index, noise copies sharing their source's weight.
+standard deviation, clamped at zero; eta is the constant NOISE_SCALE).
+Training then weights recent reports double their predecessor: raw
+weights 1, 2, 4, ... per distinct index, noise copies sharing their
+source's weight.
 """
 
 from collections import Counter
 
 from cyclone_pp import (
-    DEFAULT_NOISE_SCALE,
+    NOISE_SCALE,
     ScenarioSpec,
     build_augmented_set,
     generate_scenario,
@@ -27,8 +28,9 @@ originals = [r for r in scenario.reports if r.origin is ReportOrigin.ORIGINAL]
 print(f"{len(originals)} original reports, indices "
       f"{[r.index for r in originals]}")
 
-aset = build_augmented_set(originals, eta=DEFAULT_NOISE_SCALE, seed=0)
-print(f"augmented set: {len(aset.reports)} reports (2(2N-1) with N=3)")
+aset = build_augmented_set(originals, seed=0)
+print(f"augmented set: {len(aset.reports)} reports (2(2N-1) with N=3), "
+      f"noise scale eta = {NOISE_SCALE}")
 multiset = Counter(r.index for r in aset.reports)
 print("index multiset:", dict(sorted(multiset.items())))
 origins = Counter(r.origin.name for r in aset.reports)

@@ -22,7 +22,7 @@ cyclone-pp generate --seed 7 --rows 28 --cols 24 --out scen
 
 echo
 echo "== augment: 15 originals -> 58 reports (interpolation + noise) =="
-cyclone-pp augment --scenario scen --eta 0.05 --seed 0 --out scen_aug
+cyclone-pp augment --scenario scen --seed 0 --out scen_aug
 
 echo
 echo "== train: fit cnn-all for target report 8 =="

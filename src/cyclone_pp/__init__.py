@@ -15,7 +15,7 @@ preceding reports of the same event. Submodules:
 - ``cli``: the five-stage command-line pipeline
 """
 
-from .augmentation import DEFAULT_NOISE_SCALE, build_augmented_set
+from .augmentation import NOISE_SCALE, build_augmented_set
 from .domain import (
     RainCategory,
     ReportOrigin,
@@ -40,9 +40,9 @@ __version__ = "0.1.0"
 #: the names README and ``demos/`` use; everything else is imported from
 #: its submodule
 __all__ = [
-    "DEFAULT_NOISE_SCALE",
     "GaussianField",
     "ModelConfig",
+    "NOISE_SCALE",
     "RainCategory",
     "ReportOrigin",
     "ScenarioSpec",

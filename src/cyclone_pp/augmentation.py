@@ -19,7 +19,8 @@ import numpy as np
 
 from .domain import Report, ReportOrigin, index_tenths
 
-DEFAULT_NOISE_SCALE = 0.05
+#: eta of the paper's recipe; the one noise scale of every augmented set
+NOISE_SCALE = 0.05
 
 
 def report_sort_key(report: Report) -> tuple[int, int]:
@@ -89,10 +90,10 @@ class AugmentedReports:
     when it is reached.
     """
 
-    def __init__(self, originals, eta: float = DEFAULT_NOISE_SCALE, seed: int = 0):
+    def __init__(self, originals, seed: int = 0):
         if len(originals) < 2:
             raise ValueError("need at least two original reports to augment")
-        self.originals, self.eta, self.seed = originals, eta, seed
+        self.originals, self.seed = originals, seed
 
     def __len__(self) -> int:
         return 2 * (2 * len(self.originals) - 1)
@@ -108,7 +109,7 @@ class AugmentedReports:
     def _with_noise_copy(self, plain: Report):
         yield plain
         # rebound, so an interpolation is not kept beside its noise copy
-        plain = inject_noise(plain, self.eta, _noise_rng(self.seed, plain.index))
+        plain = inject_noise(plain, NOISE_SCALE, _noise_rng(self.seed, plain.index))
         yield plain
 
 
@@ -123,7 +124,7 @@ class AugmentedSet:
     reports: list[Report] = field(repr=False)
 
 
-def build_augmented_set(originals, eta: float = DEFAULT_NOISE_SCALE, seed: int = 0) -> AugmentedSet:
+def build_augmented_set(originals, seed: int = 0) -> AugmentedSet:
     """Interpolate consecutive pairs, then noise-inject everything.
 
     The whole ``AugmentedReports`` set, held at once. The result's index
@@ -131,4 +132,4 @@ def build_augmented_set(originals, eta: float = DEFAULT_NOISE_SCALE, seed: int =
     copy).
     """
     originals = sorted(originals, key=report_sort_key)
-    return AugmentedSet(reports=list(AugmentedReports(originals, eta, seed)))
+    return AugmentedSet(reports=list(AugmentedReports(originals, seed)))

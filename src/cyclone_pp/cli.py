@@ -32,16 +32,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import sys
 import time
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .augmentation import DEFAULT_NOISE_SCALE, AugmentedReports
+from .augmentation import AugmentedReports
 from .evaluation import (
     calibration_error,
     concat_skill_tables,
@@ -68,6 +66,7 @@ from .storage import (
     read_json,
     sha256_file,
     staged_dir,
+    typed,
     verify_manifest,
     write_manifest,
     write_text,
@@ -99,13 +98,6 @@ def _non_negative_int(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
-
-
-def _noise_scale(text: str) -> float:
-    eta = float(text)  # argparse reports a ValueError as an invalid value
-    if not (math.isfinite(eta) and eta >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return eta
 
 
 def _load_spec(path, seed=None) -> ScenarioSpec:
@@ -181,9 +173,9 @@ def cmd_augment(args) -> int:
     stage = _Stage(args.out)
     spec, domain, originals = _open_scenario(stage, args.scenario)
     # each original is read, and each derived report written, in turn
-    augmented = AugmentedReports(originals, eta=args.eta, seed=args.seed)
+    augmented = AugmentedReports(originals, seed=args.seed)
     n_original = len(originals)
-    config = {"eta": args.eta, "seed": args.seed, "n_original": n_original}
+    config = {"seed": args.seed, "n_original": n_original}
     with stage.output("augment", config) as tmp:
         save_scenario(Scenario(spec=spec, domain=domain, reports=augmented), tmp)
     print(f"augmented {n_original} originals into {len(augmented)} reports -> {args.out}")
@@ -197,16 +189,11 @@ def cmd_train(args) -> int:
         raise ValueError("the members baseline has no trainable parameters; "
                          "run predict with --variant members instead")
     model_config = ModelConfig.for_variant(variant, epochs=args.epochs, seed=args.seed)
-    # --eta reaches only the checkpoints of variants that augment
-    if model_config.use_augmentation:
-        model_config = replace(model_config, noise_scale=args.eta)
     _spec, domain, originals = _open_scenario(stage, args.scenario)
     model = train_model(model_config, originals, domain, args.target)
 
     config = {"variant": variant, "target": args.target, "epochs": args.epochs,
               "seed": args.seed}
-    if model_config.use_augmentation:
-        config["eta"] = args.eta
     with stage.output("train", config) as tmp:
         model.save(tmp / f"model_{variant}.json")
     print(f"trained {variant} for target {args.target} -> {args.out}")
@@ -284,18 +271,18 @@ def cmd_evaluate(args) -> int:
     for pred_dir in args.predictions:
         manifest = verify_manifest(pred_dir)
         config = _block(manifest, "config")
-        if not isinstance(config.get("target"), int) or not isinstance(config.get("variant"), str):
-            raise ValueError(f"manifest of {pred_dir} has no config 'target' and 'variant'")
+        where = f"manifest of {pred_dir}: config key"  # true is no target
+        target = typed(config.get("target"), int, f"{where} 'target'")
+        pred_variant = typed(config.get("variant"), str, f"{where} 'variant'")
         if _block(manifest, "inputs").get("scenario") != stage.inputs["scenario"]:
             raise ValueError(f"{pred_dir} was predicted from another scenario "
                              f"than {args.scenario}")
-        if variant not in (None, config["variant"]):
-            raise ValueError(f"predictions mix variants {sorted([variant, config['variant']])}; "
+        if variant not in (None, pred_variant):
+            raise ValueError(f"predictions mix variants {sorted([variant, pred_variant])}; "
                              "evaluate one variant per run")
-        variant = config["variant"]
-        stage.record(f"predictions/{config['target']}", pred_dir,
-                     manifest_fingerprint(manifest))
-        pred_dirs[config["target"]] = pred_dir
+        variant = pred_variant
+        stage.record(f"predictions/{target}", pred_dir, manifest_fingerprint(manifest))
+        pred_dirs[target] = pred_dir
     targets = sorted(pred_dirs)
     tables, pooled_p, pooled_y, maps = [], [], [], {}
     for k in targets:
@@ -345,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", help="interpolate + noise-expand a scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--eta", type=_noise_scale, default=DEFAULT_NOISE_SCALE)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
@@ -355,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, help=f"one of {', '.join(TRAINABLE)}")
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--epochs", type=_non_negative_int, default=100)
-    p.add_argument("--eta", type=_noise_scale, default=DEFAULT_NOISE_SCALE)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

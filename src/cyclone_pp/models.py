@@ -55,7 +55,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .augmentation import DEFAULT_NOISE_SCALE, AugmentedReports
+from .augmentation import AugmentedReports
 from .domain import GridDomain, Report, ReportOrigin
 from .features import (
     CHANNEL_NAMES,
@@ -111,7 +111,6 @@ class ModelConfig:
 
     variant: str
     epochs: int = 100
-    noise_scale: float = DEFAULT_NOISE_SCALE
     seed: int = 0
 
     def __post_init__(self):
@@ -121,8 +120,6 @@ class ModelConfig:
             raise ValueError("epochs must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
-            raise ValueError(f"noise scale must be finite and >= 0, got {self.noise_scale}")
 
     @classmethod
     def for_variant(cls, variant: str, **overrides) -> "ModelConfig":
@@ -238,7 +235,7 @@ class TrainedModel:
         in the fit; ``track_pairs`` are (index, center) of earlier originals."""
         rows = im2col(apply_standardizer(_stack_for(self.config, report, domain, track_pairs),
                                          self.norm), self.net.shape[2], dtype=DTYPE)
-        with one_blas_thread:
+        with one_blas_thread():
             out = np.concatenate([self.net.forward(block) for block in row_blocks(rows)])
         self.net.drop_buffers()
         out = out.astype(float).T.reshape(2, *domain.shape)  # (mu, sigma) raw head grids
@@ -284,8 +281,8 @@ def train_model(config: ModelConfig, source, domain: GridDomain,
     """Fit one variant for report ``target`` of a report source; the only trainer.
 
     It fits ``source.before(target)``, each report with an observation,
-    which the -aug variants expand with the config's own noise scale and
-    seed. A patch matrix above ``MAX_PATCH_BYTES`` is refused unread.
+    which the -aug variants expand with ``AugmentedReports`` keyed on the
+    config's seed. A patch matrix above ``MAX_PATCH_BYTES`` is refused unread.
     Full-batch: each epoch sums the gradients of every row block of the
     weighted CRPS loss over land cells, then takes one Adam step. The
     patch rows are built once, for land cells only: sea cells carry no
@@ -308,7 +305,7 @@ def train_model(config: ModelConfig, source, domain: GridDomain,
 
 
 @np.errstate(all="ignore")
-@one_blas_thread
+@one_blas_thread()
 def _fit(config: ModelConfig, reports, domain: GridDomain,
          target: int) -> TrainedModel:
     """``train_model``'s fit; ``reports`` is a sized iterable in index
@@ -419,7 +416,7 @@ def _training_set(config: ModelConfig, source, target: int):
         warnings.warn(f"target {target}: single-report history cannot be "
                       "augmented; training on originals", stacklevel=3)
         return history
-    return AugmentedReports(history, eta=config.noise_scale, seed=config.seed)
+    return AugmentedReports(history, seed=config.seed)
 
 
 def rolling_origin_run(configs, scenario, targets=range(6, 12),

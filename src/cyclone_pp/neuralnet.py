@@ -34,8 +34,8 @@ from __future__ import annotations
 import base64
 import contextlib
 import ctypes
+import functools
 import json
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,7 +56,7 @@ DTYPE = np.float32
 #: tried); its hidden arrays are then 0.5 MB each at width 32
 BLOCK_ROWS = 4096
 
-CHECKPOINT_FORMAT = "cyclone-pp-net/4"
+CHECKPOINT_FORMAT = "cyclone-pp-net/5"
 #: a checkpoint's four arrays: the names of ``Network.parameters``, in order
 CHECKPOINT_ARRAYS = ("conv_kernels", "conv_bias", "head_kernels", "head_bias")
 
@@ -336,60 +336,40 @@ class Adam:
         self._value -= ADAM_LR * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
-class _OneBlasThread(contextlib.ContextDecorator):
-    """Pins numpy's bundled OpenBLAS to one thread while held.
-
-    The first holder saves the thread count and sets one thread; the
-    last to leave restores it, so fits on several Python threads share
-    one pin. Without that library (another BLAS build) it does nothing,
-    and the bits may depend on the thread count as before.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._holders = 0
-        self._saved = None
-        self._calls = None
-
-    @staticmethod
-    def _openblas():
-        """(get, set) of the bundled OpenBLAS's thread count, or None."""
-        libs = Path(np.__file__).parent.parent / "numpy.libs"
-        for lib in sorted(libs.glob("libscipy_openblas64_-*.so")):
-            try:
-                dll = ctypes.CDLL(str(lib))
-                get = dll.scipy_openblas_get_num_threads64_
-                put = dll.scipy_openblas_set_num_threads64_
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-        return None
-
-    def __enter__(self):
-        with self._lock:
-            if self._holders == 0:
-                if self._calls is None:
-                    self._calls = self._openblas() or ()
-                if self._calls:
-                    get, put = self._calls
-                    self._saved = get()
-                    put(1)
-            self._holders += 1
-        return self
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._holders -= 1
-            if self._holders == 0 and self._saved is not None:
-                self._calls[1](self._saved)
-                self._saved = None
-        return False
+@functools.cache
+def _openblas():
+    """(get, set) of the bundled OpenBLAS's thread count, or None; looked
+    up on the first pin."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_-*.so")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+            get = dll.scipy_openblas_get_num_threads64_
+            put = dll.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
 
 
-#: one process-wide pin: the BLAS thread count is process state
-one_blas_thread = _OneBlasThread()
+@contextlib.contextmanager
+def one_blas_thread():
+    """Pins numpy's bundled OpenBLAS to one thread while held, then
+    restores the count it found. Without that library (another BLAS
+    build) it does nothing, and the bits may depend on the thread count."""
+    calls = _openblas()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    saved = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(saved)
 
 
 def _encode_array(a: np.ndarray) -> dict:

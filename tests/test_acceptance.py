@@ -220,7 +220,7 @@ def test_c3_augmentation_counts_and_index_multiset():
     ok = True
     for n in (2, 3, 5, 15):
         originals = [make_report(float(i), seed=100 + i) for i in range(1, n + 1)]
-        aset = build_augmented_set(originals, eta=0.05, seed=0)
+        aset = build_augmented_set(originals, seed=0)
         expected = Counter()
         for i in range(1, n + 1):
             expected[float(i)] += 2

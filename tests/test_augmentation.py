@@ -132,8 +132,8 @@ class TestAugmentedSet:
             assert noisy.origin is ReportOrigin.NOISE_INJECTED
 
     def test_seeded_replay_is_bit_identical(self, report_factory):
-        a = build_augmented_set(originals(report_factory, 4), eta=0.05, seed=42)
-        b = build_augmented_set(originals(report_factory, 4), eta=0.05, seed=42)
+        a = build_augmented_set(originals(report_factory, 4), seed=42)
+        b = build_augmented_set(originals(report_factory, 4), seed=42)
         for ra, rb in zip(a.reports, b.reports):
             np.testing.assert_array_equal(ra.members, rb.members)
 

@@ -252,37 +252,7 @@ class TestTrain:
         assert (pipeline["model"] / "model_cnn-all.json").is_file()
         manifest = verify_manifest(pipeline["model"])
         assert manifest["config"] == {"variant": "cnn-all", "target": 6,
-                                      "epochs": 2, "eta": 0.05, "seed": 0}
-
-    @pytest.mark.parametrize("variant", ["fcn", "cnn", "cnn-dyn"])
-    def test_eta_not_recorded_for_variants_that_do_not_augment(self, pipeline,
-                                                               tmp_path, variant):
-        out = tmp_path / "m"
-        assert main(["train", "--scenario", str(pipeline["scen"]),
-                     "--variant", variant, "--target", TARGET, "--epochs", "1",
-                     "--eta", "0.2", "--out", str(out)]) == 0
-        assert "eta" not in verify_manifest(out)["config"]
-
-    def test_eta_recorded_when_one_variant_augments(self, pipeline, tmp_path):
-        for variant in ("cnn-aug", "cnn-all"):
-            out = tmp_path / variant
-            assert main(["train", "--scenario", str(pipeline["scen"]),
-                         "--variant", variant, "--target", TARGET, "--epochs", "1",
-                         "--eta", "0.2", "--out", str(out)]) == 0
-            assert verify_manifest(out)["config"]["eta"] == 0.2, variant
-
-    @pytest.mark.parametrize("variant", TRAINABLE)
-    def test_eta_reaches_only_checkpoints_that_augment(self, pipeline, tmp_path,
-                                                       variant):
-        checkpoints = []
-        for eta in ("0.05", "0.2"):
-            out = tmp_path / eta
-            assert main(["train", "--scenario", str(pipeline["scen"]),
-                         "--variant", variant, "--target", TARGET, "--epochs", "1",
-                         "--eta", eta, "--out", str(out)]) == 0
-            checkpoints.append((out / f"model_{variant}.json").read_bytes())
-        augments = ModelConfig.for_variant(variant).use_augmentation
-        assert (checkpoints[0] != checkpoints[1]) == augments
+                                      "epochs": 2, "seed": 0}
 
     def train_on_scaled_rain(self, tmp_path, capsys, scale, grids="*") -> list[str]:
         """train's stderr lines on a 10x8 scenario whose grids are scaled
@@ -524,6 +494,21 @@ class TestTrainMatchesLibrary:
                 checkpoints.append((out / f"model_{variant}.json").read_bytes())
             assert checkpoints[0] == checkpoints[1], variant
 
+    def test_augment_output_is_the_training_set_of_every_fold(self, pipeline, tmp_path):
+        # augment and train share one noise scale, so at one --seed the
+        # augment output up to k - 1 is the cnn-aug training set for target k
+        aug = tmp_path / "aug4"
+        assert main(["augment", "--scenario", str(pipeline["scen"]),
+                     "--seed", "4", "--out", str(aug)]) == 0
+        written = [(r.index, r.origin, r.members.tobytes(), r.observation.tobytes())
+                   for r in load_scenario(aug).reports]
+        source = synthgen.OriginalReports(pipeline["scen"], (14, 12))
+        config = ModelConfig.for_variant("cnn-aug", seed=4)
+        for k in range(6, 12):
+            built = [(r.index, r.origin, r.members.tobytes(), r.observation.tobytes())
+                     for r in models._training_set(config, source, k)]
+            assert built == [w for w in written if w[0] <= k - 1], k
+
 
 class TestPredict:
     def test_requires_exactly_one_source(self, pipeline, tmp_path, capsys):
@@ -631,6 +616,26 @@ class TestPredictChecksCheckpointFold:
         assert "cyclone-pp-net/3" in err and "retrain it" in err and str(ckpt) in err
         assert not out.exists()
 
+    def fourth_format(self, pipeline, tmp_path):
+        # format 4 stored the noise scale in its config
+        def to_fourth(doc):
+            doc["format"] = "cyclone-pp-net/4"
+            doc["meta"]["config"]["noise_scale"] = 0.05
+        return self.edited_checkpoint(pipeline, tmp_path, to_fourth)
+
+    def test_fourth_format_checkpoint_rejected(self, pipeline, tmp_path, capsys):
+        ckpt = self.fourth_format(pipeline, tmp_path)
+        out = tmp_path / "p"
+        assert self.predict(pipeline, out, 6, checkpoint=ckpt) == 1
+        err = one_error_line(capsys)
+        assert "cyclone-pp-net/4" in err and "retrain it" in err and str(ckpt) in err
+        assert not out.exists()
+
+    def test_fourth_format_refused_by_load(self, pipeline, tmp_path):
+        ckpt = self.fourth_format(pipeline, tmp_path)
+        with pytest.raises(ValueError, match="'cyclone-pp-net/4'.*retrain it"):
+            TrainedModel.load(ckpt)
+
     @pytest.mark.parametrize("key", ["norm_std", "config", "grid_shape", "target"])
     def test_checkpoint_without_meta_key_rejected(self, pipeline, tmp_path, capsys,
                                                   key):
@@ -676,10 +681,11 @@ class TestPredictChecksCheckpointFold:
         (lambda c: c.update(seed="0"), "'seed'"),
         (lambda c: c.update(epochs=2.0), "'epochs'"),
         (lambda c: c.update(variant=7), "'variant'"),
-        (lambda c: c.update(noise_scale=None), "'noise_scale'"),
+        (lambda c: c.update(noise_scale=None), "'noise_scale'"),  # a format-4 key
+        (lambda c: c.update(seed=None), "'seed'"),
         (lambda c: c.update(seed=-1), "seed"),
     ], ids=["no-epochs", "no-variant", "lr", "flag", "str-seed", "float-epochs",
-            "int-variant", "null-noise", "negative-seed"])
+            "int-variant", "null-noise", "null-seed", "negative-seed"])
     def test_checkpoint_config_names_file_and_key(self, pipeline, tmp_path, capsys,
                                                   edit, key):
         ckpt = self.edited_checkpoint(pipeline, tmp_path,
@@ -823,6 +829,24 @@ class TestEvaluate:
         shutil.copytree(pipeline["pred"], pred)
         manifest = read_json(pred / "manifest.json")
         del manifest["config"][key]
+        (pred / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--predictions", str(pred),
+                     "--scenario", str(pipeline["scen"]), "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert str(pred) in err and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("target", True), ("target", 6.0),
+                                           ("target", "6"), ("variant", True)])
+    def test_manifest_config_mistyped_exits_1(self, pipeline, tmp_path, capsys,
+                                              key, value):
+        # a target of true passed an isinstance(int) check: evaluate scored
+        # report 1 and wrote exceedance_map_True.csv
+        pred = tmp_path / "pred"
+        shutil.copytree(pipeline["base"], pred)
+        manifest = read_json(pred / "manifest.json")
+        manifest["config"][key] = value
         (pred / "manifest.json").write_text(json.dumps(manifest))
         out = tmp_path / "ev"
         assert main(["evaluate", "--predictions", str(pred),
@@ -1439,8 +1463,9 @@ class TestRefusals:
 
 
 class TestRemovedFlags:
-    """train fits one variant and evaluate scores every prediction it is
-    given: the flags that chose otherwise are argparse's usage error."""
+    """train fits one variant, evaluate scores every prediction it is
+    given, and augment and train share one noise scale: the flags that
+    chose otherwise are argparse's usage error."""
 
     @pytest.mark.parametrize("stage, message", [
         (["train", "--variant", "cnn", "--all-variants", "--target", TARGET,
@@ -1453,8 +1478,11 @@ class TestRemovedFlags:
          "unrecognized arguments: --targets 6..7"),
         (["evaluate", "--predictions", "PRED", "--targets", "6,7"],
          "unrecognized arguments: --targets 6,7"),
+        (["augment", "--eta", "0.05"], "unrecognized arguments: --eta 0.05"),
+        (["train", "--variant", "cnn-aug", "--target", TARGET, "--eta", "0.2"],
+         "unrecognized arguments: --eta 0.2"),
     ], ids=["train", "evaluate", "train-all-variants-alone", "evaluate-range",
-            "evaluate-list"])
+            "evaluate-list", "augment-eta", "train-eta"])
     def test_refused_with_exit_2(self, pipeline, tmp_path, capsys, stage, message):
         out = tmp_path / "o"
         argv = [str(pipeline["pred"]) if a == "PRED" else a for a in stage]
@@ -1680,7 +1708,9 @@ class TestDomainMustBeFinite:
 
 
 class TestEtaMustBeFinite:
-    """--eta is a finite noise scale >= 0, refused by argparse otherwise."""
+    """No noise scale reaches augment or train from the command line: it is
+    the constant NOISE_SCALE, and argparse refuses --eta with exit 2
+    whatever its value, a non-finite one included."""
 
     @pytest.mark.parametrize("eta", ["nan", "inf", "-inf", "-0.1", "x"])
     @pytest.mark.parametrize("stage", [
@@ -1696,12 +1726,6 @@ class TestEtaMustBeFinite:
         assert exc.value.code == 2
         assert "--eta" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_zero_is_allowed(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "aug"
-        assert main(["augment", "--scenario", str(pipeline["scen"]), "--eta", "0",
-                     "--out", str(out)]) == 0
-        assert read_json(out / "manifest.json")["config"]["eta"] == 0.0
 
 
 def test_outputs_follow_the_umask(pipeline, tmp_path):

@@ -75,7 +75,7 @@ class TestModelConfig:
     def test_the_variant_is_the_only_flag(self):
         # inputs and training set follow from the variant; nothing restates them
         assert [f.name for f in dataclasses.fields(ModelConfig)] == [
-            "variant", "epochs", "noise_scale", "seed"]
+            "variant", "epochs", "seed"]
 
     def test_for_variant_case_insensitive(self):
         assert ModelConfig.for_variant("CNN-All").variant == "cnn-all"
@@ -83,12 +83,6 @@ class TestModelConfig:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             ModelConfig.for_variant("resnet")
-
-    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -0.1])
-    def test_noise_scale_must_be_finite_and_non_negative(self, eta):
-        # a NaN here would reach the checkpoint as a bare NaN, not JSON
-        with pytest.raises(ValueError, match="noise scale must be finite"):
-            ModelConfig.for_variant("cnn", noise_scale=eta)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -119,8 +113,7 @@ class TestModelConfig:
         (lambda d: d.update(lr=0.001), "config has unknown key 'lr'"),
         (lambda d: d.update(epochs="12"), "config key 'epochs' must be an integer"),
         (lambda d: d.update(variant=None), "config key 'variant' must be a string"),
-        (lambda d: d.update(noise_scale=float("nan")),
-         "config key 'noise_scale' must be a finite number"),
+        (lambda d: d.update(seed=None), "config key 'seed' must be an integer"),
         (lambda d: d.update(variant="resnet"), "config: unknown variant 'resnet'"),
     ])
     def test_from_dict_names_the_key(self, edit, message):
@@ -503,11 +496,15 @@ class TestFitFold:
             assert max(r.index for r in self.chosen(variant, augmented, 4)) == 3.0
 
     def test_noise_comes_from_the_config(self, augmented, report_factory):
-        # the augment output used seed 5; the config's seed wins
+        # the augment output used seed 5; the config's seed wins, and the
+        # noise scale is the module's one constant
         originals = [report_factory(index=float(i)) for i in range(1, 4)]
-        got = self.chosen("cnn-aug", augmented, 4, seed=0, noise_scale=0.1)
-        want = build_augmented_set(originals, eta=0.1, seed=0).reports
+        got = list(self.chosen("cnn-aug", augmented, 4, seed=0))
+        want = build_augmented_set(originals, seed=0).reports
         assert [r.members.tobytes() for r in got] == [r.members.tobytes() for r in want]
+        noisy = augmentation.inject_noise(got[0], augmentation.NOISE_SCALE,
+                                          augmentation._noise_rng(0, 1.0))
+        assert got[1].members.tobytes() == noisy.members.tobytes()
 
 
 class TestFoldInCheckpoint:

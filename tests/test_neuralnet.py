@@ -1,6 +1,4 @@
 import json
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -642,32 +640,37 @@ class TestAdam:
         np.testing.assert_array_equal(run(), run())
 
 
-def test_one_blas_thread_pin_is_shared_by_threads():
-    # fits on several Python threads hold one pin: BLAS stays on one
-    # thread while any holds it, and the count comes back after the last
-    pin = neuralnet._OneBlasThread()
-    blas = {"threads": 4}
-    pin._calls = (lambda: blas["threads"], lambda n: blas.update(threads=n))
-    seen = []
+class TestOneBlasThread:
+    """The pin saves the BLAS thread count, sets one thread and restores
+    the count on the way out, as a ``with`` block or as a decorator."""
 
-    def fit():
-        for _ in range(200):
-            with pin:
-                seen.append(blas["threads"])
+    @pytest.fixture()
+    def blas(self, monkeypatch):
+        blas = {"threads": 4}
+        monkeypatch.setattr(neuralnet, "_openblas", lambda: (
+            lambda: blas["threads"], lambda n: blas.update(threads=n)))
+        return blas
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=fit) for _ in range(8)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert len(seen) == 1600 and set(seen) == {1}
-    assert blas["threads"] == 4
+    def test_nested_hold_restores_the_count_it_found(self, blas):
+        @neuralnet.one_blas_thread()
+        def fit():
+            return blas["threads"]
+
+        with neuralnet.one_blas_thread():
+            assert blas["threads"] == 1
+            with neuralnet.one_blas_thread():
+                assert blas["threads"] == 1
+            # the inner pin found 1 and restores 1, not the outer's 4
+            assert blas["threads"] == 1
+            assert fit() == 1 and blas["threads"] == 1
+        assert blas["threads"] == 4
+        assert fit() == 1 and blas["threads"] == 4
+
+    def test_restored_when_the_body_raises(self, blas):
+        with pytest.raises(TrainingDiverged):
+            with neuralnet.one_blas_thread():
+                raise TrainingDiverged("stop")
+        assert blas["threads"] == 4
 
 
 class TestCheckpoint:
