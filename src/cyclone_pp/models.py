@@ -19,32 +19,30 @@ Network outputs live in standardized target space: mu = t_mean +
 t_std * out0 and sigma = t_std * softplus(out1) + floor, where t_mean /
 t_std summarize the training observations over land. Without this
 rescaling a freshly initialized network sits hundreds of mm from the
-data and 100 fixed-rate epochs cannot close the gap. Sigma and its
-slope, the logistic, come from one ``neuralnet.softplus_and_slope``
-call, the kernel of the hidden layer too; the sigma head's gradient
-goes through that slope and the CRPS's through Phi (``scoring.ndtr``),
-both numpy, so training loads no scipy module.
+data and 100 fixed-rate epochs cannot close the gap. The fit scores the
+CRPS in those units, with t_std in the row weights (``_step``), and
+takes its derivatives from ``scoring.crps_slopes``; no scipy is loaded.
 
 A fold's inputs come from one report source (``synthgen.ReportSource``),
 which alone cuts before the target. ``train_model`` is the one trainer,
 and its model's ``predict`` refuses an earlier report or another grid
-before it reads anything. A fit reads its training reports once, each built or read when it is
-reached: a report gives way to its input stack, and the stack to its
-land patch rows in the float32 patch matrix, once the standardizer has
-merged it, before the next is read. There is no (B, C, H, W) buffer
-and no list of reports. The epochs then hold the patch rows and the
-network's three block-sized hidden arrays, and run forward, loss and
-backward one row block at a time, with one Adam step per epoch.
+before it reads anything. A fit reads its training reports once, each
+built or read when it is reached: a report gives way to its input
+stack, and the stack to its land patch rows in the float32 patch
+matrix, once the standardizer has merged it, before the next is read.
+There is no (B, C, H, W) buffer and no list of reports. The epochs then
+hold the patch rows and the network's three block-sized hidden arrays,
+and run forward, loss and backward one row block at a time, with one
+Adam step per epoch.
 
 Train and predict build a stack's patch rows the same way: standardized
 in float64, then cast to float32, with taps past the grid's edge at 0.
 Both hand the network 2-D blocks of at most ``BLOCK_ROWS`` rows
 (``row_blocks``), so a prediction's hidden arrays are no larger than a
-fit's.
-A fit does not know its statistics until it has read every report, so
-it standardizes by the first stack's own mean and std, which keeps the
-float32 rows free of the channels' offsets, and then moves each
-report's rows to the fit's statistics in place, in float64.
+fit's. A fit does not know its statistics until it has read every
+report, so it standardizes by the first stack's own mean and std, which
+keeps the float32 rows free of the channels' offsets, and then moves
+each report's rows to the fit's statistics in place, in float64.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ from .neuralnet import (
     save_network,
     softplus_and_slope,
 )
-from .scoring import GaussianField, _crps_and_gradient, make_weights
+from .scoring import GaussianField, crps_slopes, make_weights
 from .scoring import crps_gaussian  # noqa: F401  (perfbench's tracer tests reach it here)
 from .storage import record_from_json, typed
 
@@ -236,9 +234,9 @@ class TrainedModel:
         rows = im2col(apply_standardizer(_stack_for(self.config, report, domain, track_pairs),
                                          self.norm), self.net.shape[2], dtype=DTYPE)
         with one_blas_thread():
-            out = np.concatenate([self.net.forward(block) for block in row_blocks(rows)])
+            out = np.hstack([self.net.forward(block) for block in row_blocks(rows)])
         self.net.drop_buffers()
-        out = out.astype(float).T.reshape(2, *domain.shape)  # (mu, sigma) raw head grids
+        out = out.astype(float).reshape(2, *domain.shape)  # (mu, sigma) raw head grids
         return GaussianField(*_gaussian(self.target_mean, self.target_std, *out)[:2])
 
     def save(self, path) -> None:
@@ -288,16 +286,13 @@ def train_model(config: ModelConfig, source, domain: GridDomain,
     patch rows are built once, for land cells only: sea cells carry no
     loss weight, and a land cell's sea neighbours stay in its row.
 
-    The fit reads the training set once, in index order, and an
-    augmented set is built one report at a time as it is read (see the
-    module docstring), so the caller's reports are never copied and no
-    report the fit reads or builds outlives its patch rows. numpy's
-    bundled BLAS runs on one thread throughout, so the bits do not
-    depend on the BLAS thread count.
-
-    A mu, sigma, loss or gradient that stops being finite raises
-    ``TrainingDiverged``, the one report of it: numpy's float warnings in
-    the fit are off.
+    The fit reads the training set once, in index order, building an
+    augmented set as it reads (see the module docstring): the caller's
+    reports are never copied, and none it reads or builds outlives its
+    patch rows. numpy's bundled BLAS runs on one thread throughout, so
+    the bits do not depend on the BLAS thread count. A mu, sigma, loss or
+    gradient that stops being finite raises ``TrainingDiverged``, the one
+    report of it: numpy's float warnings in the fit are off.
     """
     if not config.trains:
         raise ValueError("the members baseline has no trainable parameters")
@@ -361,11 +356,12 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
         _restandardize(patches[lo:lo + n_land], first, norm, edge)
 
     w = make_weights(indices, len(track_pairs))  # (B,), sums to 1
-    # per-row loss scale: w_r / n_land for each of report r's land rows
-    row_w = np.repeat(w / n_land, n_land)
     y = y.ravel()
     target_mean = float(y.mean())
     target_std = max(float(y.std()), TARGET_STD_FLOOR_MM)
+    if config.epochs and not np.isfinite([target_mean, target_std]).all():
+        # the standardized mu and sigma would stay finite; in mm they are not
+        raise TrainingDiverged(f"non-finite mu or sigma at epoch 0 for {config.variant}")
     # fold_key decorrelates the parameter draw across rolling-origin folds
     # so a single unlucky initialization cannot taint every target.
     fold_key = round(10 * max(indices))
@@ -376,25 +372,13 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
     model = TrainedModel(config=config, net=net, norm=norm,
                          target_mean=target_mean, target_std=target_std,
                          grid_shape=domain.shape, target=target)
+    # a row's loss weight is w_r / n_land for each of report r's land rows
+    ys, wt, floor = _standard_units(y, np.repeat(w / n_land, n_land), target_mean, target_std)
 
     for _epoch in range(config.epochs):
         net.zero_grad()
-        loss, lo = 0.0, 0
-        for block in row_blocks(patches):
-            hi = lo + len(block)
-            out = net.forward(block).astype(float).T  # (2, rows)
-            mu, sigma, slope = _gaussian(target_mean, target_std, *out)
-            del out  # the raw head values go before the loss's arrays come
-            if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
-                raise TrainingDiverged(
-                    f"non-finite mu or sigma at epoch {_epoch} for {config.variant}")
-            scores, dmu, dsigma = _crps_and_gradient(mu, sigma, y[lo:hi])
-            loss += float(row_w[lo:hi] @ scores)
-            grad = np.empty((hi - lo, 2), DTYPE)
-            grad[:, 0] = row_w[lo:hi] * dmu * target_std
-            grad[:, 1] = row_w[lo:hi] * dsigma * target_std * slope
-            net.backward(grad)
-            lo = hi
+        loss = sum(_step(net, *block, floor) for block in
+                   zip(row_blocks(patches), row_blocks(ys), row_blocks(wt)))
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"non-finite training loss at epoch {_epoch} for {config.variant}")
@@ -402,6 +386,27 @@ def _fit(config: ModelConfig, reports, domain: GridDomain,
         opt.step()
     net.drop_buffers()
     return model
+
+
+def _standard_units(y, row_w, t_mean: float, t_std: float):
+    """``_step``'s (ys, wt, floor), once per fit; y is standardized in place."""
+    y -= t_mean
+    y /= t_std
+    return y, row_w * t_std, SIGMA_FLOOR_MM / t_std
+
+
+def _step(net: Network, block: np.ndarray, ys, wt, floor: float) -> float:
+    """One row block's forward, loss and backward: adds the block's
+    gradients to the network's and returns its weighted CRPS in mm, which
+    is t_std times the CRPS of mu_s = raw mu head and sigma_s =
+    softplus(raw sigma head) + floor against ys (``_standard_units``)."""
+    raw = net.forward(block)
+    sigma, slope = softplus_and_slope(raw[1].astype(float))
+    sigma += floor
+    z = (raw[0] - ys) / sigma
+    dmu, dsigma = crps_slopes(z)
+    net.backward(np.array([wt * dmu, wt * dsigma * slope], raw.dtype))
+    return float(wt @ (sigma * (z * dmu + dsigma)))
 
 
 def _training_set(config: ModelConfig, source, target: int):

@@ -1,7 +1,8 @@
 """The post-processing network, its layers and Adam, on numpy alone.
 
 ``Network`` is the one topology the package trains: a kh x kw
-convolution, softplus, and a 1x1 convolution to the two Gaussian heads.
+convolution, softplus, and a 1x1 head to the two raw Gaussian values,
+mu's and sigma's, one GEMV each, held as one (2, n) array.
 Convolutions are one BLAS matmul over im2col patch rows (Chellapilla,
 Puri & Simard 2006); parameters are Kaiming-initialized float32 and
 fitted by Adam over one flat vector. Layers cache their forward inputs
@@ -19,9 +20,9 @@ row per grid cell, holding the C*kh*kw inputs a kernel sees there. A
 2x2 kernel with one-sided (right/bottom) zero padding keeps the spatial
 shape. Given a cell mask it builds the rows of those cells only; their
 neighbours stay in the columns, so each masked row is exact. Patch rows
-and the network's inputs and outputs are 2-D (rows, width) matrices.
-Per-cell dense stages are 1x1 convolutions, whose patch rows are the
-channels themselves.
+and the hidden rows are 2-D (rows, width) matrices; the head values and
+their gradient are (2, rows), one row per head. A 1x1 first convolution
+(``fcn``'s) takes the channels themselves as its patch rows.
 
 BLAS sums a matmul in an order that depends on its thread count, so
 ``one_blas_thread`` pins numpy's bundled OpenBLAS to one thread while a
@@ -152,11 +153,10 @@ class ConvLayer:
     parameters it is given. ``forward`` takes the ``im2col`` patch rows
     of its input for this layer's kernel size, as a (1, width, n, 1)
     layer array, and returns one output row per patch row in the same
-    layout. A 1x1 layer's patch rows are its input channels, so it takes
-    the previous layer's output as is. ``backward`` returns the gradient
-    with respect to the patch rows; ``input_grad=False`` marks a first
-    layer whose input gradient nobody consumes. Either may write its
-    result rows into ``out``, a C-contiguous (n, width) matrix.
+    layout, written into ``out``, a C-contiguous (n, width) matrix, when
+    given. ``backward`` returns the gradient with respect to the patch
+    rows; ``input_grad=False`` marks a first layer whose input gradient
+    nobody consumes.
     """
 
     def __init__(self, kernels: Parameter, bias: Parameter, input_grad: bool = True):
@@ -176,15 +176,14 @@ class ConvLayer:
         out += self.bias.value
         return _layer_array(out)
 
-    def backward(self, grad_out: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray | None:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         g = _row_matrix(grad_out)
         self.kernels.grad += (g.T @ self._rows).reshape(self.kernels.value.shape)
         # a matmul with ones sums the rows far faster than g.sum(axis=0)
         self.bias.grad += np.ones(len(g), g.dtype) @ g
         if not self.input_grad:
             return None
-        return _layer_array(np.matmul(g, self._kernel_matrix(), out=out))
+        return _layer_array(g @ self._kernel_matrix())
 
 
 class SoftplusLayer:
@@ -212,31 +211,53 @@ class SoftplusLayer:
         return grad
 
 
+class HeadLayer:
+    """The 1x1 conv from (n, hidden) rows to a new (2, n) array of raw
+    (mu, sigma) values: a GEMV per head, half the time of one GEMM at
+    4,096 rows. ``backward`` takes the gradient in that layout."""
+
+    def __init__(self, kernels: Parameter, bias: Parameter):
+        self.kernels, self.bias, self._rows = kernels, bias, None
+
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        self._rows, k = rows, self.kernels.value.reshape(2, -1)
+        out = np.empty((2, len(rows)), np.result_type(rows, k))
+        for head in range(2):
+            np.matmul(rows, k[head], out=out[head])
+        out += self.bias.value[:, None]
+        return out
+
+    def backward(self, grad: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self.kernels.grad += (grad @ self._rows).reshape(self.kernels.value.shape)
+        self.bias.grad += grad.sum(axis=1)
+        return np.matmul(grad.T, self.kernels.value.reshape(2, -1), out=out)
+
+
 class Network:
-    """A kh x kw conv, softplus, then a 1x1 conv to the (mu, sigma) heads.
+    """A kh x kw conv, softplus, then a 1x1 head to the (mu, sigma) values.
 
     The network is its four ``CHECKPOINT_ARRAYS``, held as parameters
     named by those keys. ``kaiming`` draws them and ``load_network``
     reads them, in ``DTYPE``; float64 arrays make the float64 network
     that gradient checks use. ``forward`` takes one block of the first
     conv's ``im2col`` patch rows, an (n, C*kh*kw) matrix, and returns the
-    (n, 2) raw head values, a new array each call. ``backward`` takes
-    the (n, 2) gradient of that block. The first conv's input gradient
-    is never needed, so it stops there and returns nothing. The layers
-    keep the block's inputs, so each ``backward`` follows the ``forward``
-    of its own block; callers cut their rows with ``row_blocks``.
+    raw head values, a new (2, n) array each call: row 0 for mu, row 1
+    for sigma. ``backward`` takes the block's gradient in that layout and
+    stops at the first conv, whose input gradient nobody needs. The
+    layers keep the block's inputs, so each ``backward`` follows the
+    ``forward`` of its own block; callers cut their rows with
+    ``row_blocks``.
 
-    The layers take (1, width, n, 1) views of the row matrices, the
-    layout whose shapes the benchmark's tracer (``perfbench/tracing.py``)
-    reads to count rows and GFLOP, so the network converts at its
-    boundary; no conversion copies. Three (block, hidden) arrays are the
-    network's own and reused: the conv output, with the softplus taken
-    in place over it; the softplus slope; and one that holds the
-    softplus intermediates in ``forward`` and the head's input gradient
-    in ``backward``, neither of which outlives its pass. Each is made for
-    the longest block yet and used through a prefix view, so a short
-    last block makes none. ``drop_buffers`` frees the arrays and the
-    layers' cached inputs, as a finished fit or prediction does.
+    The conv and the softplus take (1, width, n, 1) views of the row
+    matrices, the layout whose shapes the benchmark's tracer
+    (``perfbench/tracing.py``) reads to count rows and GFLOP; the views
+    copy nothing. Three (block, hidden) arrays are the network's own and
+    reused: the conv output, with the softplus taken in place over it;
+    the softplus slope; and one for the softplus intermediates in
+    ``forward`` and the head's input gradient in ``backward``. Each is
+    made for the longest block yet and used through a prefix view, so a
+    short last block makes none. ``drop_buffers`` frees the arrays and
+    the layers' cached inputs, as a finished fit or prediction does.
     """
 
     def __init__(self, conv_kernels, conv_bias, head_kernels, head_bias):
@@ -244,7 +265,7 @@ class Network:
             (conv_kernels, conv_bias, head_kernels, head_bias), CHECKPOINT_ARRAYS))
         self.conv = ConvLayer(conv_k, conv_b, input_grad=False)
         self.softplus = SoftplusLayer()
-        self.head = ConvLayer(head_k, head_b)
+        self.head = HeadLayer(head_k, head_b)
         self._buffers = [None, None, None]
 
     @classmethod
@@ -284,11 +305,11 @@ class Network:
         h = self.conv.forward(_layer_array(rows), out=self._buffer(0, n, dtype))
         hidden = self.softplus.forward(h, out=h, slope=_layer_array(self._buffer(1, n, dtype)),
                                        scratch=_layer_array(self._buffer(2, n, dtype)))
-        return _row_matrix(self.head.forward(hidden))
+        return self.head.forward(_row_matrix(hidden))
 
     def backward(self, grad: np.ndarray) -> None:
-        out = self._buffer(2, len(grad), np.result_type(grad, self.head.kernels.value))
-        self.conv.backward(self.softplus.backward(self.head.backward(_layer_array(grad), out=out)))
+        out = self._buffer(2, grad.shape[1], np.result_type(grad, self.head.kernels.value))
+        self.conv.backward(self.softplus.backward(_layer_array(self.head.backward(grad, out))))
 
     def drop_buffers(self) -> None:
         self._buffers = [None, None, None]

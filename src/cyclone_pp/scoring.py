@@ -7,12 +7,14 @@ y. For a Gaussian N(mu, sigma^2) it collapses to
     CRPS = sigma * (z * (2 * Phi(z) - 1) + 2 * phi(z) - 1 / sqrt(pi)),
     z = (y - mu) / sigma,
 
-which is what the training loop differentiates. Phi is ``ndtr``, a numpy
-normal CDF built on a fitted erfcx polynomial, so importing this module
-(and so every CLI stage) loads no scipy module. The quadrature routine
-evaluates the defining integral directly and exists purely as an independent
-cross-check of the closed form; it alone imports scipy (``scipy.integrate``
-and ``scipy.special``'s own Phi), at its first call.
+which is what the training loop differentiates, through ``crps_slopes``
+(Abramowitz & Stegun's Phi, within 1.5e-7). Scores and evaluation take
+Phi from ``ndtr``, a fitted erfcx polynomial within 4.4e-16. Both are
+numpy, so importing this module (and so every CLI stage) loads no scipy
+module. The quadrature routine evaluates the defining integral directly
+and exists purely as an independent cross-check of the closed form; it
+alone imports scipy (``scipy.integrate`` and ``scipy.special``'s own
+Phi), at its first call.
 """
 
 from __future__ import annotations
@@ -61,6 +63,30 @@ def ndtr(z):
     return out if out.ndim else float(out)
 
 
+#: Abramowitz & Stegun 26.2.17's b_i times sqrt(2 / pi) / p^i (p = _AS_P):
+#: for s = 1 / (|z| + 1/p), 1 - |2 Phi(z) - 1| = exp(-z^2 / 2) sum_i c_i s^i
+_AS_P = 0.2316419
+_TRAIN_C = tuple(b * np.sqrt(2.0 / np.pi) / _AS_P ** i for i, b in enumerate(
+    (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429), 1))
+
+
+def crps_slopes(z):
+    """The training loss kernel: (2 Phi(z) - 1, 2 phi(z) - 1 / sqrt(pi)).
+
+    At z = (mu - y) / sigma these are the CRPS's derivatives by mu and by
+    sigma, and the CRPS is sigma * (z * dmu + dsigma). Phi shares phi's
+    exp(-z^2 / 2) in 20 ufunc calls, a third of ``ndtr``'s; 2 Phi - 1 is
+    within 1.5e-7 of scipy's, exactly -+1 at -+inf, odd, and NaN stays NaN.
+    """
+    e = np.exp(-0.5 * np.square(z))
+    s = 1.0 / (np.abs(z) + 1.0 / _AS_P)
+    dmu = s * _TRAIN_C[-1]
+    for c in _TRAIN_C[-2::-1]:  # Horner, in place
+        dmu += c
+        dmu *= s
+    return np.copysign(1.0 - e * dmu, z), e * (2.0 / SQRT_2PI) - 1.0 / SQRT_PI
+
+
 def _check_sigma(sigma) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
@@ -69,20 +95,9 @@ def _check_sigma(sigma) -> np.ndarray:
 
 
 def crps_gaussian(mu, sigma, y):
-    """Closed-form Gaussian CRPS, elementwise over broadcastable arrays.
-
-    Parameters
-    ----------
-    mu, sigma : array_like
-        Predictive mean and standard deviation; sigma must be > 0.
-    y : array_like
-        Verifying observation.
-
-    Returns
-    -------
-    ndarray or float
-        Non-negative score in the units of y (mm here).
-    """
+    """Closed-form Gaussian CRPS, elementwise over broadcastable arrays of
+    predictive mean, standard deviation (finite, > 0) and observation: a
+    non-negative score in the units of y (mm here), with Phi from ``ndtr``."""
     sigma = _check_sigma(sigma)
     mu = np.asarray(mu, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -93,24 +108,16 @@ def crps_gaussian(mu, sigma, y):
 
 
 def crps_gradient(mu, sigma, y):
-    """Analytic partial derivatives of :func:`crps_gaussian`.
-
-    Returns (dCRPS/dmu, dCRPS/dsigma) with
-
-        dCRPS/dmu    = -(2 * Phi(z) - 1)
-        dCRPS/dsigma = 2 * phi(z) - 1 / sqrt(pi)
-    """
+    """Analytic (dCRPS/dmu, dCRPS/dsigma) of :func:`crps_gaussian`:
+    -(2 Phi(z) - 1) and 2 phi(z) - 1 / sqrt(pi), with Phi from ``ndtr``."""
     sigma = _check_sigma(sigma)
     return _crps_and_gradient(np.asarray(mu, dtype=float), sigma,
                               np.asarray(y, dtype=float))[1:]
 
 
 def _crps_and_gradient(mu, sigma, y):
-    """(crps_gaussian, *crps_gradient) of float arrays, unchecked.
-
-    The one closed form, and the training loss kernel: z, Phi(z) and
-    phi(z) are computed once for the score and both partial derivatives.
-    """
+    """(crps_gaussian, *crps_gradient) of float arrays, unchecked: z,
+    Phi(z) and phi(z) are computed once for all three."""
     z = (y - mu) / sigma
     phi = np.exp(-0.5 * z * z) / SQRT_2PI
     cdf = 2.0 * ndtr(z) - 1.0

@@ -197,7 +197,7 @@ def test_c2_gradients_pass_finite_difference_checks():
     drawn = Network.kaiming(3, 6, (2, 2), rng)
     net = Network(*(p.value.astype(np.float64) for p in drawn.parameters()))
     x = patch_rows((2, 3, 4, 5), (2, 2))
-    g = rng.standard_normal((len(x), 2))
+    g = rng.standard_normal((2, len(x)))  # the (2, n) layout of the head values
 
     def net_loss():
         return float(np.sum(net.forward(x) * g))

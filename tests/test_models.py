@@ -24,10 +24,11 @@ from cyclone_pp.models import (
 from cyclone_pp import augmentation, models, neuralnet
 from cyclone_pp.augmentation import build_augmented_set
 from cyclone_pp.neuralnet import Network, TrainingDiverged, im2col
-from cyclone_pp.scoring import weighted_loss
+from cyclone_pp.scoring import crps_gaussian, weighted_loss
 from cyclone_pp.synthgen import Scenario, ScenarioSpec, generate_scenario, make_island_domain
 
 from conftest import make_report
+from test_neuralnet import finite_difference, float64_network
 
 TINY = dict(n_rows=14, n_cols=12)
 
@@ -208,6 +209,34 @@ class TestGaussianHead:
         np.testing.assert_allclose(slope, fd / t_std, rtol=1e-7)
         assert mu.tolist() == [t_mean] * len(out) and slope[3] == 0.5
         assert np.all(sigma > models.SIGMA_FLOOR_MM)
+
+
+class TestTrainingStep:
+    @pytest.mark.parametrize("sigma_bias", [0.0, -8.0])
+    def test_gradients_match_finite_differences_of_the_mm_loss(self, sigma_bias):
+        # one block's step in standardized units against the loss in mm:
+        # the t_std scaling, the row weights, the sigma floor (a quarter of
+        # sigma at a sigma bias of -8) and the sigma slope
+        rng = np.random.default_rng(13)
+        net = float64_network(rng)
+        net.head.bias.value[1] = sigma_bias
+        x = im2col(rng.normal(size=(3, 5, 4)), (2, 2))
+        y = rng.gamma(1.0, 20.0, len(x))
+        row_w = rng.uniform(0.5, 2.0, len(x)) / len(x)
+        t_mean, t_std = 12.0, 9.0
+        ys, wt, floor = models._standard_units(y.copy(), row_w, t_mean, t_std)
+
+        def mm_loss():
+            raw = net.forward(x)
+            mu = t_mean + t_std * raw[0]
+            sigma = t_std * np.logaddexp(0.0, raw[1]) + models.SIGMA_FLOOR_MM
+            return float(row_w @ crps_gaussian(mu, sigma, y))
+
+        net.zero_grad()
+        assert models._step(net, x, ys, wt, floor) == pytest.approx(mm_loss(), rel=1e-6)
+        for p in net.parameters():
+            np.testing.assert_allclose(p.grad, finite_difference(mm_loss, p.value),
+                                       rtol=1e-4, atol=1e-8)
 
 
 class TestTrainModel:
@@ -555,7 +584,7 @@ class TestFoldInCheckpoint:
 class TestFcnLocality:
     def test_cell_permutation_equivariance(self, tiny_scenario, tiny_source, tiny_domain):
         # 1x1 convolutions see one cell at a time: shuffling the cells of
-        # the input shuffles the output identically
+        # the input shuffles the output's (2, n) columns identically
         model = train_model(ModelConfig.for_variant("fcn", epochs=5, seed=0),
                             tiny_source, tiny_domain, 7)
         rep = tiny_scenario.reports[7]
@@ -564,7 +593,7 @@ class TestFcnLocality:
         out = model.net.forward(x)
         perm = np.random.default_rng(8).permutation(len(x))
         out_perm = model.net.forward(x[perm])
-        np.testing.assert_allclose(out_perm, out[perm], rtol=1e-6)
+        np.testing.assert_allclose(out_perm, out[:, perm], rtol=1e-6)
 
 
 class TestSaveLoad:

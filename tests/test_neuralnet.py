@@ -398,7 +398,7 @@ class TestNetwork:
         rng = np.random.default_rng(21)
         net = float64_network(rng)
         x = patch_rows(rng.normal(size=(2, 3, 4, 6)), (2, 2))
-        proj = rng.normal(size=(48, 2))
+        proj = rng.normal(size=(2, 48))  # the (2, n) layout of the head values
 
         def loss():
             return float(np.sum(net.forward(x) * proj))
@@ -420,8 +420,8 @@ class TestNetwork:
         rng = np.random.default_rng(12)
         net = Network.kaiming(3, 4, (2, 2), rng)
         out = net.forward(im2col(rng.normal(size=(3, 4, 4)).astype(DTYPE), (2, 2)))
-        assert out.shape == (16, 2)
-        assert net.backward(np.ones((16, 2), dtype=DTYPE)) is None
+        assert out.shape == (2, 16) and out.flags.c_contiguous
+        assert net.backward(np.ones((2, 16), dtype=DTYPE)) is None
         assert not net.conv.input_grad and net.conv.kernels.grad.any()
 
     def test_forward_results_are_independent(self):
@@ -489,14 +489,15 @@ class TestNetwork:
         # the same layers, called without buffers, give the same bytes
         rng = np.random.default_rng(11)
         x = patch_rows(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2))
-        g = rng.normal(size=(32, 2)).astype(DTYPE)
+        g = rng.normal(size=(2, 32)).astype(DTYPE)
         net, fresh = (Network.kaiming(3, 4, (2, 2), np.random.default_rng(0)) for _ in range(2))
         out = net.forward(x)
         net.backward(g)
         conv, soft, head = fresh.conv, fresh.softplus, fresh.head
-        want = head.forward(soft.forward(conv.forward(x.T[None, :, :, None])))
-        conv.backward(soft.backward(head.backward(g.T[None, :, :, None])))
-        assert out.tobytes() == want[0, :, :, 0].T.tobytes()
+        want = head.forward(soft.forward(conv.forward(x.T[None, :, :, None]))[0, :, :, 0].T)
+        hidden_grad = head.backward(g, out=np.empty((32, 4), DTYPE))
+        conv.backward(soft.backward(hidden_grad.T[None, :, :, None]))
+        assert out.tobytes() == want.tobytes()
         for got, expected in zip(net.parameters(), fresh.parameters()):
             assert got.grad.tobytes() == expected.grad.tobytes()
 
@@ -527,7 +528,7 @@ class TestNetwork:
         rng = np.random.default_rng(9)
         net = Network.kaiming(3, 4, (2, 2), rng)
         net.forward(patch_rows(rng.normal(size=(2, 3, 4, 4)).astype(DTYPE), (2, 2)))
-        g = rng.normal(size=(32, 2)).astype(DTYPE)
+        g = rng.normal(size=(2, 32)).astype(DTYPE)
         kept = g.copy()
         net.backward(g)
         assert g.tobytes() == kept.tobytes()

@@ -19,6 +19,7 @@ from cyclone_pp.scoring import (
     crps_gaussian,
     crps_gradient,
     crps_quadrature_oracle,
+    crps_slopes,
     crpss,
     make_weights,
     ndtr,
@@ -262,6 +263,42 @@ class TestNdtr:
         x = 3.0 * (1.0 + u) / (1.0 - u)
         powers = chebyshev.cheb2poly(chebyshev.chebfit(u, erfcx(x), 22))
         np.testing.assert_allclose(powers, scoring._ERFCX_IN_U, rtol=0, atol=1e-14)
+
+
+class TestTrainingPhi:
+    """crps_slopes, the training loss's kernel, against scipy.special.ndtr:
+    its 2 Phi - 1 follows Abramowitz & Stegun 26.2.17 (within 1.5e-7)."""
+
+    def test_within_2e_7_of_scipy(self):
+        z = np.concatenate([np.linspace(-40.0, 40.0, 400_001),
+                            np.random.default_rng(5).normal(0.0, 3.0, 200_000)])
+        assert np.max(np.abs(crps_slopes(z)[0] - (2.0 * scipy_ndtr(z) - 1.0))) <= 2e-7
+
+    def test_infinities_and_nan(self):
+        dmu, dsigma = crps_slopes(np.array([-np.inf, np.inf, np.nan]))
+        assert dmu[:2].tolist() == [-1.0, 1.0] and np.isnan(dmu[2])
+        assert dsigma[:2].tolist() == [-1.0 / np.sqrt(np.pi)] * 2 and np.isnan(dsigma[2])
+
+    def test_odd_in_z(self):
+        z = np.concatenate([np.linspace(0.0, 40.0, 40_001),
+                            np.abs(np.random.default_rng(6).normal(0.0, 3.0, 100_000))])
+        assert crps_slopes(-z)[0].tobytes() == np.negative(crps_slopes(z)[0]).tobytes()
+
+    def test_sigma_slope_is_the_density_term(self):
+        z = np.linspace(-40.0, 40.0, 80_001)
+        want = 2.0 * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi) - 1.0 / np.sqrt(np.pi)
+        np.testing.assert_allclose(crps_slopes(z)[1], want, rtol=0, atol=1e-15)
+
+    def test_score_from_the_slopes_is_the_crps(self):
+        # the CRPS is homogeneous of degree one in (mu - y, sigma); Phi's
+        # error of at most 7.5e-8 moves the score by sigma |z| twice that
+        rng = np.random.default_rng(7)
+        mu, sigma = rng.normal(0.0, 3.0, 1000), rng.uniform(0.1, 4.0, 1000)
+        y = rng.normal(size=1000)
+        z = (mu - y) / sigma
+        dmu, dsigma = crps_slopes(z)
+        error = np.abs(sigma * (z * dmu + dsigma) - crps_gaussian(mu, sigma, y))
+        assert np.all(error <= sigma * np.abs(z) * 1.5e-7 + 1e-15)
 
 
 def test_only_the_oracle_imports_scipy_integrate():
